@@ -14,7 +14,7 @@ convergence and non-convergence as eps -> 0) into executable checks.
 Module map:
 
     grids        1D grid functions, initial data, norms
-    kernel       mollifier construction and FFT convolution
+    kernel       mollifier construction and direct convolution
     fluxes       flux specifications (Burgers, cubic, custom)
     solver       the semi-Lagrangian transport solver, all 1D modes
     reference    entropy-solution oracles for the local limit
@@ -73,21 +73,19 @@ from .reference import (
 )
 from .scenario import ScenarioError, ScenarioSpec, parse_scenario
 from .solver import (
-    CFLViolationError,
     PicardDivergenceError,
     SolverConfig,
     Trajectory,
+    solve,
     solve_conservative_nonlocal,
     solve_general,
     solve_nn,
-    step_nn,
 )
-from .twodim import GridFunction2D, Trajectory2D, sample_2d, solve_velocity_reg_2d
+from .twodim import GridFunction2D, sample_2d, solve_velocity_reg_2d
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CFLViolationError",
     "CheckResult",
     "ConvergenceTable",
     "DiagnosticsReport",
@@ -112,7 +110,6 @@ __all__ = [
     "SolverConfig",
     "StudyScenario",
     "Trajectory",
-    "Trajectory2D",
     "burgers_flux",
     "burgers_riemann_exact",
     "catastrophe_time",
@@ -134,13 +131,13 @@ __all__ = [
     "parse_scenario",
     "sample",
     "sample_2d",
+    "solve",
     "solve_conservative_nonlocal",
     "solve_general",
     "solve_isentropic",
     "solve_nn",
     "solve_velocity_reg_2d",
     "stability_envelope",
-    "step_nn",
     "sup_norm",
     "to_invariants",
     "total_variation",

@@ -44,12 +44,10 @@ from .diagnostics import (
     convergence_study,
     measure_front_speed_fit,
     oleinik_check,
-    padded_grid_bounds,
     stability_envelope,
 )
 from .euler import (
     EulerState,
-    _reversed_grid,
     conservative_residual,
     from_invariants,
     solve_isentropic,
@@ -414,36 +412,29 @@ def _criterion_9(reg: TrajectoryRegistry) -> CriterionResult:
     horizon = D / (2.0 * sup0)
     T = 0.9 * horizon
     window = (-3.0, 3.0)
-    cfg = SolverConfig(store_stride=10**9)
     epsilons = (0.2, 0.1, 0.05, 0.025)
-    errors = []
+    scenario = StudyScenario(
+        "pwise_increasing", datum, T=T, window=window, rate_norm="l1"
+    )
+    table = convergence_study(scenario, epsilons)
     oleinik_all = True
     oleinik_detail = {}
-    for eps in epsilons:
-        dx = eps / 8.0
-        a, b = padded_grid_bounds(window, sup0, eps, T, cfg, dx)
-        u0 = sample(datum, a, b, dx)
-        traj = solve_nn(u0, eps, T, cfg, data=datum)
-        ref = lax_oleinik_solve(u0, T)
-        sl = u0.window_slice(*window)
-        errors.append(
-            float(np.sum(np.abs(traj.final.values - ref.values)[sl]) * dx)
+    for row in table.rows:
+        tubes = _drop_tubes(row.reference, window, row.epsilon)
+        rep = oleinik_check(
+            row.trajectory.final, datum.lipschitz_C, excluded=tubes
         )
-        tubes = _drop_tubes(ref, window, eps)
-        rep = oleinik_check(traj.final, datum.lipschitz_C, excluded=tubes)
-        oleinik_detail[str(eps)] = {
+        oleinik_detail[str(row.epsilon)] = {
             "tubes": [[float(a_), float(b_)] for a_, b_ in tubes],
             "passed": bool(rep.passed),
         }
         oleinik_all = oleinik_all and rep.passed
-    le = np.log(np.array(epsilons[-3:], dtype=float))
-    lerr = np.log(np.array(errors[-3:]))
-    slope = float(np.polyfit(le, lerr, 1)[0])
+    slope = table.fit_rate("l1", n_points=3)
     return CriterionResult(
         9, TITLES[9], slope >= 0.5 and oleinik_all,
         {
             "T": float(T),
-            "l1_errors": errors,
+            "l1_errors": [row.error_L1 for row in table.rows],
             "epsilons": [float(e) for e in epsilons],
             "slope_3_smallest": slope,
             "slope_bound": 0.5,
@@ -498,29 +489,24 @@ def _criterion_11(reg: TrajectoryRegistry) -> CriterionResult:
     datum = _counterexample_datum()
     T = 1.0
     window = (-3.0, 3.0)
-    cfg = SolverConfig(store_stride=10**9)
     epsilons = (0.2, 0.1, 0.05)
-    gaps = []
-    for eps in epsilons:
-        dx = eps / 8.0
-        a, b = padded_grid_bounds(window, 1.0, eps, T, cfg, dx)
-        u0 = sample(datum, a, b, dx)
-        traj = solve_nn(u0, eps, T, cfg, data=datum)
-        ref = lax_oleinik_solve(u0, T)
-        sl = u0.window_slice(*window)
-        gaps.append(
-            float(np.sum(np.abs(traj.final.values - ref.values)[sl]) * dx)
-        )
-    le = np.log(np.array(epsilons, dtype=float))
-    slope = float(np.polyfit(le, np.log(np.array(gaps)), 1)[0])
-    eps_c = epsilons[-1]
-    dx_c = eps_c / 8.0
-    a, b = padded_grid_bounds(window, 1.0, eps_c, T, cfg, dx_c)
-    u0 = sample(datum, a, b, dx_c)
-    cons = solve_conservative_nonlocal(u0, eps_c, T, cfg)
-    ref = lax_oleinik_solve(u0, T)
+    scenario = StudyScenario(
+        "counterexample", datum, T=T, window=window, rate_norm="l1"
+    )
+    table = convergence_study(scenario, epsilons)
+    gaps = [row.error_L1 for row in table.rows]
+    slope = table.fit_rate("l1", n_points=None)
+    # the conservative solve reuses the finest row's grid and reference
+    finest = table.rows[-1]
+    u0 = finest.trajectory.grid
+    cons = solve_conservative_nonlocal(
+        u0, finest.epsilon, T, SolverConfig(store_stride=10**9)
+    )
     sl = u0.window_slice(*window)
-    gap_cons = float(np.sum(np.abs(cons.final.values - ref.values)[sl]) * dx_c)
+    gap_cons = float(
+        np.sum(np.abs(cons.final.values - finest.reference.values)[sl])
+        * finest.dx
+    )
     ratio = gap_cons / gaps[-1]
     return CriterionResult(
         11, TITLES[11], slope >= 0.5 and ratio > 10.0,

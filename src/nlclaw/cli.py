@@ -18,14 +18,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .runner import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, run, run_file
-from .scenario import (
-    FluxChoice,
-    RiemannSpec,
-    ScenarioError,
-    ScenarioSpec,
-    parse_scenario,
+from .runner import (
+    EXIT_CHECK_FAILED,
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    read_scenario,
+    run,
+    run_file,
 )
+from .scenario import FluxChoice, RiemannSpec, ScenarioSpec
 
 __all__ = ["main"]
 
@@ -36,26 +37,12 @@ def _add_outdir(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_file(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        print(f"cannot read {path}: {e}", file=sys.stderr)
-        return None
-    try:
-        return parse_scenario(text)
-    except ScenarioError as e:
-        for msg in e.errors:
-            print(f"{path}: {msg}", file=sys.stderr)
-        return None
-
-
 def _cmd_run(args) -> int:
     return run_file(args.scenario, args.outdir)
 
 
 def _cmd_sweep(args) -> int:
-    spec = _parse_file(args.scenario)
+    spec = read_scenario(args.scenario)
     if spec is None:
         return EXIT_INPUT_ERROR
     if spec.epsilon_list is None:
@@ -72,7 +59,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    spec = _parse_file(args.scenario)
+    spec = read_scenario(args.scenario)
     if spec is None:
         return EXIT_INPUT_ERROR
     if spec.mode != "euler":
@@ -114,9 +101,11 @@ def _cmd_riemann(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .acceptance import parse_criteria_arg, run_criteria, write_results
+    from .diagnostics import thread_cap
 
     try:
         numbers = parse_criteria_arg(args.criteria)
+        thread_cap()  # the sweep criteria run on its pool
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -9,6 +9,8 @@ either demonstrably honours its contract or fails loudly.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,13 +27,8 @@ from .grids import (
 )
 from .kernel import Mollifier
 from .reference import burgers_riemann_exact, godunov_solve, lax_oleinik_solve
-from .solver import (
-    SolverConfig,
-    Trajectory,
-    solve_conservative_nonlocal,
-    solve_general,
-    solve_nn,
-)
+from .scenario import ScenarioError
+from .solver import SolverConfig, Trajectory, solve
 
 __all__ = [
     "CheckResult",
@@ -48,6 +45,7 @@ __all__ = [
     "measure_front_speed_fit",
     "oleinik_check",
     "stability_envelope",
+    "thread_cap",
 ]
 
 
@@ -306,12 +304,22 @@ def oleinik_check(
 
 @dataclass
 class ConvergenceRow:
+    """One eps of a sweep.  trajectory and reference (the solve and the
+    reference state on its grid) are kept for callers that check more
+    than the errors; as_dict leaves them out."""
+
     epsilon: float
     dx: float
     dt: float
     error_L1: float
     error_sup: float
     floor_dominated: bool
+    trajectory: Trajectory | None = field(
+        default=None, repr=False, compare=False
+    )
+    reference: GridFunction1D | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def as_dict(self) -> dict:
         return {
@@ -406,17 +414,10 @@ def _reference_state(
 ) -> GridFunction1D:
     if reference == "lax_oleinik":
         return lax_oleinik_solve(u0, scenario.T)
-    if reference == "fan":
+    if reference in ("fan", "riemann_exact"):
         d = scenario.data
         if not isinstance(d, RiemannData):
-            raise ValueError("'fan' reference needs RiemannData")
-        return u0.with_values(
-            np.asarray(burgers_riemann_exact(d, u0.x / scenario.T))
-        )
-    if reference == "riemann_exact":
-        d = scenario.data
-        if not isinstance(d, RiemannData):
-            raise ValueError("'riemann_exact' reference needs RiemannData")
+            raise ValueError(f"{reference!r} reference needs RiemannData")
         return u0.with_values(
             np.asarray(burgers_riemann_exact(d, u0.x / scenario.T))
         )
@@ -428,22 +429,22 @@ def _reference_state(
     raise ValueError(f"unknown reference {reference!r}")
 
 
-def _solve_for_study(
-    scenario: StudyScenario, u0: GridFunction1D, epsilon: float,
-    cfg: SolverConfig,
-) -> Trajectory:
-    if scenario.mode == "nn":
-        return solve_nn(u0, epsilon, scenario.T, cfg, data=scenario.data)
-    if scenario.mode == "conservative":
-        return solve_conservative_nonlocal(u0, epsilon, scenario.T, cfg)
-    if scenario.mode in ("velocity_reg", "flux_reg"):
-        if scenario.flux is None:
-            raise ValueError("general-flux study needs a flux")
-        return solve_general(
-            u0, scenario.flux, epsilon, scenario.T, cfg, scenario.mode,
-            data=scenario.data,
+def thread_cap() -> int:
+    """Sweep parallelism cap from NLCLAW_THREADS (positive integer)."""
+    raw = os.environ.get("NLCLAW_THREADS")
+    if raw is None:
+        return min(4, os.cpu_count() or 1)
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ScenarioError(
+            [f"NLCLAW_THREADS={raw!r} is not a positive integer"]
+        ) from None
+    if n < 1:
+        raise ScenarioError(
+            [f"NLCLAW_THREADS={raw!r} is not a positive integer"]
         )
-    raise ValueError(f"unknown study mode {scenario.mode!r}")
+    return n
 
 
 def convergence_study(
@@ -459,11 +460,15 @@ def convergence_study(
     resolved by the same number of cells and measured rates reflect eps,
     not the grid.  Rows with L1 error at the grid floor (<= 10 dx) are
     flagged; rates fitted through them reflect the floor, not the model.
+    The eps values run on up to thread_cap() threads; rows come back in
+    decreasing eps order whatever the thread count, and each row is
+    computed the same way on any thread, so the table is bitwise
+    independent of NLCLAW_THREADS.
     """
     cfg = cfg or SolverConfig(store_stride=10**9)
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
-    rows = []
-    for eps in eps_sorted:
+
+    def row(eps: float) -> ConvergenceRow:
         dx = min(scenario.dx_max, eps / 8.0)
         probe = sample(scenario.data, scenario.window[0], scenario.window[1], dx)
         sup0 = sup_norm(probe)
@@ -471,16 +476,23 @@ def convergence_study(
             scenario.window, sup0, eps, scenario.T, cfg, dx
         )
         u0 = sample(scenario.data, a, b, dx)
-        traj = _solve_for_study(scenario, u0, eps, cfg)
+        traj = solve(
+            scenario.mode, u0, eps, scenario.T, cfg,
+            data=scenario.data, flux=scenario.flux,
+        )
         ref = _reference_state(reference, u0, scenario)
         sl = u0.window_slice(*scenario.window)
         diff = np.abs(traj.final.values - ref.values)[sl]
         err_l1 = float(np.sum(diff) * dx)
         err_sup = float(np.max(diff))
         dt = cfg.time_step(dx, sup_norm(u0))
-        rows.append(
-            ConvergenceRow(eps, dx, dt, err_l1, err_sup, err_l1 <= 10.0 * dx)
+        return ConvergenceRow(
+            eps, dx, dt, err_l1, err_sup, err_l1 <= 10.0 * dx,
+            trajectory=traj, reference=ref,
         )
+
+    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
+        rows = list(pool.map(row, eps_sorted))
     table = ConvergenceTable(rows, 0.0, reference, scenario.rate_norm)
     table.fitted_rate = table.fit_rate(scenario.rate_norm, n_points=3)
     return table

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridFunction1D, GridMismatchError
-from .kernel import build_mollifier
+from .kernel import _bump_unnormalized, build_mollifier
 from .solver import SolverConfig, Trajectory, _solve_transport, _velocity_fn
 
 __all__ = [
@@ -36,15 +36,6 @@ __all__ = [
     "solve_isentropic",
     "to_invariants",
 ]
-
-
-def _check_shared_grid(a: GridFunction1D, b: GridFunction1D) -> None:
-    if (
-        abs(a.x0 - b.x0) > 1e-12 * max(1.0, abs(a.x0))
-        or abs(a.dx - b.dx) > 1e-12 * a.dx
-        or a.n != b.n
-    ):
-        raise GridMismatchError("fields must share one grid")
 
 
 @dataclass
@@ -58,7 +49,8 @@ class EulerState:
     lam: GridFunction1D
 
     def __post_init__(self) -> None:
-        _check_shared_grid(self.mu, self.lam)
+        if not self.mu.same_grid(self.lam):
+            raise GridMismatchError("fields must share one grid")
 
     @property
     def rho(self) -> GridFunction1D:
@@ -75,7 +67,8 @@ class EulerState:
 
 def to_invariants(rho: GridFunction1D, vel: GridFunction1D) -> EulerState:
     """mu = rho + vel, lam = rho - vel."""
-    _check_shared_grid(rho, vel)
+    if not rho.same_grid(vel):
+        raise GridMismatchError("fields must share one grid")
     return EulerState(
         mu=rho.with_values(rho.values + vel.values),
         lam=rho.with_values(rho.values - vel.values),
@@ -120,7 +113,6 @@ def solve_isentropic(
     equation under x -> -x (values reversed, solved, reversed back).  The
     two solves never reference each other, so evolving them jointly is
     bitwise the same as evolving each alone."""
-    _check_shared_grid(rho0, vel0)
     st0 = to_invariants(rho0, vel0)
     mu0 = st0.mu
     lam0 = st0.lam
@@ -160,15 +152,6 @@ def solve_isentropic(
     )
 
 
-def _bump(z: np.ndarray) -> np.ndarray:
-    """Smooth compactly supported bump on (-1, 1), unnormalised."""
-    out = np.zeros_like(z)
-    inside = np.abs(z) < 1.0
-    zi = z[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - zi * zi))
-    return out
-
-
 def _bump_dz(z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z)
     inside = np.abs(z) < 1.0
@@ -198,7 +181,7 @@ def _test_bank(x: np.ndarray, T: float):
     bank = []
     for c in centers:
         z = (x - c) / width
-        phi = _bump(z)
+        phi = _bump_unnormalized(z)
         dphi = _bump_dz(z) / width
         for g, gdot in gs:
             bank.append((phi, dphi, g, gdot))

@@ -3,7 +3,8 @@
 The default bump is eta(x) = I^-1 * exp(-1/(1-x^2)) on (-1, 1), scaled as
 eta_eps(x) = eta(x/eps)/eps.  Discrete kernels are symmetric, nonnegative,
 compactly supported in [-eps, eps] and renormalised to unit mass exactly,
-so convolving a constant returns that constant to the last bit.
+so convolving a constant returns that constant up to the rounding of
+the weighted sum (a few ulps; within 1e-14 for values of order one).
 """
 
 from __future__ import annotations

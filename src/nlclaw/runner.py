@@ -18,34 +18,24 @@ written), 2 check failure or solver abort.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import (
-    ConvergenceRow,
-    ConvergenceTable,
     DiagnosticsReport,
     MultipleCrossingsError,
     NoCrossingError,
+    StudyScenario,
     check_invariants,
+    convergence_study,
     measure_front_speed_fit,
-    padded_grid_bounds,
 )
 from .euler import conservative_residual, solve_isentropic
 from .fluxes import FluxSpec, burgers_flux, cubic_flux
-from .grids import (
-    PiecewiseInitialData,
-    RiemannData,
-    l1_distance,
-    sample,
-    sup_norm,
-)
-from .reference import godunov_solve, lax_oleinik_solve, burgers_riemann_exact
+from .grids import PiecewiseInitialData, RiemannData, sample, sup_norm
 from .scenario import (
     ExpressionData,
     PiecewiseData,
@@ -54,14 +44,7 @@ from .scenario import (
     ScenarioSpec,
     parse_scenario,
 )
-from .solver import (
-    CFLViolationError,
-    PicardDivergenceError,
-    SolverConfig,
-    solve_conservative_nonlocal,
-    solve_general,
-    solve_nn,
-)
+from .solver import PicardDivergenceError, SolverConfig, solve
 from .kernel import ResolutionError
 from .twodim import sample_2d, solve_velocity_reg_2d, tv_2d
 
@@ -69,9 +52,9 @@ __all__ = [
     "EXIT_CHECK_FAILED",
     "EXIT_INPUT_ERROR",
     "EXIT_OK",
+    "read_scenario",
     "run",
     "run_file",
-    "thread_cap",
 ]
 
 EXIT_OK = 0
@@ -79,30 +62,11 @@ EXIT_INPUT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
 _RUN_ERRORS = (
-    CFLViolationError,
     PicardDivergenceError,
     ResolutionError,
     NoCrossingError,
     MultipleCrossingsError,
 )
-
-
-def thread_cap() -> int:
-    """Sweep parallelism cap from NLCLAW_THREADS (positive integer)."""
-    raw = os.environ.get("NLCLAW_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError(
-            [f"NLCLAW_THREADS={raw!r} is not a positive integer"]
-        ) from None
-    if n < 1:
-        raise ScenarioError(
-            [f"NLCLAW_THREADS={raw!r} is not a positive integer"]
-        )
-    return n
 
 
 def _initial_object(spec: ScenarioSpec):
@@ -145,16 +109,6 @@ def _predicted_front_speed(spec: ScenarioSpec, flux: FluxSpec) -> float | None:
     if spec.mode == "flux_reg":
         return float(flux.fprime(0.5 * (uL + uR)))
     return None
-
-
-def _solve_1d(spec, u0, data, flux, epsilon, cfg):
-    if spec.mode == "nn":
-        return solve_nn(u0, epsilon, spec.T, cfg, data=data)
-    if spec.mode == "conservative":
-        return solve_conservative_nonlocal(u0, epsilon, spec.T, cfg)
-    return solve_general(
-        u0, flux, epsilon, spec.T, cfg, spec.mode, data=data
-    )
 
 
 def _meta(spec, epsilon, dx, dt) -> dict:
@@ -204,15 +158,29 @@ def _trajectory_rows(traj) -> list:
     return rows
 
 
-def _run_1d_single(spec: ScenarioSpec, verify_only: bool) -> RunResult:
+def _sample(key: str, data, a: float, b: float, dx: float):
+    """sample(), with a datum that cannot be sampled (non-finite values,
+    breakpoints closer than the grid resolves) reported as an input error
+    on its scenario key."""
+    try:
+        return sample(data, a, b, dx)
+    except ValueError as e:
+        raise ScenarioError([f"{key}: {e}"]) from None
+
+
+def _datum_and_flux(spec: ScenarioSpec, dx: float):
+    """The 1D datum, its samples on the domain at spacing dx, and the flux
+    sized to the sampled range."""
     data = _initial_object(spec)
-    a, b = spec.domain
-    u0 = sample(data, a, b, spec.dx)
-    radius = max(1.0, 1.5 * sup_norm(u0))
-    flux = _flux_spec(spec, radius)
+    u0 = _sample("initial", data, spec.domain[0], spec.domain[1], dx)
+    return data, u0, _flux_spec(spec, max(1.0, 1.5 * sup_norm(u0)))
+
+
+def _run_1d_single(spec: ScenarioSpec, verify_only: bool) -> RunResult:
+    data, u0, flux = _datum_and_flux(spec, spec.dx)
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     epsilon = spec.epsilon
-    traj = _solve_1d(spec, u0, data, flux, epsilon, cfg)
+    traj = solve(spec.mode, u0, epsilon, spec.T, cfg, data=data, flux=flux)
     dt = cfg.time_step(spec.dx, sup_norm(u0))
 
     rep = check_invariants(traj)
@@ -258,56 +226,32 @@ def _run_1d_single(spec: ScenarioSpec, verify_only: bool) -> RunResult:
     return res
 
 
-def _sweep_reference(spec: ScenarioSpec, u0, data, flux):
-    if spec.expect == "nonconvergence" and isinstance(data, RiemannData):
-        return u0.with_values(
-            np.asarray(burgers_riemann_exact(data, u0.x / spec.T))
-        ), "fan"
-    if spec.flux.kind == "burgers":
-        return lax_oleinik_solve(u0, spec.T), "lax_oleinik"
-    return godunov_solve(u0, flux, spec.T).final, "godunov"
-
-
 def _run_sweep(spec: ScenarioSpec, verify_only: bool) -> RunResult:
-    data = _initial_object(spec)
+    # probe on the coarsest row's grid: a datum that grid resolves is
+    # resolved by every finer row
+    dx = min(spec.dx, max(spec.epsilon_list) / 8.0)
+    data, _, flux = _datum_and_flux(spec, dx)
+    if spec.expect == "nonconvergence" and isinstance(data, RiemannData):
+        ref_name = "fan"
+    elif spec.flux.kind == "burgers":
+        ref_name = "lax_oleinik"
+    else:
+        ref_name = "godunov"
+    scenario = StudyScenario(
+        spec.name, data, spec.T, spec.domain, mode=spec.mode, flux=flux,
+        rate_norm="l1", dx_max=spec.dx,
+    )
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
-    eps_sorted = sorted(set(spec.epsilon_list), reverse=True)
+    table = convergence_study(scenario, spec.epsilon_list, ref_name, cfg)
 
-    def one(eps):
-        dx = min(spec.dx, eps / 8.0)
-        probe = sample(data, spec.domain[0], spec.domain[1], dx)
-        sup0 = sup_norm(probe)
-        radius = max(1.0, 1.5 * sup0)
-        flux = _flux_spec(spec, radius)
-        a, b = padded_grid_bounds(spec.domain, sup0, eps, spec.T, cfg, dx)
-        u0 = sample(data, a, b, dx)
-        traj = _solve_1d(spec, u0, data, flux, eps, cfg)
-        ref, ref_name = _sweep_reference(spec, u0, data, flux)
-        sl = u0.window_slice(*spec.domain)
-        diff = np.abs(traj.final.values - ref.values)[sl]
-        err_l1 = float(np.sum(diff) * dx)
-        err_sup = float(np.max(diff))
-        rep = check_invariants(traj)
-        dt = cfg.time_step(dx, sup_norm(u0))
-        return eps, dx, dt, err_l1, err_sup, rep, ref_name, traj
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        results = list(pool.map(one, eps_sorted))
-
-    rows = []
     run_reports = []
-    ref_name = results[0][6]
     passed = True
-    for eps, dx, dt, err_l1, err_sup, rep, ref_name, traj in results:
-        rows.append(
-            ConvergenceRow(eps, dx, dt, err_l1, err_sup, err_l1 <= 10.0 * dx)
-        )
-        run_reports.append({"epsilon": eps, "checks": rep.as_dict()})
+    for row in table.rows:
+        rep = check_invariants(row.trajectory)
+        run_reports.append({"epsilon": row.epsilon, "checks": rep.as_dict()})
         passed = passed and rep.passed
-    table = ConvergenceTable(rows, 0.0, ref_name, "l1")
-    table.fitted_rate = table.fit_rate("l1", n_points=3)
 
-    meta = _meta(spec, list(eps_sorted), spec.dx, None)
+    meta = _meta(spec, [row.epsilon for row in table.rows], spec.dx, None)
     report = dict(meta)
     report["table"] = table.as_dict()
     report["runs"] = run_reports
@@ -323,21 +267,21 @@ def _run_sweep(spec: ScenarioSpec, verify_only: bool) -> RunResult:
 
     res = RunResult(meta, report)
     if not verify_only:
-        res.table_rows = [r.as_dict() for r in rows]
-        for (eps, dx, dt, _, _, _, _, traj) in results:
-            sub_meta = _meta(spec, eps, dx, dt)
+        res.table_rows = [row.as_dict() for row in table.rows]
+        for row in table.rows:
+            sub_meta = _meta(spec, row.epsilon, row.dx, row.dt)
             res.extra_snapshots.append(
-                (f"eps{eps!r}", sub_meta, ("t", "x", "u"),
-                 _trajectory_rows(traj))
+                (f"eps{row.epsilon!r}", sub_meta, ("t", "x", "u"),
+                 _trajectory_rows(row.trajectory))
             )
     return res
 
 
 def _run_euler(spec: ScenarioSpec, verify_only: bool) -> RunResult:
     a, b = spec.domain
-    rho0 = sample(spec.initial.expr, a, b, spec.dx)
+    rho0 = _sample("initial", spec.initial.expr, a, b, spec.dx)
     if spec.velocity is not None:
-        vel0 = sample(spec.velocity, a, b, spec.dx)
+        vel0 = _sample("velocity", spec.velocity, a, b, spec.dx)
     else:
         vel0 = rho0.with_values(np.zeros(rho0.n))
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
@@ -389,7 +333,10 @@ def _run_2d(spec: ScenarioSpec, verify_only: bool) -> RunResult:
     else:
         pw = _initial_object(spec)
         data2 = lambda X, Y: pw(X) + 0.0 * Y
-    u0 = sample_2d(data2, a, b, ya, yb, spec.dx, spec.dx)
+    try:
+        u0 = sample_2d(data2, a, b, ya, yb, spec.dx, spec.dx)
+    except ValueError as e:
+        raise ScenarioError([f"initial: {e}"]) from None
     probe_sup = float(np.max(np.abs(u0.values)))
     flux = _flux_spec(spec, max(1.0, 1.5 * probe_sup))
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
@@ -536,17 +483,25 @@ def run(spec: ScenarioSpec, outdir, verify_only: bool = False) -> int:
     return EXIT_OK if res.passed else EXIT_CHECK_FAILED
 
 
-def run_file(path, outdir, verify_only: bool = False) -> int:
-    """Parse a scenario file and run it; input errors write nothing."""
+def read_scenario(path) -> ScenarioSpec | None:
+    """Read and parse a scenario file; on failure print why and return
+    None."""
     try:
         text = Path(path).read_text()
     except OSError as e:
         print(f"cannot read {path}: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return None
     try:
-        spec = parse_scenario(text)
+        return parse_scenario(text)
     except ScenarioError as e:
         for msg in e.errors:
             print(f"{path}: {msg}", file=sys.stderr)
+        return None
+
+
+def run_file(path, outdir, verify_only: bool = False) -> int:
+    """Parse a scenario file and run it; input errors write nothing."""
+    spec = read_scenario(path)
+    if spec is None:
         return EXIT_INPUT_ERROR
     return run(spec, outdir, verify_only=verify_only)

@@ -9,7 +9,7 @@ equation its classical solutions.  Three velocity wirings share the scheme:
     velocity_reg  v = eta_eps * f'(u)
     flux_reg      v = f'(eta_eps * u)
 
-Multi-step solves advect the backward characteristic map phi(t, x) =
+Solves advect the backward characteristic map phi(t, x) =
 y_{t,x}(0) (phi itself solves the transport equation with phi(0, x) = x)
 and recover the state as u(t) = u0(phi(t)).  Composing with the datum
 instead of re-interpolating the state step after step is what keeps a
@@ -20,6 +20,8 @@ exactly the non-convergence behaviour this model exists to exhibit.  The
 interpolation of phi at the characteristic feet is cubic and clipped to
 the bracketing nodal values, so the visited portion of the datum, the
 range of the data, and its total variation can only shrink, never grow.
+One Picard step and one stepping loop serve every such solve, the 2D
+solver in twodim included (its foot field has two components).
 
 A conservative finite-volume variant of the nonlocal model is provided for
 comparison.  It conserves mass by construction and deliberately carries no
@@ -29,8 +31,8 @@ under study, not a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,24 +47,22 @@ from .grids import (
 from .kernel import Mollifier, build_mollifier, convolve_values
 
 __all__ = [
-    "CFLViolationError",
     "PicardDivergenceError",
     "SolverConfig",
     "Trajectory",
     "backward_characteristic",
+    "solve",
     "solve_conservative_nonlocal",
     "solve_general",
     "solve_nn",
-    "step_nn",
 ]
 
 SUP_FLOOR = 1e-12  # dt cap divisor for all-zero data
 
-MODES = ("nn", "conservative", "velocity_reg", "flux_reg", "godunov")
-
-
-class CFLViolationError(ValueError):
-    """Time step exceeds the configured CFL bound."""
+MODES = (
+    "nn", "conservative", "velocity_reg", "flux_reg", "godunov",
+    "velocity_reg_2d",
+)
 
 
 class PicardDivergenceError(RuntimeError):
@@ -111,7 +111,7 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Stored time levels of one solve on a fixed grid."""
+    """Stored time levels of one solve on a fixed 1D or 2D grid."""
 
     times: np.ndarray
     states: list
@@ -156,40 +156,6 @@ class Trajectory:
         maximum principle, possibly positive for the conservative mode)."""
         sup0 = sup_norm(self.states[0])
         return max(sup_norm(s) - sup0 for s in self.states)
-
-
-def _picard_step(
-    values: np.ndarray,
-    x0: float,
-    dx: float,
-    x: np.ndarray,
-    velocity_of: Callable[[np.ndarray], np.ndarray],
-    dt: float,
-    tol: float,
-    max_iters: int,
-) -> tuple[np.ndarray, int]:
-    """One self-consistent semi-Lagrangian step on raw arrays.
-
-    Iterates velocity from the candidate new state: feet are traced with a
-    midpoint rule using the candidate's own velocity field, and the old
-    state is interpolated at the feet.  Converges when successive
-    candidates agree to tol in sup-norm.
-    """
-    cand = values
-    for j in range(max_iters):
-        v = velocity_of(cand)
-        xm = x - 0.5 * dt * v
-        vmid = interpolate_values(v, x0, dx, xm)
-        feet = x - dt * 0.5 * (v + vmid)
-        new = interpolate_values(values, x0, dx, feet)
-        change = float(np.max(np.abs(new - cand)))
-        cand = new
-        if change < tol:
-            return cand, j + 1
-    raise PicardDivergenceError(
-        f"no contraction after {max_iters} iterations (last change {change:.3e}); "
-        "reduce dt"
-    )
 
 
 def _interp_foot(
@@ -272,35 +238,53 @@ def _datum_evaluator(
     return ev
 
 
+class _Foot(NamedTuple):
+    """The dimension-specific pieces of the foot-field step.
+
+    nodes holds the node coordinates, one array per axis, broadcastable to
+    the grid shape (phi at t = 0).  interp_linear(values, points) is the
+    clipped linear interpolant that traces the feet; interp_foot(phi_k,
+    feet, k) interpolates foot-field component k at the feet; datum(*phi)
+    evaluates u0 o phi.  pin, when set, is the front pin: pin(vals, phi,
+    v, dt, fronts) returns the pinned values and the advanced front state,
+    and fronts is that state at t = 0.
+    """
+
+    nodes: tuple
+    interp_linear: Callable
+    interp_foot: Callable
+    datum: Callable
+    pin: Callable | None = None
+    fronts: object = None
+
+
 def _picard_step_foot(
-    phi_prev: np.ndarray,
+    phi_prev: tuple,
     vals_prev: np.ndarray,
-    x0: float,
-    dx: float,
-    x: np.ndarray,
-    velocity_of: Callable[[np.ndarray], np.ndarray],
-    ev: Callable[[np.ndarray], np.ndarray],
+    foot: _Foot,
+    velocity_of: Callable[[np.ndarray], tuple],
     dt: float,
     tol: float,
     max_iters: int,
-    fronts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """One self-consistent step of the foot-field formulation.
+    fronts=None,
+) -> tuple[tuple, np.ndarray, int, object]:
+    """One self-consistent step of the foot-field formulation, any dimension.
 
     The velocity comes from the candidate new state u0 o phi, the feet are
-    traced with the midpoint rule, and the previous foot field is
-    interpolated at the feet.  Convergence is measured on phi (a continuous
-    quantity even across jumps of the state).
+    traced with the midpoint rule, and every component of the previous foot
+    field is interpolated at the feet.  Convergence is measured on phi (a
+    continuous quantity even across jumps of the state), as the largest
+    sup-norm change over the components.
 
-    fronts, when given, is (gammas, jump_pos, jump_left, jump_right): the
-    tracked preimages of the datum jumps at the start of the step plus the
-    jump data.  Each pass then advances the preimages through the candidate
-    velocity and pins the jump side of nearby nodes to the preimage rather
-    than to the interpolated foot field, so the velocity the next pass
-    mollifies is centred on the kinematically correct front position.  The
-    pin must live inside the iteration: applied only afterwards, the
-    mollified velocity stays centred on the biased front and the preimage
-    simply locks in behind it at the same biased speed.
+    With a front pin (1D data with tracked jumps), fronts holds the tracked
+    preimages of the datum jumps at the start of the step.  Each pass then
+    advances the preimages through the candidate velocity and pins the jump
+    side of nearby nodes to the preimage rather than to the interpolated
+    foot field, so the velocity the next pass mollifies is centred on the
+    kinematically correct front position.  The pin must live inside the
+    iteration: applied only afterwards, the mollified velocity stays
+    centred on the biased front and the preimage simply locks in behind it
+    at the same biased speed.
 
     A datum jump makes the iteration map discontinuous: a node whose foot
     converges onto the jump flips between the one-sided states each pass,
@@ -309,36 +293,42 @@ def _picard_step_foot(
     The two members differ only in which side of the jump that foot sits
     on -- a sub-cell ambiguity in the jump's placement, not in the weak
     solution -- so the cycle is accepted once it has closed to tol and the
-    current member is returned (a deterministic choice).
+    current member is returned (a deterministic choice).  An increasing
+    datum jump is what needs this rule: the fan it opens maps a whole
+    range of nodes onto the jump, and without the rule the iteration runs
+    out of passes (RiemannData(-1, 1) with eps 0.1 and dx 0.01 diverges
+    before T = 0.2).  In 2D a datum jump is a curve and feet straddling it
+    flip sides the same way.
     """
     cand_phi = phi_prev
     cand_vals = vals_prev
-    cand_gam = None if fronts is None else fronts[0]
+    cand_fronts = fronts
     older_phi = None
     for j in range(max_iters):
         v = velocity_of(cand_vals)
-        xm = x - 0.5 * dt * v
-        vmid = interpolate_values(v, x0, dx, xm)
-        feet = x - dt * 0.5 * (v + vmid)
-        new_phi = _interp_foot(phi_prev, x0, dx, feet)
-        change = float(np.max(np.abs(new_phi - cand_phi)))
-        cycle = (
-            float(np.max(np.abs(new_phi - older_phi)))
-            if older_phi is not None
-            else np.inf
+        mids = tuple(p - 0.5 * dt * vk for p, vk in zip(foot.nodes, v))
+        feet = tuple(
+            p - dt * 0.5 * (vk + foot.interp_linear(vk, mids))
+            for p, vk in zip(foot.nodes, v)
+        )
+        new_phi = tuple(
+            foot.interp_foot(pk, feet, k) for k, pk in enumerate(phi_prev)
+        )
+        change = max(
+            float(np.max(np.abs(a - b))) for a, b in zip(new_phi, cand_phi)
+        )
+        cycle = np.inf if older_phi is None else max(
+            float(np.max(np.abs(a - b))) for a, b in zip(new_phi, older_phi)
         )
         older_phi = cand_phi
         cand_phi = new_phi
-        cand_vals = ev(new_phi)
-        if fronts is not None:
-            gam0, jump_pos, jump_left, jump_right = fronts
-            cand_gam = _advance_fronts(gam0, x0, dx, v, dt)
-            cand_vals = _pin_fronts(
-                cand_vals, new_phi, x, cand_gam,
-                jump_pos, jump_left, jump_right,
+        cand_vals = foot.datum(*new_phi)
+        if foot.pin is not None:
+            cand_vals, cand_fronts = foot.pin(
+                cand_vals, new_phi, v, dt, fronts
             )
         if change < tol or cycle < tol:
-            return cand_phi, cand_vals, j + 1, cand_gam
+            return cand_phi, cand_vals, j + 1, cand_fronts
     raise PicardDivergenceError(
         f"no contraction after {max_iters} iterations (last change {change:.3e}); "
         "reduce dt"
@@ -425,57 +415,60 @@ def _pin_fronts(
 
 def _velocity_fn(
     m: Mollifier, flux: FluxSpec | None, mode: str
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[np.ndarray], tuple]:
+    """The 1D advecting field of a mode, as a one-component tuple."""
     if mode == "nn":
-        return lambda u: convolve_values(m, u)
+        return lambda u: (convolve_values(m, u),)
     if mode == "velocity_reg":
-        return lambda u: convolve_values(m, flux.fprime(u))
+        return lambda u: (convolve_values(m, flux.fprime(u)),)
     if mode == "flux_reg":
-        return lambda u: flux.fprime(convolve_values(m, u))
+        return lambda u: (flux.fprime(convolve_values(m, u)),)
     raise ValueError(f"no velocity wiring for mode {mode!r}")
 
 
-def step_nn(
-    u_n: GridFunction1D, m: Mollifier, dt: float, cfg: SolverConfig
-) -> GridFunction1D:
-    """Advance the nonlocal Burgers-type model by one step of size dt.
+def _foot_1d(u0: GridFunction1D, data) -> _Foot:
+    """1D pieces: linear tracing, cubic foot interpolation, front pin."""
+    x0, dx, x = u0.x0, u0.dx, u0.x
+    jump_pos, jump_left, jump_right = _datum_jumps(data)
 
-    Guarantees min(u_n) <= result <= max(u_n) pointwise (clipped
-    interpolation) and TV(result) <= TV(u_n).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    limit = cfg.time_step(u_n.dx, sup_norm(u_n))
-    if dt > limit * (1.0 + 1e-9):
-        raise CFLViolationError(f"dt={dt} exceeds CFL limit {limit}")
-    vals, _ = _picard_step(
-        u_n.values,
-        u_n.x0,
-        u_n.dx,
-        u_n.x,
-        _velocity_fn(m, None, "nn"),
-        dt,
-        cfg.picard_tol,
-        cfg.picard_max_iters,
+    def pin(vals, phi, v, dt, gammas):
+        gammas = _advance_fronts(gammas, x0, dx, v[0], dt)
+        vals = _pin_fronts(
+            vals, phi[0], x, gammas, jump_pos, jump_left, jump_right
+        )
+        return vals, gammas
+
+    return _Foot(
+        nodes=(x,),
+        interp_linear=lambda vals, pts: interpolate_values(
+            vals, x0, dx, pts[0]
+        ),
+        interp_foot=lambda phi, feet, k: _interp_foot(phi, x0, dx, feet[0]),
+        datum=_datum_evaluator(u0, data),
+        pin=pin if jump_pos.size else None,
+        fronts=jump_pos.copy(),
     )
-    return u_n.with_values(vals)
 
 
 def _solve_transport(
-    u0: GridFunction1D,
+    u0,
     m: Mollifier,
     T: float,
     cfg: SolverConfig,
-    velocity_of: Callable[[np.ndarray], np.ndarray],
+    velocity_of: Callable[[np.ndarray], tuple],
     mode: str,
     data=None,
     dt: float | None = None,
+    foot: _Foot | None = None,
 ) -> Trajectory:
-    """Uniform-dt stepping loop shared by every non-conservative mode.
+    """Uniform-dt stepping loop shared by every non-conservative solve.
 
-    Advances the foot field phi (phi(0) = identity) and stores
-    u = u0 o phi at each kept level.  dt, when given, overrides the
-    sup-norm CFL choice so coupled solves can share a time grid.
+    Advances the foot field phi (phi(0) = identity, one component per
+    axis) and stores u = u0 o phi at each kept level.  velocity_of maps a
+    state to one velocity array per axis.  foot defaults to the 1D pieces
+    for u0 and data; the 2D solver passes its own.  dt, when given,
+    overrides the sup-norm CFL choice so coupled solves can share a time
+    grid.
     """
     cfg.check_grid(u0)
     if T <= 0.0:
@@ -484,13 +477,12 @@ def _solve_transport(
         dt = cfg.time_step(u0.dx, sup_norm(u0))
     elif dt <= 0.0:
         raise ValueError("dt must be positive")
+    if foot is None:
+        foot = _foot_1d(u0, data)
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    x = u0.x
-    ev = _datum_evaluator(u0, data)
-    jump_pos, jump_left, jump_right = _datum_jumps(data)
-    gammas = jump_pos.copy()
-    phi = x.copy()
+    phi = tuple(np.broadcast_to(p, u0.values.shape).copy() for p in foot.nodes)
     vals = u0.values.copy()
+    fronts = foot.fronts
     times = [0.0]
     states = [u0.copy()]
     counts = []
@@ -500,15 +492,10 @@ def _solve_transport(
         step_dt = t_next - t
         if step_dt <= 0.0:
             break
-        fronts = (
-            (gammas, jump_pos, jump_left, jump_right) if gammas.size else None
+        phi, vals, nit, fronts = _picard_step_foot(
+            phi, vals, foot, velocity_of, step_dt,
+            cfg.picard_tol, cfg.picard_max_iters, fronts,
         )
-        phi, vals, nit, gammas_new = _picard_step_foot(
-            phi, vals, u0.x0, u0.dx, x, velocity_of, ev, step_dt,
-            cfg.picard_tol, cfg.picard_max_iters, fronts=fronts,
-        )
-        if gammas_new is not None:
-            gammas = gammas_new
         counts.append(nit)
         t = t_next
         if (k + 1) % cfg.store_stride == 0 or t >= T:
@@ -518,6 +505,33 @@ def _solve_transport(
         np.asarray(times), states, m.epsilon, mode,
         picard_counts=np.asarray(counts, dtype=int),
     )
+
+
+def solve(
+    mode: str,
+    u0: GridFunction1D,
+    epsilon: float,
+    T: float,
+    cfg: SolverConfig,
+    data=None,
+    flux: FluxSpec | None = None,
+) -> Trajectory:
+    """Solve one 1D mode: the dispatch behind scenario runs and sweeps.
+
+    The per-mode solvers are looked up by their module-level names at call
+    time, so rebinding solve_nn, solve_general or
+    solve_conservative_nonlocal (to trace or count them) covers every
+    solve made through here.
+    """
+    if mode == "nn":
+        return solve_nn(u0, epsilon, T, cfg, data=data)
+    if mode == "conservative":
+        return solve_conservative_nonlocal(u0, epsilon, T, cfg)
+    if mode in ("velocity_reg", "flux_reg"):
+        if flux is None:
+            raise ValueError(f"mode {mode!r} needs a flux")
+        return solve_general(u0, flux, epsilon, T, cfg, mode, data=data)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def solve_nn(
@@ -584,7 +598,7 @@ def solve_conservative_nonlocal(
     # sup|u| can grow in this mode, so the step size adapts to the current
     # state; the schedule is still deterministic.
     while t < T - 1e-15:
-        dt = min(cfg.time_step(dx, sup_norm_values(vals)), T - t)
+        dt = min(cfg.time_step(dx, float(np.max(np.abs(vals)))), T - t)
         v = convolve_values(m, vals)
         # interface values between i and i+1; constant extension at ends
         v_face = 0.5 * (v[:-1] + v[1:])
@@ -599,10 +613,6 @@ def solve_conservative_nonlocal(
             times.append(t)
             states.append(u0.with_values(vals.copy()))
     return Trajectory(np.asarray(times), states, epsilon, "conservative")
-
-
-def sup_norm_values(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values)))
 
 
 def backward_characteristic(

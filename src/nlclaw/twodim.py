@@ -1,12 +1,12 @@
 """Two-dimensional velocity-regularised nonlocal solver.
 
-The 2D scheme is the exact structural mirror of the 1D foot-field solver:
-a vector foot field (Phix, Phiy) is advected by a Picard-self-consistent
+The 2D scheme runs the 1D foot-field stepping loop and Picard step with a
+vector foot field (Phix, Phiy): it is advected by a Picard-self-consistent
 semi-Lagrangian step and the state is recovered by composing the initial
-datum with it.  Mirroring matters: on y-independent data every array
-operation here reduces row by row to its 1D counterpart, so a 2D solve
-reproduces the 1D solution to roundoff rather than to discretisation
-accuracy.
+datum with it.  Only the interpolants and the datum evaluation are 2D.
+On y-independent data every array operation here reduces row by row to
+its 1D counterpart, so a 2D solve reproduces the 1D solution to roundoff
+rather than to discretisation accuracy.
 
 The kernel is the tensor product of two 1D unit-mass bumps (symmetric,
 compactly supported, mass exactly 1), applied separably.  Velocity is
@@ -21,13 +21,12 @@ import numpy as np
 from scipy.ndimage import convolve1d
 
 from .fluxes import FluxSpec
-from .grids import uniform_grid
+from .grids import sup_norm, uniform_grid
 from .kernel import Mollifier, build_mollifier
-from .solver import PicardDivergenceError, SolverConfig
+from .solver import SolverConfig, Trajectory, _Foot, _solve_transport
 
 __all__ = [
     "GridFunction2D",
-    "Trajectory2D",
     "sample_2d",
     "solve_velocity_reg_2d",
     "tv_2d",
@@ -78,6 +77,11 @@ class GridFunction2D:
     def copy(self) -> "GridFunction2D":
         return self.with_values(self.values.copy())
 
+    def same_grid(self, other: "GridFunction2D") -> bool:
+        return (self.x0, self.y0, self.dx, self.dy, self.values.shape) == (
+            other.x0, other.y0, other.dx, other.dy, other.values.shape
+        )
+
 
 def sample_2d(
     data, xa: float, xb: float, ya: float, yb: float, dx: float, dy: float
@@ -106,31 +110,12 @@ def tv_2d(u: GridFunction2D) -> float:
     return float(vx + vy)
 
 
-@dataclass
-class Trajectory2D:
-    """Stored time levels of one 2D solve on a fixed grid."""
-
-    times: np.ndarray
-    states: list
-    epsilon: float
-    mode: str
-    picard_counts: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.size != len(self.states):
-            raise ValueError("times and states disagree in length")
-
-    @property
-    def final(self) -> GridFunction2D:
-        return self.states[-1]
-
-
 def _convolve2(mx: Mollifier, my: Mollifier, vals: np.ndarray) -> np.ndarray:
     """Separable tensor-product mollification with constant end extension.
 
     Each 1D kernel has mass exactly 1, so the product does too and a
-    constant field passes through to the last bit."""
+    constant field passes through up to the rounding of the weighted
+    sums (a few ulps)."""
     out = convolve1d(vals, mx.weights, axis=1, mode="nearest")
     return convolve1d(out, my.weights, axis=0, mode="nearest")
 
@@ -193,7 +178,7 @@ def _interp_foot_2d(
     dy: float,
     qx: np.ndarray,
     qy: np.ndarray,
-    ident: str,
+    axis: int,
 ) -> np.ndarray:
     """Interpolate one foot-field component at the feet (qx, qy).
 
@@ -201,7 +186,7 @@ def _interp_foot_2d(
     the four corner values of the containing cell: the same containment
     rule that makes the 1D scheme range- and variation-shrinking.  Feet
     outside the grid get the clamped-point value plus an identity offset
-    along this component's own axis (ident 'x' or 'y'), exact wherever
+    along this component's own axis (0 for x, 1 for y), exact wherever
     the boundary zone is causally constant.
     """
     ny, nx = phi.shape
@@ -235,7 +220,7 @@ def _interp_foot_2d(
     lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
     hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
     out = np.clip(out, lo, hi)
-    if ident == "x":
+    if axis == 0:
         off = qx - cqx
     else:
         off = qy - cqy
@@ -276,32 +261,18 @@ def solve_velocity_reg_2d(
     T: float,
     cfg: SolverConfig,
     data=None,
-) -> Trajectory2D:
+) -> Trajectory:
     """Solve du/dt + (eta*f1'(u)) du/dx + (eta*f2'(u)) du/dy = 0 to time T.
 
-    Foot-field formulation as in 1D: both components of the backward
-    characteristic map are advected and u(t) = u0 o Phi.  The maximum
-    principle is exact (datum evaluations are clipped to the initial
-    range).  data, when given, is the functional datum of (x, y).
+    The 1D stepping loop with a two-component foot field: both components
+    of the backward characteristic map are advected and u(t) = u0 o Phi.
+    The maximum principle is exact (datum evaluations are clipped to the
+    initial range).  data, when given, is the functional datum of (x, y).
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
     f1, f2 = fluxes
     mx = build_mollifier(epsilon, u0.dx)
     my = build_mollifier(epsilon, u0.dy)
-    sup0 = float(np.max(np.abs(u0.values)))
-    dt = cfg.time_step(min(u0.dx, u0.dy), sup0)
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    X = u0.x[np.newaxis, :]
-    Y = u0.y[:, np.newaxis]
-    ev = _datum_evaluator_2d(u0, data)
-    phix = np.broadcast_to(X, u0.values.shape).copy()
-    phiy = np.broadcast_to(Y, u0.values.shape).copy()
-    vals = u0.values.copy()
-    times = [0.0]
-    states = [u0.copy()]
-    counts = []
-    t = 0.0
+    x0, y0, dx, dy = u0.x0, u0.y0, u0.dx, u0.dy
 
     def velocity_of(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -309,83 +280,15 @@ def solve_velocity_reg_2d(
             _convolve2(mx, my, f2.fprime(u)),
         )
 
-    for k in range(n_steps):
-        t_next = min((k + 1) * dt, T)
-        step_dt = t_next - t
-        if step_dt <= 0.0:
-            break
-        phix, phiy, vals, nit = _picard_step_foot_2d(
-            phix, phiy, vals, u0, X, Y, velocity_of, ev, step_dt,
-            cfg.picard_tol, cfg.picard_max_iters,
-        )
-        counts.append(nit)
-        t = t_next
-        if (k + 1) % cfg.store_stride == 0 or t >= T:
-            times.append(t)
-            states.append(u0.with_values(vals.copy()))
-    return Trajectory2D(
-        np.asarray(times), states, float(epsilon), "velocity_reg_2d",
-        picard_counts=np.asarray(counts, dtype=int),
+    foot = _Foot(
+        nodes=(u0.x[np.newaxis, :], u0.y[:, np.newaxis]),
+        interp_linear=lambda vals, pts: _bilinear(vals, x0, y0, dx, dy, *pts),
+        interp_foot=lambda phi, feet, k: _interp_foot_2d(
+            phi, x0, y0, dx, dy, *feet, k
+        ),
+        datum=_datum_evaluator_2d(u0, data),
     )
-
-
-def _picard_step_foot_2d(
-    phix_prev: np.ndarray,
-    phiy_prev: np.ndarray,
-    vals_prev: np.ndarray,
-    u0: GridFunction2D,
-    X: np.ndarray,
-    Y: np.ndarray,
-    velocity_of,
-    ev,
-    dt: float,
-    tol: float,
-    max_iters: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One self-consistent 2D step; the 1D step with a vector foot field.
-
-    Convergence is measured on the larger of the two components' sup
-    changes; the period-2 cycle acceptance carries over unchanged (a
-    datum jump in 2D is a curve, and feet straddling it flip sides the
-    same way)."""
-    cand_px = phix_prev
-    cand_py = phiy_prev
-    cand_vals = vals_prev
-    older_px = None
-    older_py = None
-    for j in range(max_iters):
-        v1, v2 = velocity_of(cand_vals)
-        xm = X - 0.5 * dt * v1
-        ym = Y - 0.5 * dt * v2
-        v1m = _bilinear(v1, u0.x0, u0.y0, u0.dx, u0.dy, xm, ym)
-        v2m = _bilinear(v2, u0.x0, u0.y0, u0.dx, u0.dy, xm, ym)
-        fx = X - dt * 0.5 * (v1 + v1m)
-        fy = Y - dt * 0.5 * (v2 + v2m)
-        new_px = _interp_foot_2d(
-            phix_prev, u0.x0, u0.y0, u0.dx, u0.dy, fx, fy, "x"
-        )
-        new_py = _interp_foot_2d(
-            phiy_prev, u0.x0, u0.y0, u0.dx, u0.dy, fx, fy, "y"
-        )
-        change = max(
-            float(np.max(np.abs(new_px - cand_px))),
-            float(np.max(np.abs(new_py - cand_py))),
-        )
-        if older_px is None:
-            cycle = np.inf
-        else:
-            cycle = max(
-                float(np.max(np.abs(new_px - older_px))),
-                float(np.max(np.abs(new_py - older_py))),
-            )
-        older_px = cand_px
-        older_py = cand_py
-        cand_px = new_px
-        cand_py = new_py
-        cand_vals = ev(new_px, new_py)
-        if change < tol or cycle < tol:
-            return cand_px, cand_py, cand_vals, j + 1
-    raise PicardDivergenceError(
-        f"no contraction after {max_iters} iterations "
-        f"(last change {change:.3e}); reduce dt"
+    dt = cfg.time_step(min(dx, dy), sup_norm(u0))
+    return _solve_transport(
+        u0, mx, T, cfg, velocity_of, "velocity_reg_2d", dt=dt, foot=foot
     )

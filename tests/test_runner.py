@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from nlclaw.cli import main
+from nlclaw.diagnostics import StudyScenario, convergence_study
 
 SHOCK = """
 name = shock
@@ -123,13 +125,29 @@ def test_no_absolute_paths_in_outputs(shock_runs):
         assert str(out) not in text
 
 
-def test_malformed_scenario_exits_1_writes_nothing(tmp_path):
-    scn = _write(tmp_path, "bad.scn", "name = x\nmode = warp\n")
-    out = tmp_path / "out"
-    out.mkdir()
-    rc = main(["run", str(scn), "--outdir", str(out)])
-    assert rc == 1
-    assert list(out.iterdir()) == []
+# data that parse but cannot be sampled: each is an input error on its key
+UNSAMPLEABLE = (
+    "mode = nn\ninitial = expression 1/x\n",
+    "mode = euler\ninitial = expression 1/x\n",
+    "mode = nn\ninitial = piecewise 0,0.02 ; 1 ; 0 ; 1 ; C=0\n",
+)
+
+
+def test_malformed_scenario_exits_1_writes_nothing(tmp_path, capsys):
+    grid = "name = x\nepsilon = 0.1\nT = 0.2\ndx = 0.01\ndomain = -1 1\n"
+    docs = [("name = x\nmode = warp\n", None)]
+    docs += [(grid + body, "initial") for body in UNSAMPLEABLE]
+    for k, (text, key) in enumerate(docs):
+        scn = _write(tmp_path, f"bad{k}.scn", text)
+        out = tmp_path / f"out{k}"
+        out.mkdir()
+        capsys.readouterr()
+        rc = main(["run", str(scn), "--outdir", str(out)])
+        assert rc == 1
+        assert list(out.iterdir()) == []
+        if key is not None:
+            err = capsys.readouterr().err
+            assert err.startswith(f"{key}: ") and err.count("\n") == 1
 
 
 def test_missing_file_exits_1(tmp_path):
@@ -201,7 +219,11 @@ def test_sweep_plateau(tmp_path):
 
 def test_sweep_determinism_across_thread_counts(tmp_path, monkeypatch):
     scn = _write(tmp_path, "rare.scn", RARE_SWEEP)
+    scenario = StudyScenario(
+        "smooth", lambda x: -np.tanh(x), T=0.3, window=(-2.0, 2.0)
+    )
     outs = []
+    tables = []
     for threads in ("1", "3"):
         out = tmp_path / f"t{threads}"
         out.mkdir()
@@ -209,9 +231,15 @@ def test_sweep_determinism_across_thread_counts(tmp_path, monkeypatch):
         rc = main(["sweep", str(scn), "--outdir", str(out)])
         assert rc == 0
         outs.append(out)
+        tables.append(convergence_study(scenario, (0.2, 0.1, 0.05)))
     a, b = outs
     for p in sorted(a.iterdir()):
         assert (b / p.name).read_bytes() == p.read_bytes()
+    ta, tb = tables
+    assert ta.as_dict() == tb.as_dict()
+    for ra, rb in zip(ta.rows, tb.rows):
+        fa, fb = ra.trajectory.final, rb.trajectory.final
+        assert np.array_equal(fa.values, fb.values)
 
 
 def test_bad_thread_env_is_input_error(tmp_path, monkeypatch):
@@ -219,6 +247,9 @@ def test_bad_thread_env_is_input_error(tmp_path, monkeypatch):
     monkeypatch.setenv("NLCLAW_THREADS", "zero")
     rc = main(["sweep", str(scn), "--outdir", str(tmp_path)])
     assert rc == 1
+    rc = main(["selftest", "--criteria", "4", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == [scn]
 
 
 def test_sweep_requires_epsilon_list(tmp_path):

@@ -14,7 +14,6 @@ from nlclaw.grids import (
 )
 from nlclaw.kernel import build_mollifier
 from nlclaw.solver import (
-    CFLViolationError,
     PicardDivergenceError,
     SolverConfig,
     Trajectory,
@@ -22,7 +21,6 @@ from nlclaw.solver import (
     solve_conservative_nonlocal,
     solve_general,
     solve_nn,
-    step_nn,
 )
 
 CFG = SolverConfig(store_stride=20)
@@ -56,43 +54,40 @@ def test_constant_is_exact_fixed_point():
     assert np.max(np.abs(tr.final.values - 0.8)) == 0.0
 
 
-def test_step_constant_exact():
-    u0 = sample(-1.3, -1.0, 1.0, 0.01)
-    m = build_mollifier(0.1, 0.01)
-    out = step_nn(u0, m, 0.003, SolverConfig())
-    assert np.array_equal(out.values, u0.values)
-
-
-def test_step_cfl_guard():
-    u0 = sample(RiemannData(1.0, 0.0), -1.0, 1.0, 0.01)
-    m = build_mollifier(0.1, 0.01)
-    with pytest.raises(CFLViolationError):
-        step_nn(u0, m, 0.1, SolverConfig())  # limit is 0.5*dx/1 = 5e-3
-
-
 def test_picard_divergence_signalled():
     u0 = sample(lambda x: -np.tanh(x), -2.0, 2.0, 0.01)
-    m = build_mollifier(0.1, 0.01)
     cfg = SolverConfig(picard_tol=1e-15, picard_max_iters=1)
     with pytest.raises(PicardDivergenceError):
-        step_nn(u0, m, 0.005, cfg)
+        solve_nn(u0, 0.1, 0.005, cfg)
+
+
+def test_cycle_rule_accepts_increasing_jump():
+    # the fan of an increasing datum jump puts many feet onto the jump;
+    # each flips sides every Picard pass, and only the period-2 cycle rule
+    # lets these 40 steps finish (without it: PicardDivergenceError)
+    data = RiemannData(-1.0, 1.0)
+    u0 = sample(data, -2.0, 2.0, 0.01)
+    tr = solve_nn(u0, 0.1, 0.2, SolverConfig(), data=data)
+    assert tr.picard_counts.size == 40
+    assert tr.final_time == 0.2
 
 
 def test_step_antisymmetric_data_stays_antisymmetric():
     # grid symmetric about 0, datum odd: the scheme commutes with x -> -x
     u0 = sample(lambda x: -np.tanh(x), -2.0, 2.0, 0.01)
-    m = build_mollifier(0.1, 0.01)
-    out = step_nn(u0, m, 0.005, SolverConfig())
-    assert np.max(np.abs(out.values + out.values[::-1])) <= 1e-12
+    tr = solve_nn(u0, 0.1, 0.05, SolverConfig())
+    for s in tr.states:
+        assert np.max(np.abs(s.values + s.values[::-1])) <= 1e-12
 
 
 def test_step_riemann_front_moves_at_half():
     # after one step the level-0.5 crossing sits at sigma*dt, sigma = 0.5
     dx = 1e-3
     u0 = sample(RiemannData(1.0, 0.0), -1.0, 1.0, dx)
-    m = build_mollifier(0.05, dx)
     dt = 0.5 * dx
-    out = step_nn(u0, m, dt, SolverConfig())
+    tr = solve_nn(u0, 0.05, dt, SolverConfig())
+    assert tr.picard_counts.size == 1
+    out = tr.final
     x_cross = np.interp(-0.5, -out.values, out.x)  # values decrease in x
     assert x_cross == pytest.approx(0.5 * dt, abs=2 * dx)
 
