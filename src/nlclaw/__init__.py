@@ -38,7 +38,6 @@ from .diagnostics import (
     catastrophe_time,
     check_invariants,
     convergence_study,
-    measure_front_speed,
     measure_front_speed_fit,
     oleinik_check,
     stability_envelope,
@@ -124,7 +123,6 @@ __all__ = [
     "godunov_solve",
     "l1_distance",
     "lax_oleinik_solve",
-    "measure_front_speed",
     "measure_front_speed_fit",
     "oleinik_check",
     "parse_expression",

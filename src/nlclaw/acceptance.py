@@ -65,8 +65,6 @@ from .kernel import build_mollifier
 from .reference import front_tracking_solve, godunov_solve, lax_oleinik_solve
 from .solver import (
     SolverConfig,
-    _solve_transport,
-    _velocity_fn,
     solve_conservative_nonlocal,
     solve_general,
     solve_nn,
@@ -561,10 +559,7 @@ def _criterion_12(reg: TrajectoryRegistry) -> CriterionResult:
         float(np.max(np.abs(st0.lam.values))),
     )
     dt = cfg.time_step(dx, sup_shared)
-    m = build_mollifier(eps, dx)
-    wrong = _solve_transport(
-        st0.lam, m, 0.3, cfg, _velocity_fn(m, None, "nn"), "nn", dt=dt
-    )
+    wrong = solve_nn(st0.lam, eps, 0.3, cfg, dt=dt)
     mutant = [
         EulerState(mu=ms, lam=ls)
         for ms, ls in zip(tr.mu_trajectory.states, wrong.states)

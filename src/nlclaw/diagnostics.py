@@ -41,7 +41,6 @@ __all__ = [
     "catastrophe_time",
     "check_invariants",
     "convergence_study",
-    "measure_front_speed",
     "measure_front_speed_fit",
     "oleinik_check",
     "stability_envelope",
@@ -173,12 +172,6 @@ def measure_front_speed_fit(
     else:
         stderr = 0.0
     return FrontSpeedFit(slope, stderr, times, pos)
-
-
-def measure_front_speed(
-    traj: Trajectory, level: float, window: tuple[float, float]
-) -> float:
-    return measure_front_speed_fit(traj, level, window).speed
 
 
 def check_invariants(
@@ -398,13 +391,17 @@ class StudyScenario:
     dx_max: float = np.inf
 
 
+PADDING_MARGIN = 1.0
+
+
 def padded_grid_bounds(
     window: tuple[float, float], sup0: float, epsilon: float, T: float,
-    cfg: SolverConfig, dx: float,
+    dx: float,
 ) -> tuple[float, float]:
     """Domain covering the window plus the influence-zone padding
-    sup|u0| * T + epsilon + margin, aligned so window nodes land on the grid."""
-    pad = cfg.padding(sup0, epsilon, T)
+    sup|u0| * T + epsilon + PADDING_MARGIN, aligned so window nodes land on
+    the grid."""
+    pad = sup0 * T + epsilon + PADDING_MARGIN
     cells = int(np.ceil(pad / dx))
     return window[0] - cells * dx, window[1] + cells * dx
 
@@ -472,9 +469,7 @@ def convergence_study(
         dx = min(scenario.dx_max, eps / 8.0)
         probe = sample(scenario.data, scenario.window[0], scenario.window[1], dx)
         sup0 = sup_norm(probe)
-        a, b = padded_grid_bounds(
-            scenario.window, sup0, eps, scenario.T, cfg, dx
-        )
+        a, b = padded_grid_bounds(scenario.window, sup0, eps, scenario.T, dx)
         u0 = sample(scenario.data, a, b, dx)
         traj = solve(
             scenario.mode, u0, eps, scenario.T, cfg,

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridFunction1D, GridMismatchError
-from .kernel import _bump_unnormalized, build_mollifier
-from .solver import SolverConfig, Trajectory, _solve_transport, _velocity_fn
+from .kernel import _bump_unnormalized
+from .solver import SolverConfig, Trajectory, solve_nn
 
 __all__ = [
     "EulerState",
@@ -121,14 +121,8 @@ def solve_isentropic(
         float(np.max(np.abs(lam0.values))),
     )
     dt = cfg.time_step(rho0.dx, sup_shared)
-    m = build_mollifier(epsilon, rho0.dx)
-    mu_traj = _solve_transport(
-        mu0, m, T, cfg, _velocity_fn(m, None, "nn"), "nn", dt=dt
-    )
-    lam_rev_traj = _solve_transport(
-        _reversed_grid(lam0), m, T, cfg, _velocity_fn(m, None, "nn"), "nn",
-        dt=dt,
-    )
+    mu_traj = solve_nn(mu0, epsilon, T, cfg, dt=dt)
+    lam_rev_traj = solve_nn(_reversed_grid(lam0), epsilon, T, cfg, dt=dt)
     lam_states = [_reversed_grid(s) for s in lam_rev_traj.states]
     lam_traj = Trajectory(
         lam_rev_traj.times, lam_states, epsilon, "nn",

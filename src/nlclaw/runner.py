@@ -91,10 +91,13 @@ def _flux_spec(spec: ScenarioSpec, radius: float) -> FluxSpec:
     z = np.linspace(-radius, radius, 4001)
     fp = fc.fprime(z)
     M = float(np.max(np.abs(np.diff(fp))) / (z[1] - z[0]))
-    return FluxSpec(
-        fc.f, fc.fprime, lipschitz_M=max(M, 1e-12) * 1.05, radius=radius,
-        name="expression",
-    )
+    try:
+        return FluxSpec(
+            fc.f, fc.fprime, lipschitz_M=max(M, 1e-12) * 1.05, radius=radius,
+            name="expression",
+        )
+    except ValueError as e:  # fprime is not the derivative of f
+        raise ScenarioError([f"flux: {e}"]) from None
 
 
 def _predicted_front_speed(spec: ScenarioSpec, flux: FluxSpec) -> float | None:
@@ -122,40 +125,37 @@ def _meta(spec, epsilon, dx, dt) -> dict:
     }
 
 
-def _meta_lines(meta: dict) -> list[str]:
-    return [
-        f"# nlclaw {meta['version']}",
-        "# scenario={scenario} mode={mode} epsilon={epsilon} dx={dx} "
-        "dt={dt}".format(**meta),
-    ]
-
-
 class RunResult:
-    """Everything one scenario run produced, ready to serialise."""
+    """Everything one scenario run produced, ready to serialise.
 
-    def __init__(self, meta: dict, report: dict):
+    The report is the meta keys, then the run kind's body in its own key
+    order, then "passed".  Snapshot rows are a float array with one row
+    per node of every stored level; extra_snapshots holds a sweep's
+    per-epsilon (suffix, meta, columns, rows); plots maps the suffix of a
+    plot-ready .dat file to its (columns, rows).
+    """
+
+    def __init__(
+        self, meta: dict, body: dict, passed: bool, columns: tuple = (),
+        rows: np.ndarray | None = None, plots: dict | None = None,
+        extra_snapshots: list | None = None,
+    ):
         self.meta = meta
-        self.report = report
-        self.snapshot_columns: tuple = ()
-        self.snapshot_rows = None  # list of row tuples
-        self.profile = None  # (label, 2-column array)
-        self.table_rows = None  # sweep: list of dicts
-        self.extra_snapshots = []  # sweep: (suffix, meta, columns, rows)
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.report.get("passed", False))
+        self.passed = bool(passed)
+        self.report = {**meta, **body, "passed": self.passed}
+        self.snapshot_columns = columns
+        self.snapshot_rows = rows
+        self.plots = plots or {}
+        self.extra_snapshots = extra_snapshots or []
 
 
-def _trajectory_rows(traj) -> list:
-    rows = []
-    for t, st in zip(traj.times, traj.states):
-        x = st.x
-        v = st.values
-        rows.extend(
-            (float(t), float(x[i]), float(v[i])) for i in range(x.size)
-        )
-    return rows
+def _snapshot_rows(levels, x: np.ndarray, *fields) -> np.ndarray:
+    """Rows (level, x, field values...), one per node of every level; each
+    field holds one array of len(x) values per level."""
+    return np.column_stack(
+        [np.repeat(levels, x.size), np.tile(x, len(levels))]
+        + [np.concatenate(f) for f in fields]
+    )
 
 
 def _sample(key: str, data, a: float, b: float, dx: float):
@@ -176,11 +176,10 @@ def _datum_and_flux(spec: ScenarioSpec, dx: float):
     return data, u0, _flux_spec(spec, max(1.0, 1.5 * sup_norm(u0)))
 
 
-def _run_1d_single(spec: ScenarioSpec, verify_only: bool) -> RunResult:
+def _run_1d_single(spec: ScenarioSpec) -> RunResult:
     data, u0, flux = _datum_and_flux(spec, spec.dx)
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
-    epsilon = spec.epsilon
-    traj = solve(spec.mode, u0, epsilon, spec.T, cfg, data=data, flux=flux)
+    traj = solve(spec.mode, u0, spec.epsilon, spec.T, cfg, data=data, flux=flux)
     dt = cfg.time_step(spec.dx, sup_norm(u0))
 
     rep = check_invariants(traj)
@@ -207,26 +206,19 @@ def _run_1d_single(spec: ScenarioSpec, verify_only: bool) -> RunResult:
                 predicted,
                 detail="within 2% of the mode's predicted speed",
             )
-
-    meta = _meta(spec, epsilon, spec.dx, dt)
-    report = dict(meta)
-    report["checks"] = rep.as_dict()
+    body = {"checks": rep.as_dict()}
     if front is not None:
-        report["front_speed"] = front
-    report["passed"] = rep.passed
-    res = RunResult(meta, report)
-    if not verify_only:
-        res.snapshot_columns = ("t", "x", "u")
-        res.snapshot_rows = _trajectory_rows(traj)
-        fin = traj.final
-        res.profile = (
-            ("x", "u"),
-            np.column_stack([fin.x, fin.values]),
-        )
-    return res
+        body["front_speed"] = front
+    fin = traj.final
+    return RunResult(
+        _meta(spec, spec.epsilon, spec.dx, dt), body, rep.passed,
+        ("t", "x", "u"),
+        _snapshot_rows(traj.times, fin.x, [s.values for s in traj.states]),
+        plots={"profile": (("x", "u"), np.column_stack([fin.x, fin.values]))},
+    )
 
 
-def _run_sweep(spec: ScenarioSpec, verify_only: bool) -> RunResult:
+def _run_sweep(spec: ScenarioSpec) -> RunResult:
     # probe on the coarsest row's grid: a datum that grid resolves is
     # resolved by every finer row
     dx = min(spec.dx, max(spec.epsilon_list) / 8.0)
@@ -246,38 +238,41 @@ def _run_sweep(spec: ScenarioSpec, verify_only: bool) -> RunResult:
 
     run_reports = []
     passed = True
+    snapshots = []
     for row in table.rows:
-        rep = check_invariants(row.trajectory)
+        traj = row.trajectory
+        rep = check_invariants(traj)
         run_reports.append({"epsilon": row.epsilon, "checks": rep.as_dict()})
         passed = passed and rep.passed
+        snapshots.append((
+            f"eps{row.epsilon!r}", _meta(spec, row.epsilon, row.dx, row.dt),
+            ("t", "x", "u"),
+            _snapshot_rows(
+                traj.times, traj.grid.x, [s.values for s in traj.states]
+            ),
+        ))
 
-    meta = _meta(spec, [row.epsilon for row in table.rows], spec.dx, None)
-    report = dict(meta)
-    report["table"] = table.as_dict()
-    report["runs"] = run_reports
+    body = {"table": table.as_dict(), "runs": run_reports}
     if spec.expect == "nonconvergence":
         slope_all = table.fit_rate("l1", n_points=None)
         plateau = abs(slope_all) <= 0.1
-        report["nonconvergence"] = {
+        body["nonconvergence"] = {
             "slope_all_rows": slope_all,
             "passed": bool(plateau),
         }
         passed = passed and plateau
-    report["passed"] = passed
-
-    res = RunResult(meta, report)
-    if not verify_only:
-        res.table_rows = [row.as_dict() for row in table.rows]
-        for row in table.rows:
-            sub_meta = _meta(spec, row.epsilon, row.dx, row.dt)
-            res.extra_snapshots.append(
-                (f"eps{row.epsilon!r}", sub_meta, ("t", "x", "u"),
-                 _trajectory_rows(row.trajectory))
-            )
-    return res
+    table_rows = [row.as_dict() for row in table.rows]
+    return RunResult(
+        _meta(spec, [row.epsilon for row in table.rows], spec.dx, None),
+        body, passed,
+        plots={"table": (
+            tuple(table_rows[0]), [tuple(r.values()) for r in table_rows]
+        )},
+        extra_snapshots=snapshots,
+    )
 
 
-def _run_euler(spec: ScenarioSpec, verify_only: bool) -> RunResult:
+def _run_euler(spec: ScenarioSpec) -> RunResult:
     a, b = spec.domain
     rho0 = _sample("initial", spec.initial.expr, a, b, spec.dx)
     if spec.velocity is not None:
@@ -287,42 +282,32 @@ def _run_euler(spec: ScenarioSpec, verify_only: bool) -> RunResult:
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     tr = solve_isentropic(rho0, vel0, spec.epsilon, spec.T, cfg)
     r1, r2 = conservative_residual(tr.states, tr.times)
-    rep_mu = check_invariants(tr.mu_trajectory)
-    rep_lam = check_invariants(tr.lam_trajectory)
     merged = DiagnosticsReport(mode="euler")
-    for prefix, rep in (("mu", rep_mu), ("lam", rep_lam)):
-        for c in rep.checks:
+    for prefix, traj in (("mu", tr.mu_trajectory), ("lam", tr.lam_trajectory)):
+        for c in check_invariants(traj).checks:
             merged.add(
                 f"{prefix}_{c.name}", c.passed, c.value, c.threshold, c.detail
             )
-    meta = _meta(spec, spec.epsilon, spec.dx, tr.dt)
-    report = dict(meta)
-    report["checks"] = merged.as_dict()
-    report["conservative_residual"] = {"mass": r1, "momentum": r2}
-    report["vacuum_flagged"] = bool(any(s.has_vacuum for s in tr.states))
-    report["passed"] = merged.passed
-    res = RunResult(meta, report)
-    if not verify_only:
-        rows = []
-        for t, st in zip(tr.times, tr.states):
-            x = st.mu.x
-            rho = st.rho.values
-            vel = st.vel.values
-            rows.extend(
-                (float(t), float(x[i]), float(rho[i]), float(vel[i]))
-                for i in range(x.size)
-            )
-        res.snapshot_columns = ("t", "x", "rho", "v")
-        res.snapshot_rows = rows
-        fin = tr.final
-        res.profile = (
-            ("x", "rho"),
-            np.column_stack([fin.mu.x, fin.rho.values]),
-        )
-    return res
+    body = {
+        "checks": merged.as_dict(),
+        "conservative_residual": {"mass": r1, "momentum": r2},
+        "vacuum_flagged": bool(any(s.has_vacuum for s in tr.states)),
+    }
+    x = rho0.x
+    return RunResult(
+        _meta(spec, spec.epsilon, spec.dx, tr.dt), body, merged.passed,
+        ("t", "x", "rho", "v"),
+        _snapshot_rows(
+            tr.times, x, [s.rho.values for s in tr.states],
+            [s.vel.values for s in tr.states],
+        ),
+        plots={
+            "profile": (("x", "rho"), np.column_stack([x, tr.final.rho.values]))
+        },
+    )
 
 
-def _run_2d(spec: ScenarioSpec, verify_only: bool) -> RunResult:
+def _run_2d(spec: ScenarioSpec) -> RunResult:
     a, b = spec.domain
     ya, yb = spec.domain_y if spec.domain_y is not None else spec.domain
     init = spec.initial
@@ -356,60 +341,51 @@ def _run_2d(spec: ScenarioSpec, verify_only: bool) -> RunResult:
         detail="terminal 2D total variation within 5% of initial",
     )
     dt = cfg.time_step(spec.dx, probe_sup)
-    meta = _meta(spec, spec.epsilon, spec.dx, dt)
-    report = dict(meta)
-    report["checks"] = rep.as_dict()
-    report["tv"] = {"initial": tv0, "final": tvT}
-    report["passed"] = rep.passed
-    res = RunResult(meta, report)
-    if not verify_only:
-        x = u0.x
-        y = u0.y
-        rows = []
-        for j in range(y.size):
-            vals = fin.values[j]
-            rows.extend(
-                (float(x[i]), float(y[j]), float(vals[i]))
-                for i in range(x.size)
-            )
-        res.snapshot_columns = ("x", "y", "u")
-        res.snapshot_rows = rows
-        mid = fin.values[y.size // 2]
-        res.profile = (("x", "u"), np.column_stack([x, mid]))
-    return res
+    # the final state with y in the level column, then columns (x, y, u)
+    rows = _snapshot_rows(u0.y, u0.x, fin.values)[:, [1, 0, 2]]
+    mid = fin.values[u0.y.size // 2]
+    return RunResult(
+        _meta(spec, spec.epsilon, spec.dx, dt),
+        {"checks": rep.as_dict(), "tv": {"initial": tv0, "final": tvT}},
+        rep.passed, ("x", "y", "u"), rows,
+        plots={"profile": (("x", "u"), np.column_stack([u0.x, mid]))},
+    )
 
 
-def execute(spec: ScenarioSpec, verify_only: bool = False) -> RunResult:
+def execute(spec: ScenarioSpec) -> RunResult:
+    if spec.epsilon_list is None and spec.epsilon < spec.dx:
+        raise ScenarioError([
+            f"epsilon: {spec.epsilon!r} is below dx = {spec.dx!r}; the grid "
+            "does not resolve the kernel"
+        ])
     if spec.mode == "euler":
-        return _run_euler(spec, verify_only)
+        return _run_euler(spec)
     if spec.mode == "nn2d":
-        return _run_2d(spec, verify_only)
+        return _run_2d(spec)
     if spec.epsilon_list is not None:
-        return _run_sweep(spec, verify_only)
-    return _run_1d_single(spec, verify_only)
+        return _run_sweep(spec)
+    return _run_1d_single(spec)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+_BLOCK = 4096  # rows formatted per write: bounds the text held in memory
 
 
-def _write_snapshots(base: Path, meta, columns, rows, output: str) -> Path:
-    # names may contain dots (eps values), so build suffixes by hand
-    path = base.parent / (base.name + "." + output)
-    if output == "json":
-        body = {
-            **meta,
-            "columns": list(columns),
-            "rows": [[float(v) for v in row] for row in rows],
-        }
-        path.write_text(json.dumps(body, indent=2) + "\n")
-        return path
-    lines = _meta_lines(meta)
-    lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_table(path: Path, meta: dict, header: str, sep: str, rows) -> Path:
+    """The one text layout: two meta lines, the header line, then one line
+    per row, values joined by sep in repr form (shortest round-trip floats,
+    True/False)."""
+    with open(path, "w") as fh:
+        fh.write(f"# nlclaw {meta['version']}\n")
+        fh.write(
+            "# scenario={scenario} mode={mode} epsilon={epsilon} dx={dx} "
+            "dt={dt}\n".format(**meta)
+        )
+        fh.write(header + "\n")
+        for start in range(0, len(rows), _BLOCK):
+            block = rows[start:start + _BLOCK]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            fh.write("".join(sep.join(map(repr, r)) + "\n" for r in block))
     return path
 
 
@@ -419,59 +395,37 @@ def write_outputs(
 ) -> list:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
     report_path = outdir / f"{spec.name}_report.json"
     report_path.write_text(json.dumps(res.report, indent=2) + "\n")
-    written.append(report_path)
+    written = [report_path]
     if verify_only:
         return written
 
-    if res.snapshot_rows is not None:
-        written.append(_write_snapshots(
-            outdir / spec.name, res.meta, res.snapshot_columns,
-            res.snapshot_rows, spec.output,
+    snapshots = [("", res.meta, res.snapshot_columns, res.snapshot_rows)]
+    snapshots += [(f"_{s}", m, c, r) for s, m, c, r in res.extra_snapshots]
+    for suffix, meta, columns, rows in snapshots:
+        if rows is None:
+            continue
+        # names may contain dots (eps values), so no Path.with_suffix
+        path = outdir / f"{spec.name}{suffix}.{spec.output}"
+        if spec.output == "json":
+            body = {**meta, "columns": list(columns), "rows": rows.tolist()}
+            path.write_text(json.dumps(body, indent=2) + "\n")
+        else:
+            _write_table(path, meta, ",".join(columns), ",", rows)
+        written.append(path)
+    for suffix, (columns, rows) in res.plots.items():
+        written.append(_write_table(
+            outdir / f"{spec.name}_{suffix}.dat", res.meta,
+            "# " + " ".join(columns), " ", rows,
         ))
-    for suffix, sub_meta, columns, rows in res.extra_snapshots:
-        written.append(_write_snapshots(
-            outdir / f"{spec.name}_{suffix}", sub_meta, columns, rows,
-            spec.output,
-        ))
-
-    if res.profile is not None:
-        labels, arr = res.profile
-        lines = _meta_lines(res.meta)
-        lines.append("# " + " ".join(labels))
-        lines.extend(
-            " ".join(repr(float(v)) for v in row) for row in arr
-        )
-        ppath = outdir / f"{spec.name}_profile.dat"
-        ppath.write_text("\n".join(lines) + "\n")
-        written.append(ppath)
-
-    if res.table_rows is not None:
-        lines = _meta_lines(res.meta)
-        lines.append("# epsilon dx dt error_L1 error_sup floor_dominated")
-        for r in res.table_rows:
-            lines.append(
-                " ".join(
-                    _fmt(r[k])
-                    for k in (
-                        "epsilon", "dx", "dt", "error_L1", "error_sup",
-                        "floor_dominated",
-                    )
-                )
-            )
-        tpath = outdir / f"{spec.name}_table.dat"
-        tpath.write_text("\n".join(lines) + "\n")
-        written.append(tpath)
     return written
 
 
 def run(spec: ScenarioSpec, outdir, verify_only: bool = False) -> int:
     """Execute one validated scenario and write its result files."""
     try:
-        res = execute(spec, verify_only=verify_only)
+        res = execute(spec)
     except ScenarioError as e:
         for msg in e.errors:
             print(msg, file=sys.stderr)

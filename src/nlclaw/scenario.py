@@ -99,11 +99,6 @@ class ScenarioSpec:
     stride: int = 50
     expect: str | None = None
 
-    def epsilons(self) -> tuple:
-        if self.epsilon_list is not None:
-            return self.epsilon_list
-        return (self.epsilon,)
-
 
 def _parse_float(text: str, where: str, errors: list[str]) -> float | None:
     try:

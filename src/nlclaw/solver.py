@@ -71,19 +71,11 @@ class PicardDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step-size, iteration and padding policy shared by all solvers.
+    """Step-size, iteration and storage policy shared by all solvers."""
 
-    dx is optional; when set it must agree with the grid of the data (it
-    exists so scenario files can carry the full discretisation in one
-    place).  padding_margin enters the domain rule
-    pad = sup|u0| * T + epsilon + margin used by the scenario runner.
-    """
-
-    dx: float | None = None
     cfl: float = 0.5
     picard_tol: float = 1e-10
     picard_max_iters: int = 50
-    padding_margin: float = 1.0
     store_stride: int = 1
 
     def __post_init__(self) -> None:
@@ -96,17 +88,8 @@ class SolverConfig:
         if self.store_stride < 1:
             raise ValueError("store_stride must be >= 1")
 
-    def padding(self, sup0: float, epsilon: float, T: float) -> float:
-        return sup0 * T + epsilon + self.padding_margin
-
     def time_step(self, dx: float, sup0: float) -> float:
         return self.cfl * dx / max(sup0, SUP_FLOOR)
-
-    def check_grid(self, u0: GridFunction1D) -> None:
-        if self.dx is not None and abs(self.dx - u0.dx) > 1e-12 * u0.dx:
-            raise ValueError(
-                f"config dx={self.dx} does not match grid dx={u0.dx}"
-            )
 
 
 @dataclass
@@ -145,17 +128,6 @@ class Trajectory:
     @property
     def final_time(self) -> float:
         return float(self.times[-1])
-
-    def state_at(self, t: float) -> GridFunction1D:
-        """Stored state nearest to t (no interpolation)."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        return self.states[k]
-
-    def max_sup_growth(self) -> float:
-        """Worst sup-norm excess over the initial state (0 under the
-        maximum principle, possibly positive for the conservative mode)."""
-        sup0 = sup_norm(self.states[0])
-        return max(sup_norm(s) - sup0 for s in self.states)
 
 
 def _interp_foot(
@@ -470,7 +442,6 @@ def _solve_transport(
     overrides the sup-norm CFL choice so coupled solves can share a time
     grid.
     """
-    cfg.check_grid(u0)
     if T <= 0.0:
         raise ValueError("T must be positive")
     if dt is None:
@@ -536,18 +507,19 @@ def solve(
 
 def solve_nn(
     u0: GridFunction1D, epsilon: float, T: float, cfg: SolverConfig,
-    data=None,
+    data=None, dt: float | None = None,
 ) -> Trajectory:
     """Solve du/dt + (eta_eps * u) du/dx = 0 up to time T.
 
     data, when given, is the functional form of the initial datum (any
     callable of x, e.g. a RiemannData or PiecewiseInitialData); the solver
     then evaluates it exactly at characteristic feet instead of
-    interpolating the sampled u0, which keeps jumps sharp.
+    interpolating the sampled u0, which keeps jumps sharp.  dt, when
+    given, replaces the CFL step of u0 (coupled solves share one step).
     """
     m = build_mollifier(epsilon, u0.dx)
     return _solve_transport(
-        u0, m, T, cfg, _velocity_fn(m, None, "nn"), "nn", data=data
+        u0, m, T, cfg, _velocity_fn(m, None, "nn"), "nn", data=data, dt=dt
     )
 
 
@@ -585,7 +557,6 @@ def solve_conservative_nonlocal(
     no maximum principle here, on purpose: the continuum model it
     discretises does not have one either.
     """
-    cfg.check_grid(u0)
     if T <= 0.0:
         raise ValueError("T must be positive")
     m = build_mollifier(epsilon, u0.dx)

@@ -10,7 +10,6 @@ from nlclaw.diagnostics import (
     catastrophe_time,
     check_invariants,
     convergence_study,
-    measure_front_speed,
     measure_front_speed_fit,
     oleinik_check,
     stability_envelope,
@@ -81,7 +80,7 @@ def test_front_speed_no_crossing():
     times = np.linspace(0.0, 1.0, 5)
     traj = translated_ramp_trajectory(0.0, times)
     with pytest.raises(NoCrossingError):
-        measure_front_speed(traj, 5.0, (0.0, 1.0))
+        measure_front_speed_fit(traj, 5.0, (0.0, 1.0)).speed
 
 
 def test_front_speed_multiple_crossings():
@@ -89,14 +88,14 @@ def test_front_speed_multiple_crossings():
     states = [grid_fn(np.sin, -7.0, 7.0, 1e-2) for _ in times]
     traj = Trajectory(times, states, 0.1, "nn")
     with pytest.raises(MultipleCrossingsError):
-        measure_front_speed(traj, 0.0, (0.0, 0.5))
+        measure_front_speed_fit(traj, 0.0, (0.0, 0.5)).speed
 
 
 def test_front_speed_needs_two_states():
     times = np.linspace(0.0, 1.0, 11)
     traj = translated_ramp_trajectory(0.3, times)
     with pytest.raises(ValueError):
-        measure_front_speed(traj, 0.0, (0.95, 1.0))
+        measure_front_speed_fit(traj, 0.0, (0.95, 1.0)).speed
 
 
 # ---------------------------------------------------------- invariant checks

@@ -11,8 +11,7 @@ from nlclaw.euler import (
     to_invariants,
 )
 from nlclaw.grids import GridFunction1D, GridMismatchError, sample
-from nlclaw.kernel import build_mollifier
-from nlclaw.solver import SolverConfig, _solve_transport, _velocity_fn, solve_nn
+from nlclaw.solver import SolverConfig, solve_nn
 
 
 def smooth_pulse(dx, xa=-6.0, xb=6.0):
@@ -167,10 +166,7 @@ def test_flipped_lam_sign_inflates_residual():
         float(np.max(np.abs(st0.lam.values))),
     )
     dt = cfg.time_step(dx, sup_shared)
-    m = build_mollifier(eps, dx)
-    wrong = _solve_transport(
-        st0.lam, m, 0.3, cfg, _velocity_fn(m, None, "nn"), "nn", dt=dt
-    )
+    wrong = solve_nn(st0.lam, eps, 0.3, cfg, dt=dt)
     mutant = [
         EulerState(mu=ms, lam=ls)
         for ms, ls in zip(tr.mu_trajectory.states, wrong.states)

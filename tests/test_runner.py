@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from nlclaw import runner
 from nlclaw.cli import main
 from nlclaw.diagnostics import StudyScenario, convergence_study
+from nlclaw.runner import RunResult, write_outputs
+from nlclaw.scenario import RiemannSpec, ScenarioSpec
 
 SHOCK = """
 name = shock
@@ -134,9 +137,21 @@ UNSAMPLEABLE = (
 
 
 def test_malformed_scenario_exits_1_writes_nothing(tmp_path, capsys):
-    grid = "name = x\nepsilon = 0.1\nT = 0.2\ndx = 0.01\ndomain = -1 1\n"
+    grid = "name = x\nT = 0.2\ndx = 0.01\ndomain = -1 1\n"
     docs = [("name = x\nmode = warp\n", None)]
-    docs += [(grid + body, "initial") for body in UNSAMPLEABLE]
+    docs += [(grid + "epsilon = 0.1\n" + body, "initial")
+             for body in UNSAMPLEABLE]
+    # a kernel the grid does not resolve
+    docs.append((
+        grid + "epsilon = 0.001\nmode = nn\ninitial = riemann 1 0\n",
+        "epsilon",
+    ))
+    # an expression flux whose derivative is wrong
+    docs.append((
+        grid + "epsilon = 0.1\nmode = velocity_reg\n"
+        "flux = expression x^2/2 ; 2*x\ninitial = riemann 1 0\n",
+        "flux",
+    ))
     for k, (text, key) in enumerate(docs):
         scn = _write(tmp_path, f"bad{k}.scn", text)
         out = tmp_path / f"out{k}"
@@ -303,6 +318,87 @@ def test_riemann_rejects_bad_domain(tmp_path, capsys):
         ]
     )
     assert rc == 1
+    # a kernel narrower than the grid spacing is an input error too
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "riemann", "--uL", "1", "--uR", "0", "--epsilon", "0.0001",
+            "--dx", "0.01", "--outdir", str(out),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("epsilon: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_result_file_formats_are_pinned(tmp_path, monkeypatch):
+    # blocks of two rows, so the three-row files cross a block boundary
+    monkeypatch.setattr(runner, "_BLOCK", 2)
+    meta = {
+        "version": "v0", "scenario": "fmt", "mode": "nn", "epsilon": 0.1,
+        "dx": 1 / 3, "dt": None,
+    }
+    rows = np.array([[0.0, 0.1, 1 / 3], [1e-300, -0.0, 2.0], [1.5, 2.0, -1e-5]])
+    res = RunResult(
+        meta, {"checks": {}}, True, ("t", "x", "u"), rows,
+        plots={
+            "profile": (("x", "u"), rows[:, 1:]),
+            "table": (
+                ("epsilon", "error_L1", "floor_dominated"),
+                [(0.1, 1 / 3, True), (0.05, -0.0, False), (0.025, 1e-300, True)],
+            ),
+        },
+        extra_snapshots=[("eps0.1", meta, ("t", "x", "u"), rows[:1])],
+    )
+    head = (
+        "# nlclaw v0\n"
+        "# scenario=fmt mode=nn epsilon=0.1 dx=0.3333333333333333 dt=None\n"
+    )
+    expected = {
+        "fmt_report.json": (
+            '{\n  "version": "v0",\n  "scenario": "fmt",\n  "mode": "nn",\n'
+            '  "epsilon": 0.1,\n  "dx": 0.3333333333333333,\n  "dt": null,\n'
+            '  "checks": {},\n  "passed": true\n}\n'
+        ),
+        "fmt.csv": head + (
+            "t,x,u\n0.0,0.1,0.3333333333333333\n1e-300,-0.0,2.0\n"
+            "1.5,2.0,-1e-05\n"
+        ),
+        "fmt_eps0.1.csv": head + "t,x,u\n0.0,0.1,0.3333333333333333\n",
+        "fmt_profile.dat": head + (
+            "# x u\n0.1 0.3333333333333333\n-0.0 2.0\n2.0 -1e-05\n"
+        ),
+        "fmt_table.dat": head + (
+            "# epsilon error_L1 floor_dominated\n"
+            "0.1 0.3333333333333333 True\n0.05 -0.0 False\n0.025 1e-300 True\n"
+        ),
+    }
+    spec = ScenarioSpec(
+        "fmt", "nn", RiemannSpec(1.0, 0.0), 1.0, 0.1, (-1.0, 1.0),
+        epsilon=0.1,
+    )
+    written = write_outputs(spec, res, tmp_path / "csv")
+    assert sorted(p.name for p in written) == sorted(expected)
+    for p in written:
+        assert p.read_text() == expected[p.name]
+
+    spec.output = "json"
+    write_outputs(spec, res, tmp_path / "json")
+    assert (tmp_path / "json" / "fmt_eps0.1.json").read_text() == (
+        '{\n  "version": "v0",\n  "scenario": "fmt",\n  "mode": "nn",\n'
+        '  "epsilon": 0.1,\n  "dx": 0.3333333333333333,\n  "dt": null,\n'
+        '  "columns": [\n    "t",\n    "x",\n    "u"\n  ],\n'
+        '  "rows": [\n    [\n      0.0,\n      0.1,\n      0.3333333333333333\n'
+        '    ]\n  ]\n}\n'
+    )
+    body = json.loads((tmp_path / "json" / "fmt.json").read_text())
+    assert body["rows"] == rows.tolist()
+    assert str(body["rows"][1][1]) == "-0.0"
+
+    verify = write_outputs(spec, res, tmp_path / "verify", verify_only=True)
+    assert [p.name for p in verify] == ["fmt_report.json"]
 
 
 def test_selftest_subset(tmp_path, capsys):

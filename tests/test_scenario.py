@@ -27,7 +27,6 @@ def test_minimal_document():
     assert spec.initial == RiemannSpec(1.0, 0.0)
     assert spec.epsilon == 0.1
     assert spec.epsilon_list is None
-    assert spec.epsilons() == (0.1,)
     assert spec.T == 1.0 and spec.dx == 0.01
     assert spec.domain == (-2.0, 3.0)
     # defaults
@@ -100,7 +99,7 @@ domain = -2 2
 expect = nonconvergence
 """
         )
-        assert spec.epsilons() == (0.2, 0.1, 0.05)
+        assert spec.epsilon_list == (0.2, 0.1, 0.05)
         assert spec.expect == "nonconvergence"
 
 
