@@ -62,7 +62,7 @@ from .grids import (
     sup_norm,
     total_variation,
 )
-from .kernel import Mollifier, ResolutionError, build_mollifier, convolve
+from .kernel import Mollifier, ResolutionError, build_mollifier
 from .reference import (
     FrontTrackingSolution,
     burgers_riemann_exact,
@@ -115,7 +115,6 @@ __all__ = [
     "check_invariants",
     "conservative_residual",
     "convergence_study",
-    "convolve",
     "cubic_flux",
     "build_mollifier",
     "from_invariants",

@@ -33,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from .diagnostics import (
     stability_envelope,
 )
 from .euler import (
-    EulerState,
+    EulerTrajectory,
     conservative_residual,
     from_invariants,
     solve_isentropic,
@@ -323,15 +324,10 @@ def _criterion_7(reg: TrajectoryRegistry) -> CriterionResult:
     }
     for label, traj in trajs.items():
         reg.add(f"c7_{label}_burgers", traj)
-    worst = 0.0
-    names = list(trajs)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = trajs[names[i]], trajs[names[j]]
-            for sa, sb in zip(a.states, b.states):
-                worst = max(
-                    worst, float(np.max(np.abs(sa.values - sb.values)))
-                )
+    worst = max(
+        float(np.max(np.abs(a.values - b.values)))
+        for a, b in combinations(trajs.values(), 2)
+    )
     return CriterionResult(
         7, TITLES[7], worst <= 1e-12,
         {"worst_pointwise_gap": worst, "bound": 1e-12},
@@ -351,7 +347,7 @@ def _criterion_8(reg: TrajectoryRegistry) -> CriterionResult:
     for label, datum, window, T in cases:
         pad = 1.0 * T + 0.5
         u0 = sample(datum, window[0] - pad, window[1] + pad, 1e-3)
-        god = godunov_solve(u0, flux, T).final
+        god = godunov_solve(u0, flux, T)
         lax = lax_oleinik_solve(u0, T)
         ft = front_tracking_solve(u0, T).sample_on(u0, T)
         gaps = {
@@ -531,7 +527,7 @@ def _criterion_12(reg: TrajectoryRegistry) -> CriterionResult:
         tr = solve_isentropic(
             rho0, vel0, eps, 0.3, SolverConfig(store_stride=1)
         )
-        residuals[eps] = conservative_residual(tr.states, tr.times)
+        residuals[eps] = conservative_residual(rho0, tr.times, tr.rho, tr.vel)
     ratio1 = residuals[0.1][0] / residuals[0.05][0]
     ratio2 = residuals[0.1][1] / residuals[0.05][1]
     refine_ok = ratio1 >= 1.8 and ratio2 >= 1.8
@@ -552,19 +548,10 @@ def _criterion_12(reg: TrajectoryRegistry) -> CriterionResult:
     vel0 = rho0.with_values(0.2 * np.tanh(rho0.x))
     cfg = SolverConfig(store_stride=1)
     tr = solve_isentropic(rho0, vel0, eps, 0.3, cfg)
-    r_ok = conservative_residual(tr.states, tr.times)
-    st0 = to_invariants(rho0, vel0)
-    sup_shared = max(
-        float(np.max(np.abs(st0.mu.values))),
-        float(np.max(np.abs(st0.lam.values))),
-    )
-    dt = cfg.time_step(dx, sup_shared)
-    wrong = solve_nn(st0.lam, eps, 0.3, cfg, dt=dt)
-    mutant = [
-        EulerState(mu=ms, lam=ls)
-        for ms, ls in zip(tr.mu_trajectory.states, wrong.states)
-    ]
-    r_bad = conservative_residual(mutant, tr.times)
+    r_ok = conservative_residual(rho0, tr.times, tr.rho, tr.vel)
+    wrong = solve_nn(to_invariants(rho0, vel0).lam, eps, 0.3, cfg, dt=tr.dt)
+    mutant = EulerTrajectory(tr.times, eps, tr.mu_trajectory, wrong)
+    r_bad = conservative_residual(rho0, tr.times, mutant.rho, mutant.vel)
     inflation = min(r_bad[0] / r_ok[0], r_bad[1] / r_ok[1])
     mutation_ok = inflation >= 10.0
 

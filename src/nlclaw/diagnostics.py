@@ -12,15 +12,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fluxes import FluxSpec
 from .grids import (
     GridFunction1D,
+    GridMismatchError,
     RiemannData,
-    l1_distance,
     sample,
     sup_norm,
     total_variation,
@@ -123,8 +123,10 @@ class FrontSpeedFit:
     positions: np.ndarray
 
 
-def _crossing_position(state: GridFunction1D, level: float) -> float:
-    d = state.values - level
+def _crossing_position(
+    grid: GridFunction1D, values: np.ndarray, level: float
+) -> float:
+    d = values - level
     sign = np.sign(d)
     # treat exact hits as crossings at the node
     hits = np.nonzero(d == 0.0)[0]
@@ -140,11 +142,11 @@ def _crossing_position(state: GridFunction1D, level: float) -> float:
                 f"{count} crossings of level {level}"
             )
     if hits.size:
-        return float(state.x0 + state.dx * hits[0])
+        return float(grid.x0 + grid.dx * hits[0])
     i = int(flips[0])
-    x = state.x
+    x = grid.x
     th = d[i] / (d[i] - d[i + 1])
-    return float(x[i] + th * state.dx)
+    return float(x[i] + th * grid.dx)
 
 
 def measure_front_speed_fit(
@@ -152,15 +154,13 @@ def measure_front_speed_fit(
 ) -> FrontSpeedFit:
     """Fit position(t) of the level crossing over stored times in window."""
     t_lo, t_hi = window
-    sel = [
-        (float(t), s)
-        for t, s in zip(traj.times, traj.states)
-        if t_lo - 1e-12 <= t <= t_hi + 1e-12
-    ]
-    if len(sel) < 2:
+    sel = (traj.times >= t_lo - 1e-12) & (traj.times <= t_hi + 1e-12)
+    times = traj.times[sel]
+    if times.size < 2:
         raise ValueError("need at least two stored states in the fit window")
-    times = np.array([t for t, _ in sel])
-    pos = np.array([_crossing_position(s, level) for _, s in sel])
+    pos = np.array(
+        [_crossing_position(traj.grid, v, level) for v in traj.values[sel]]
+    )
     A = np.vstack([times, np.ones_like(times)]).T
     coef, res, _, _ = np.linalg.lstsq(A, pos, rcond=None)
     slope = float(coef[0])
@@ -189,42 +189,37 @@ def check_invariants(
     instead; its range may grow.
     """
     rep = DiagnosticsReport(mode=traj.mode)
-    u0 = traj.states[0]
-    lo0, hi0 = float(u0.values.min()), float(u0.values.max())
-    tv0 = total_variation(u0)
+    vals = traj.values
+    dx = traj.grid.dx
+    u0 = vals[0]
+    lo0, hi0 = float(u0.min()), float(u0.max())
+    tvs = np.sum(np.abs(np.diff(vals, axis=1)), axis=1)  # TV of each level
+    tv0 = float(tvs[0])
 
     if traj.mode != "conservative":
-        worst = 0.0
-        for s in traj.states:
-            worst = max(worst, lo0 - float(s.values.min()),
-                        float(s.values.max()) - hi0)
+        worst = max(0.0, lo0 - float(vals.min()), float(vals.max()) - hi0)
         rep.add("max principle", worst <= 0.0, worst, 0.0,
                 "largest excursion beyond the initial range")
 
-        tvs = [total_variation(s) for s in traj.states]
-        excess = max(tv - tv0 for tv in tvs)
+        excess = float(np.max(tvs - tv0))
         tv_tol = 1e-9 * max(1.0, tv0)
         rep.add("tv bounded by initial", excess <= tv_tol, excess, tv_tol,
                 "largest excess of TV(u(t)) over TV(u0)")
-        deficit = tv0 - tvs[-1]
+        deficit = tv0 - float(tvs[-1])
         rep.add("tv terminal deficit", deficit <= tv_deficit_tol * tv0 + 1e-12,
                 deficit, tv_deficit_tol * tv0,
                 "TV lost between t=0 and t=T")
     else:
-        masses = [float(np.sum(s.values) * s.dx) for s in traj.states]
-        drift = max(abs(m - masses[0]) for m in masses)
+        masses = np.sum(vals, axis=1) * dx
+        drift = float(np.max(np.abs(masses - masses[0])))
         span = max(1.0, traj.final_time)
         rep.add("mass conservation", drift <= mass_tol * span, drift,
                 mass_tol * span, "largest drift of the discrete integral")
 
-    K = sup_norm(u0) * tv0
-    worst_ratio = 0.0
-    for (ta, sa), (tb, sb) in zip(
-        zip(traj.times, traj.states), zip(traj.times[1:], traj.states[1:])
-    ):
-        d = l1_distance(sa, sb)
-        bound = lipschitz_slack * K * (tb - ta) + 1e-14
-        worst_ratio = max(worst_ratio, d / bound if bound > 0 else 0.0)
+    K = float(np.max(np.abs(u0))) * tv0
+    steps = np.sum(np.abs(np.diff(vals, axis=0)), axis=1) * dx
+    bounds = lipschitz_slack * K * np.diff(traj.times) + 1e-14
+    worst_ratio = float(np.max(steps / bounds, initial=0.0))
     rep.add("l1 time lipschitz", worst_ratio <= 1.0, worst_ratio, 1.0,
             f"worst ratio of stored-pair L1 distance to {lipschitz_slack}*K*dt, "
             f"K = sup|u0|*TV(u0) = {K:.6g}")
@@ -240,25 +235,24 @@ def stability_envelope(
         np.abs(traj_u.times - traj_v.times) > 1e-12
     ):
         raise ValueError("trajectories must share stored times")
-    u0, v0 = traj_u.states[0], traj_v.states[0]
-    C = m.sup * (total_variation(u0) + total_variation(v0))
-    d0 = l1_distance(u0, v0)
+    if not traj_u.grid.same_grid(traj_v.grid):
+        raise GridMismatchError("stability_envelope requires identical grids")
+    C = m.sup * (total_variation(traj_u.grid) + total_variation(traj_v.grid))
+    dist = np.sum(np.abs(traj_u.values - traj_v.values), axis=1) * traj_u.grid.dx
+    d0 = float(dist[0])
     rep = DiagnosticsReport(mode=traj_u.mode)
-    worst = 0.0
-    worst_t = 0.0
-    for t, su, sv in zip(traj_u.times, traj_u.states, traj_v.states):
-        d = l1_distance(su, sv)
-        if d0 == 0.0:
-            excess = d  # identical data must stay identical (both solvers
-            # are deterministic), up to roundoff
-            if excess > worst:
-                worst, worst_t = excess, float(t)
-            continue
-        log_bound = C * float(t) + np.log(d0 * slack)
-        log_d = np.log(d) if d > 0.0 else -np.inf
-        excess = log_d - log_bound
-        if excess > worst:
-            worst, worst_t = excess, float(t)
+    if d0 == 0.0:
+        # identical data must stay identical (both solvers are
+        # deterministic), up to roundoff
+        excess = dist
+    else:
+        log_bound = C * traj_u.times + np.log(d0 * slack)
+        with np.errstate(divide="ignore"):
+            excess = np.log(dist) - log_bound
+    k = int(np.argmax(excess))
+    worst, worst_t = 0.0, 0.0
+    if excess[k] > 0.0:
+        worst, worst_t = float(excess[k]), float(traj_u.times[k])
     if d0 == 0.0:
         rep.add("stability envelope", worst <= 1e-12, worst, 1e-12,
                 "identical data: max distance over time")
@@ -422,7 +416,7 @@ def _reference_state(
         flux = scenario.flux
         if flux is None:
             raise ValueError("'godunov' reference needs a flux")
-        return godunov_solve(u0, flux, scenario.T).final
+        return godunov_solve(u0, flux, scenario.T)
     raise ValueError(f"unknown reference {reference!r}")
 
 

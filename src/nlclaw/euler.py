@@ -60,10 +60,6 @@ class EulerState:
     def vel(self) -> GridFunction1D:
         return self.mu.with_values(0.5 * (self.mu.values - self.lam.values))
 
-    @property
-    def has_vacuum(self) -> bool:
-        return bool(np.min(self.mu.values + self.lam.values) <= 0.0)
-
 
 def to_invariants(rho: GridFunction1D, vel: GridFunction1D) -> EulerState:
     """mu = rho + vel, lam = rho - vel."""
@@ -86,18 +82,29 @@ def _reversed_grid(u: GridFunction1D) -> GridFunction1D:
 
 @dataclass
 class EulerTrajectory:
-    """Recombined invariant solves sharing one stored time grid."""
+    """Recombined invariant solves sharing one stored time grid.
+
+    rho and vel hold density and velocity at every stored level, shape
+    (levels, n), derived from the two invariant trajectories."""
 
     times: np.ndarray
-    states: list
     epsilon: float
     mu_trajectory: Trajectory
     lam_trajectory: Trajectory
     dt: float = 0.0
 
     @property
-    def final(self) -> EulerState:
-        return self.states[-1]
+    def rho(self) -> np.ndarray:
+        return 0.5 * (self.mu_trajectory.values + self.lam_trajectory.values)
+
+    @property
+    def vel(self) -> np.ndarray:
+        return 0.5 * (self.mu_trajectory.values - self.lam_trajectory.values)
+
+    @property
+    def has_vacuum(self) -> bool:
+        """Whether rho <= 0 at some node of some stored level."""
+        return bool(np.min(self.rho) <= 0.0)
 
 
 def solve_isentropic(
@@ -107,7 +114,7 @@ def solve_isentropic(
     T: float,
     cfg: SolverConfig,
 ) -> EulerTrajectory:
-    """Evolve both invariants and recombine stored levels.
+    """Evolve both invariants on one shared time grid.
 
     mu marches forward as nonlocal transport; lam marches as the same
     equation under x -> -x (values reversed, solved, reversed back).  The
@@ -122,28 +129,17 @@ def solve_isentropic(
     )
     dt = cfg.time_step(rho0.dx, sup_shared)
     mu_traj = solve_nn(mu0, epsilon, T, cfg, dt=dt)
-    lam_rev_traj = solve_nn(_reversed_grid(lam0), epsilon, T, cfg, dt=dt)
-    lam_states = [_reversed_grid(s) for s in lam_rev_traj.states]
+    lam_rev = solve_nn(_reversed_grid(lam0), epsilon, T, cfg, dt=dt)
     lam_traj = Trajectory(
-        lam_rev_traj.times, lam_states, epsilon, "nn",
-        picard_counts=lam_rev_traj.picard_counts,
+        _reversed_grid(lam_rev.grid), lam_rev.times,
+        np.ascontiguousarray(lam_rev.values[:, ::-1]), epsilon, "nn",
+        picard_counts=lam_rev.picard_counts,
     )
     if mu_traj.times.size != lam_traj.times.size or np.any(
         np.abs(mu_traj.times - lam_traj.times) > 1e-12
     ):
         raise RuntimeError("invariant solves lost their shared time grid")
-    states = [
-        EulerState(mu=ms, lam=ls)
-        for ms, ls in zip(mu_traj.states, lam_traj.states)
-    ]
-    return EulerTrajectory(
-        times=mu_traj.times,
-        states=states,
-        epsilon=float(epsilon),
-        mu_trajectory=mu_traj,
-        lam_trajectory=lam_traj,
-        dt=dt,
-    )
+    return EulerTrajectory(mu_traj.times, float(epsilon), mu_traj, lam_traj, dt)
 
 
 def _bump_dz(z: np.ndarray) -> np.ndarray:
@@ -182,10 +178,14 @@ def _test_bank(x: np.ndarray, T: float):
     return bank
 
 
-def conservative_residual(states, times) -> tuple[float, float]:
+def conservative_residual(
+    grid: GridFunction1D, times, rho: np.ndarray, vel: np.ndarray
+) -> tuple[float, float]:
     """Weak residual of the conservative Euler form along a trajectory.
 
-    For each test function psi the exact weak identity
+    rho and vel hold density and velocity on the nodes of grid at each
+    stored time, shape (levels, n).  For each test function psi the exact
+    weak identity
 
         int_0^T int (q psi_t + F(q) psi_x) dx dt
             + int q(0) psi(.,0) dx - int q(T) psi(.,T) dx = 0
@@ -194,44 +194,29 @@ def conservative_residual(states, times) -> tuple[float, float]:
     stored time levels, for q = rho with flux rho*v and q = rho*v with
     flux rho*v^2 + rho^3/3.  Returned values are the maxima of the
     absolute residuals over the bank, per equation."""
-    if len(states) < 3:
-        raise ValueError("need at least 3 stored time levels")
     times = np.asarray(times, dtype=float)
-    if times.size != len(states):
-        raise ValueError("times and states disagree in length")
-    g0 = states[0].mu
-    x = g0.x
-    dx = g0.dx
+    if times.size < 3:
+        raise ValueError("need at least 3 stored time levels")
+    if rho.shape != (times.size, grid.n) or vel.shape != rho.shape:
+        raise ValueError("rho and vel must have shape (times, grid nodes)")
+    x = grid.x
+    dx = grid.dx
     T = float(times[-1])
     bank = _test_bank(x, T)
-    q1 = []
-    f1 = []
-    q2 = []
-    f2 = []
-    for st in states:
-        rho = st.rho.values
-        vel = st.vel.values
-        q1.append(rho)
-        f1.append(rho * vel)
-        q2.append(rho * vel)
-        f2.append(rho * vel * vel + rho**3 / 3.0)
-    r1 = 0.0
-    r2 = 0.0
+    mom = rho * vel
+    fields = ((rho, mom), (mom, mom * vel + rho**3 / 3.0))
+    worst = [0.0, 0.0]
     dts = np.diff(times)
     for phi, dphi, g, gdot in bank:
         gt = g(times)
         gdt = gdot(times)
-        for q, f, which in ((q1, f1, 1), (q2, f2, 2)):
+        for k, (q, f) in enumerate(fields):
             # space integrals at each level, then a left-endpoint rule in t
-            space_qt = np.array([np.sum(qk * phi) * dx for qk in q])
-            space_fx = np.array([np.sum(fk * dphi) * dx for fk in f])
+            space_qt = np.sum(q * phi, axis=1) * dx
+            space_fx = np.sum(f * dphi, axis=1) * dx
             interior = float(
                 np.sum((space_qt[:-1] * gdt[:-1] + space_fx[:-1] * gt[:-1]) * dts)
             )
             boundary = float(space_qt[0] * gt[0] - space_qt[-1] * gt[-1])
-            res = abs(interior + boundary)
-            if which == 1:
-                r1 = max(r1, res)
-            else:
-                r2 = max(r2, res)
-    return r1, r2
+            worst[k] = max(worst[k], abs(interior + boundary))
+    return worst[0], worst[1]

@@ -8,8 +8,7 @@ are constant outside a compact interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ __all__ = [
     "GridMismatchError",
     "PiecewiseInitialData",
     "RiemannData",
-    "interpolate",
     "l1_distance",
     "sample",
     "sup_norm",
@@ -223,11 +221,3 @@ def interpolate_values(
     out = a + theta * (b - a)
     return np.clip(out, np.minimum(a, b), np.maximum(a, b))
 
-
-def interpolate(u: GridFunction1D, x) -> float | np.ndarray:
-    """Evaluate u between nodes; monotone, never overshoots the bracket."""
-    xq = np.asarray(x, dtype=float)
-    out = interpolate_values(u.values, u.x0, u.dx, np.atleast_1d(xq))
-    if xq.ndim == 0:
-        return float(out[0])
-    return out

@@ -16,13 +16,10 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .grids import GridFunction1D, GridMismatchError
-
 __all__ = [
     "Mollifier",
     "ResolutionError",
     "build_mollifier",
-    "convolve",
     "convolve_values",
     "mollifier_normalization",
 ]
@@ -83,9 +80,6 @@ class Mollifier:
         """Sup-norm of the continuum kernel this discretisation represents."""
         return float(self.weights.max() / self.dx)
 
-    def matches_grid(self, u: GridFunction1D, tol: float = 1e-12) -> bool:
-        return abs(self.dx - u.dx) <= tol * self.dx
-
 
 def build_mollifier(
     epsilon: float,
@@ -124,7 +118,12 @@ def build_mollifier(
 
 
 def convolve_values(m: Mollifier, values: np.ndarray) -> np.ndarray:
-    """Kernel applied to raw nodal values with constant end extension."""
+    """Kernel applied to raw nodal values with constant end extension.
+
+    Nonnegative unit-mass weights make each output value a convex
+    combination of inputs, so neither the sup-norm nor the total variation
+    can increase.
+    """
     r = m.radius
     padded = np.concatenate(
         [np.full(r, values[0]), values, np.full(r, values[-1])]
@@ -132,16 +131,3 @@ def convolve_values(m: Mollifier, values: np.ndarray) -> np.ndarray:
     # Symmetric kernel: correlation and convolution coincide.
     return np.convolve(padded, m.weights, mode="valid")
 
-
-def convolve(m: Mollifier, u: GridFunction1D) -> GridFunction1D:
-    """(eta_eps * u) on the grid of u, with constant extension of the ends.
-
-    Nonnegative unit-mass weights make each output value a convex
-    combination of inputs, so neither the sup-norm nor the total variation
-    can increase.
-    """
-    if not m.matches_grid(u):
-        raise GridMismatchError(
-            f"mollifier built for dx={m.dx}, grid has dx={u.dx}"
-        )
-    return u.with_values(convolve_values(m, u.values))

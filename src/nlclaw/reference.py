@@ -20,22 +20,17 @@ flux f(u) = u^2/2; Godunov takes any convex FluxSpec.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .fluxes import FluxSpec
-from .grids import (
-    GridFunction1D,
-    PiecewiseInitialData,
-    RiemannData,
-    sup_norm,
-)
-from .solver import SolverConfig, Trajectory
+from .grids import GridFunction1D, PiecewiseInitialData, RiemannData
 
 __all__ = [
     "FrontTrackingSolution",
+    "NonConvexFluxError",
     "WaveFront",
     "burgers_riemann_exact",
     "front_tracking_solve",
@@ -120,15 +115,20 @@ def _sonic_point(flux: FluxSpec, lo: float, hi: float) -> float:
     return float(brentq(lambda u: float(np.asarray(flux.fprime(u))), lo, hi, xtol=1e-14))
 
 
+class NonConvexFluxError(ValueError):
+    """The flux is not convex on the range of the data."""
+
+
 def godunov_solve(
     u0: GridFunction1D, flux: FluxSpec, T: float, cfl: float = 0.9
-) -> Trajectory:
-    """First-order finite-volume entropy solver with exact Riemann fluxes.
+) -> GridFunction1D:
+    """State at time T of the first-order finite-volume entropy solver
+    with exact Riemann fluxes.
 
-    Requires f convex on the data range.  The interface flux is
-    f(clip(omega, ul, ur)) for ul <= ur (omega the sonic value) and
-    max(f(ul), f(ur)) for ul > ur.  Monotone scheme: TV non-increasing,
-    max principle.
+    Requires f convex on the data range (NonConvexFluxError otherwise).
+    The interface flux is f(clip(omega, ul, ur)) for ul <= ur (omega the
+    sonic value) and max(f(ul), f(ur)) for ul > ur.  Monotone scheme: TV
+    non-increasing, max principle.
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
@@ -136,17 +136,16 @@ def godunov_solve(
     probe = np.linspace(lo, hi, 201)
     fp = np.asarray(flux.fprime(probe), dtype=float)
     if np.any(np.diff(fp) < -1e-10 * max(1.0, np.max(np.abs(fp)))):
-        raise ValueError("godunov_solve requires a convex flux on the data range")
+        raise NonConvexFluxError(
+            "godunov_solve requires a convex flux on the data range"
+        )
     omega = _sonic_point(flux, lo, hi)
-    f_omega = float(flux.f(omega))
     max_speed = float(np.max(np.abs(fp)))
     dx = u0.dx
     dt = cfl * dx / max(max_speed, 1e-12)
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
 
     vals = u0.values.copy()
-    times = [0.0]
-    states = [u0.copy()]
     t = 0.0
 
     def interface_flux(ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
@@ -169,9 +168,7 @@ def godunov_solve(
         F_right = np.concatenate([F, [float(flux.f(vals[-1]))]])
         vals = vals - (step_dt / dx) * (F_right - F_left)
         t = t_next
-        times.append(t)
-        states.append(u0.with_values(vals.copy()))
-    return Trajectory(np.asarray(times), states, 0.0, "godunov")
+    return u0.with_values(vals)
 
 
 @dataclass(frozen=True)

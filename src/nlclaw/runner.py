@@ -36,6 +36,7 @@ from .diagnostics import (
 from .euler import conservative_residual, solve_isentropic
 from .fluxes import FluxSpec, burgers_flux, cubic_flux
 from .grids import PiecewiseInitialData, RiemannData, sample, sup_norm
+from .reference import NonConvexFluxError
 from .scenario import (
     ExpressionData,
     PiecewiseData,
@@ -151,10 +152,10 @@ class RunResult:
 
 def _snapshot_rows(levels, x: np.ndarray, *fields) -> np.ndarray:
     """Rows (level, x, field values...), one per node of every level; each
-    field holds one array of len(x) values per level."""
+    field is an array of shape (len(levels), len(x))."""
     return np.column_stack(
         [np.repeat(levels, x.size), np.tile(x, len(levels))]
-        + [np.concatenate(f) for f in fields]
+        + [f.ravel() for f in fields]
     )
 
 
@@ -213,7 +214,7 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
     return RunResult(
         _meta(spec, spec.epsilon, spec.dx, dt), body, rep.passed,
         ("t", "x", "u"),
-        _snapshot_rows(traj.times, fin.x, [s.values for s in traj.states]),
+        _snapshot_rows(traj.times, fin.x, traj.values),
         plots={"profile": (("x", "u"), np.column_stack([fin.x, fin.values]))},
     )
 
@@ -234,7 +235,10 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
         rate_norm="l1", dx_max=spec.dx,
     )
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
-    table = convergence_study(scenario, spec.epsilon_list, ref_name, cfg)
+    try:
+        table = convergence_study(scenario, spec.epsilon_list, ref_name, cfg)
+    except NonConvexFluxError as e:  # the Godunov reference needs convexity
+        raise ScenarioError([f"flux: {e}"]) from None
 
     run_reports = []
     passed = True
@@ -247,9 +251,7 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
         snapshots.append((
             f"eps{row.epsilon!r}", _meta(spec, row.epsilon, row.dx, row.dt),
             ("t", "x", "u"),
-            _snapshot_rows(
-                traj.times, traj.grid.x, [s.values for s in traj.states]
-            ),
+            _snapshot_rows(traj.times, traj.grid.x, traj.values),
         ))
 
     body = {"table": table.as_dict(), "runs": run_reports}
@@ -281,7 +283,8 @@ def _run_euler(spec: ScenarioSpec) -> RunResult:
         vel0 = rho0.with_values(np.zeros(rho0.n))
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     tr = solve_isentropic(rho0, vel0, spec.epsilon, spec.T, cfg)
-    r1, r2 = conservative_residual(tr.states, tr.times)
+    rho, vel = tr.rho, tr.vel
+    r1, r2 = conservative_residual(rho0, tr.times, rho, vel)
     merged = DiagnosticsReport(mode="euler")
     for prefix, traj in (("mu", tr.mu_trajectory), ("lam", tr.lam_trajectory)):
         for c in check_invariants(traj).checks:
@@ -291,19 +294,14 @@ def _run_euler(spec: ScenarioSpec) -> RunResult:
     body = {
         "checks": merged.as_dict(),
         "conservative_residual": {"mass": r1, "momentum": r2},
-        "vacuum_flagged": bool(any(s.has_vacuum for s in tr.states)),
+        "vacuum_flagged": tr.has_vacuum,
     }
     x = rho0.x
     return RunResult(
         _meta(spec, spec.epsilon, spec.dx, tr.dt), body, merged.passed,
         ("t", "x", "rho", "v"),
-        _snapshot_rows(
-            tr.times, x, [s.rho.values for s in tr.states],
-            [s.vel.values for s in tr.states],
-        ),
-        plots={
-            "profile": (("x", "rho"), np.column_stack([x, tr.final.rho.values]))
-        },
+        _snapshot_rows(tr.times, x, rho, vel),
+        plots={"profile": (("x", "rho"), np.column_stack([x, rho[-1]]))},
     )
 
 

@@ -59,14 +59,20 @@ __all__ = [
 
 SUP_FLOOR = 1e-12  # dt cap divisor for all-zero data
 
-MODES = (
-    "nn", "conservative", "velocity_reg", "flux_reg", "godunov",
-    "velocity_reg_2d",
-)
+MODES = ("nn", "conservative", "velocity_reg", "flux_reg", "velocity_reg_2d")
 
 
 class PicardDivergenceError(RuntimeError):
-    """Self-consistency iteration failed to contract; dt is too large."""
+    """Self-consistency iteration failed to contract; dt is too large.
+
+    step is the index of the failing step (0 for the first) and t the
+    time it started from.
+    """
+
+    def __init__(self, step: int, t: float, detail: str):
+        super().__init__(f"step {step} from t = {t!r}: {detail}; reduce dt")
+        self.step = step
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -94,36 +100,42 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Stored time levels of one solve on a fixed 1D or 2D grid."""
+    """Stored time levels of one solve on a fixed 1D or 2D grid.
 
+    values[k] holds the state at times[k] on the nodes of grid (the
+    state at t = 0; a twodim.GridFunction2D for the 2D solver), so values
+    has shape (levels, *grid.values.shape).
+    """
+
+    grid: GridFunction1D
     times: np.ndarray
-    states: list
+    values: np.ndarray
     epsilon: float
     mode: str
     picard_counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.times.size != len(self.states):
-            raise ValueError("times and states must have equal length")
+        if self.values.shape != self.times.shape + self.grid.values.shape:
+            raise ValueError("values must have shape (levels, *grid shape)")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("values must be finite")
         if self.times.size and (
             self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0.0)
         ):
             raise ValueError("times must start at 0 and increase strictly")
-        g0 = self.states[0]
-        for s in self.states[1:]:
-            if not g0.same_grid(s):
-                raise ValueError("all states must share one grid")
 
     @property
-    def grid(self) -> GridFunction1D:
-        return self.states[0]
+    def states(self) -> tuple:
+        """Each stored level as a grid function (a view into values)."""
+        return tuple(self.grid.with_values(v) for v in self.values)
 
     @property
     def final(self) -> GridFunction1D:
-        return self.states[-1]
+        return self.grid.with_values(self.values[-1])
 
     @property
     def final_time(self) -> float:
@@ -238,7 +250,9 @@ def _picard_step_foot(
     dt: float,
     tol: float,
     max_iters: int,
-    fronts=None,
+    fronts,
+    step: int,
+    t: float,
 ) -> tuple[tuple, np.ndarray, int, object]:
     """One self-consistent step of the foot-field formulation, any dimension.
 
@@ -247,6 +261,9 @@ def _picard_step_foot(
     field is interpolated at the feet.  Convergence is measured on phi (a
     continuous quantity even across jumps of the state), as the largest
     sup-norm change over the components.
+
+    step and t (the step's index and start time) only locate a
+    PicardDivergenceError.
 
     With a front pin (1D data with tracked jumps), fronts holds the tracked
     preimages of the datum jumps at the start of the step.  Each pass then
@@ -302,8 +319,8 @@ def _picard_step_foot(
         if change < tol or cycle < tol:
             return cand_phi, cand_vals, j + 1, cand_fronts
     raise PicardDivergenceError(
-        f"no contraction after {max_iters} iterations (last change {change:.3e}); "
-        "reduce dt"
+        step, t,
+        f"no contraction after {max_iters} iterations (last change {change:.3e})",
     )
 
 
@@ -455,7 +472,7 @@ def _solve_transport(
     vals = u0.values.copy()
     fronts = foot.fronts
     times = [0.0]
-    states = [u0.copy()]
+    levels = [vals]
     counts = []
     t = 0.0
     for k in range(n_steps):
@@ -465,15 +482,15 @@ def _solve_transport(
             break
         phi, vals, nit, fronts = _picard_step_foot(
             phi, vals, foot, velocity_of, step_dt,
-            cfg.picard_tol, cfg.picard_max_iters, fronts,
+            cfg.picard_tol, cfg.picard_max_iters, fronts, k, t,
         )
         counts.append(nit)
         t = t_next
         if (k + 1) % cfg.store_stride == 0 or t >= T:
             times.append(t)
-            states.append(u0.with_values(vals.copy()))
+            levels.append(vals)
     return Trajectory(
-        np.asarray(times), states, m.epsilon, mode,
+        u0.copy(), times, np.stack(levels), m.epsilon, mode,
         picard_counts=np.asarray(counts, dtype=int),
     )
 
@@ -563,7 +580,7 @@ def solve_conservative_nonlocal(
     dx = u0.dx
     vals = u0.values.copy()
     times = [0.0]
-    states = [u0.copy()]
+    levels = [vals]
     t = 0.0
     k = 0
     # sup|u| can grow in this mode, so the step size adapts to the current
@@ -582,8 +599,10 @@ def solve_conservative_nonlocal(
         k += 1
         if k % cfg.store_stride == 0 or t >= T - 1e-15:
             times.append(t)
-            states.append(u0.with_values(vals.copy()))
-    return Trajectory(np.asarray(times), states, epsilon, "conservative")
+            levels.append(vals)
+    return Trajectory(
+        u0.copy(), times, np.stack(levels), epsilon, "conservative"
+    )
 
 
 def backward_characteristic(
@@ -599,18 +618,14 @@ def backward_characteristic(
     if not (0.0 <= t <= times[-1] + 1e-12):
         raise ValueError("t outside the trajectory's time range")
     grid = traj.grid
-    vfields = [convolve_values(m, s.values) for s in traj.states]
+    vfields = [convolve_values(m, v) for v in traj.values]
 
     def vel(s: float, y: float) -> float:
-        k = int(np.searchsorted(times, s, side="right")) - 1
-        k = min(max(k, 0), len(vfields) - 2) if len(vfields) > 1 else 0
-        if len(vfields) == 1:
-            vv = vfields[0]
-        else:
-            t0, t1 = times[k], times[k + 1]
-            w = 0.0 if t1 == t0 else (s - t0) / (t1 - t0)
-            w = min(max(w, 0.0), 1.0)
-            vv = (1.0 - w) * vfields[k] + w * vfields[k + 1]
+        # 0 <= s <= times[-1], and only called when two levels exist
+        k = min(int(np.searchsorted(times, s, side="right")) - 1, times.size - 2)
+        t0, t1 = times[k], times[k + 1]
+        w = (s - t0) / (t1 - t0)
+        vv = (1.0 - w) * vfields[k] + w * vfields[k + 1]
         return float(
             interpolate_values(vv, grid.x0, grid.dx, np.array([y]))[0]
         )

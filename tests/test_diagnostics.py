@@ -52,11 +52,10 @@ def test_catastrophe_time_linear_slope():
 
 def translated_ramp_trajectory(speed, times, dx=1e-2):
     # continuous ramp so the linear-interpolation crossing is exact
-    states = [
-        grid_fn(lambda x: np.clip(-(x - speed * t), -1.0, 1.0), -4.0, 4.0, dx)
-        for t in times
-    ]
-    return Trajectory(np.asarray(times, dtype=float), states, 0.1, "nn")
+    u0 = grid_fn(lambda x: np.clip(-x, -1.0, 1.0), -4.0, 4.0, dx)
+    t = np.asarray(times, dtype=float)[:, None]
+    values = np.clip(-(u0.x - speed * t), -1.0, 1.0)
+    return Trajectory(u0, times, values, 0.1, "nn")
 
 
 def test_front_speed_exact_on_translated_ramp():
@@ -85,8 +84,8 @@ def test_front_speed_no_crossing():
 
 def test_front_speed_multiple_crossings():
     times = np.array([0.0, 0.5])
-    states = [grid_fn(np.sin, -7.0, 7.0, 1e-2) for _ in times]
-    traj = Trajectory(times, states, 0.1, "nn")
+    u0 = grid_fn(np.sin, -7.0, 7.0, 1e-2)
+    traj = Trajectory(u0, times, np.stack([u0.values, u0.values]), 0.1, "nn")
     with pytest.raises(MultipleCrossingsError):
         measure_front_speed_fit(traj, 0.0, (0.0, 0.5)).speed
 
@@ -143,8 +142,8 @@ def test_check_invariants_conservative_mode_aware():
 def test_check_invariants_flags_violation():
     times = np.array([0.0, 0.1])
     base = grid_fn(lambda x: np.tanh(x), -2.0, 2.0, 1e-2)
-    inflated = base.with_values(base.values * 1.5)
-    traj = Trajectory(times, [base, inflated], 0.1, "nn")
+    values = np.stack([base.values, base.values * 1.5])
+    traj = Trajectory(base, times, values, 0.1, "nn")
     rep = check_invariants(traj)
     assert not rep["max principle"].passed
     assert rep["max principle"].value > 0.4

@@ -4,6 +4,7 @@ import pytest
 from nlclaw.diagnostics import check_invariants
 from nlclaw.euler import (
     EulerState,
+    EulerTrajectory,
     _reversed_grid,
     conservative_residual,
     from_invariants,
@@ -56,10 +57,10 @@ def test_vacuum_flagged_not_rejected():
     x = np.linspace(-2.0, 2.0, 41)
     rho = GridFunction1D(-2.0, 0.1, np.maximum(0.0, 1.0 - np.abs(x)))
     vel = rho.with_values(np.zeros(41))
-    st = to_invariants(rho, vel)
-    assert st.has_vacuum
-    st2 = to_invariants(rho.with_values(rho.values + 0.5), vel)
-    assert not st2.has_vacuum
+    cfg = SolverConfig()
+    assert solve_isentropic(rho, vel, 0.2, 0.05, cfg).has_vacuum
+    lifted = rho.with_values(rho.values + 0.5)
+    assert not solve_isentropic(lifted, vel, 0.2, 0.05, cfg).has_vacuum
 
 
 def test_constant_state_stationary_with_small_residual():
@@ -67,10 +68,9 @@ def test_constant_state_stationary_with_small_residual():
     rho0 = sample(1.0, -6.0, 6.0, dx)
     vel0 = rho0.with_values(np.full(rho0.n, 0.5))
     tr = solve_isentropic(rho0, vel0, 0.1, 0.3, SolverConfig(store_stride=1))
-    fin = tr.final
-    assert np.array_equal(fin.rho.values, rho0.values)
-    assert np.array_equal(fin.vel.values, vel0.values)
-    r1, r2 = conservative_residual(tr.states, tr.times)
+    assert np.array_equal(tr.rho[-1], rho0.values)
+    assert np.array_equal(tr.vel[-1], vel0.values)
+    r1, r2 = conservative_residual(rho0, tr.times, tr.rho, tr.vel)
     # residual of an exactly stationary state is pure quadrature error
     assert r1 <= 1e-3
     assert r2 <= 1e-3
@@ -80,8 +80,8 @@ def test_even_density_odd_velocity_preserved():
     eps = 0.1
     rho0, vel0 = smooth_pulse(eps / 8.0)
     tr = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig())
-    rv = tr.final.rho.values
-    vv = tr.final.vel.values
+    rv = tr.rho[-1]
+    vv = tr.vel[-1]
     assert np.max(np.abs(rv - rv[::-1])) <= 1e-10
     assert np.max(np.abs(vv + vv[::-1])) <= 1e-10
 
@@ -92,7 +92,7 @@ def test_shared_time_grid_and_state_count():
     tr = solve_isentropic(rho0, vel0, eps, 0.2, SolverConfig())
     assert np.array_equal(tr.times, tr.mu_trajectory.times)
     assert np.array_equal(tr.times, tr.lam_trajectory.times)
-    assert len(tr.states) == tr.times.size
+    assert tr.rho.shape == tr.vel.shape == (tr.times.size, rho0.n)
     assert tr.times[0] == 0.0
     assert abs(tr.times[-1] - 0.2) <= 1e-12
 
@@ -111,14 +111,15 @@ def test_residual_refinement_ratio():
     for eps in (0.1, 0.05):
         rho0, vel0 = smooth_pulse(eps / 8.0)
         tr = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig(store_stride=1))
-        results[eps] = conservative_residual(tr.states, tr.times)
+        results[eps] = conservative_residual(rho0, tr.times, tr.rho, tr.vel)
     assert results[0.1][0] / results[0.05][0] >= 1.8
     assert results[0.1][1] / results[0.05][1] >= 1.8
 
 
-def manufactured_states(dx, dt, T=0.3, xa=-6.0, xb=6.0):
-    """Exact smooth solution: lam constant, mu solves Burgers by
-    characteristics (fixed-point solve of xi = x - t*mu0(xi))."""
+def manufactured_levels(dx, dt, T=0.3, xa=-6.0, xb=6.0):
+    """Exact smooth solution as (grid, times, rho, vel): lam constant, mu
+    solves Burgers by characteristics (fixed-point solve of
+    xi = x - t*mu0(xi))."""
     c = 0.8
 
     def mu0_fn(z):
@@ -128,22 +129,16 @@ def manufactured_states(dx, dt, T=0.3, xa=-6.0, xb=6.0):
     x = xa + dx * np.arange(nx)
     nt = int(round(T / dt)) + 1
     times = dt * np.arange(nt)
-    states = []
-    for t in times:
-        xi = x.copy()
-        for _ in range(60):
-            xi = x - t * mu0_fn(xi)
-        mu = mu0_fn(xi)
-        states.append(EulerState(
-            mu=GridFunction1D(xa, dx, mu),
-            lam=GridFunction1D(xa, dx, np.full(nx, c)),
-        ))
-    return states, times
+    xi = np.tile(x, (nt, 1))
+    for _ in range(60):
+        xi = x - times[:, None] * mu0_fn(xi)
+    mu = mu0_fn(xi)
+    return GridFunction1D(xa, dx, x), times, 0.5 * (mu + c), 0.5 * (mu - c)
 
 
 def test_residual_consistency_on_exact_solution():
-    coarse = conservative_residual(*manufactured_states(0.02, 0.01))
-    fine = conservative_residual(*manufactured_states(0.01, 0.005))
+    coarse = conservative_residual(*manufactured_levels(0.02, 0.01))
+    fine = conservative_residual(*manufactured_levels(0.01, 0.005))
     assert fine[0] <= 1e-3
     assert fine[1] <= 1e-3
     assert coarse[0] / fine[0] >= 1.8
@@ -157,21 +152,12 @@ def test_flipped_lam_sign_inflates_residual():
     vel0 = rho0.with_values(0.2 * np.tanh(rho0.x))
     cfg = SolverConfig(store_stride=1)
     tr = solve_isentropic(rho0, vel0, eps, 0.3, cfg)
-    r1, r2 = conservative_residual(tr.states, tr.times)
+    r1, r2 = conservative_residual(rho0, tr.times, tr.rho, tr.vel)
     # mutant: drop the x -> -x conjugation, i.e. solve the wrong-sign
-    # lam equation, and recombine with the correct mu states
-    st0 = to_invariants(rho0, vel0)
-    sup_shared = max(
-        float(np.max(np.abs(st0.mu.values))),
-        float(np.max(np.abs(st0.lam.values))),
-    )
-    dt = cfg.time_step(dx, sup_shared)
-    wrong = solve_nn(st0.lam, eps, 0.3, cfg, dt=dt)
-    mutant = [
-        EulerState(mu=ms, lam=ls)
-        for ms, ls in zip(tr.mu_trajectory.states, wrong.states)
-    ]
-    m1, m2 = conservative_residual(mutant, tr.times)
+    # lam equation, and recombine with the correct mu levels
+    wrong = solve_nn(to_invariants(rho0, vel0).lam, eps, 0.3, cfg, dt=tr.dt)
+    mutant = EulerTrajectory(tr.times, eps, tr.mu_trajectory, wrong)
+    m1, m2 = conservative_residual(rho0, tr.times, mutant.rho, mutant.vel)
     assert m1 >= 10.0 * r1
     assert m2 >= 10.0 * r2
 
@@ -192,9 +178,11 @@ def test_decoupling_joint_equals_alone_bitwise():
 
 
 def test_residual_preconditions():
-    states, times = manufactured_states(0.05, 0.15)
-    assert len(states) == 3
+    grid, times, rho, vel = manufactured_levels(0.05, 0.15)
+    assert times.size == 3
     with pytest.raises(ValueError):
-        conservative_residual(states[:2], times[:2])
+        conservative_residual(grid, times[:2], rho[:2], vel[:2])
     with pytest.raises(ValueError):
-        conservative_residual(states, times[:2])
+        conservative_residual(grid, times[:2], rho, vel)
+    with pytest.raises(ValueError):
+        conservative_residual(grid, times, rho, vel[:, 1:])

@@ -8,7 +8,7 @@ from nlclaw.grids import (
     GridMismatchError,
     PiecewiseInitialData,
     RiemannData,
-    interpolate,
+    interpolate_values,
     l1_distance,
     sample,
     sup_norm,
@@ -113,35 +113,33 @@ def test_l1_distance_window():
 
 
 def test_interpolate_nodes_and_midpoint():
-    u = GridFunction1D(0.0, 1.0, np.array([0.0, 1.0, 0.5]))
-    assert interpolate(u, 1.0) == 1.0
-    assert interpolate(u, 0.5) == 0.5
-    assert interpolate(u, 1.5) == 0.75
+    got = interpolate_values(np.array([0.0, 1.0, 0.5]), 0.0, 1.0,
+                             np.array([1.0, 0.5, 1.5]))
+    assert got.tolist() == [1.0, 0.5, 0.75]
 
 
 def test_interpolate_constant_extension():
-    u = GridFunction1D(0.0, 1.0, np.array([2.0, 3.0, 4.0]))
-    assert interpolate(u, -5.0) == 2.0
-    assert interpolate(u, 99.0) == 4.0
+    got = interpolate_values(np.array([2.0, 3.0, 4.0]), 0.0, 1.0,
+                             np.array([-5.0, 99.0]))
+    assert got.tolist() == [2.0, 4.0]
 
 
 def test_interpolate_never_overshoots():
     rng = np.random.default_rng(7)
     for _ in range(50):
         vals = rng.normal(size=37)
-        u = GridFunction1D(-1.3, 0.07, vals)
         xq = rng.uniform(-3.0, 3.0, size=500)
-        got = interpolate(u, xq)
+        got = interpolate_values(vals, -1.3, 0.07, xq)
         assert np.all(got >= vals.min() - 0.0)
         assert np.all(got <= vals.max() + 0.0)
 
 
 def test_interpolate_vector_matches_scalar():
-    u = GridFunction1D(0.0, 0.25, np.array([0.0, 2.0, -1.0, 5.0]))
+    vals = np.array([0.0, 2.0, -1.0, 5.0])
     xs = np.array([-0.1, 0.0, 0.1, 0.3, 0.62, 0.75, 1.0])
-    vec = interpolate(u, xs)
+    vec = interpolate_values(vals, 0.0, 0.25, xs)
     for xi, vi in zip(xs, vec):
-        assert interpolate(u, float(xi)) == vi
+        assert interpolate_values(vals, 0.0, 0.25, np.array([xi]))[0] == vi
 
 
 def test_gridfunction_validation():

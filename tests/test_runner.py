@@ -152,6 +152,12 @@ def test_malformed_scenario_exits_1_writes_nothing(tmp_path, capsys):
         "flux = expression x^2/2 ; 2*x\ninitial = riemann 1 0\n",
         "flux",
     ))
+    # a sweep whose Godunov reference meets a flux not convex on the data
+    docs.append((
+        grid + "epsilon_list = 0.4 0.2\nmode = velocity_reg\nflux = cubic\n"
+        "initial = expression -0.5*tanh(x)\n",
+        "flux",
+    ))
     for k, (text, key) in enumerate(docs):
         scn = _write(tmp_path, f"bad{k}.scn", text)
         out = tmp_path / f"out{k}"

@@ -57,8 +57,17 @@ def test_constant_is_exact_fixed_point():
 def test_picard_divergence_signalled():
     u0 = sample(lambda x: -np.tanh(x), -2.0, 2.0, 0.01)
     cfg = SolverConfig(picard_tol=1e-15, picard_max_iters=1)
-    with pytest.raises(PicardDivergenceError):
+    with pytest.raises(PicardDivergenceError) as info:
         solve_nn(u0, 0.1, 0.005, cfg)
+    assert (info.value.step, info.value.t) == (0, 0.0)
+    # a shock datum contracts in two passes until its fifth step (dt 0.005)
+    data = RiemannData(1.0, 0.0)
+    u0 = sample(data, -2.0, 2.0, 0.01)
+    with pytest.raises(PicardDivergenceError) as info:
+        solve_nn(u0, 0.1, 0.3, SolverConfig(picard_max_iters=2), data=data)
+    assert info.value.step == 4
+    assert info.value.t == pytest.approx(0.02, abs=1e-15)
+    assert str(info.value).startswith("step 4 from t = 0.02: ")
 
 
 def test_cycle_rule_accepts_increasing_jump():
@@ -196,10 +205,19 @@ def test_conservative_may_break_max_principle():
 
 def test_trajectory_validation():
     u0 = sample(0.0, -1.0, 1.0, 0.1)
+    two = np.stack([u0.values, u0.values])
+    tr = Trajectory(u0, [0.0, 0.1], two, 0.1, "nn")
+    assert tr.final_time == 0.1 and len(tr.states) == 2
+    with pytest.raises(ValueError):  # one level short of the times
+        Trajectory(u0, [0.0, 0.1], two[:1], 0.1, "nn")
+    with pytest.raises(ValueError):  # levels on another grid
+        Trajectory(u0, [0.0, 0.1], two[:, 1:], 0.1, "nn")
+    with pytest.raises(ValueError):  # times not strictly increasing
+        Trajectory(u0, [0.0, 0.0], two, 0.1, "nn")
+    with pytest.raises(ValueError):  # a level that blew up
+        Trajectory(u0, [0.0, 0.1], two + [[0.0], [np.inf]], 0.1, "nn")
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.0]), [u0, u0], 0.1, "nn")
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0]), [u0], 0.1, "warp")
+        Trajectory(u0, [0.0], two[:1], 0.1, "warp")
 
 
 def test_backward_characteristic_constant():
