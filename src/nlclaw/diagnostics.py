@@ -465,11 +465,13 @@ def convergence_study(
         sup0 = sup_norm(probe)
         a, b = padded_grid_bounds(scenario.window, sup0, eps, scenario.T, dx)
         u0 = sample(scenario.data, a, b, dx)
+        # the reference first: a reference that rejects the data (a
+        # non-convex flux for Godunov) then fails before any solve
+        ref = _reference_state(reference, u0, scenario)
         traj = solve(
             scenario.mode, u0, eps, scenario.T, cfg,
             data=scenario.data, flux=scenario.flux,
         )
-        ref = _reference_state(reference, u0, scenario)
         sl = u0.window_slice(*scenario.window)
         diff = np.abs(traj.final.values - ref.values)[sl]
         err_l1 = float(np.sum(diff) * dx)

@@ -213,11 +213,15 @@ def interpolate_values(
     xq = np.asarray(xq, dtype=float)
     n = values.size
     pos = (xq - x0) / dx
-    pos = np.clip(pos, 0.0, n - 1.0)
+    # np.clip without its Python wrapper.  On a tie (0.0 against -0.0)
+    # np.maximum and np.minimum return their second operand, while np.clip
+    # keeps the value against scalar bounds and the bound against array
+    # bounds; so scalar bounds go first and array bounds second.
+    pos = np.minimum(n - 1.0, np.maximum(0.0, pos))
     i = np.minimum(pos.astype(np.int64), n - 2)
     theta = pos - i
     a = values[i]
     b = values[i + 1]
     out = a + theta * (b - a)
-    return np.clip(out, np.minimum(a, b), np.maximum(a, b))
+    return np.minimum(np.maximum(out, np.minimum(a, b)), np.maximum(a, b))
 

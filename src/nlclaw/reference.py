@@ -31,7 +31,6 @@ from .grids import GridFunction1D, PiecewiseInitialData, RiemannData
 __all__ = [
     "FrontTrackingSolution",
     "NonConvexFluxError",
-    "WaveFront",
     "burgers_riemann_exact",
     "front_tracking_solve",
     "godunov_solve",
@@ -171,23 +170,6 @@ def godunov_solve(
     return u0.with_values(vals)
 
 
-@dataclass(frozen=True)
-class WaveFront:
-    """One linear front: a jump from left_state to right_state moving at
-    the Rankine-Hugoniot speed of the quadratic flux."""
-
-    position: float
-    left_state: float
-    right_state: float
-    speed: float
-
-    def __post_init__(self) -> None:
-        if self.left_state != self.right_state:
-            rh = 0.5 * (self.left_state + self.right_state)
-            if abs(self.speed - rh) > 1e-12 * max(1.0, abs(rh)):
-                raise ValueError("front speed violates Rankine-Hugoniot")
-
-
 @dataclass
 class _Track:
     """Internal mutable record: one front's life from birth to death."""
@@ -234,12 +216,6 @@ class FrontTrackingSolution:
         ]
         alive.sort(key=lambda tr: (tr.position(t), tr.speed))
         return alive
-
-    def fronts_at(self, t: float) -> list[WaveFront]:
-        return [
-            WaveFront(tr.position(t), tr.uL, tr.uR, tr.speed)
-            for tr in self._alive(t)
-        ]
 
     def evaluate(self, t: float, x) -> np.ndarray:
         """u(t, x); at a front position the left state applies."""

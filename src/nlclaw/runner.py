@@ -365,13 +365,28 @@ def execute(spec: ScenarioSpec) -> RunResult:
     return _run_1d_single(spec)
 
 
-_BLOCK = 4096  # rows formatted per write: bounds the text held in memory
+_BLOCK = 4096  # rows formatted per write: bounds the text and memo in memory
+
+
+def _repr_column(col: np.ndarray) -> np.ndarray:
+    """repr of every float in col, as an object array of str.  Each
+    distinct value is formatted once; values are told apart by their bits,
+    because 0.0 == -0.0 although their reprs differ."""
+    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inverse]
 
 
 def _write_table(path: Path, meta: dict, header: str, sep: str, rows) -> Path:
     """The one text layout: two meta lines, the header line, then one line
     per row, values joined by sep in repr form (shortest round-trip floats,
-    True/False)."""
+    True/False).
+
+    rows is a float64 array or a list of tuples.  An array is written in
+    blocks of _BLOCK rows, and each column of a block formats each of its
+    distinct values once, distinct by bit pattern: -0.0 prints as -0.0 and
+    0.0 as 0.0, as repr prints them.
+    """
     with open(path, "w") as fh:
         fh.write(f"# nlclaw {meta['version']}\n")
         fh.write(
@@ -379,11 +394,15 @@ def _write_table(path: Path, meta: dict, header: str, sep: str, rows) -> Path:
             "dt={dt}\n".format(**meta)
         )
         fh.write(header + "\n")
+        if not isinstance(rows, np.ndarray):
+            fh.write("".join(sep.join(map(repr, r)) + "\n" for r in rows))
+            return path
         for start in range(0, len(rows), _BLOCK):
             block = rows[start:start + _BLOCK]
-            if isinstance(block, np.ndarray):
-                block = block.tolist()
-            fh.write("".join(sep.join(map(repr, r)) + "\n" for r in block))
+            lines = _repr_column(block[:, 0])
+            for col in block.T[1:]:
+                lines = lines + sep + _repr_column(col)
+            fh.write("\n".join(lines.tolist()) + "\n")
     return path
 
 

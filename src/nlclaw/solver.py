@@ -161,13 +161,13 @@ def _interp_foot(
     """
     n = phi.size
     pos = (y - x0) / dx
-    i = np.clip(np.floor(pos).astype(int), 0, n - 2)
+    i = np.minimum(n - 2, np.maximum(0, np.floor(pos).astype(int)))
     th = pos - i
     a = phi[i]
     b = phi[i + 1]
     out = a + th * (b - a)
     inner = (i >= 1) & (i <= n - 3)
-    if np.any(inner):
+    if inner.any():
         ii = i[inner]
         s = th[inner]
         pm1 = phi[ii - 1]
@@ -179,12 +179,14 @@ def _interp_foot(
         w1 = -s * (s + 1.0) * (s - 2.0) / 2.0
         w2 = s * (s * s - 1.0) / 6.0
         out[inner] = wm1 * pm1 + w0 * p0 + w1 * p1 + w2 * p2
-    np.clip(out, np.minimum(a, b), np.maximum(a, b), out=out)
+    # np.clip(out, lo, hi, out=out) with its tie rule (see interpolate_values)
+    np.maximum(out, np.minimum(a, b), out=out)
+    np.minimum(out, np.maximum(a, b), out=out)
     left = pos < 0.0
-    if np.any(left):
+    if left.any():
         out[left] = phi[0] + (y[left] - x0)
     right = pos > n - 1
-    if np.any(right):
+    if right.any():
         out[right] = phi[-1] + (y[right] - (x0 + (n - 1) * dx))
     return out
 
@@ -217,7 +219,7 @@ def _datum_evaluator(
         vals = np.asarray(fn(y), dtype=float)
         if vals.shape != y.shape:
             vals = np.broadcast_to(vals, y.shape).astype(float)
-        return np.clip(vals, lo, hi)
+        return np.minimum(hi, np.maximum(lo, vals))
 
     return ev
 
@@ -394,10 +396,10 @@ def _pin_fronts(
     """
     for g, y, fl, fr in zip(gammas, jump_pos, jump_left, jump_right):
         wrong_left = (x <= g) & (phi > y)
-        if np.any(wrong_left):
+        if wrong_left.any():
             vals[wrong_left] = fl
         wrong_right = (x > g) & (phi <= y)
-        if np.any(wrong_right):
+        if wrong_right.any():
             vals[wrong_right] = fr
     return vals
 

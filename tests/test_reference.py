@@ -14,7 +14,6 @@ from nlclaw.grids import (
 )
 from nlclaw.reference import (
     NonConvexFluxError,
-    WaveFront,
     burgers_riemann_exact,
     front_tracking_solve,
     godunov_solve,
@@ -127,21 +126,20 @@ def test_godunov_cubic_shock_speed_is_rankine_hugoniot():
     assert xf == pytest.approx(4.0 / 3.0, rel=0.02)
 
 
-def test_wavefront_speed_invariant():
-    WaveFront(0.0, 1.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        WaveFront(0.0, 1.0, 0.0, 0.4)
+def _sides(sol, t, x):
+    """u(t, .) at x and at the next float to its right."""
+    return sol.evaluate(t, [x, np.nextafter(x, np.inf)]).tolist()
 
 
 def test_front_tracking_single_shock():
     pc = PiecewiseInitialData((0.0,), (lambda x: 1.0 + 0 * x, lambda x: 0.0 * x))
     sol = front_tracking_solve(pc, 4.0)
     assert len(sol.events) == 0
+    assert [tr.speed for tr in sol.tracks] == [0.5]
     for t in (0.0, 1.0, 4.0):
-        fronts = sol.fronts_at(t)
-        assert len(fronts) == 1
-        assert fronts[0].position == pytest.approx(0.5 * t, abs=1e-14)
-        assert fronts[0].speed == 0.5
+        # the left state holds up to the front at 0.5 t, the right one past it
+        assert _sides(sol, t, 0.5 * t) == [1.0, 0.0]
+        assert _sides(sol, t, 0.5 * t - 1e-9) == [1.0, 1.0]
 
 
 def test_front_tracking_merge_arithmetic():
@@ -155,9 +153,14 @@ def test_front_tracking_merge_arithmetic():
     assert ev.time == pytest.approx(1.0, abs=1e-13)
     assert ev.position == pytest.approx(1.5, abs=1e-13)
     assert (ev.left_state, ev.right_state) == (2.0, 0.0)
-    fronts = sol.fronts_at(1.5)
-    assert len(fronts) == 1
-    assert fronts[0].speed == pytest.approx(1.0, abs=1e-14)
+    merged = [tr for tr in sol.tracks if tr.t_birth == ev.time]
+    assert len(merged) == 1
+    assert merged[0].speed == pytest.approx(1.0, abs=1e-14)
+    # at t = 1.5 one front at 1.5 + 0.5 * 1.0 joins 2 to 0, and the middle
+    # state 1 is gone
+    assert _sides(sol, 1.5, merged[0].position(1.5)) == [2.0, 0.0]
+    assert merged[0].position(1.5) == pytest.approx(2.0, abs=1e-13)
+    assert set(sol.evaluate(1.5, np.linspace(-1.0, 3.0, 401)).tolist()) == {2.0, 0.0}
 
 
 def test_front_tracking_tv_nonincreasing_at_interactions():

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from nlclaw import runner
+from nlclaw import diagnostics, runner
 from nlclaw.cli import main
 from nlclaw.diagnostics import StudyScenario, convergence_study
 from nlclaw.runner import RunResult, write_outputs
@@ -340,13 +343,14 @@ def test_riemann_rejects_bad_domain(tmp_path, capsys):
 
 
 def test_result_file_formats_are_pinned(tmp_path, monkeypatch):
-    # blocks of two rows, so the three-row files cross a block boundary
+    # blocks of two rows, so the three-row files cross a block boundary;
+    # the first block's t column holds both 0.0 and -0.0
     monkeypatch.setattr(runner, "_BLOCK", 2)
     meta = {
         "version": "v0", "scenario": "fmt", "mode": "nn", "epsilon": 0.1,
         "dx": 1 / 3, "dt": None,
     }
-    rows = np.array([[0.0, 0.1, 1 / 3], [1e-300, -0.0, 2.0], [1.5, 2.0, -1e-5]])
+    rows = np.array([[0.0, 0.1, 1 / 3], [-0.0, -0.0, 2.0], [1e-300, 2.0, -1e-5]])
     res = RunResult(
         meta, {"checks": {}}, True, ("t", "x", "u"), rows,
         plots={
@@ -369,8 +373,8 @@ def test_result_file_formats_are_pinned(tmp_path, monkeypatch):
             '  "checks": {},\n  "passed": true\n}\n'
         ),
         "fmt.csv": head + (
-            "t,x,u\n0.0,0.1,0.3333333333333333\n1e-300,-0.0,2.0\n"
-            "1.5,2.0,-1e-05\n"
+            "t,x,u\n0.0,0.1,0.3333333333333333\n-0.0,-0.0,2.0\n"
+            "1e-300,2.0,-1e-05\n"
         ),
         "fmt_eps0.1.csv": head + "t,x,u\n0.0,0.1,0.3333333333333333\n",
         "fmt_profile.dat": head + (
@@ -405,6 +409,67 @@ def test_result_file_formats_are_pinned(tmp_path, monkeypatch):
 
     verify = write_outputs(spec, res, tmp_path / "verify", verify_only=True)
     assert [p.name for p in verify] == ["fmt_report.json"]
+
+
+_POOL = (0.0, -0.0, 5e-324, 1e-300, 1 / 3, -1e-05, 1e16, 0.1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 20), st.integers(1, 3)),
+        elements=st.sampled_from(_POOL),
+    ),
+    sep=st.sampled_from([",", " "]),
+)
+def test_write_table_matches_repr_of_every_value(tmp_path_factory, rows, sep):
+    # few distinct values, many repeats and both signed zeros, in blocks of
+    # three rows: each line must still be the reprs of its own values
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    meta = {
+        "version": "v0", "scenario": "s", "mode": "nn", "epsilon": 0.1,
+        "dx": 0.1, "dt": None,
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_BLOCK", 3)
+        runner._write_table(path, meta, "h", sep, rows)
+    body = path.read_text().split("\n", 3)[3]
+    assert body == "".join(sep.join(map(repr, r)) + "\n" for r in rows.tolist())
+
+
+NONCONVEX_SWEEP = """
+name = nonconvex
+mode = velocity_reg
+flux = cubic
+initial = expression -0.5*tanh(x)
+epsilon_list = 0.4 0.2
+T = 0.3
+dx = 0.05
+domain = -2 2
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_nonconvex_sweep_rejected_before_any_solve(
+    tmp_path, monkeypatch, capsys, threads
+):
+    calls = []
+    real_solve = diagnostics.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "solve", counting_solve)
+    monkeypatch.setenv("NLCLAW_THREADS", threads)
+    scn = _write(tmp_path, "nonconvex.scn", NONCONVEX_SWEEP)
+    out = tmp_path / "out"
+    rc = main(["sweep", str(scn), "--outdir", str(out)])
+    assert rc == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("flux: ")
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_selftest_subset(tmp_path, capsys):

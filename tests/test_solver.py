@@ -5,8 +5,10 @@ import pytest
 
 from nlclaw.fluxes import FluxSpec, burgers_flux, cubic_flux
 from nlclaw.grids import (
+    GridFunction1D,
     PiecewiseInitialData,
     RiemannData,
+    interpolate_values,
     l1_distance,
     sample,
     sup_norm,
@@ -17,6 +19,8 @@ from nlclaw.solver import (
     PicardDivergenceError,
     SolverConfig,
     Trajectory,
+    _datum_evaluator,
+    _interp_foot,
     backward_characteristic,
     solve_conservative_nonlocal,
     solve_general,
@@ -24,6 +28,19 @@ from nlclaw.solver import (
 )
 
 CFG = SolverConfig(store_stride=20)
+
+
+def test_clips_resolve_signed_zero_ties_as_np_clip():
+    # np.clip with array bounds returns the bound on a tie, with scalar
+    # bounds the clipped value; the interpolants' min/max clips keep both
+    phi = np.array([-0.0, 1.0, -0.0, 1.0, 2.0])
+    # a linear (first) and a cubic cell: both give +0.0 at the node -0.0,
+    # which ties the lower bound
+    y = np.array([0.0, 2.0])
+    assert np.signbit(interpolate_values(phi, 0.0, 1.0, y)).all()
+    assert np.signbit(_interp_foot(phi, 0.0, 1.0, y)).all()
+    ev = _datum_evaluator(GridFunction1D(0.0, 1.0, [0.0, 1.0]), lambda y: -0.0 * y)
+    assert np.signbit(ev(y)).all()
 
 
 def test_config_validation():
