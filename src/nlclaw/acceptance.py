@@ -32,13 +32,14 @@ import json
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import (
+    ENVELOPE_SLACK,
     StudyScenario,
     catastrophe_time,
     check_invariants,
@@ -74,7 +75,6 @@ from .twodim import sample_2d, solve_velocity_reg_2d
 
 __all__ = [
     "CriterionResult",
-    "TrajectoryRegistry",
     "parse_criteria_arg",
     "run_criteria",
     "write_results",
@@ -118,22 +118,11 @@ class CriterionResult:
         }
 
 
-@dataclass
-class TrajectoryRegistry:
-    """Non-conservative trajectories accumulated while criteria run, so
-    criterion 5 can sweep the structural invariants over all of them."""
-
-    entries: list = field(default_factory=list)
-
-    def add(self, label: str, traj) -> None:
-        self.entries.append((label, traj))
-
-
 def _neg_tanh(x):
     return -np.tanh(x)
 
 
-def _criterion_1(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_1(reg: list) -> CriterionResult:
     # decreasing Riemann datum (1, 0): the regularised front travels at
     # the mean of the two states, for every eps
     data = RiemannData(1.0, 0.0)
@@ -144,7 +133,7 @@ def _criterion_1(reg: TrajectoryRegistry) -> CriterionResult:
     speeds = {}
     for eps in (0.1, 0.05):
         traj = solve_nn(u0, eps, T, cfg, data=data)
-        reg.add(f"c1_nn_eps{eps}", traj)
+        reg.append((f"c1_nn_eps{eps}", traj))
         fit = measure_front_speed_fit(traj, 0.5, (0.5, T))
         speeds[eps] = fit.speed
     each_ok = all(abs(s - 0.5) <= 0.02 * 0.5 for s in speeds.values())
@@ -162,7 +151,7 @@ def _criterion_1(reg: TrajectoryRegistry) -> CriterionResult:
     )
 
 
-def _criterion_2(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_2(reg: list) -> CriterionResult:
     scenario = StudyScenario(
         "rarefaction", RiemannData(-1.0, 1.0), T=1.0, window=(-2.0, 2.0),
         mode="nn", rate_norm="l1",
@@ -186,7 +175,7 @@ def _criterion_2(reg: TrajectoryRegistry) -> CriterionResult:
     )
 
 
-def _criterion_3(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_3(reg: list) -> CriterionResult:
     # T = 0.5 is before the catastrophe time 1 of -tanh; the error bound
     # eps * L^2 M T * exp(L M T) has L = 2, M = 1, plus 10% allowance
     scenario = StudyScenario(
@@ -215,7 +204,7 @@ def _criterion_3(reg: TrajectoryRegistry) -> CriterionResult:
     )
 
 
-def _criterion_4(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_4(reg: list) -> CriterionResult:
     u0 = sample(_neg_tanh, -5.0, 5.0, 1e-3)
     t_star = catastrophe_time(u0)
     first_ok = abs(t_star - 1.0) <= 1e-3
@@ -233,36 +222,36 @@ def _criterion_4(reg: TrajectoryRegistry) -> CriterionResult:
     )
 
 
-def _default_registry_runs(reg: TrajectoryRegistry) -> None:
+def _default_registry_runs(reg: list) -> None:
     """Canonical runs for a standalone criterion-5 invocation."""
     shock = RiemannData(1.0, 0.0)
     u0 = sample(shock, -2.2, 2.8, 1e-3)
-    reg.add(
+    reg.append((
         "c5_nn_shock",
         solve_nn(u0, 0.1, 1.0, SolverConfig(store_stride=25), data=shock),
-    )
+    ))
     smooth = sample(_neg_tanh, -3.0, 3.0, 1e-3)
-    reg.add(
+    reg.append((
         "c5_nn_smooth",
         solve_nn(smooth, 0.1, 0.5, SolverConfig(store_stride=20)),
-    )
+    ))
     cub = cubic_flux(radius=2.0)
     data = RiemannData(2.0, 0.0)
     v0 = sample(data, -3.2, 5.4, 1e-3)
     cfg = SolverConfig(store_stride=50)
     for mode in ("velocity_reg", "flux_reg"):
-        reg.add(
+        reg.append((
             f"c5_{mode}_cubic",
             solve_general(v0, cub, 0.1, 1.0, cfg, mode, data=data),
-        )
+        ))
 
 
-def _criterion_5(reg: TrajectoryRegistry) -> CriterionResult:
-    if not reg.entries:
+def _criterion_5(reg: list) -> CriterionResult:
+    if not reg:
         _default_registry_runs(reg)
     per_run = {}
     all_ok = True
-    for label, traj in reg.entries:
+    for label, traj in reg:
         rep = check_invariants(traj)
         per_run[label] = {
             "passed": bool(rep.passed),
@@ -274,11 +263,11 @@ def _criterion_5(reg: TrajectoryRegistry) -> CriterionResult:
         all_ok = all_ok and rep.passed
     return CriterionResult(
         5, TITLES[5], all_ok,
-        {"runs": per_run, "run_count": len(reg.entries)},
+        {"runs": per_run, "run_count": len(reg)},
     )
 
 
-def _criterion_6(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_6(reg: list) -> CriterionResult:
     flux = cubic_flux(radius=2.0)
     data = RiemannData(2.0, 0.0)
     u0 = sample(data, -3.2, 5.4, 1e-3)
@@ -288,7 +277,7 @@ def _criterion_6(reg: TrajectoryRegistry) -> CriterionResult:
     ok = True
     for mode, predicted in (("velocity_reg", 2.0), ("flux_reg", 1.0)):
         traj = solve_general(u0, flux, 0.1, 1.0, cfg, mode, data=data)
-        reg.add(f"c6_{mode}_cubic", traj)
+        reg.append((f"c6_{mode}_cubic", traj))
         fit = measure_front_speed_fit(traj, 1.0, (0.5, 1.0))
         width = max(fit.stderr, 1e-15)
         distinct = abs(fit.speed - rh) / width
@@ -307,7 +296,7 @@ def _criterion_6(reg: TrajectoryRegistry) -> CriterionResult:
     return CriterionResult(6, TITLES[6], ok, out)
 
 
-def _criterion_7(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_7(reg: list) -> CriterionResult:
     data = RiemannData(1.0, 0.0)
     u0 = sample(data, -2.2, 2.8, 1e-3)
     flux = burgers_flux(radius=1.5)
@@ -323,7 +312,7 @@ def _criterion_7(reg: TrajectoryRegistry) -> CriterionResult:
         ),
     }
     for label, traj in trajs.items():
-        reg.add(f"c7_{label}_burgers", traj)
+        reg.append((f"c7_{label}_burgers", traj))
     worst = max(
         float(np.max(np.abs(a.values - b.values)))
         for a, b in combinations(trajs.values(), 2)
@@ -334,7 +323,7 @@ def _criterion_7(reg: TrajectoryRegistry) -> CriterionResult:
     )
 
 
-def _criterion_8(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_8(reg: list) -> CriterionResult:
     # sample past the domain of dependence (pad = sup |u0| * T + margin)
     # and compare on the window, so grid-boundary effects cannot leak in
     flux = burgers_flux(radius=1.5)
@@ -399,7 +388,7 @@ def _drop_tubes(ref: GridFunction1D, window, eps: float) -> list:
     return tubes
 
 
-def _criterion_9(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_9(reg: list) -> CriterionResult:
     datum = _pwise_increasing_datum()
     sup0 = 0.9
     D = 2.0  # minimum breakpoint gap
@@ -437,7 +426,7 @@ def _criterion_9(reg: TrajectoryRegistry) -> CriterionResult:
     )
 
 
-def _criterion_10(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_10(reg: list) -> CriterionResult:
     dx = 1e-3
     u0 = sample(_neg_tanh, -5.0, 5.0, dx)
     shifted = u0.with_values(
@@ -447,8 +436,8 @@ def _criterion_10(reg: TrajectoryRegistry) -> CriterionResult:
     eps, T = 0.1, 1.0
     tu = solve_nn(u0, eps, T, cfg)
     tv = solve_nn(shifted, eps, T, cfg)
-    reg.add("c10_nn_neg_tanh", tu)
-    reg.add("c10_nn_neg_tanh_shifted", tv)
+    reg.append(("c10_nn_neg_tanh", tu))
+    reg.append(("c10_nn_neg_tanh_shifted", tv))
     m = build_mollifier(eps, dx)
     rep = stability_envelope(tu, tv, m)
     worst = max((c.value for c in rep.checks), default=0.0)
@@ -457,7 +446,7 @@ def _criterion_10(reg: TrajectoryRegistry) -> CriterionResult:
         {
             "initial_l1_distance": float(l1_distance(u0, shifted)),
             "worst_envelope_excess": float(worst),
-            "slack": 1.05,
+            "slack": ENVELOPE_SLACK,
         },
     )
 
@@ -479,7 +468,7 @@ def _counterexample_datum() -> PiecewiseInitialData:
     )
 
 
-def _criterion_11(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_11(reg: list) -> CriterionResult:
     datum = _counterexample_datum()
     T = 1.0
     window = (-3.0, 3.0)
@@ -516,7 +505,7 @@ def _criterion_11(reg: TrajectoryRegistry) -> CriterionResult:
     )
 
 
-def _criterion_12(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_12(reg: list) -> CriterionResult:
     # refinement: residual of the smooth-pulse run drops >= 1.8x when
     # dx, dt, eps are all halved (dt follows dx through the fixed cfl)
     residuals = {}
@@ -571,7 +560,7 @@ def _criterion_12(reg: TrajectoryRegistry) -> CriterionResult:
     )
 
 
-def _criterion_13(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_13(reg: list) -> CriterionResult:
     dx = 1e-2
     eps, T = 0.1, 0.3
     u0 = sample(_neg_tanh, -3.0, 3.0, dx)
@@ -601,7 +590,7 @@ def _criterion_13(reg: TrajectoryRegistry) -> CriterionResult:
     )
 
 
-def _criterion_14(reg: TrajectoryRegistry) -> CriterionResult:
+def _criterion_14(reg: list) -> CriterionResult:
     """Run a fast selftest subset twice in subprocesses and require the
     result files to be byte-identical."""
     subset = "4,13"
@@ -678,16 +667,16 @@ def parse_criteria_arg(arg: str | None) -> list[int]:
     return sorted(set(numbers))
 
 
-def run_criteria(
-    numbers=None, registry: TrajectoryRegistry | None = None
-) -> list:
+def run_criteria(numbers=None) -> list:
     """Execute the requested criteria and return results in numeric
-    order.  Criterion 5 runs after the others so the registry holds
-    every run they made; a crash inside one criterion becomes a FAIL for
-    that criterion, not an abort of the battery."""
+    order.  Each criterion appends its non-conservative runs, as (label,
+    trajectory) pairs, to one registry list; criterion 5 runs after the
+    others so it checks every run they made.  A crash inside one
+    criterion becomes a FAIL for that criterion, not an abort of the
+    battery."""
     if numbers is None:
         numbers = sorted(_CRITERIA)
-    registry = registry or TrajectoryRegistry()
+    registry = []
     order = [n for n in numbers if n != 5] + ([5] if 5 in numbers else [])
     results = {}
     for n in order:

@@ -24,11 +24,12 @@ from .grids import (
     sample,
     sup_norm,
     total_variation,
+    uniform_grid,
 )
 from .kernel import Mollifier
 from .reference import burgers_riemann_exact, godunov_solve, lax_oleinik_solve
 from .scenario import ScenarioError
-from .solver import SolverConfig, Trajectory, solve
+from .solver import SolverConfig, Trajectory, check_node_steps, solve
 
 __all__ = [
     "CheckResult",
@@ -174,12 +175,14 @@ def measure_front_speed_fit(
     return FrontSpeedFit(slope, stderr, times, pos)
 
 
-def check_invariants(
-    traj: Trajectory,
-    tv_deficit_tol: float = 0.01,
-    lipschitz_slack: float = 1.05,
-    mass_tol: float = 1e-8,
-) -> DiagnosticsReport:
+TV_DEFICIT_TOL = 0.01  # terminal TV loss, relative to TV(u0)
+LIPSCHITZ_SLACK = 1.05  # on the L1 time-Lipschitz bound
+MASS_TOL = 1e-8  # mass drift per unit time (conservative mode)
+ENVELOPE_SLACK = 1.05  # on the initial distance of stability_envelope
+OLEINIK_TOL = 1e-8  # above the one-sided slope bound C
+
+
+def check_invariants(traj: Trajectory) -> DiagnosticsReport:
     """Mode-aware structural checks over every stored state.
 
     Non-conservative modes must honour the exact range bound, the exact
@@ -206,28 +209,28 @@ def check_invariants(
         rep.add("tv bounded by initial", excess <= tv_tol, excess, tv_tol,
                 "largest excess of TV(u(t)) over TV(u0)")
         deficit = tv0 - float(tvs[-1])
-        rep.add("tv terminal deficit", deficit <= tv_deficit_tol * tv0 + 1e-12,
-                deficit, tv_deficit_tol * tv0,
+        rep.add("tv terminal deficit", deficit <= TV_DEFICIT_TOL * tv0 + 1e-12,
+                deficit, TV_DEFICIT_TOL * tv0,
                 "TV lost between t=0 and t=T")
     else:
         masses = np.sum(vals, axis=1) * dx
         drift = float(np.max(np.abs(masses - masses[0])))
         span = max(1.0, traj.final_time)
-        rep.add("mass conservation", drift <= mass_tol * span, drift,
-                mass_tol * span, "largest drift of the discrete integral")
+        rep.add("mass conservation", drift <= MASS_TOL * span, drift,
+                MASS_TOL * span, "largest drift of the discrete integral")
 
     K = float(np.max(np.abs(u0))) * tv0
     steps = np.sum(np.abs(np.diff(vals, axis=0)), axis=1) * dx
-    bounds = lipschitz_slack * K * np.diff(traj.times) + 1e-14
+    bounds = LIPSCHITZ_SLACK * K * np.diff(traj.times) + 1e-14
     worst_ratio = float(np.max(steps / bounds, initial=0.0))
     rep.add("l1 time lipschitz", worst_ratio <= 1.0, worst_ratio, 1.0,
-            f"worst ratio of stored-pair L1 distance to {lipschitz_slack}*K*dt, "
+            f"worst ratio of stored-pair L1 distance to {LIPSCHITZ_SLACK}*K*dt, "
             f"K = sup|u0|*TV(u0) = {K:.6g}")
     return rep
 
 
 def stability_envelope(
-    traj_u: Trajectory, traj_v: Trajectory, m: Mollifier, slack: float = 1.05
+    traj_u: Trajectory, traj_v: Trajectory, m: Mollifier
 ) -> DiagnosticsReport:
     """L1 distance of two runs stays inside exp(C t) times the initial
     distance, C = sup-kernel * (TV(u0) + TV(v0))."""
@@ -246,7 +249,7 @@ def stability_envelope(
         # deterministic), up to roundoff
         excess = dist
     else:
-        log_bound = C * traj_u.times + np.log(d0 * slack)
+        log_bound = C * traj_u.times + np.log(d0 * ENVELOPE_SLACK)
         with np.errstate(divide="ignore"):
             excess = np.log(dist) - log_bound
     k = int(np.argmax(excess))
@@ -258,7 +261,7 @@ def stability_envelope(
                 "identical data: max distance over time")
     else:
         rep.add("stability envelope", worst <= 0.0, worst, 0.0,
-                f"max log-excess over exp({C:.4g} t) * d0 * {slack}, "
+                f"max log-excess over exp({C:.4g} t) * d0 * {ENVELOPE_SLACK}, "
                 f"worst at t={worst_t:.4g}")
     return rep
 
@@ -267,9 +270,8 @@ def oleinik_check(
     u: GridFunction1D,
     C: float,
     excluded: Sequence[tuple[float, float]] = (),
-    tolerance: float = 1e-8,
 ) -> DiagnosticsReport:
-    """One-sided slope bound: forward differences at most C + tolerance
+    """One-sided slope bound: forward differences at most C + OLEINIK_TOL
     outside the excluded intervals (tubes around shock positions)."""
     slopes = np.diff(u.values) / u.dx
     x_left = u.x[:-1]
@@ -279,12 +281,12 @@ def oleinik_check(
         mask &= ~((x_right >= a) & (x_left <= b))
     rep = DiagnosticsReport(mode="any")
     if not np.any(mask):
-        rep.add("oleinik one-sided bound", True, -np.inf, C + tolerance,
+        rep.add("oleinik one-sided bound", True, -np.inf, C + OLEINIK_TOL,
                 "all cells excluded")
         return rep
     worst = float(np.max(slopes[mask]))
-    rep.add("oleinik one-sided bound", worst <= C + tolerance, worst,
-            C + tolerance,
+    rep.add("oleinik one-sided bound", worst <= C + OLEINIK_TOL, worst,
+            C + OLEINIK_TOL,
             f"max forward difference outside {len(tuple(excluded))} excluded tube(s)")
     return rep
 
@@ -454,16 +456,24 @@ def convergence_study(
     The eps values run on up to thread_cap() threads; rows come back in
     decreasing eps order whatever the thread count, and each row is
     computed the same way on any thread, so the table is bitwise
-    independent of NLCLAW_THREADS.
+    independent of NLCLAW_THREADS.  Every row's node-steps are checked
+    (WorkBudgetError) before any row is sampled on its padded grid.
     """
     cfg = cfg or SolverConfig(store_stride=10**9)
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
 
-    def row(eps: float) -> ConvergenceRow:
+    def padded(eps: float) -> tuple[float, float, float, float]:
+        """The row's eps, dx and padded domain, once its work is checked."""
         dx = min(scenario.dx_max, eps / 8.0)
-        probe = sample(scenario.data, scenario.window[0], scenario.window[1], dx)
-        sup0 = sup_norm(probe)
+        sup0 = sup_norm(sample(scenario.data, *scenario.window, dx))
         a, b = padded_grid_bounds(scenario.window, sup0, eps, scenario.T, dx)
+        check_node_steps(
+            uniform_grid(a, b, dx)[1], scenario.T, cfg.time_step(dx, sup0),
+            sup0, dx,
+        )
+        return eps, dx, a, b
+
+    def row(eps: float, dx: float, a: float, b: float) -> ConvergenceRow:
         u0 = sample(scenario.data, a, b, dx)
         # the reference first: a reference that rejects the data (a
         # non-convex flux for Godunov) then fails before any solve
@@ -476,14 +486,15 @@ def convergence_study(
         diff = np.abs(traj.final.values - ref.values)[sl]
         err_l1 = float(np.sum(diff) * dx)
         err_sup = float(np.max(diff))
-        dt = cfg.time_step(dx, sup_norm(u0))
         return ConvergenceRow(
-            eps, dx, dt, err_l1, err_sup, err_l1 <= 10.0 * dx,
+            eps, dx, traj.dt, err_l1, err_sup, err_l1 <= 10.0 * dx,
             trajectory=traj, reference=ref,
         )
 
+    # every row's work is checked before any row's padded grid is sampled
+    grids = [padded(eps) for eps in eps_sorted]
     with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        rows = list(pool.map(row, eps_sorted))
+        rows = list(pool.map(lambda g: row(*g), grids))
     table = ConvergenceTable(rows, 0.0, reference, scenario.rate_norm)
     table.fitted_rate = table.fit_rate(scenario.rate_norm, n_points=3)
     return table

@@ -85,13 +85,17 @@ class EulerTrajectory:
     """Recombined invariant solves sharing one stored time grid.
 
     rho and vel hold density and velocity at every stored level, shape
-    (levels, n), derived from the two invariant trajectories."""
+    (levels, n), derived from the two invariant trajectories; dt is their
+    shared step."""
 
     times: np.ndarray
     epsilon: float
     mu_trajectory: Trajectory
     lam_trajectory: Trajectory
-    dt: float = 0.0
+
+    @property
+    def dt(self) -> float:
+        return self.mu_trajectory.dt
 
     @property
     def rho(self) -> np.ndarray:
@@ -133,13 +137,13 @@ def solve_isentropic(
     lam_traj = Trajectory(
         _reversed_grid(lam_rev.grid), lam_rev.times,
         np.ascontiguousarray(lam_rev.values[:, ::-1]), epsilon, "nn",
-        picard_counts=lam_rev.picard_counts,
+        picard_counts=lam_rev.picard_counts, dt=lam_rev.dt,
     )
     if mu_traj.times.size != lam_traj.times.size or np.any(
         np.abs(mu_traj.times - lam_traj.times) > 1e-12
     ):
         raise RuntimeError("invariant solves lost their shared time grid")
-    return EulerTrajectory(mu_traj.times, float(epsilon), mu_traj, lam_traj, dt)
+    return EulerTrajectory(mu_traj.times, float(epsilon), mu_traj, lam_traj)
 
 
 def _bump_dz(z: np.ndarray) -> np.ndarray:

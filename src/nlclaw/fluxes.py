@@ -12,23 +12,21 @@ __all__ = ["FluxSpec", "burgers_flux", "cubic_flux", "zero_flux"]
 
 @dataclass(frozen=True)
 class FluxSpec:
-    """Flux f with derivative fprime, Lipschitz on the data range.
+    """Flux f with derivative fprime on the data range.
 
-    lipschitz_M bounds |f''| on [-radius, radius], the interval the data is
-    known to stay in (maximum principle).  Construction spot-checks that
-    fprime really is the derivative of f by central differences at five
-    points of that interval.
+    radius bounds the interval [-radius, radius] the data is known to stay
+    in (maximum principle).  Construction spot-checks that fprime really
+    is the derivative of f by central differences at five points of that
+    interval.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     fprime: Callable[[np.ndarray], np.ndarray]
-    lipschitz_M: float
     radius: float = 1.0
-    name: str = "flux"
 
     def __post_init__(self) -> None:
-        if self.lipschitz_M < 0.0 or self.radius <= 0.0:
-            raise ValueError("lipschitz_M must be >= 0 and radius > 0")
+        if self.radius <= 0.0:
+            raise ValueError("radius must be > 0")
         pts = np.linspace(-self.radius, self.radius, 5)
         h = 1e-6 * max(1.0, self.radius)
         fd = (np.asarray(self.f(pts + h)) - np.asarray(self.f(pts - h))) / (2 * h)
@@ -36,14 +34,6 @@ class FluxSpec:
         scale = max(1.0, float(np.max(np.abs(fp))))
         if np.max(np.abs(fd - fp)) > 1e-6 * scale:
             raise ValueError("fprime disagrees with finite differences of f")
-        # fprime must not exceed the declared Lipschitz constant on the range
-        fine = np.linspace(-self.radius, self.radius, 101)
-        slopes = np.abs(np.diff(np.asarray(self.fprime(fine), dtype=float)))
-        est = float(np.max(slopes)) / (fine[1] - fine[0])
-        if est > self.lipschitz_M * (1.0 + 1e-6) + 1e-12:
-            raise ValueError(
-                f"lipschitz_M={self.lipschitz_M} below observed slope {est:.6g}"
-            )
 
 
 def burgers_flux(radius: float = 1.0) -> FluxSpec:
@@ -52,20 +42,16 @@ def burgers_flux(radius: float = 1.0) -> FluxSpec:
     return FluxSpec(
         f=lambda u: 0.5 * u * u,
         fprime=lambda u: u,
-        lipschitz_M=1.0,
         radius=radius,
-        name="burgers",
     )
 
 
 def cubic_flux(radius: float = 2.0) -> FluxSpec:
-    """f(u) = u^3/3, fprime(u) = u^2; |f''| = 2|u| <= 2*radius."""
+    """f(u) = u^3/3, fprime(u) = u^2."""
     return FluxSpec(
         f=lambda u: u * u * u / 3.0,
         fprime=lambda u: u * u,
-        lipschitz_M=2.0 * radius,
         radius=radius,
-        name="cubic",
     )
 
 
@@ -75,7 +61,5 @@ def zero_flux(radius: float = 1.0) -> FluxSpec:
     return FluxSpec(
         f=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         fprime=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        lipschitz_M=0.0,
         radius=radius,
-        name="zero",
     )

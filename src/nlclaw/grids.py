@@ -64,11 +64,12 @@ class GridFunction1D:
     def copy(self) -> "GridFunction1D":
         return GridFunction1D(self.x0, self.dx, self.values.copy())
 
-    def same_grid(self, other: "GridFunction1D", tol: float = 1e-12) -> bool:
+    def same_grid(self, other: "GridFunction1D") -> bool:
+        """Same node count, and x0 and dx equal to relative 1e-12."""
         return (
             self.n == other.n
-            and abs(self.x0 - other.x0) <= tol * max(1.0, abs(self.x0))
-            and abs(self.dx - other.dx) <= tol * self.dx
+            and abs(self.x0 - other.x0) <= 1e-12 * max(1.0, abs(self.x0))
+            and abs(self.dx - other.dx) <= 1e-12 * self.dx
         )
 
     def window_slice(self, a: float, b: float) -> slice:

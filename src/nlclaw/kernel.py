@@ -1,27 +1,25 @@
 """Mollifier family and discrete convolution.
 
-The default bump is eta(x) = I^-1 * exp(-1/(1-x^2)) on (-1, 1), scaled as
-eta_eps(x) = eta(x/eps)/eps.  Discrete kernels are symmetric, nonnegative,
-compactly supported in [-eps, eps] and renormalised to unit mass exactly,
-so convolving a constant returns that constant up to the rounding of
-the weighted sum (a few ulps; within 1e-14 for values of order one).
+The bump is eta(x) = exp(-1/(1-x^2)) on (-1, 1), scaled as eta_eps(x) =
+eta(x/eps)/eps.  Discrete kernels sample it at the grid offsets and are
+renormalised to unit mass exactly, so its continuum normalising constant
+never enters.  They are symmetric, nonnegative and compactly supported in
+[-eps, eps], so convolving a constant returns that constant up to the
+rounding of the weighted sum (a few ulps; within 1e-14 for values of
+order one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Mollifier",
     "ResolutionError",
     "build_mollifier",
     "convolve_values",
-    "mollifier_normalization",
 ]
 
 
@@ -39,24 +37,6 @@ def _bump_unnormalized(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def mollifier_normalization() -> float:
-    """The constant I = integral of exp(-1/(1-x^2)) over (-1, 1).
-
-    Adaptive quadrature, refined to relative tolerance 1e-10 past the
-    flat endpoints; deterministic.
-    """
-    val, _ = quad(
-        lambda x: float(np.exp(-1.0 / (1.0 - x * x))),
-        -1.0,
-        1.0,
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return float(val)
-
-
 @dataclass(frozen=True)
 class Mollifier:
     """Discrete symmetric unit-mass kernel of half-width epsilon.
@@ -69,7 +49,6 @@ class Mollifier:
     epsilon: float
     dx: float
     weights: np.ndarray
-    normalization_I: float
 
     @property
     def radius(self) -> int:
@@ -81,11 +60,7 @@ class Mollifier:
         return float(self.weights.max() / self.dx)
 
 
-def build_mollifier(
-    epsilon: float,
-    dx: float,
-    bump: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Mollifier:
+def build_mollifier(epsilon: float, dx: float) -> Mollifier:
     """Sample eta_eps at offsets k*dx and renormalise to unit mass.
 
     One side is computed and mirrored, so symmetry is exact by
@@ -98,13 +73,9 @@ def build_mollifier(
         raise ResolutionError(
             f"kernel under-resolved: epsilon={epsilon} < dx={dx}"
         )
-    if bump is None:
-        bump = _bump_unnormalized
     r = int(np.ceil(epsilon / dx))
     offsets = dx * np.arange(r + 1)
-    side = np.asarray(bump(offsets / epsilon), dtype=float)
-    if np.any(side < 0.0) or side[0] <= 0.0:
-        raise ValueError("bump must be nonnegative with positive centre")
+    side = _bump_unnormalized(offsets / epsilon)
     w = np.concatenate([side[::-1], side[1:]])
     w = w / w.sum()
     # np.sum is the arbiter of 'exactly 1'; nudge the centre until it agrees.
@@ -113,8 +84,7 @@ def build_mollifier(
         if defect == 0.0:
             break
         w[r] += defect
-    I = mollifier_normalization()
-    return Mollifier(float(epsilon), float(dx), w, I)
+    return Mollifier(float(epsilon), float(dx), w)
 
 
 def convolve_values(m: Mollifier, values: np.ndarray) -> np.ndarray:

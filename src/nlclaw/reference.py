@@ -118,11 +118,14 @@ class NonConvexFluxError(ValueError):
     """The flux is not convex on the range of the data."""
 
 
+GODUNOV_CFL = 0.9
+
+
 def godunov_solve(
-    u0: GridFunction1D, flux: FluxSpec, T: float, cfl: float = 0.9
+    u0: GridFunction1D, flux: FluxSpec, T: float
 ) -> GridFunction1D:
     """State at time T of the first-order finite-volume entropy solver
-    with exact Riemann fluxes.
+    with exact Riemann fluxes, at CFL number GODUNOV_CFL.
 
     Requires f convex on the data range (NonConvexFluxError otherwise).
     The interface flux is f(clip(omega, ul, ur)) for ul <= ur (omega the
@@ -141,7 +144,7 @@ def godunov_solve(
     omega = _sonic_point(flux, lo, hi)
     max_speed = float(np.max(np.abs(fp)))
     dx = u0.dx
-    dt = cfl * dx / max(max_speed, 1e-12)
+    dt = GODUNOV_CFL * dx / max(max_speed, 1e-12)
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
 
     vals = u0.values.copy()
@@ -201,7 +204,7 @@ class FrontTrackingSolution:
     """Event history plus an exact evaluator for the tracked solution."""
 
     def __init__(self, tracks: list, events: list, T: float, delta: float,
-                 constant_state: float = 0.0):
+                 constant_state: float):
         self.tracks = tracks
         self.events = events
         self.T = T
@@ -285,21 +288,20 @@ def _initial_jumps(u0) -> tuple[list[float], list[float]]:
     raise ValueError("front tracking needs piecewise-constant data")
 
 
-def front_tracking_solve(u0, T: float, delta: float | None = None) -> FrontTrackingSolution:
+def front_tracking_solve(u0, T: float) -> FrontTrackingSolution:
     """Track every front of a piecewise-constant datum up to time T.
 
     Decreasing jumps travel as single shocks; increasing jumps are split
-    into ladders of admissible sub-jumps of size at most delta (default
-    1e-2 times the data range).  Colliding neighbours are replaced by the
+    into ladders of admissible sub-jumps of size at most delta, 1e-2
+    times the data range.  Colliding neighbours are replaced by the
     front joining their outer states; for the quadratic flux such a
     merger is always an admissible shock, so no re-fanning ever occurs.
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
     positions, levels = _initial_jumps(u0)
-    if delta is None:
-        rng = (max(levels) - min(levels)) if len(levels) > 1 else 0.0
-        delta = max(1e-2 * rng, 1e-12)
+    rng = (max(levels) - min(levels)) if len(levels) > 1 else 0.0
+    delta = max(1e-2 * rng, 1e-12)
 
     tracks: list[_Track] = []
     for p, (la, lb) in zip(positions, zip(levels[:-1], levels[1:])):
@@ -311,8 +313,7 @@ def front_tracking_solve(u0, T: float, delta: float | None = None) -> FrontTrack
             for a, b in zip(sub[:-1], sub[1:]):
                 tracks.append(_Track(p, 0.0, 0.5 * (a + b), float(a), float(b)))
 
-    sol = FrontTrackingSolution(tracks, [], T, delta)
-    sol._constant_state = float(levels[0])
+    sol = FrontTrackingSolution(tracks, [], T, delta, float(levels[0]))
     if not tracks:
         return sol
 

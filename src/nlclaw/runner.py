@@ -45,7 +45,7 @@ from .scenario import (
     ScenarioSpec,
     parse_scenario,
 )
-from .solver import PicardDivergenceError, SolverConfig, solve
+from .solver import PicardDivergenceError, SolverConfig, WorkBudgetError, solve
 from .kernel import ResolutionError
 from .twodim import sample_2d, solve_velocity_reg_2d, tv_2d
 
@@ -87,16 +87,8 @@ def _flux_spec(spec: ScenarioSpec, radius: float) -> FluxSpec:
         return burgers_flux(radius=radius)
     if fc.kind == "cubic":
         return cubic_flux(radius=radius)
-    # expression pair: estimate the Lipschitz constant of f' by sampled
-    # differences over the working range
-    z = np.linspace(-radius, radius, 4001)
-    fp = fc.fprime(z)
-    M = float(np.max(np.abs(np.diff(fp))) / (z[1] - z[0]))
     try:
-        return FluxSpec(
-            fc.f, fc.fprime, lipschitz_M=max(M, 1e-12) * 1.05, radius=radius,
-            name="expression",
-        )
+        return FluxSpec(fc.f, fc.fprime, radius=radius)
     except ValueError as e:  # fprime is not the derivative of f
         raise ScenarioError([f"flux: {e}"]) from None
 
@@ -181,7 +173,6 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
     data, u0, flux = _datum_and_flux(spec, spec.dx)
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     traj = solve(spec.mode, u0, spec.epsilon, spec.T, cfg, data=data, flux=flux)
-    dt = cfg.time_step(spec.dx, sup_norm(u0))
 
     rep = check_invariants(traj)
     front = None
@@ -212,7 +203,7 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
         body["front_speed"] = front
     fin = traj.final
     return RunResult(
-        _meta(spec, spec.epsilon, spec.dx, dt), body, rep.passed,
+        _meta(spec, spec.epsilon, spec.dx, traj.dt), body, rep.passed,
         ("t", "x", "u"),
         _snapshot_rows(traj.times, fin.x, traj.values),
         plots={"profile": (("x", "u"), np.column_stack([fin.x, fin.values]))},
@@ -320,8 +311,7 @@ def _run_2d(spec: ScenarioSpec) -> RunResult:
         u0 = sample_2d(data2, a, b, ya, yb, spec.dx, spec.dx)
     except ValueError as e:
         raise ScenarioError([f"initial: {e}"]) from None
-    probe_sup = float(np.max(np.abs(u0.values)))
-    flux = _flux_spec(spec, max(1.0, 1.5 * probe_sup))
+    flux = _flux_spec(spec, max(1.0, 1.5 * sup_norm(u0)))
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     tr = solve_velocity_reg_2d(u0, (flux, flux), spec.epsilon, spec.T, cfg)
     fin = tr.final
@@ -338,12 +328,11 @@ def _run_2d(spec: ScenarioSpec) -> RunResult:
         "tv_growth", tvT <= 1.05 * tv0 + 1e-12, tvT, 1.05 * tv0,
         detail="terminal 2D total variation within 5% of initial",
     )
-    dt = cfg.time_step(spec.dx, probe_sup)
     # the final state with y in the level column, then columns (x, y, u)
     rows = _snapshot_rows(u0.y, u0.x, fin.values)[:, [1, 0, 2]]
     mid = fin.values[u0.y.size // 2]
     return RunResult(
-        _meta(spec, spec.epsilon, spec.dx, dt),
+        _meta(spec, spec.epsilon, spec.dx, tr.dt),
         {"checks": rep.as_dict(), "tv": {"initial": tv0, "final": tvT}},
         rep.passed, ("x", "y", "u"), rows,
         plots={"profile": (("x", "u"), np.column_stack([u0.x, mid]))},
@@ -446,6 +435,9 @@ def run(spec: ScenarioSpec, outdir, verify_only: bool = False) -> int:
     except ScenarioError as e:
         for msg in e.errors:
             print(msg, file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except WorkBudgetError as e:  # a datum too large for its grid and T
+        print(f"initial: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except _RUN_ERRORS as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)

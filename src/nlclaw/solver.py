@@ -50,7 +50,8 @@ __all__ = [
     "PicardDivergenceError",
     "SolverConfig",
     "Trajectory",
-    "backward_characteristic",
+    "WorkBudgetError",
+    "check_node_steps",
     "solve",
     "solve_conservative_nonlocal",
     "solve_general",
@@ -58,8 +59,31 @@ __all__ = [
 ]
 
 SUP_FLOOR = 1e-12  # dt cap divisor for all-zero data
+PICARD_TOL = 1e-10  # sup-norm change of the foot field that ends a step
+# nodes x steps one solve may take: far above any run the battery makes
+# (the largest, 8,601 nodes x 4,000 steps, is 3.4e7)
+NODE_STEP_BUDGET = 1e10
 
 MODES = ("nn", "conservative", "velocity_reg", "flux_reg", "velocity_reg_2d")
+
+
+class WorkBudgetError(ValueError):
+    """A solve would take more than NODE_STEP_BUDGET node-steps."""
+
+
+def check_node_steps(
+    nodes: int, T: float, dt: float, sup0: float, dx: float
+) -> None:
+    """Reject a solve of nodes nodes over ceil(T/dt) steps beyond the
+    budget, before anything is allocated for it; sup0 and dx (the datum's
+    sup-norm and the grid spacing behind dt) only explain the count."""
+    count = nodes * float(np.ceil(T / dt))
+    if count > NODE_STEP_BUDGET:
+        raise WorkBudgetError(
+            f"sup|u0| = {sup0:.6g}, T = {T!r} and dx = {dx!r} need "
+            f"{count:.3g} node-steps, above the budget of "
+            f"{NODE_STEP_BUDGET:.0e}"
+        )
 
 
 class PicardDivergenceError(RuntimeError):
@@ -80,15 +104,12 @@ class SolverConfig:
     """Step-size, iteration and storage policy shared by all solvers."""
 
     cfl: float = 0.5
-    picard_tol: float = 1e-10
     picard_max_iters: int = 50
     store_stride: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
-        if self.picard_tol <= 0.0:
-            raise ValueError("picard_tol must be positive")
         if self.picard_max_iters < 1:
             raise ValueError("picard_max_iters must be >= 1")
         if self.store_stride < 1:
@@ -104,7 +125,8 @@ class Trajectory:
 
     values[k] holds the state at times[k] on the nodes of grid (the
     state at t = 0; a twodim.GridFunction2D for the 2D solver), so values
-    has shape (levels, *grid.values.shape).
+    has shape (levels, *grid.values.shape).  dt is the step the solver
+    chose (the conservative solver: its first step, before any clamp to T).
     """
 
     grid: GridFunction1D
@@ -113,6 +135,7 @@ class Trajectory:
     epsilon: float
     mode: str
     picard_counts: np.ndarray | None = None
+    dt: float | None = None
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -207,16 +230,11 @@ def _datum_evaluator(
     hi = float(np.max(u0.values))
     if data is None:
         return lambda y: interpolate_values(u0.values, u0.x0, u0.dx, y)
-    if callable(data):
-        fn = data
-    elif isinstance(data, (int, float)):
-        c = float(data)
-        fn = lambda y: np.full_like(y, c)
-    else:
+    if not callable(data):
         raise TypeError(f"cannot evaluate initial data of type {type(data)!r}")
 
     def ev(y: np.ndarray) -> np.ndarray:
-        vals = np.asarray(fn(y), dtype=float)
+        vals = np.asarray(data(y), dtype=float)
         if vals.shape != y.shape:
             vals = np.broadcast_to(vals, y.shape).astype(float)
         return np.minimum(hi, np.maximum(lo, vals))
@@ -250,7 +268,6 @@ def _picard_step_foot(
     foot: _Foot,
     velocity_of: Callable[[np.ndarray], tuple],
     dt: float,
-    tol: float,
     max_iters: int,
     fronts,
     step: int,
@@ -283,8 +300,8 @@ def _picard_step_foot(
     exists and the iteration closes into an exact period-2 cycle instead.
     The two members differ only in which side of the jump that foot sits
     on -- a sub-cell ambiguity in the jump's placement, not in the weak
-    solution -- so the cycle is accepted once it has closed to tol and the
-    current member is returned (a deterministic choice).  An increasing
+    solution -- so the cycle is accepted once it has closed to PICARD_TOL
+    and the current member is returned (a deterministic choice).  An increasing
     datum jump is what needs this rule: the fan it opens maps a whole
     range of nodes onto the jump, and without the rule the iteration runs
     out of passes (RiemannData(-1, 1) with eps 0.1 and dx 0.01 diverges
@@ -318,7 +335,7 @@ def _picard_step_foot(
             cand_vals, cand_fronts = foot.pin(
                 cand_vals, new_phi, v, dt, fronts
             )
-        if change < tol or cycle < tol:
+        if change < PICARD_TOL or cycle < PICARD_TOL:
             return cand_phi, cand_vals, j + 1, cand_fronts
     raise PicardDivergenceError(
         step, t,
@@ -330,7 +347,7 @@ def _datum_jumps(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jump positions and one-sided limits of a structured functional datum.
 
     Only the structured datum types expose their discontinuities exactly;
-    an arbitrary callable or a plain number contributes no tracked jumps.
+    an arbitrary callable contributes no tracked jumps.
     """
     if isinstance(data, RiemannData):
         if data.uL != data.uR:
@@ -463,10 +480,12 @@ def _solve_transport(
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
+    sup0 = sup_norm(u0)
     if dt is None:
-        dt = cfg.time_step(u0.dx, sup_norm(u0))
+        dt = cfg.time_step(u0.dx, sup0)
     elif dt <= 0.0:
         raise ValueError("dt must be positive")
+    check_node_steps(u0.values.size, T, dt, sup0, u0.dx)
     if foot is None:
         foot = _foot_1d(u0, data)
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
@@ -484,7 +503,7 @@ def _solve_transport(
             break
         phi, vals, nit, fronts = _picard_step_foot(
             phi, vals, foot, velocity_of, step_dt,
-            cfg.picard_tol, cfg.picard_max_iters, fronts, k, t,
+            cfg.picard_max_iters, fronts, k, t,
         )
         counts.append(nit)
         t = t_next
@@ -493,7 +512,7 @@ def _solve_transport(
             levels.append(vals)
     return Trajectory(
         u0.copy(), times, np.stack(levels), m.epsilon, mode,
-        picard_counts=np.asarray(counts, dtype=int),
+        picard_counts=np.asarray(counts, dtype=int), dt=dt,
     )
 
 
@@ -580,6 +599,9 @@ def solve_conservative_nonlocal(
         raise ValueError("T must be positive")
     m = build_mollifier(epsilon, u0.dx)
     dx = u0.dx
+    sup0 = sup_norm(u0)
+    dt0 = cfg.time_step(dx, sup0)
+    check_node_steps(u0.n, T, dt0, sup0, dx)
     vals = u0.values.copy()
     times = [0.0]
     levels = [vals]
@@ -603,43 +625,6 @@ def solve_conservative_nonlocal(
             times.append(t)
             levels.append(vals)
     return Trajectory(
-        u0.copy(), times, np.stack(levels), epsilon, "conservative"
+        u0.copy(), times, np.stack(levels), epsilon, "conservative", dt=dt0
     )
 
-
-def backward_characteristic(
-    traj: Trajectory, m: Mollifier, t: float, x: float
-) -> float:
-    """Trace the characteristic through (t, x) back to time 0.
-
-    Integrates dy/ds = (eta_eps * u)(s, y) backwards with a two-stage
-    midpoint method over the stored time levels, interpolating the
-    velocity field linearly in time and space.
-    """
-    times = traj.times
-    if not (0.0 <= t <= times[-1] + 1e-12):
-        raise ValueError("t outside the trajectory's time range")
-    grid = traj.grid
-    vfields = [convolve_values(m, v) for v in traj.values]
-
-    def vel(s: float, y: float) -> float:
-        # 0 <= s <= times[-1], and only called when two levels exist
-        k = min(int(np.searchsorted(times, s, side="right")) - 1, times.size - 2)
-        t0, t1 = times[k], times[k + 1]
-        w = (s - t0) / (t1 - t0)
-        vv = (1.0 - w) * vfields[k] + w * vfields[k + 1]
-        return float(
-            interpolate_values(vv, grid.x0, grid.dx, np.array([y]))[0]
-        )
-
-    # march down through the stored levels strictly below t, ending at 0
-    y = float(x)
-    s = float(min(t, times[-1]))
-    below = times[times < s - 1e-15]
-    for s_prev in below[::-1]:
-        h = s - float(s_prev)
-        k1 = vel(s, y)
-        k2 = vel(s - 0.5 * h, y - 0.5 * h * k1)
-        y -= h * k2
-        s = float(s_prev)
-    return y

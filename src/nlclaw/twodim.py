@@ -227,47 +227,19 @@ def _interp_foot_2d(
     return out + off
 
 
-def _datum_evaluator_2d(u0: GridFunction2D, data):
-    """Map foot coordinates to initial values, clipped to the sampled range."""
-    lo = float(np.min(u0.values))
-    hi = float(np.max(u0.values))
-    if data is None:
-        vals0 = u0.values.copy()
-
-        def ev(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-            return _bilinear(vals0, u0.x0, u0.y0, u0.dx, u0.dy, fx, fy)
-
-        return ev
-    if callable(data):
-
-        def ev(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-            return np.clip(np.asarray(data(fx, fy), dtype=float), lo, hi)
-
-        return ev
-    if isinstance(data, (int, float, np.floating, np.integer)):
-        c = float(data)
-
-        def ev(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-            return np.full(fx.shape, c)
-
-        return ev
-    raise TypeError(f"cannot evaluate datum of type {type(data).__name__}")
-
-
 def solve_velocity_reg_2d(
     u0: GridFunction2D,
     fluxes: tuple[FluxSpec, FluxSpec],
     epsilon: float,
     T: float,
     cfg: SolverConfig,
-    data=None,
 ) -> Trajectory:
     """Solve du/dt + (eta*f1'(u)) du/dx + (eta*f2'(u)) du/dy = 0 to time T.
 
     The 1D stepping loop with a two-component foot field: both components
     of the backward characteristic map are advected and u(t) = u0 o Phi.
-    The maximum principle is exact (datum evaluations are clipped to the
-    initial range).  data, when given, is the functional datum of (x, y).
+    The datum is the clipped bilinear interpolant of the samples u0, so
+    the maximum principle is exact.
     """
     f1, f2 = fluxes
     mx = build_mollifier(epsilon, u0.dx)
@@ -286,7 +258,7 @@ def solve_velocity_reg_2d(
         interp_foot=lambda phi, feet, k: _interp_foot_2d(
             phi, x0, y0, dx, dy, *feet, k
         ),
-        datum=_datum_evaluator_2d(u0, data),
+        datum=lambda fx, fy: _bilinear(u0.values, x0, y0, dx, dy, fx, fy),
     )
     dt = cfg.time_step(min(dx, dy), sup_norm(u0))
     return _solve_transport(

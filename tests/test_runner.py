@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,36 @@ def test_malformed_scenario_exits_1_writes_nothing(tmp_path, capsys):
         if key is not None:
             err = capsys.readouterr().err
             assert err.startswith(f"{key}: ") and err.count("\n") == 1
+
+
+SINGULAR = """
+name = singular
+mode = nn
+initial = expression 1/x
+T = 0.1
+domain = -1.005 1.005
+"""
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("sweep", "epsilon_list = 0.2 0.04\ndx = 0.01\n"),
+    ("run", "epsilon = 0.04\ndx = 0.005\n"),
+], ids=["sweep", "run"])
+def test_singular_datum_exceeds_node_step_budget(tmp_path, command, grid):
+    # a node within rounding of x = 0 makes sup|u0| about 4.5e15: the
+    # sweep's eps 0.04 row would pad its grid to ~1e17 nodes, the run
+    # would take ~1e17 steps; both are rejected before anything is sized
+    scn = _write(tmp_path, "singular.scn", SINGULAR + grid)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlclaw.cli", command, str(scn),
+         "--outdir", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("initial: sup|u0| = 4.5")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_file_exits_1(tmp_path):

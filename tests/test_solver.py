@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlclaw.fluxes import FluxSpec, burgers_flux, cubic_flux
+from nlclaw.fluxes import FluxSpec, burgers_flux
 from nlclaw.grids import (
     GridFunction1D,
     PiecewiseInitialData,
@@ -14,14 +14,15 @@ from nlclaw.grids import (
     sup_norm,
     total_variation,
 )
-from nlclaw.kernel import build_mollifier
+from nlclaw.kernel import build_mollifier, convolve_values
 from nlclaw.solver import (
     PicardDivergenceError,
     SolverConfig,
     Trajectory,
+    WorkBudgetError,
     _datum_evaluator,
     _interp_foot,
-    backward_characteristic,
+    check_node_steps,
     solve_conservative_nonlocal,
     solve_general,
     solve_nn,
@@ -49,20 +50,22 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(cfl=1.5)
     with pytest.raises(ValueError):
-        SolverConfig(picard_tol=-1.0)
-    with pytest.raises(ValueError):
         SolverConfig(store_stride=0)
 
 
 def test_flux_spec_validation():
-    with pytest.raises(ValueError):
-        FluxSpec(f=lambda u: u * u, fprime=lambda u: u, lipschitz_M=1.0)
-    with pytest.raises(ValueError):
-        # cubic fprime has slope 2*radius, so M=1 is a lie for radius 2
-        FluxSpec(f=lambda u: u**3 / 3, fprime=lambda u: u * u,
-                 lipschitz_M=1.0, radius=2.0)
-    fl = cubic_flux(radius=2.0)
-    assert fl.lipschitz_M == 4.0
+    with pytest.raises(ValueError):  # fprime is half the derivative
+        FluxSpec(f=lambda u: u * u, fprime=lambda u: u)
+
+
+def test_node_step_budget():
+    check_node_steps(5 * 10**9, 1.0, 0.5, 1.0, 0.01)  # 1e10, at the budget
+    with pytest.raises(WorkBudgetError, match=r"^sup\|u0\| = 1, T = 1.0 "):
+        check_node_steps(5 * 10**9 + 1, 1.0, 0.5, 1.0, 0.01)
+    # the conservative solver checks its first step before any step
+    u0 = sample(lambda x: 1e12 * np.exp(-x * x), -1.0, 1.0, 0.01)
+    with pytest.raises(WorkBudgetError):
+        solve_conservative_nonlocal(u0, 0.1, 1.0, CFG)
 
 
 def test_constant_is_exact_fixed_point():
@@ -73,7 +76,7 @@ def test_constant_is_exact_fixed_point():
 
 def test_picard_divergence_signalled():
     u0 = sample(lambda x: -np.tanh(x), -2.0, 2.0, 0.01)
-    cfg = SolverConfig(picard_tol=1e-15, picard_max_iters=1)
+    cfg = SolverConfig(picard_max_iters=1)
     with pytest.raises(PicardDivergenceError) as info:
         solve_nn(u0, 0.1, 0.005, cfg)
     assert (info.value.step, info.value.t) == (0, 0.0)
@@ -235,6 +238,29 @@ def test_trajectory_validation():
         Trajectory(u0, [0.0, 0.1], two + [[0.0], [np.inf]], 0.1, "nn")
     with pytest.raises(ValueError):
         Trajectory(u0, [0.0], two[:1], 0.1, "warp")
+
+
+def backward_characteristic(traj, m, t: float, x: float) -> float:
+    """Reference tracer: follow the characteristic through (t, x) back to
+    time 0, integrating dy/ds = (eta_eps * u)(s, y) with a two-stage
+    midpoint rule over the stored levels, the velocity linear in time and
+    space."""
+    times = traj.times
+    grid = traj.grid
+    vfields = [convolve_values(m, v) for v in traj.values]
+
+    def vel(s: float, y: float) -> float:
+        k = min(int(np.searchsorted(times, s, side="right")) - 1, times.size - 2)
+        w = (s - times[k]) / (times[k + 1] - times[k])
+        vv = (1.0 - w) * vfields[k] + w * vfields[k + 1]
+        return float(interpolate_values(vv, grid.x0, grid.dx, np.array([y]))[0])
+
+    y, s = float(x), float(t)
+    for s_prev in times[times < s - 1e-15][::-1]:
+        h = s - float(s_prev)
+        y -= h * vel(s - 0.5 * h, y - 0.5 * h * vel(s, y))
+        s = float(s_prev)
+    return y
 
 
 def test_backward_characteristic_constant():
