@@ -29,7 +29,13 @@ from .grids import (
 from .kernel import Mollifier
 from .reference import burgers_riemann_exact, godunov_solve, lax_oleinik_solve
 from .scenario import ScenarioError
-from .solver import SolverConfig, Trajectory, check_node_steps, solve
+from .solver import (
+    SolverConfig,
+    Trajectory,
+    check_node_steps,
+    check_stored_levels,
+    solve,
+)
 
 __all__ = [
     "CheckResult",
@@ -456,8 +462,9 @@ def convergence_study(
     The eps values run on up to thread_cap() threads; rows come back in
     decreasing eps order whatever the thread count, and each row is
     computed the same way on any thread, so the table is bitwise
-    independent of NLCLAW_THREADS.  Every row's node-steps are checked
-    (WorkBudgetError) before any row is sampled on its padded grid.
+    independent of NLCLAW_THREADS.  Every row's node-steps and stored
+    values are checked (WorkBudgetError) before any row is sampled on its
+    padded grid.
     """
     cfg = cfg or SolverConfig(store_stride=10**9)
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
@@ -467,10 +474,10 @@ def convergence_study(
         dx = min(scenario.dx_max, eps / 8.0)
         sup0 = sup_norm(sample(scenario.data, *scenario.window, dx))
         a, b = padded_grid_bounds(scenario.window, sup0, eps, scenario.T, dx)
-        check_node_steps(
-            uniform_grid(a, b, dx)[1], scenario.T, cfg.time_step(dx, sup0),
-            sup0, dx,
-        )
+        nodes = uniform_grid(a, b, dx)[1]
+        dt = cfg.time_step(dx, sup0)
+        check_node_steps(nodes, scenario.T, dt, sup0, dx)
+        check_stored_levels(nodes, scenario.T, dt, cfg.store_stride)
         return eps, dx, a, b
 
     def row(eps: float, dx: float, a: float, b: float) -> ConvergenceRow:

@@ -73,8 +73,10 @@ class Expression:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
-            out = self._fn(x)
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+            out = np.asarray(self._fn(x), dtype=float)
+        if out.shape != x.shape:  # a constant
+            out = np.broadcast_to(out, x.shape)
+        return out.copy()
 
     def __repr__(self) -> str:
         return f"Expression({self.text!r})"

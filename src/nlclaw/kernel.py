@@ -96,7 +96,7 @@ def convolve_values(m: Mollifier, values: np.ndarray) -> np.ndarray:
     """
     r = m.radius
     padded = np.concatenate(
-        [np.full(r, values[0]), values, np.full(r, values[-1])]
+        [values[:1].repeat(r), values, values[-1:].repeat(r)]
     )
     # Symmetric kernel: correlation and convolution coincide.
     return np.convolve(padded, m.weights, mode="valid")

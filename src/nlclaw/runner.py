@@ -436,8 +436,8 @@ def run(spec: ScenarioSpec, outdir, verify_only: bool = False) -> int:
         for msg in e.errors:
             print(msg, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except WorkBudgetError as e:  # a datum too large for its grid and T
-        print(f"initial: {e}", file=sys.stderr)
+    except WorkBudgetError as e:  # too much work or storage for one solve
+        print(f"{e.key}: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except _RUN_ERRORS as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)

@@ -23,6 +23,14 @@ range of the data, and its total variation can only shrink, never grow.
 One Picard step and one stepping loop serve every such solve, the 2D
 solver in twodim included (its foot field has two components).
 
+A Picard pass recomputes the velocity, the feet, phi and the datum only
+on the span of nodes whose inputs changed since the previous pass: each
+stage on the span of the stage before, widened by that stage's stencil
+reach.  Away from a front a Riemann or piecewise solution is constant, so
+after a step's first pass almost every node is final.  A recomputed entry
+goes through the same elementwise operations as on the full grid and the
+rest keep their bits, so the result is bitwise that of full passes.
+
 A conservative finite-volume variant of the nonlocal model is provided for
 comparison.  It conserves mass by construction and deliberately carries no
 maximum-principle guarantee; the divergence between the two is a feature
@@ -52,6 +60,7 @@ __all__ = [
     "Trajectory",
     "WorkBudgetError",
     "check_node_steps",
+    "check_stored_levels",
     "solve",
     "solve_conservative_nonlocal",
     "solve_general",
@@ -63,12 +72,22 @@ PICARD_TOL = 1e-10  # sup-norm change of the foot field that ends a step
 # nodes x steps one solve may take: far above any run the battery makes
 # (the largest, 8,601 nodes x 4,000 steps, is 3.4e7)
 NODE_STEP_BUDGET = 1e10
+# nodes x stored levels one solve may keep: 800 MB of levels, held twice
+# while np.stack joins them; 140 times the largest battery solve (8,601
+# nodes x 81 levels, 7.0e5)
+LEVEL_BUDGET = 1e8
 
 MODES = ("nn", "conservative", "velocity_reg", "flux_reg", "velocity_reg_2d")
 
 
 class WorkBudgetError(ValueError):
-    """A solve would take more than NODE_STEP_BUDGET node-steps."""
+    """A solve would take more than NODE_STEP_BUDGET node-steps or keep
+    more than LEVEL_BUDGET stored values; key names the scenario setting
+    behind the excess ("initial" or "stride")."""
+
+    def __init__(self, key: str, detail: str):
+        super().__init__(detail)
+        self.key = key
 
 
 def check_node_steps(
@@ -80,9 +99,25 @@ def check_node_steps(
     count = nodes * float(np.ceil(T / dt))
     if count > NODE_STEP_BUDGET:
         raise WorkBudgetError(
+            "initial",
             f"sup|u0| = {sup0:.6g}, T = {T!r} and dx = {dx!r} need "
             f"{count:.3g} node-steps, above the budget of "
-            f"{NODE_STEP_BUDGET:.0e}"
+            f"{NODE_STEP_BUDGET:.0e}",
+        )
+
+
+def check_stored_levels(nodes: int, T: float, dt: float, stride: int) -> None:
+    """Reject a solve that would store more than LEVEL_BUDGET values, before
+    any step: nodes values per level, one level every stride of the
+    ceil(T/dt) steps plus those at t = 0 and at T."""
+    levels = 1.0 + float(np.ceil(np.ceil(T / dt) / stride))
+    count = nodes * levels
+    if count > LEVEL_BUDGET:
+        raise WorkBudgetError(
+            "stride",
+            f"{nodes} nodes x {levels:.0f} stored levels (stride {stride}) "
+            f"= {count:.3g} stored values, above the budget of "
+            f"{LEVEL_BUDGET:.0e}",
         )
 
 
@@ -249,17 +284,67 @@ class _Foot(NamedTuple):
     the grid shape (phi at t = 0).  interp_linear(values, points) is the
     clipped linear interpolant that traces the feet; interp_foot(phi_k,
     feet, k) interpolates foot-field component k at the feet; datum(*phi)
-    evaluates u0 o phi.  pin, when set, is the front pin: pin(vals, phi,
-    v, dt, fronts) returns the pinned values and the advanced front state,
-    and fronts is that state at t = 0.
+    evaluates u0 o phi.  changed(new, old) is the span (lo, hi) of
+    first-axis indices outside which two value arrays agree bit for bit,
+    and reach(v, dt) how many nodes a change of v can move along that axis
+    into the feet traced through it; a foot whose nodes are not arrays
+    along that axis (the 2D one) reports the full span.  pin, when set,
+    is the front pin: pin(vals, phi, v, dt, fronts) returns the pinned
+    values and the advanced front state, and fronts is that state at
+    t = 0.
     """
 
     nodes: tuple
     interp_linear: Callable
     interp_foot: Callable
     datum: Callable
+    changed: Callable
+    reach: Callable
     pin: Callable | None = None
     fronts: object = None
+
+
+@dataclass
+class _LastPass:
+    """What the previous Picard pass built, for the next pass to update.
+
+    v is the velocity of the values src, and feet were traced through v
+    over a step of dt.  radius is the kernel radius: a value reaches that
+    many nodes into v.  The arrays are never written to; an update makes
+    copies.
+    """
+
+    radius: int
+    src: np.ndarray | None = None
+    v: tuple = ()
+    dt: float = 0.0
+    feet: tuple = ()
+
+
+def _widen(span: tuple, d: int, n: int) -> tuple:
+    """The span (lo, hi) grown by d nodes each side, clipped to [0, n).
+
+    A span over more than half the grid becomes the whole grid: there,
+    recomputing the rest costs less than copying it around the span.
+    """
+    lo, hi = span
+    if lo >= hi:
+        return span
+    lo, hi = max(lo - d, 0), min(hi + d, n)
+    return (0, n) if 2 * (hi - lo) > n else (lo, hi)
+
+
+def _patched(old: tuple, lo: int, hi: int, n: int, part: list) -> tuple:
+    """Copies of the arrays old with [lo:hi] replaced by those of part; on
+    the full span [0:n], part's own arrays."""
+    if hi - lo == n:
+        return tuple(part)
+    out = []
+    for o, p in zip(old, part):
+        o = o.copy()
+        o[lo:hi] = p
+        out.append(o)
+    return tuple(out)
 
 
 def _picard_step_foot(
@@ -272,6 +357,7 @@ def _picard_step_foot(
     fronts,
     step: int,
     t: float,
+    last: _LastPass,
 ) -> tuple[tuple, np.ndarray, int, object]:
     """One self-consistent step of the foot-field formulation, any dimension.
 
@@ -283,6 +369,22 @@ def _picard_step_foot(
 
     step and t (the step's index and start time) only locate a
     PicardDivergenceError.
+
+    A pass recomputes only the span whose inputs changed, and last carries
+    the previous pass (of this step or the one before) to it.  v is
+    recomputed where the candidate values differ from those v was built
+    from, bit for bit (so a 0.0/-0.0 flip counts), widened by the kernel
+    radius; the feet where v was recomputed, widened by foot.reach, or
+    everywhere when dt differs from the feet's step; phi and the datum
+    where the feet were recomputed, or everywhere on a step's first pass,
+    since phi_prev has moved.  Every recomputed entry goes through the same
+    elementwise operations as on the full grid (the velocity through
+    convolve_values on a window with the kernel's full reach, whose own
+    edge padding is the grid's exactly where it touches a grid end), and
+    outside the span the inputs are bitwise those of the last pass, so a
+    pass is bitwise the full-grid pass.  The front pin and the change and
+    cycle reductions stay global.  A foot that reports the full span
+    (the 2D one) makes every pass a full pass.
 
     With a front pin (1D data with tracked jumps), fronts holds the tracked
     preimages of the datum jumps at the start of the step.  Each pass then
@@ -308,32 +410,64 @@ def _picard_step_foot(
     before T = 0.2).  In 2D a datum jump is a curve and feet straddling it
     flip sides the same way.
     """
+    n = vals_prev.shape[0]
+    r = last.radius
     cand_phi = phi_prev
     cand_vals = vals_prev
     cand_fronts = fronts
     older_phi = None
+    raw = None  # the datum at cand_phi, before the pin
     for j in range(max_iters):
-        v = velocity_of(cand_vals)
-        mids = tuple(p - 0.5 * dt * vk for p, vk in zip(foot.nodes, v))
-        feet = tuple(
-            p - dt * 0.5 * (vk + foot.interp_linear(vk, mids))
-            for p, vk in zip(foot.nodes, v)
-        )
-        new_phi = tuple(
-            foot.interp_foot(pk, feet, k) for k, pk in enumerate(phi_prev)
-        )
+        # v, where the values it was built from changed
+        lo, hi = 0, n
+        if last.src is not None:
+            lo, hi = _widen(foot.changed(cand_vals, last.src), r, n)
+        if lo < hi:
+            w = max(lo - r, 0)  # the window reaches r nodes past the span
+            part = velocity_of(cand_vals[w:min(hi + r, n)])
+            last.v = _patched(
+                last.v, lo, hi, n, [p[lo - w:hi - w] for p in part]
+            )
+        last.src = cand_vals
+        v = last.v
+        # the feet, where v changed; all of them when dt moved
+        if dt != last.dt:
+            lo, hi = 0, n
+        elif 0 < hi - lo < n:
+            lo, hi = _widen((lo, hi), foot.reach(v, dt), n)
+        last.dt = dt
+        if lo < hi:
+            vs = [vk[lo:hi] for vk in v]
+            mids = [p[lo:hi] - 0.5 * dt * vk for p, vk in zip(foot.nodes, vs)]
+            last.feet = _patched(last.feet, lo, hi, n, [
+                p[lo:hi] - dt * 0.5 * (vk + foot.interp_linear(vf, mids))
+                for p, vk, vf in zip(foot.nodes, vs, v)
+            ])
+        # phi and the datum, where the feet changed; everywhere on a
+        # step's first pass, since phi_prev has moved
+        if j == 0:
+            lo, hi = 0, n
+        new_phi = cand_phi
+        if lo < hi:
+            feet = [fk[lo:hi] for fk in last.feet]
+            new_phi = _patched(cand_phi, lo, hi, n, [
+                foot.interp_foot(pk, feet, k) for k, pk in enumerate(phi_prev)
+            ])
+            (raw,) = _patched(
+                (raw,), lo, hi, n, [foot.datum(*[p[lo:hi] for p in new_phi])]
+            )
         change = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(new_phi, cand_phi)
+            float(np.abs(a - b).max()) for a, b in zip(new_phi, cand_phi)
         )
         cycle = np.inf if older_phi is None else max(
-            float(np.max(np.abs(a - b))) for a, b in zip(new_phi, older_phi)
+            float(np.abs(a - b).max()) for a, b in zip(new_phi, older_phi)
         )
         older_phi = cand_phi
         cand_phi = new_phi
-        cand_vals = foot.datum(*new_phi)
+        cand_vals = raw
         if foot.pin is not None:
             cand_vals, cand_fronts = foot.pin(
-                cand_vals, new_phi, v, dt, fronts
+                raw.copy(), new_phi, v, dt, fronts
             )
         if change < PICARD_TOL or cycle < PICARD_TOL:
             return cand_phi, cand_vals, j + 1, cand_fronts
@@ -434,6 +568,18 @@ def _velocity_fn(
     raise ValueError(f"no velocity wiring for mode {mode!r}")
 
 
+def _changed_span(new: np.ndarray, old: np.ndarray) -> tuple:
+    """First and one past the last index where new and old differ in
+    their bit patterns; (0, 0) when they agree."""
+    diff = new.view(np.uint64) != old.view(np.uint64)
+    lo = int(diff.argmax())
+    if not diff[lo]:
+        return (0, 0)
+    if diff[-1]:
+        return (lo, diff.size)
+    return (lo, diff.size - int(diff[::-1].argmax()))
+
+
 def _foot_1d(u0: GridFunction1D, data) -> _Foot:
     """1D pieces: linear tracing, cubic foot interpolation, front pin."""
     x0, dx, x = u0.x0, u0.dx, u0.x
@@ -453,6 +599,12 @@ def _foot_1d(u0: GridFunction1D, data) -> _Foot:
         ),
         interp_foot=lambda phi, feet, k: _interp_foot(phi, x0, dx, feet[0]),
         datum=_datum_evaluator(u0, data),
+        changed=_changed_span,
+        # a midpoint sits within 0.5 dt |v| of its node; one more node for
+        # the stencil's right neighbour and one for the floor's roundoff
+        reach=lambda v, dt: int(
+            np.ceil(0.5 * dt * float(np.abs(v[0]).max()) / dx)
+        ) + 2,
         pin=pin if jump_pos.size else None,
         fronts=jump_pos.copy(),
     )
@@ -486,6 +638,7 @@ def _solve_transport(
     elif dt <= 0.0:
         raise ValueError("dt must be positive")
     check_node_steps(u0.values.size, T, dt, sup0, u0.dx)
+    check_stored_levels(u0.values.size, T, dt, cfg.store_stride)
     if foot is None:
         foot = _foot_1d(u0, data)
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
@@ -495,6 +648,7 @@ def _solve_transport(
     times = [0.0]
     levels = [vals]
     counts = []
+    last = _LastPass(m.radius)
     t = 0.0
     for k in range(n_steps):
         t_next = min((k + 1) * dt, T)
@@ -503,7 +657,7 @@ def _solve_transport(
             break
         phi, vals, nit, fronts = _picard_step_foot(
             phi, vals, foot, velocity_of, step_dt,
-            cfg.picard_max_iters, fronts, k, t,
+            cfg.picard_max_iters, fronts, k, t, last,
         )
         counts.append(nit)
         t = t_next
@@ -602,6 +756,7 @@ def solve_conservative_nonlocal(
     sup0 = sup_norm(u0)
     dt0 = cfg.time_step(dx, sup0)
     check_node_steps(u0.n, T, dt0, sup0, dx)
+    check_stored_levels(u0.n, T, dt0, cfg.store_stride)
     vals = u0.values.copy()
     times = [0.0]
     levels = [vals]

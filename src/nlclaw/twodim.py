@@ -259,6 +259,8 @@ def solve_velocity_reg_2d(
             phi, x0, y0, dx, dy, *feet, k
         ),
         datum=lambda fx, fy: _bilinear(u0.values, x0, y0, dx, dy, fx, fy),
+        changed=lambda new, old: (0, new.shape[0]),  # full passes only
+        reach=lambda v, dt: 0,
     )
     dt = cfg.time_step(min(dx, dy), sup_norm(u0))
     return _solve_transport(

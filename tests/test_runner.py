@@ -206,6 +206,24 @@ def test_singular_datum_exceeds_node_step_budget(tmp_path, command, grid):
     assert not out.exists()
 
 
+def test_stored_levels_over_budget_exit_1(tmp_path):
+    # 40,001 nodes x 20,000 steps is within the node-step budget, but at
+    # stride 1 the levels would hold 8e8 values (6.4 GB)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlclaw.cli", "riemann", "--uL", "1",
+         "--uR", "0", "--dx", "1e-4", "--T", "1", "--stride", "1",
+         "--outdir", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "stride: 40001 nodes x 20001 stored levels (stride 1) = 8e+08 "
+        "stored values, above the budget of 1e+08\n"
+    )
+    assert not out.exists()
+
+
 def test_missing_file_exits_1(tmp_path):
     rc = main(["run", str(tmp_path / "nope.scn"), "--outdir", str(tmp_path)])
     assert rc == 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nlclaw.fluxes import FluxSpec, burgers_flux
+from nlclaw.expressions import parse_expression
+from nlclaw.fluxes import FluxSpec, burgers_flux, cubic_flux
 from nlclaw.grids import (
     GridFunction1D,
     PiecewiseInitialData,
@@ -14,15 +15,21 @@ from nlclaw.grids import (
     sup_norm,
     total_variation,
 )
+from nlclaw import solver
 from nlclaw.kernel import build_mollifier, convolve_values
 from nlclaw.solver import (
+    PICARD_TOL,
     PicardDivergenceError,
     SolverConfig,
     Trajectory,
     WorkBudgetError,
     _datum_evaluator,
+    _foot_1d,
     _interp_foot,
+    _velocity_fn,
     check_node_steps,
+    check_stored_levels,
+    solve,
     solve_conservative_nonlocal,
     solve_general,
     solve_nn,
@@ -66,6 +73,22 @@ def test_node_step_budget():
     u0 = sample(lambda x: 1e12 * np.exp(-x * x), -1.0, 1.0, 0.01)
     with pytest.raises(WorkBudgetError):
         solve_conservative_nonlocal(u0, 0.1, 1.0, CFG)
+
+
+def test_stored_level_budget():
+    # 1e6 nodes x (1 + 99) levels is the budget; one step more is beyond
+    check_stored_levels(10**6, 0.99, 0.01, 1)
+    with pytest.raises(WorkBudgetError, match=r"^1000000 nodes x 101 ") as info:
+        check_stored_levels(10**6, 1.0, 0.01, 1)
+    assert info.value.key == "stride"
+    check_stored_levels(10**6, 1.0, 0.01, 2)  # a stride keeps it within
+    # the solvers check before any step
+    # (2,001 nodes x 200,000 steps: 4e8 node-steps, within their budget)
+    u0 = sample(1.0, -1.0, 1.0, 1e-3)
+    with pytest.raises(WorkBudgetError, match="stored levels"):
+        solve_nn(u0, 0.1, 100.0, SolverConfig())
+    with pytest.raises(WorkBudgetError, match="stored levels"):
+        solve_conservative_nonlocal(u0, 0.1, 100.0, SolverConfig())
 
 
 def test_constant_is_exact_fixed_point():
@@ -282,3 +305,116 @@ def test_backward_characteristic_representation():
         u_here = np.interp(xq, tr.final.x, tr.final.values)
         u_foot = np.interp(y, u0.x, u0.values)
         assert u_here == pytest.approx(u_foot, abs=0.02)
+
+
+def full_pass_solve(u0, epsilon, T, cfg, mode, data=None, flux=None):
+    """Reference stepping loop: every Picard pass recomputes the velocity,
+    the feet, phi and the datum on the whole grid.  Returns the stored
+    levels, the passes per step and the foot field after each step."""
+    m = build_mollifier(epsilon, u0.dx)
+    velocity_of = _velocity_fn(m, flux, mode)
+    foot = _foot_1d(u0, data)
+    dt = cfg.time_step(u0.dx, sup_norm(u0))
+    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    (x,) = foot.nodes
+    phi, vals, fronts = x.copy(), u0.values.copy(), foot.fronts
+    levels, counts, phis, t = [vals], [], [], 0.0
+    for k in range(n_steps):
+        t_next = min((k + 1) * dt, T)
+        h = t_next - t
+        cand_phi, cand_vals, cand_fronts, older = phi, vals, fronts, None
+        for j in range(cfg.picard_max_iters):
+            (v,) = velocity_of(cand_vals)
+            mids = x - 0.5 * h * v
+            feet = x - h * 0.5 * (v + interpolate_values(v, u0.x0, u0.dx, mids))
+            new_phi = _interp_foot(phi, u0.x0, u0.dx, feet)
+            change = float(np.max(np.abs(new_phi - cand_phi)))
+            cycle = np.inf if older is None else float(
+                np.max(np.abs(new_phi - older))
+            )
+            older, cand_phi = cand_phi, new_phi
+            cand_vals = foot.datum(new_phi)
+            if foot.pin is not None:
+                cand_vals, cand_fronts = foot.pin(
+                    cand_vals, (new_phi,), (v,), h, fronts
+                )
+            if change < PICARD_TOL or cycle < PICARD_TOL:
+                break
+        else:
+            raise PicardDivergenceError(k, t, "reference diverged")
+        phi, vals, fronts, t = cand_phi, cand_vals, cand_fronts, t_next
+        counts.append(j + 1)
+        phis.append(phi)
+        if (k + 1) % cfg.store_stride == 0 or t >= T:
+            levels.append(vals)
+    return np.stack(levels), np.asarray(counts), np.stack(phis)
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def solve_recording_phi(monkeypatch, *args, **kwargs):
+    """solver.solve, plus the foot field each step returned."""
+    phis = []
+    step = solver._picard_step_foot
+
+    def recording(*a):
+        out = step(*a)
+        phis.append(out[0][0])
+        return out
+
+    monkeypatch.setattr(solver, "_picard_step_foot", recording)
+    return solve(*args, **kwargs), np.stack(phis)
+
+
+def _several_fronts():
+    return PiecewiseInitialData(
+        breakpoints=(-1.0, -0.3, 0.4, 1.0),
+        pieces=(
+            lambda x: 0.0 * x + 1.0,
+            lambda x: 0.2 - 0.5 * x,
+            lambda x: 0.0 * x - 0.6,
+            lambda x: 0.5 + 0.0 * x,
+            lambda x: 0.0 * x - 0.2,
+        ),
+        lipschitz_C=0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, data, flux, T, functional",
+    [
+        ("nn", RiemannData(1.0, 0.0), None, 0.4, True),
+        ("velocity_reg", RiemannData(2.0, 0.0), cubic_flux(radius=2.0), 0.2,
+         True),
+        ("flux_reg", RiemannData(2.0, 0.0), cubic_flux(radius=2.0), 0.2, True),
+        # fast flow downwind of the front: feet there trace back more
+        # than one node into the span where v changed
+        ("velocity_reg", RiemannData(8.0, 6.0), cubic_flux(radius=8.0), 0.02,
+         True),
+        ("nn", _several_fronts(), None, 0.4, True),
+        ("nn", RiemannData(-1.0, 1.0), None, 0.2, True),
+        ("nn", parse_expression("-tanh(3*x)"), None, 0.2, True),
+        ("nn", lambda x: np.where(x <= 0.0, 1.0, -0.0 * x), None, 0.3, True),
+        # no functional datum: u0 o phi interpolates the samples
+        ("nn", lambda x: np.where(x <= 0.0, 1.0, -0.0 * x), None, 0.3, False),
+    ],
+    ids=["riemann", "cubic-vreg", "cubic-freg", "cubic-downwind", "fronts",
+         "fan", "tanh", "signed-zero", "sampled-signed-zero"],
+)
+def test_incremental_passes_match_full_passes(
+    monkeypatch, mode, data, flux, T, functional
+):
+    # the foot field is compared too: where the datum is constant the
+    # levels cannot show a stale foot
+    u0 = sample(data, -2.0, 2.0, 0.01)
+    data = data if functional else None
+    cfg = SolverConfig()
+    levels, counts, phis = full_pass_solve(u0, 0.1, T, cfg, mode, data, flux)
+    tr, tr_phis = solve_recording_phi(
+        monkeypatch, mode, u0, 0.1, T, cfg, data=data, flux=flux
+    )
+    assert np.array_equal(tr.picard_counts, counts)
+    assert np.array_equal(bits(tr.values), bits(levels))
+    assert np.array_equal(bits(tr_phis), bits(phis))
