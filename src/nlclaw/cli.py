@@ -26,7 +26,7 @@ from .runner import (
     run,
     run_file,
 )
-from .scenario import FluxChoice, RiemannSpec, ScenarioSpec
+from .scenario import ScenarioError, ScenarioSpec, spec_from_fields
 
 __all__ = ["main"]
 
@@ -71,31 +71,27 @@ def _cmd_euler(args) -> int:
     return run(spec, args.outdir)
 
 
+def _riemann_domain(spec: ScenarioSpec) -> tuple:
+    """[-reach, reach] with reach = 1 + m^k T, m = max(|uL|, |uR|, 1) and
+    k = 1 for burgers, 2 for cubic: the fronts stay inside until T."""
+    m = max(abs(spec.initial.uL), abs(spec.initial.uR), 1.0)
+    speed = m if spec.flux.kind == "burgers" else m * m
+    reach = 1.0 + speed * spec.T
+    return (-reach, reach)
+
+
 def _cmd_riemann(args) -> int:
+    flags = ("name", "mode", "flux", "epsilon", "T", "dx", "stride")
+    fields = {key: (f"--{key}", getattr(args, key)) for key in flags}
+    fields["initial"] = ("--uL/--uR", f"riemann {args.uL} {args.uR}")
     if args.domain is not None:
-        domain = tuple(args.domain)
-        if domain[0] >= domain[1]:
-            print("--domain must satisfy a < b", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-    else:
-        m = max(abs(args.uL), abs(args.uR), 1.0)
-        speed = m if args.flux == "burgers" else m * m
-        reach = 1.0 + speed * args.T
-        domain = (-reach, reach)
-    if args.T <= 0 or args.dx <= 0 or args.epsilon <= 0:
-        print("--T, --dx, --epsilon must be positive", file=sys.stderr)
+        fields["domain"] = ("--domain", " ".join(args.domain))
+    try:
+        spec = spec_from_fields(fields, default_domain=_riemann_domain)
+    except ScenarioError as e:
+        for msg in e.errors:
+            print(msg, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    spec = ScenarioSpec(
-        name=args.name,
-        mode=args.mode,
-        initial=RiemannSpec(args.uL, args.uR),
-        T=args.T,
-        dx=args.dx,
-        domain=domain,
-        flux=FluxChoice(args.flux),
-        epsilon=args.epsilon,
-        stride=args.stride,
-    )
     return run(spec, args.outdir)
 
 
@@ -135,8 +131,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("riemann", help="Riemann problem from flags")
-    p.add_argument("--uL", type=float, required=True)
-    p.add_argument("--uR", type=float, required=True)
+    # number flags stay text: the scenario validator parses them
+    p.add_argument("--uL", required=True)
+    p.add_argument("--uR", required=True)
     p.add_argument(
         "--flux", choices=("burgers", "cubic"), default="burgers"
     )
@@ -145,13 +142,11 @@ def main(argv=None) -> int:
         choices=("nn", "velocity_reg", "flux_reg", "conservative"),
         default="nn",
     )
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--dx", type=float, default=1e-3)
-    p.add_argument(
-        "--domain", type=float, nargs=2, metavar=("A", "B"), default=None
-    )
-    p.add_argument("--stride", type=int, default=25)
+    p.add_argument("--epsilon", default="0.1")
+    p.add_argument("--T", default="1.0")
+    p.add_argument("--dx", default="1e-3")
+    p.add_argument("--domain", nargs=2, metavar=("A", "B"), default=None)
+    p.add_argument("--stride", default="25")
     p.add_argument("--name", default="riemann")
     _add_outdir(p)
     p.set_defaults(fn=_cmd_riemann)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DatumError",
     "GridFunction1D",
     "GridMismatchError",
     "PiecewiseInitialData",
@@ -27,6 +28,12 @@ __all__ = [
 
 class GridMismatchError(ValueError):
     """Two grid functions do not live on the same grid."""
+
+
+class DatumError(ValueError):
+    """An initial datum the solvers cannot use: a value that is not finite
+    where it is sampled or evaluated, or breakpoints closer than the grid
+    resolves."""
 
 
 @dataclass
@@ -165,7 +172,7 @@ def sample(data, a: float, b: float, dx: float) -> GridFunction1D:
     x = x0 + dx * np.arange(n)
     if isinstance(data, PiecewiseInitialData):
         if data.min_gap() < 4.0 * dx:
-            raise ValueError(
+            raise DatumError(
                 "grid too coarse: fewer than 4 cells between breakpoints"
             )
         vals = data(x)
@@ -175,6 +182,8 @@ def sample(data, a: float, b: float, dx: float) -> GridFunction1D:
             vals = np.broadcast_to(vals, x.shape).astype(float)
     else:
         vals = np.full(n, float(data))
+    if not np.all(np.isfinite(vals)):
+        raise DatumError("values must be finite")
     return GridFunction1D(x0, dx, vals)
 
 

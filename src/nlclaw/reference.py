@@ -26,7 +26,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .fluxes import FluxSpec
-from .grids import GridFunction1D, PiecewiseInitialData, RiemannData
+from .grids import GridFunction1D, PiecewiseInitialData, RiemannData, sup_norm
+from .solver import check_node_steps
 
 __all__ = [
     "FrontTrackingSolution",
@@ -127,7 +128,9 @@ def godunov_solve(
     """State at time T of the first-order finite-volume entropy solver
     with exact Riemann fluxes, at CFL number GODUNOV_CFL.
 
-    Requires f convex on the data range (NonConvexFluxError otherwise).
+    Requires f convex on the data range (NonConvexFluxError otherwise),
+    and rejects a solve beyond the solvers' node-step budget
+    (WorkBudgetError) before any step.
     The interface flux is f(clip(omega, ul, ur)) for ul <= ur (omega the
     sonic value) and max(f(ul), f(ur)) for ul > ur.  Monotone scheme: TV
     non-increasing, max principle.
@@ -145,6 +148,7 @@ def godunov_solve(
     max_speed = float(np.max(np.abs(fp)))
     dx = u0.dx
     dt = GODUNOV_CFL * dx / max(max_speed, 1e-12)
+    check_node_steps(u0.n, T, dt, sup_norm(u0), dx)
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
 
     vals = u0.values.copy()

@@ -35,17 +35,16 @@ from .diagnostics import (
 )
 from .euler import conservative_residual, solve_isentropic
 from .fluxes import FluxSpec, burgers_flux, cubic_flux
-from .grids import PiecewiseInitialData, RiemannData, sample, sup_norm
+from .grids import DatumError, RiemannData, sample, sup_norm
 from .reference import NonConvexFluxError
-from .scenario import (
-    ExpressionData,
-    PiecewiseData,
-    RiemannSpec,
-    ScenarioError,
-    ScenarioSpec,
-    parse_scenario,
+from .scenario import ScenarioError, ScenarioSpec, parse_scenario
+from .solver import (
+    LEVEL_BUDGET,
+    PicardDivergenceError,
+    SolverConfig,
+    WorkBudgetError,
+    solve,
 )
-from .solver import PicardDivergenceError, SolverConfig, WorkBudgetError, solve
 from .kernel import ResolutionError
 from .twodim import sample_2d, solve_velocity_reg_2d, tv_2d
 
@@ -68,17 +67,6 @@ _RUN_ERRORS = (
     NoCrossingError,
     MultipleCrossingsError,
 )
-
-
-def _initial_object(spec: ScenarioSpec):
-    init = spec.initial
-    if isinstance(init, RiemannSpec):
-        return RiemannData(init.uL, init.uR)
-    if isinstance(init, PiecewiseData):
-        return PiecewiseInitialData(
-            init.breakpoints, init.pieces, lipschitz_C=init.lipschitz_C
-        )
-    return init.expr
 
 
 def _flux_spec(spec: ScenarioSpec, radius: float) -> FluxSpec:
@@ -164,7 +152,7 @@ def _sample(key: str, data, a: float, b: float, dx: float):
 def _datum_and_flux(spec: ScenarioSpec, dx: float):
     """The 1D datum, its samples on the domain at spacing dx, and the flux
     sized to the sampled range."""
-    data = _initial_object(spec)
+    data = spec.initial
     u0 = _sample("initial", data, spec.domain[0], spec.domain[1], dx)
     return data, u0, _flux_spec(spec, max(1.0, 1.5 * sup_norm(u0)))
 
@@ -177,11 +165,12 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
     rep = check_invariants(traj)
     front = None
     if (
-        isinstance(spec.initial, RiemannSpec)
+        isinstance(spec.initial, RiemannData)
         and spec.initial.uL > spec.initial.uR
     ):
         predicted = _predicted_front_speed(spec, flux)
         level = 0.5 * (spec.initial.uL + spec.initial.uR)
+        _check_levels(traj.times, 0.5 * spec.T, 2, spec, "front-speed fit")
         fit = measure_front_speed_fit(
             traj, level, (0.5 * spec.T, spec.T)
         )
@@ -267,7 +256,7 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
 
 def _run_euler(spec: ScenarioSpec) -> RunResult:
     a, b = spec.domain
-    rho0 = _sample("initial", spec.initial.expr, a, b, spec.dx)
+    rho0 = _sample("initial", spec.initial, a, b, spec.dx)
     if spec.velocity is not None:
         vel0 = _sample("velocity", spec.velocity, a, b, spec.dx)
     else:
@@ -275,6 +264,7 @@ def _run_euler(spec: ScenarioSpec) -> RunResult:
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     tr = solve_isentropic(rho0, vel0, spec.epsilon, spec.T, cfg)
     rho, vel = tr.rho, tr.vel
+    _check_levels(tr.times, 0.0, 3, spec, "conservative residual")
     r1, r2 = conservative_residual(rho0, tr.times, rho, vel)
     merged = DiagnosticsReport(mode="euler")
     for prefix, traj in (("mu", tr.mu_trajectory), ("lam", tr.lam_trajectory)):
@@ -299,16 +289,11 @@ def _run_euler(spec: ScenarioSpec) -> RunResult:
 def _run_2d(spec: ScenarioSpec) -> RunResult:
     a, b = spec.domain
     ya, yb = spec.domain_y if spec.domain_y is not None else spec.domain
-    init = spec.initial
-    if isinstance(init, RiemannSpec):
-        data2 = lambda X, Y: np.where(X <= 0.0, init.uL, init.uR)
-    elif isinstance(init, ExpressionData):
-        data2 = lambda X, Y: init.expr(X) + 0.0 * Y
-    else:
-        pw = _initial_object(spec)
-        data2 = lambda X, Y: pw(X) + 0.0 * Y
     try:
-        u0 = sample_2d(data2, a, b, ya, yb, spec.dx, spec.dx)
+        u0 = sample_2d(
+            lambda X, Y: spec.initial(X) + 0.0 * Y,
+            a, b, ya, yb, spec.dx, spec.dx,
+        )
     except ValueError as e:
         raise ScenarioError([f"initial: {e}"]) from None
     flux = _flux_spec(spec, max(1.0, 1.5 * sup_norm(u0)))
@@ -339,12 +324,49 @@ def _run_2d(spec: ScenarioSpec) -> RunResult:
     )
 
 
+def _check_levels(times, t_from: float, need: int, spec, use: str) -> None:
+    """Reject a run whose stride stored fewer than need levels at t >=
+    t_from, which use reads, as an input error on stride."""
+    kept = int(np.count_nonzero(np.asarray(times) >= t_from - 1e-12))
+    if kept < need:
+        raise ScenarioError([
+            f"stride: stride {spec.stride} stored {kept} level(s) in "
+            f"[{t_from!r}, T = {spec.T!r}]; the {use} needs at least "
+            f"{need}, so lower the stride"
+        ])
+
+
+def _check_sizes(spec: ScenarioSpec) -> None:
+    """Reject, before anything is allocated, a grid or kernel no solve
+    could keep within LEVEL_BUDGET: the nodes of the domain (nx*ny in
+    nn2d; a sweep row's dx is min(dx, eps/8)) and the 2*ceil(eps/dx) + 1
+    kernel weights.  Counts are floats, so no huge input overflows."""
+    (a, b), (ya, yb) = spec.domain, spec.domain_y or spec.domain
+    for eps in spec.epsilon_list or (spec.epsilon,):
+        dx = spec.dx if spec.epsilon_list is None else min(spec.dx, eps / 8.0)
+        nodes = (b - a) / dx + 1.0
+        if spec.mode == "nn2d":
+            nodes *= (yb - ya) / dx + 1.0
+        for key, count, what in (
+            ("dx" if dx == spec.dx else "epsilon", nodes,
+             "grid nodes on the domain"),
+            ("epsilon", 2.0 * np.ceil(eps / dx) + 1.0, "kernel weights"),
+        ):
+            if count > LEVEL_BUDGET:
+                raise ScenarioError([
+                    f"{key}: epsilon = {eps!r} and dx = {dx!r} need "
+                    f"{count:.3g} {what}, above the budget of "
+                    f"{LEVEL_BUDGET:.0e}"
+                ])
+
+
 def execute(spec: ScenarioSpec) -> RunResult:
     if spec.epsilon_list is None and spec.epsilon < spec.dx:
         raise ScenarioError([
             f"epsilon: {spec.epsilon!r} is below dx = {spec.dx!r}; the grid "
             "does not resolve the kernel"
         ])
+    _check_sizes(spec)
     if spec.mode == "euler":
         return _run_euler(spec)
     if spec.mode == "nn2d":
@@ -438,6 +460,9 @@ def run(spec: ScenarioSpec, outdir, verify_only: bool = False) -> int:
         return EXIT_INPUT_ERROR
     except WorkBudgetError as e:  # too much work or storage for one solve
         print(f"{e.key}: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except DatumError as e:  # met by a sweep row's grid or a solver's foot
+        print(f"initial: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except _RUN_ERRORS as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)

@@ -22,30 +22,47 @@ blank lines ignored, keys case-sensitive, each key at most once):
     stride   = <int >= 1>              snapshot stride, default 50
     expect   = nonconvergence          optional flag
 
+A ``<token>`` is ``[A-Za-z0-9_][A-Za-z0-9_.-]*``: the result files are
+named after it, so it can name no directory.  Every number must be
+finite; ``nan``, ``inf`` and values that overflow to them are rejected.
 ``piecewise`` lists n breakpoints and n+1 expressions separated by
-semicolons, last entry ``C=<c>`` giving the one-sided Lipschitz constant
-of the datum.  Expressions use the grammar of ``nlclaw.expressions``.
-Parsing accumulates every validation error, not just the first.
+semicolons, last entry ``C=<c >= 0>`` giving the one-sided Lipschitz
+constant of the datum.  Expressions use the grammar of
+``nlclaw.expressions``.  The parsed datum is the solver's own object:
+``grids.RiemannData``, ``grids.PiecewiseInitialData`` or an
+``expressions.Expression``.
+
+A document becomes ``{key: (where, value)}``, with where = ``line N``,
+and ``spec_from_fields`` validates that.  ``nlclaw riemann`` hands its
+flags to the same function with where = ``--flag``, so a bad flag is
+reported as ``--T: 'inf' is not a finite number``.  Validation
+accumulates every error, not just the first.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .expressions import Expression, ExpressionError, parse_expression
+from .grids import PiecewiseInitialData, RiemannData
 
 __all__ = [
-    "ExpressionData",
     "FluxChoice",
-    "PiecewiseData",
-    "RiemannSpec",
     "ScenarioError",
     "ScenarioSpec",
     "parse_scenario",
+    "spec_from_fields",
 ]
 
 MODES = ("nn", "conservative", "velocity_reg", "flux_reg", "euler", "nn2d")
+KEYS = (
+    "name", "mode", "initial", "velocity", "flux", "epsilon", "epsilon_list",
+    "T", "dx", "cfl", "domain", "domain_y", "output", "stride", "expect",
+)
+TOKEN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
 class ScenarioError(ValueError):
@@ -57,25 +74,10 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class RiemannSpec:
-    uL: float
-    uR: float
-
-
-@dataclass(frozen=True)
-class PiecewiseData:
-    breakpoints: tuple
-    pieces: tuple
-    lipschitz_C: float
-
-
-@dataclass(frozen=True)
-class ExpressionData:
-    expr: Expression
-
-
-@dataclass(frozen=True)
 class FluxChoice:
+    """The flux as written; the runner builds the FluxSpec once the data
+    range that sizes its derivative spot-check is sampled."""
+
     kind: str  # burgers | cubic | expression
     f: Expression | None = None
     fprime: Expression | None = None
@@ -85,7 +87,7 @@ class FluxChoice:
 class ScenarioSpec:
     name: str
     mode: str
-    initial: object
+    initial: RiemannData | PiecewiseInitialData | Expression
     T: float
     dx: float
     domain: tuple
@@ -102,10 +104,14 @@ class ScenarioSpec:
 
 def _parse_float(text: str, where: str, errors: list[str]) -> float | None:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         errors.append(f"{where}: {text!r} is not a number")
         return None
+    if not math.isfinite(value):
+        errors.append(f"{where}: {text!r} is not a finite number")
+        return None
+    return value
 
 
 def _parse_initial(value: str, where: str, errors: list[str]):
@@ -119,7 +125,7 @@ def _parse_initial(value: str, where: str, errors: list[str]):
         uR = _parse_float(parts[1], where, errors)
         if uL is None or uR is None:
             return None
-        return RiemannSpec(uL, uR)
+        return RiemannData(uL, uR)
     if head == "piecewise":
         n_before = len(errors)
         chunks = [c.strip() for c in rest.split(";")]
@@ -132,30 +138,24 @@ def _parse_initial(value: str, where: str, errors: list[str]):
             errors.append(f"{where}: last piecewise entry must be C=<value>")
             return None
         C = _parse_float(chunks[-1][2:], where, errors)
-        bps = []
-        for tok in chunks[0].split(","):
-            b = _parse_float(tok.strip(), where, errors)
-            if b is not None:
-                bps.append(b)
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            errors.append(f"{where}: breakpoints must increase strictly")
+        bps = [_parse_float(tok.strip(), where, errors)
+               for tok in chunks[0].split(",")]
         exprs = []
         for chunk in chunks[1:-1]:
             try:
                 exprs.append(parse_expression(chunk))
             except ExpressionError as e:
                 errors.append(f"{where}: piece {chunk!r}: {e}")
-        if len(exprs) != len(bps) + 1:
-            errors.append(
-                f"{where}: {len(bps)} breakpoints need {len(bps) + 1} "
-                f"pieces, got {len(exprs)}"
-            )
-        if len(errors) > n_before or C is None:
+        if len(errors) > n_before:
             return None
-        return PiecewiseData(tuple(bps), tuple(exprs), C)
+        try:
+            return PiecewiseInitialData(tuple(bps), tuple(exprs), C)
+        except ValueError as e:
+            errors.append(f"{where}: {e}")
+            return None
     if head == "expression":
         try:
-            return ExpressionData(parse_expression(rest))
+            return parse_expression(rest)
         except ExpressionError as e:
             errors.append(f"{where}: {e}")
             return None
@@ -203,13 +203,9 @@ def _parse_pair(value: str, where: str, errors: list[str]) -> tuple | None:
     return (a, b)
 
 
-def parse_scenario(text: str) -> ScenarioSpec:
-    """Parse and validate one scenario document.
-
-    Raises ScenarioError carrying every problem found; the message of
-    each entry starts with the offending line number."""
-    errors: list[str] = []
-    raw: dict[str, tuple[int, str]] = {}
+def _read_fields(text: str, errors: list[str]) -> dict[str, tuple[str, str]]:
+    """The document's ``key = value`` lines as {key: ("line N", value)}."""
+    fields: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -219,162 +215,172 @@ def parse_scenario(text: str) -> ScenarioSpec:
             errors.append(f"line {lineno}: expected 'key = value'")
             continue
         key = key.strip()
-        value = value.strip()
-        if key in raw:
+        if key in fields:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        raw[key] = (lineno, value)
+        fields[key] = (f"line {lineno}", value.strip())
+    return fields
 
-    known = {
-        "name", "mode", "initial", "velocity", "flux", "epsilon",
-        "epsilon_list", "T", "dx", "cfl", "domain", "domain_y", "output",
-        "stride", "expect",
-    }
-    for key, (lineno, _) in raw.items():
-        if key not in known:
-            errors.append(f"line {lineno}: unknown key {key!r}")
+
+def parse_scenario(text: str) -> ScenarioSpec:
+    """Parse and validate one scenario document.
+
+    Raises ScenarioError carrying every problem found; the message of
+    each entry starts with the offending line number."""
+    errors: list[str] = []
+    return spec_from_fields(_read_fields(text, errors), errors)
+
+
+def spec_from_fields(
+    fields: dict[str, tuple[str, str]],
+    errors: Sequence[str] = (),
+    default_domain: Callable[[ScenarioSpec], tuple] | None = None,
+) -> ScenarioSpec:
+    """Validate {key: (where, value text)} into a ScenarioSpec.
+
+    errors holds problems already found in the source; each new one is
+    prefixed by the where of its key.  default_domain, when given, makes
+    domain optional: a spec without one gets default_domain(spec).
+    Raises ScenarioError carrying every problem found."""
+    errors = list(errors)
+    for key, (where, _) in fields.items():
+        if key not in KEYS:
+            errors.append(f"{where}: unknown key {key!r}")
 
     def grab(key: str):
-        return raw.get(key, (None, None))
+        return fields.get(key, (None, None))
 
-    def require(key: str) -> tuple[int | None, str | None]:
-        lineno, value = grab(key)
+    def require(key: str) -> tuple[str | None, str | None]:
+        where, value = grab(key)
         if value is None:
             errors.append(f"missing required key {key!r}")
-        return lineno, value
+        return where, value
 
-    _, name = require("name")
-    ln, mode = require("mode")
+    def positive(key: str, where: str | None, text: str | None):
+        value = _parse_float(text, where, errors) if text is not None else None
+        if value is not None and value <= 0.0:
+            errors.append(f"{where}: {key} must be positive")
+            return None
+        return value
+
+    where, name = require("name")
+    if name is not None and not TOKEN.fullmatch(name):
+        errors.append(
+            f"{where}: name {name!r} is not a token ({TOKEN.pattern})"
+        )
+    where, mode = require("mode")
     if mode is not None and mode not in MODES:
         errors.append(
-            f"line {ln}: unknown mode {mode!r} ({' | '.join(MODES)})"
+            f"{where}: unknown mode {mode!r} ({' | '.join(MODES)})"
         )
         mode = None
 
-    ln, ival = require("initial")
-    initial = (
-        _parse_initial(ival, f"line {ln}", errors) if ival is not None else None
-    )
+    where, ival = require("initial")
+    initial = _parse_initial(ival, where, errors) if ival is not None else None
 
-    ln, vval = grab("velocity")
+    where, vval = grab("velocity")
     velocity = None
     if vval is not None:
         if mode is not None and mode != "euler":
-            errors.append(f"line {ln}: velocity is only valid in euler mode")
+            errors.append(f"{where}: velocity is only valid in euler mode")
         try:
             velocity = parse_expression(vval)
         except ExpressionError as e:
-            errors.append(f"line {ln}: {e}")
+            errors.append(f"{where}: {e}")
 
-    ln, fval = grab("flux")
+    where, fval = grab("flux")
     flux = FluxChoice("burgers")
     if fval is not None:
-        parsed = _parse_flux(fval, f"line {ln}", errors)
+        parsed = _parse_flux(fval, where, errors)
         if parsed is not None:
             flux = parsed
 
-    ln_e, eval_ = grab("epsilon")
-    ln_l, lval = grab("epsilon_list")
+    where_e, eval_ = grab("epsilon")
+    where_l, lval = grab("epsilon_list")
     epsilon = None
     epsilon_list = None
     if eval_ is None and lval is None:
         errors.append("missing required key 'epsilon' or 'epsilon_list'")
     elif eval_ is not None and lval is not None:
         errors.append(
-            f"line {ln_l}: give either epsilon or epsilon_list, not both"
+            f"{where_l}: give either epsilon or epsilon_list, not both"
         )
     elif eval_ is not None:
-        epsilon = _parse_float(eval_, f"line {ln_e}", errors)
-        if epsilon is not None and epsilon <= 0.0:
-            errors.append(f"line {ln_e}: epsilon must be positive")
-            epsilon = None
+        epsilon = positive("epsilon", where_e, eval_)
     else:
-        vals = []
-        for tok in re.split(r"[,\s]+", lval.strip()):
-            if not tok:
-                continue
-            v = _parse_float(tok, f"line {ln_l}", errors)
-            if v is not None:
-                if v <= 0.0:
-                    errors.append(f"line {ln_l}: epsilon must be positive")
-                else:
-                    vals.append(v)
+        vals = [positive("epsilon", where_l, tok)
+                for tok in re.split(r"[,\s]+", lval.strip()) if tok]
+        vals = [v for v in vals if v is not None]
         if not vals:
-            errors.append(f"line {ln_l}: epsilon_list must be nonempty")
+            errors.append(f"{where_l}: epsilon_list must be nonempty")
         else:
             epsilon_list = tuple(vals)
 
-    ln, tval = require("T")
-    T = _parse_float(tval, f"line {ln}", errors) if tval is not None else None
-    if T is not None and T <= 0.0:
-        errors.append(f"line {ln}: T must be positive")
-        T = None
+    T = positive("T", *require("T"))
+    dx = positive("dx", *require("dx"))
 
-    ln, dval = require("dx")
-    dx = _parse_float(dval, f"line {ln}", errors) if dval is not None else None
-    if dx is not None and dx <= 0.0:
-        errors.append(f"line {ln}: dx must be positive")
-        dx = None
-
-    ln, cval = grab("cfl")
+    where, cval = grab("cfl")
     cfl = 0.5
     if cval is not None:
-        c = _parse_float(cval, f"line {ln}", errors)
+        c = _parse_float(cval, where, errors)
         if c is not None:
             if not 0.0 < c <= 1.0:
-                errors.append(f"line {ln}: cfl must lie in (0, 1]")
+                errors.append(f"{where}: cfl must lie in (0, 1]")
             else:
                 cfl = c
 
-    ln, dom = require("domain")
-    domain = _parse_pair(dom, f"line {ln}", errors) if dom is not None else None
+    if default_domain is None or "domain" in fields:
+        where, dom = require("domain")
+        domain = _parse_pair(dom, where, errors) if dom is not None else None
+    else:
+        domain = None
 
-    ln, domy = grab("domain_y")
+    where, domy = grab("domain_y")
     domain_y = None
     if domy is not None:
         if mode is not None and mode != "nn2d":
-            errors.append(f"line {ln}: domain_y is only valid in nn2d mode")
-        domain_y = _parse_pair(domy, f"line {ln}", errors)
+            errors.append(f"{where}: domain_y is only valid in nn2d mode")
+        domain_y = _parse_pair(domy, where, errors)
 
-    ln, out = grab("output")
+    where, out = grab("output")
     output = "csv"
     if out is not None:
         if out not in ("csv", "json"):
-            errors.append(f"line {ln}: output must be csv or json")
+            errors.append(f"{where}: output must be csv or json")
         else:
             output = out
 
-    ln, sval = grab("stride")
+    where, sval = grab("stride")
     stride = 50
     if sval is not None:
         try:
             stride = int(sval)
         except ValueError:
-            errors.append(f"line {ln}: stride {sval!r} is not an integer")
+            errors.append(f"{where}: stride {sval!r} is not an integer")
         else:
             if stride < 1:
-                errors.append(f"line {ln}: stride must be >= 1")
+                errors.append(f"{where}: stride must be >= 1")
                 stride = 50
 
-    ln, exp = grab("expect")
+    where, exp = grab("expect")
     expect = None
     if exp is not None:
         if exp != "nonconvergence":
             errors.append(
-                f"line {ln}: unknown expect flag {exp!r} (nonconvergence)"
+                f"{where}: unknown expect flag {exp!r} (nonconvergence)"
             )
         else:
             expect = exp
 
     if mode == "euler" and initial is not None:
-        if not isinstance(initial, ExpressionData):
+        if not isinstance(initial, Expression):
             errors.append("euler mode needs 'initial = expression <rho0>'")
     if mode in ("euler", "nn2d") and epsilon_list is not None:
         errors.append(f"{mode} mode needs a single epsilon, not epsilon_list")
 
     if errors:
         raise ScenarioError(errors)
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         name=name,
         mode=mode,
         initial=initial,
@@ -391,3 +397,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
         stride=stride,
         expect=expect,
     )
+    if domain is None:
+        spec.domain = default_domain(spec)
+    return spec

@@ -46,6 +46,7 @@ import numpy as np
 
 from .fluxes import FluxSpec
 from .grids import (
+    DatumError,
     GridFunction1D,
     PiecewiseInitialData,
     RiemannData,
@@ -260,6 +261,7 @@ def _datum_evaluator(
     one, the sampled initial state is linearly interpolated, which is fine
     for smooth data.  The clip pins the maximum principle to the range of
     the stored initial state even where a smooth datum peaks between nodes.
+    A datum value that is not finite raises DatumError.
     """
     lo = float(np.min(u0.values))
     hi = float(np.max(u0.values))
@@ -272,6 +274,12 @@ def _datum_evaluator(
         vals = np.asarray(data(y), dtype=float)
         if vals.shape != y.shape:
             vals = np.broadcast_to(vals, y.shape).astype(float)
+        if not np.isfinite(vals).all():  # a foot can leave the domain
+            bad = ~np.isfinite(vals)
+            raise DatumError(
+                f"values must be finite, and at the characteristic foot "
+                f"x = {float(y[bad][0])!r} the datum is {float(vals[bad][0])!r}"
+            )
         return np.minimum(hi, np.maximum(lo, vals))
 
     return ev
@@ -481,7 +489,8 @@ def _datum_jumps(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jump positions and one-sided limits of a structured functional datum.
 
     Only the structured datum types expose their discontinuities exactly;
-    an arbitrary callable contributes no tracked jumps.
+    an arbitrary callable contributes no tracked jumps.  A limit that is
+    not finite raises DatumError.
     """
     if isinstance(data, RiemannData):
         if data.uL != data.uR:
@@ -496,6 +505,11 @@ def _datum_jumps(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             bq = np.array([float(b)])
             fl = float(np.asarray(data.pieces[k](bq), dtype=float).ravel()[0])
             fr = float(np.asarray(data.pieces[k + 1](bq), dtype=float).ravel()[0])
+            if not np.isfinite([fl, fr]).all():
+                raise DatumError(
+                    f"values must be finite, and the one-sided limits at "
+                    f"breakpoint {b!r} are {fl!r} and {fr!r}"
+                )
             if fl != fr:
                 pos.append(float(b))
                 lefts.append(fl)

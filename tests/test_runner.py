@@ -12,7 +12,8 @@ from nlclaw import diagnostics, runner
 from nlclaw.cli import main
 from nlclaw.diagnostics import StudyScenario, convergence_study
 from nlclaw.runner import RunResult, write_outputs
-from nlclaw.scenario import RiemannSpec, ScenarioSpec
+from nlclaw.grids import RiemannData
+from nlclaw.scenario import ScenarioSpec
 
 SHOCK = """
 name = shock
@@ -436,7 +437,7 @@ def test_result_file_formats_are_pinned(tmp_path, monkeypatch):
         ),
     }
     spec = ScenarioSpec(
-        "fmt", "nn", RiemannSpec(1.0, 0.0), 1.0, 0.1, (-1.0, 1.0),
+        "fmt", "nn", RiemannData(1.0, 0.0), 1.0, 0.1, (-1.0, 1.0),
         epsilon=0.1,
     )
     written = write_outputs(spec, res, tmp_path / "csv")

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from nlclaw.scenario import (
-    ExpressionData,
-    PiecewiseData,
-    RiemannSpec,
-    ScenarioError,
-    parse_scenario,
-)
+from nlclaw.expressions import Expression
+from nlclaw.grids import PiecewiseInitialData, RiemannData
+from nlclaw.scenario import ScenarioError, parse_scenario
 
 MINIMAL = """
 name = shock
@@ -24,7 +20,7 @@ def test_minimal_document():
     spec = parse_scenario(MINIMAL)
     assert spec.name == "shock"
     assert spec.mode == "nn"
-    assert spec.initial == RiemannSpec(1.0, 0.0)
+    assert spec.initial == RiemannData(1.0, 0.0)
     assert spec.epsilon == 0.1
     assert spec.epsilon_list is None
     assert spec.T == 1.0 and spec.dx == 0.01
@@ -57,7 +53,7 @@ output = json
 stride = 10
 """
     )
-    assert isinstance(spec.initial, ExpressionData)
+    assert isinstance(spec.initial, Expression)
     assert spec.flux.kind == "expression"
     xs = np.linspace(-1.0, 1.0, 11)
     assert np.allclose(spec.flux.f(xs), xs**3 / 3, atol=1e-14)
@@ -79,7 +75,7 @@ domain = -3 3
 """
     )
     pw = spec.initial
-    assert isinstance(pw, PiecewiseData)
+    assert isinstance(pw, PiecewiseInitialData)
     assert pw.breakpoints == (-1.0, 1.0)
     assert len(pw.pieces) == 3
     assert pw.lipschitz_C == 0.15
