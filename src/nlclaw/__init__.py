@@ -43,7 +43,6 @@ from .diagnostics import (
     stability_envelope,
 )
 from .euler import (
-    EulerState,
     EulerTrajectory,
     conservative_residual,
     from_invariants,
@@ -88,7 +87,6 @@ __all__ = [
     "CheckResult",
     "ConvergenceTable",
     "DiagnosticsReport",
-    "EulerState",
     "EulerTrajectory",
     "Expression",
     "ExpressionError",

@@ -41,6 +41,7 @@ __all__ = [
     "CheckResult",
     "ConvergenceTable",
     "DiagnosticsReport",
+    "FRONT_SPEED_TOL",
     "FrontSpeedFit",
     "MultipleCrossingsError",
     "NoCrossingError",
@@ -50,6 +51,7 @@ __all__ = [
     "convergence_study",
     "measure_front_speed_fit",
     "oleinik_check",
+    "predicted_front_speed",
     "stability_envelope",
     "thread_cap",
 ]
@@ -154,6 +156,24 @@ def _crossing_position(
     x = grid.x
     th = d[i] / (d[i] - d[i + 1])
     return float(x[i] + th * grid.dx)
+
+
+FRONT_SPEED_TOL = 0.02  # relative gap of a measured to a predicted speed
+
+
+def predicted_front_speed(
+    mode: str, flux: FluxSpec | None, uL: float, uR: float
+) -> float | None:
+    """Front speed of the regularised schemes on the decreasing Riemann
+    datum (uL, uR): mode-dependent, not the Rankine-Hugoniot value.  None
+    when no closed-form prediction is claimed (conservative variant)."""
+    if mode == "nn":
+        return 0.5 * (uL + uR)
+    if mode == "velocity_reg":
+        return 0.5 * float(flux.fprime(uL) + flux.fprime(uR))
+    if mode == "flux_reg":
+        return float(flux.fprime(0.5 * (uL + uR)))
+    return None
 
 
 def measure_front_speed_fit(
@@ -353,12 +373,15 @@ class ConvergenceTable:
 
     def fit_rate(self, norm: str | None = None, n_points: int | None = 3) -> float:
         """Least-squares slope of log error against log eps over the
-        n_points smallest eps values (all rows when n_points is None)."""
+        n_points smallest eps values (all rows when n_points is None);
+        ValueError when that leaves fewer than two points."""
         errs = self.errors(norm)
         eps = np.array([r.epsilon for r in self.rows])
         if n_points is not None and n_points < len(eps):
             eps = eps[-n_points:]
             errs = errs[-n_points:]
+        if len(eps) < 2:
+            raise ValueError(f"a rate needs 2 or more points, not {len(eps)}")
         if np.any(errs <= 0.0):
             return np.inf
         return float(np.polyfit(np.log(eps), np.log(errs), 1)[0])

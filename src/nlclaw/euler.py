@@ -29,7 +29,6 @@ from .kernel import _bump_unnormalized
 from .solver import SolverConfig, Trajectory, solve_nn
 
 __all__ = [
-    "EulerState",
     "EulerTrajectory",
     "conservative_residual",
     "from_invariants",
@@ -38,41 +37,31 @@ __all__ = [
 ]
 
 
-@dataclass
-class EulerState:
-    """Invariant pair on a shared grid; density and velocity are derived.
-
-    Positivity of rho is a diagnostic, not a constraint: the invariant
-    formulation degenerates at vacuum and no claim is made there."""
-
-    mu: GridFunction1D
-    lam: GridFunction1D
-
-    def __post_init__(self) -> None:
-        if not self.mu.same_grid(self.lam):
-            raise GridMismatchError("fields must share one grid")
-
-    @property
-    def rho(self) -> GridFunction1D:
-        return self.mu.with_values(0.5 * (self.mu.values + self.lam.values))
-
-    @property
-    def vel(self) -> GridFunction1D:
-        return self.mu.with_values(0.5 * (self.mu.values - self.lam.values))
-
-
-def to_invariants(rho: GridFunction1D, vel: GridFunction1D) -> EulerState:
-    """mu = rho + vel, lam = rho - vel."""
+def to_invariants(
+    rho: GridFunction1D, vel: GridFunction1D
+) -> tuple[GridFunction1D, GridFunction1D]:
+    """(mu, lam) = (rho + vel, rho - vel) on the grid the two share."""
     if not rho.same_grid(vel):
         raise GridMismatchError("fields must share one grid")
-    return EulerState(
-        mu=rho.with_values(rho.values + vel.values),
-        lam=rho.with_values(rho.values - vel.values),
+    return (
+        rho.with_values(rho.values + vel.values),
+        rho.with_values(rho.values - vel.values),
     )
 
 
-def from_invariants(state: EulerState) -> tuple[GridFunction1D, GridFunction1D]:
-    return state.rho, state.vel
+def from_invariants(
+    mu: GridFunction1D, lam: GridFunction1D
+) -> tuple[GridFunction1D, GridFunction1D]:
+    """(rho, vel) = ((mu + lam) / 2, (mu - lam) / 2) on the grid the two
+    share.  Positivity of rho is a diagnostic, not a constraint: the
+    invariant formulation degenerates at vacuum and no claim is made
+    there."""
+    if not mu.same_grid(lam):
+        raise GridMismatchError("fields must share one grid")
+    return (
+        mu.with_values(0.5 * (mu.values + lam.values)),
+        mu.with_values(0.5 * (mu.values - lam.values)),
+    )
 
 
 def _reversed_grid(u: GridFunction1D) -> GridFunction1D:
@@ -124,9 +113,7 @@ def solve_isentropic(
     equation under x -> -x (values reversed, solved, reversed back).  The
     two solves never reference each other, so evolving them jointly is
     bitwise the same as evolving each alone."""
-    st0 = to_invariants(rho0, vel0)
-    mu0 = st0.mu
-    lam0 = st0.lam
+    mu0, lam0 = to_invariants(rho0, vel0)
     sup_shared = max(
         float(np.max(np.abs(mu0.values))),
         float(np.max(np.abs(lam0.values))),

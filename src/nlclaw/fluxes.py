@@ -15,9 +15,9 @@ class FluxSpec:
     """Flux f with derivative fprime on the data range.
 
     radius bounds the interval [-radius, radius] the data is known to stay
-    in (maximum principle).  Construction spot-checks that fprime really
-    is the derivative of f by central differences at five points of that
-    interval.
+    in (maximum principle).  Construction spot-checks that f and fprime
+    are finite there and that fprime really is the derivative of f, by
+    central differences at five points of that interval.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -29,8 +29,17 @@ class FluxSpec:
             raise ValueError("radius must be > 0")
         pts = np.linspace(-self.radius, self.radius, 5)
         h = 1e-6 * max(1.0, self.radius)
-        fd = (np.asarray(self.f(pts + h)) - np.asarray(self.f(pts - h))) / (2 * h)
-        fp = np.asarray(self.fprime(pts), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fa = np.asarray(self.f(pts + h), dtype=float)
+            fb = np.asarray(self.f(pts - h), dtype=float)
+            fp = np.asarray(self.fprime(pts), dtype=float)
+            if not (np.isfinite(fa).all() and np.isfinite(fb).all()
+                    and np.isfinite(fp).all()):
+                raise ValueError(
+                    f"f or fprime is not finite on [-{self.radius:.6g}, "
+                    f"{self.radius:.6g}]"
+                )
+            fd = (fa - fb) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(fp))))
         if np.max(np.abs(fd - fp)) > 1e-6 * scale:
             raise ValueError("fprime disagrees with finite differences of f")

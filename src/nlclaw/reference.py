@@ -26,8 +26,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .fluxes import FluxSpec
-from .grids import GridFunction1D, PiecewiseInitialData, RiemannData, sup_norm
-from .solver import check_node_steps
+from .grids import GridFunction1D, RiemannData, sup_norm
+from .solver import check_node_steps, step_times
 
 __all__ = [
     "FrontTrackingSolution",
@@ -149,10 +149,7 @@ def godunov_solve(
     dx = u0.dx
     dt = GODUNOV_CFL * dx / max(max_speed, 1e-12)
     check_node_steps(u0.n, T, dt, sup_norm(u0), dx)
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-
     vals = u0.values.copy()
-    t = 0.0
 
     def interface_flux(ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
         f_ul = flux.f(ul)
@@ -161,19 +158,12 @@ def godunov_solve(
         rare = flux.f(np.clip(omega, ul, ur))        # ul <= ur
         return np.where(ul > ur, shock, rare)
 
-    for k in range(n_steps):
-        t_next = min((k + 1) * dt, T)
-        step_dt = t_next - t
-        if step_dt <= 0.0:
-            break
-        ul = vals[:-1]
-        ur = vals[1:]
-        F = interface_flux(ul, ur)
+    for _, t, t_next in step_times(T, dt):
+        F = interface_flux(vals[:-1], vals[1:])
         # constant extension: boundary interfaces see equal states
         F_left = np.concatenate([[float(flux.f(vals[0]))], F])
         F_right = np.concatenate([F, [float(flux.f(vals[-1]))]])
-        vals = vals - (step_dt / dx) * (F_right - F_left)
-        t = t_next
+        vals = vals - ((t_next - t) / dx) * (F_right - F_left)
     return u0.with_values(vals)
 
 
@@ -241,59 +231,13 @@ class FrontTrackingSolution:
     def sample_on(self, grid: GridFunction1D, t: float) -> GridFunction1D:
         return grid.with_values(self.evaluate(t, grid.x))
 
-    def mass(self, t: float, a: float, b: float) -> float:
-        """Exact integral of u(t, .) over [a, b] (piecewise constant)."""
-        alive = self._alive(t)
-        if not alive:
-            return self._constant_state * (b - a)
-        cuts = [a] + [
-            min(max(tr.position(t), a), b) for tr in alive
-        ] + [b]
-        levels = [alive[0].uL] + [tr.uR for tr in alive]
-        total = 0.0
-        for lo, hi, u in zip(cuts[:-1], cuts[1:], levels):
-            if hi > lo:
-                total += u * (hi - lo)
-        return total
 
-
-def _initial_jumps(u0) -> tuple[list[float], list[float]]:
-    """Extract (positions, level values) of the piecewise-constant datum."""
-    if isinstance(u0, GridFunction1D):
-        vals = u0.values
-        x = u0.x
-        jump_idx = np.nonzero(np.diff(vals) != 0.0)[0]
-        positions = (0.5 * (x[jump_idx] + x[jump_idx + 1])).tolist()
-        levels = [float(vals[0])] + [float(vals[j + 1]) for j in jump_idx]
-        return positions, levels
-    if isinstance(u0, PiecewiseInitialData):
-        levels = []
-        for k, piece in enumerate(u0.pieces):
-            if k == 0:
-                probes = np.array([u0.breakpoints[0] - 1.0, u0.breakpoints[0]])
-            elif k == len(u0.pieces) - 1:
-                probes = np.array([u0.breakpoints[-1] + 1.0, u0.breakpoints[-1] + 2.0])
-            else:
-                a, b = u0.breakpoints[k - 1], u0.breakpoints[k]
-                probes = np.linspace(a, b, 5)[1:]
-            pv = np.asarray(piece(probes), dtype=float)
-            pv = np.broadcast_to(pv, probes.shape)
-            if np.max(pv) - np.min(pv) > 1e-12:
-                raise ValueError("front tracking needs piecewise-constant data")
-            levels.append(float(pv[0]))
-        positions = list(u0.breakpoints)
-        # drop zero jumps
-        pos2, lev2 = [], [levels[0]]
-        for p, l in zip(positions, levels[1:]):
-            if l != lev2[-1]:
-                pos2.append(p)
-                lev2.append(l)
-        return pos2, lev2
-    raise ValueError("front tracking needs piecewise-constant data")
-
-
-def front_tracking_solve(u0, T: float) -> FrontTrackingSolution:
-    """Track every front of a piecewise-constant datum up to time T.
+def front_tracking_solve(
+    u0: GridFunction1D, T: float
+) -> FrontTrackingSolution:
+    """Track every front of the grid function u0, read as piecewise
+    constant with a jump midway between any two unequal neighbours, up to
+    time T.
 
     Decreasing jumps travel as single shocks; increasing jumps are split
     into ladders of admissible sub-jumps of size at most delta, 1e-2
@@ -303,7 +247,10 @@ def front_tracking_solve(u0, T: float) -> FrontTrackingSolution:
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    positions, levels = _initial_jumps(u0)
+    vals, x = u0.values, u0.x
+    jump_idx = np.nonzero(np.diff(vals) != 0.0)[0]
+    positions = (0.5 * (x[jump_idx] + x[jump_idx + 1])).tolist()
+    levels = [float(vals[0])] + [float(vals[j + 1]) for j in jump_idx]
     rng = (max(levels) - min(levels)) if len(levels) > 1 else 0.0
     delta = max(1e-2 * rng, 1e-12)
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    FRONT_SPEED_TOL,
     DiagnosticsReport,
     MultipleCrossingsError,
     NoCrossingError,
@@ -32,6 +33,7 @@ from .diagnostics import (
     check_invariants,
     convergence_study,
     measure_front_speed_fit,
+    predicted_front_speed,
 )
 from .euler import conservative_residual, solve_isentropic
 from .fluxes import FluxSpec, burgers_flux, cubic_flux
@@ -69,30 +71,20 @@ _RUN_ERRORS = (
 )
 
 
-def _flux_spec(spec: ScenarioSpec, radius: float) -> FluxSpec:
+def _flux_spec(spec: ScenarioSpec, u0) -> FluxSpec:
+    """The scenario's flux, its spot-check sized to the sampled data:
+    radius max(1, 1.5 sup|u0|).  A flux that fails the check is an input
+    error on flux."""
     fc = spec.flux
-    if fc.kind == "burgers":
-        return burgers_flux(radius=radius)
-    if fc.kind == "cubic":
-        return cubic_flux(radius=radius)
+    radius = max(1.0, 1.5 * sup_norm(u0))
     try:
+        if fc.kind == "burgers":
+            return burgers_flux(radius=radius)
+        if fc.kind == "cubic":
+            return cubic_flux(radius=radius)
         return FluxSpec(fc.f, fc.fprime, radius=radius)
-    except ValueError as e:  # fprime is not the derivative of f
+    except ValueError as e:
         raise ScenarioError([f"flux: {e}"]) from None
-
-
-def _predicted_front_speed(spec: ScenarioSpec, flux: FluxSpec) -> float | None:
-    """Front speed of the regularised schemes on a decreasing Riemann
-    datum: mode-dependent, not the Rankine-Hugoniot value.  None when no
-    closed-form prediction is claimed (conservative variant)."""
-    uL, uR = spec.initial.uL, spec.initial.uR
-    if spec.mode == "nn":
-        return 0.5 * (uL + uR)
-    if spec.mode == "velocity_reg":
-        return 0.5 * float(flux.fprime(uL) + flux.fprime(uR))
-    if spec.mode == "flux_reg":
-        return float(flux.fprime(0.5 * (uL + uR)))
-    return None
 
 
 def _meta(spec, epsilon, dx, dt) -> dict:
@@ -154,7 +146,7 @@ def _datum_and_flux(spec: ScenarioSpec, dx: float):
     sized to the sampled range."""
     data = spec.initial
     u0 = _sample("initial", data, spec.domain[0], spec.domain[1], dx)
-    return data, u0, _flux_spec(spec, max(1.0, 1.5 * sup_norm(u0)))
+    return data, u0, _flux_spec(spec, u0)
 
 
 def _run_1d_single(spec: ScenarioSpec) -> RunResult:
@@ -164,12 +156,9 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
 
     rep = check_invariants(traj)
     front = None
-    if (
-        isinstance(spec.initial, RiemannData)
-        and spec.initial.uL > spec.initial.uR
-    ):
-        predicted = _predicted_front_speed(spec, flux)
-        level = 0.5 * (spec.initial.uL + spec.initial.uR)
+    if isinstance(data, RiemannData) and data.uL > data.uR:
+        predicted = predicted_front_speed(spec.mode, flux, data.uL, data.uR)
+        level = 0.5 * (data.uL + data.uR)
         _check_levels(traj.times, 0.5 * spec.T, 2, spec, "front-speed fit")
         fit = measure_front_speed_fit(
             traj, level, (0.5 * spec.T, spec.T)
@@ -182,10 +171,11 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
         if predicted is not None and abs(predicted) > 1e-12:
             rep.add(
                 "front_speed",
-                abs(fit.speed - predicted) <= 0.02 * abs(predicted),
+                abs(fit.speed - predicted) <= FRONT_SPEED_TOL * abs(predicted),
                 fit.speed,
                 predicted,
-                detail="within 2% of the mode's predicted speed",
+                detail=f"within {FRONT_SPEED_TOL:.0%} of the mode's "
+                "predicted speed",
             )
     body = {"checks": rep.as_dict()}
     if front is not None:
@@ -296,7 +286,7 @@ def _run_2d(spec: ScenarioSpec) -> RunResult:
         )
     except ValueError as e:
         raise ScenarioError([f"initial: {e}"]) from None
-    flux = _flux_spec(spec, max(1.0, 1.5 * sup_norm(u0)))
+    flux = _flux_spec(spec, u0)
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     tr = solve_velocity_reg_2d(u0, (flux, flux), spec.epsilon, spec.T, cfg)
     fin = tr.final
@@ -467,7 +457,11 @@ def run(spec: ScenarioSpec, outdir, verify_only: bool = False) -> int:
     except _RUN_ERRORS as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    write_outputs(spec, res, Path(outdir), verify_only=verify_only)
+    try:
+        write_outputs(spec, res, Path(outdir), verify_only=verify_only)
+    except OSError as e:  # outdir is a file, or cannot take the files
+        print(f"outdir: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return EXIT_OK if res.passed else EXIT_CHECK_FAILED
 
 

@@ -22,8 +22,10 @@ blank lines ignored, keys case-sensitive, each key at most once):
     stride   = <int >= 1>              snapshot stride, default 50
     expect   = nonconvergence          optional flag
 
-A ``<token>`` is ``[A-Za-z0-9_][A-Za-z0-9_.-]*``: the result files are
-named after it, so it can name no directory.  Every number must be
+A ``<token>`` is ``[A-Za-z0-9_][A-Za-z0-9_.-]*``, at most 200 characters:
+the result files are named after it, so it can name no directory and
+leaves room for their suffixes.  An ``epsilon_list`` needs two distinct
+values, since a sweep fits a rate through its rows.  Every number must be
 finite; ``nan``, ``inf`` and values that overflow to them are rejected.
 ``piecewise`` lists n breakpoints and n+1 expressions separated by
 semicolons, last entry ``C=<c >= 0>`` giving the one-sided Lipschitz
@@ -62,7 +64,9 @@ KEYS = (
     "name", "mode", "initial", "velocity", "flux", "epsilon", "epsilon_list",
     "T", "dx", "cfl", "domain", "domain_y", "output", "stride", "expect",
 )
-TOKEN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
+# at most 200 characters: NAME_MAX (255) less the longest suffix a result
+# file adds to the name, "_eps<float repr>.json" (32)
+TOKEN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]{0,199}")
 
 
 class ScenarioError(ValueError):
@@ -278,27 +282,24 @@ def spec_from_fields(
     where, ival = require("initial")
     initial = _parse_initial(ival, where, errors) if ival is not None else None
 
+    # keys left out keep the ScenarioSpec defaults; a None stored here
+    # comes with an error, so it never reaches a spec
+    given = {}
     where, vval = grab("velocity")
-    velocity = None
     if vval is not None:
         if mode is not None and mode != "euler":
             errors.append(f"{where}: velocity is only valid in euler mode")
         try:
-            velocity = parse_expression(vval)
+            given["velocity"] = parse_expression(vval)
         except ExpressionError as e:
             errors.append(f"{where}: {e}")
 
     where, fval = grab("flux")
-    flux = FluxChoice("burgers")
     if fval is not None:
-        parsed = _parse_flux(fval, where, errors)
-        if parsed is not None:
-            flux = parsed
+        given["flux"] = _parse_flux(fval, where, errors)
 
     where_e, eval_ = grab("epsilon")
     where_l, lval = grab("epsilon_list")
-    epsilon = None
-    epsilon_list = None
     if eval_ is None and lval is None:
         errors.append("missing required key 'epsilon' or 'epsilon_list'")
     elif eval_ is not None and lval is not None:
@@ -306,28 +307,30 @@ def spec_from_fields(
             f"{where_l}: give either epsilon or epsilon_list, not both"
         )
     elif eval_ is not None:
-        epsilon = positive("epsilon", where_e, eval_)
+        given["epsilon"] = positive("epsilon", where_e, eval_)
     else:
         vals = [positive("epsilon", where_l, tok)
                 for tok in re.split(r"[,\s]+", lval.strip()) if tok]
-        vals = [v for v in vals if v is not None]
-        if not vals:
+        valid = [v for v in vals if v is not None]
+        if not valid:
             errors.append(f"{where_l}: epsilon_list must be nonempty")
         else:
-            epsilon_list = tuple(vals)
+            given["epsilon_list"] = tuple(valid)
+            # a sweep fits a rate through its rows
+            if len(valid) == len(vals) and len(set(valid)) < 2:
+                errors.append(
+                    f"{where_l}: epsilon_list needs at least two distinct "
+                    "values"
+                )
 
     T = positive("T", *require("T"))
     dx = positive("dx", *require("dx"))
 
     where, cval = grab("cfl")
-    cfl = 0.5
     if cval is not None:
-        c = _parse_float(cval, where, errors)
-        if c is not None:
-            if not 0.0 < c <= 1.0:
-                errors.append(f"{where}: cfl must lie in (0, 1]")
-            else:
-                cfl = c
+        given["cfl"] = _parse_float(cval, where, errors)
+        if given["cfl"] is not None and not 0.0 < given["cfl"] <= 1.0:
+            errors.append(f"{where}: cfl must lie in (0, 1]")
 
     if default_domain is None or "domain" in fields:
         where, dom = require("domain")
@@ -336,66 +339,46 @@ def spec_from_fields(
         domain = None
 
     where, domy = grab("domain_y")
-    domain_y = None
     if domy is not None:
         if mode is not None and mode != "nn2d":
             errors.append(f"{where}: domain_y is only valid in nn2d mode")
-        domain_y = _parse_pair(domy, where, errors)
+        given["domain_y"] = _parse_pair(domy, where, errors)
 
     where, out = grab("output")
-    output = "csv"
     if out is not None:
         if out not in ("csv", "json"):
             errors.append(f"{where}: output must be csv or json")
-        else:
-            output = out
+        given["output"] = out
 
     where, sval = grab("stride")
-    stride = 50
     if sval is not None:
         try:
-            stride = int(sval)
+            given["stride"] = int(sval)
         except ValueError:
             errors.append(f"{where}: stride {sval!r} is not an integer")
         else:
-            if stride < 1:
+            if given["stride"] < 1:
                 errors.append(f"{where}: stride must be >= 1")
-                stride = 50
 
     where, exp = grab("expect")
-    expect = None
     if exp is not None:
         if exp != "nonconvergence":
             errors.append(
                 f"{where}: unknown expect flag {exp!r} (nonconvergence)"
             )
-        else:
-            expect = exp
+        given["expect"] = exp
 
     if mode == "euler" and initial is not None:
         if not isinstance(initial, Expression):
             errors.append("euler mode needs 'initial = expression <rho0>'")
-    if mode in ("euler", "nn2d") and epsilon_list is not None:
+    if mode in ("euler", "nn2d") and "epsilon_list" in given:
         errors.append(f"{mode} mode needs a single epsilon, not epsilon_list")
 
     if errors:
         raise ScenarioError(errors)
     spec = ScenarioSpec(
-        name=name,
-        mode=mode,
-        initial=initial,
-        T=T,
-        dx=dx,
-        domain=domain,
-        flux=flux,
-        velocity=velocity,
-        epsilon=epsilon,
-        epsilon_list=epsilon_list,
-        cfl=cfl,
-        domain_y=domain_y,
-        output=output,
-        stride=stride,
-        expect=expect,
+        name=name, mode=mode, initial=initial, T=T, dx=dx, domain=domain,
+        **given,
     )
     if domain is None:
         spec.domain = default_domain(spec)

@@ -66,6 +66,7 @@ __all__ = [
     "solve_conservative_nonlocal",
     "solve_general",
     "solve_nn",
+    "step_times",
 ]
 
 SUP_FLOOR = 1e-12  # dt cap divisor for all-zero data
@@ -201,6 +202,17 @@ class Trajectory:
         return float(self.times[-1])
 
 
+def _cubic_weights(s: np.ndarray) -> tuple:
+    """4-point cubic Lagrange weights at offsets (-1, 0, 1, 2) for the
+    fractional positions s in [0, 1]."""
+    return (
+        -s * (s - 1.0) * (s - 2.0) / 6.0,
+        (s * s - 1.0) * (s - 2.0) / 2.0,
+        -s * (s + 1.0) * (s - 2.0) / 2.0,
+        s * (s * s - 1.0) / 6.0,
+    )
+
+
 def _interp_foot(
     phi: np.ndarray, x0: float, dx: float, y: np.ndarray
 ) -> np.ndarray:
@@ -228,16 +240,11 @@ def _interp_foot(
     inner = (i >= 1) & (i <= n - 3)
     if inner.any():
         ii = i[inner]
-        s = th[inner]
-        pm1 = phi[ii - 1]
-        p0 = phi[ii]
-        p1 = phi[ii + 1]
-        p2 = phi[ii + 2]
-        wm1 = -s * (s - 1.0) * (s - 2.0) / 6.0
-        w0 = (s * s - 1.0) * (s - 2.0) / 2.0
-        w1 = -s * (s + 1.0) * (s - 2.0) / 2.0
-        w2 = s * (s * s - 1.0) / 6.0
-        out[inner] = wm1 * pm1 + w0 * p0 + w1 * p1 + w2 * p2
+        wm1, w0, w1, w2 = _cubic_weights(th[inner])
+        out[inner] = (
+            wm1 * phi[ii - 1] + w0 * phi[ii] + w1 * phi[ii + 1]
+            + w2 * phi[ii + 2]
+        )
     # np.clip(out, lo, hi, out=out) with its tie rule (see interpolate_values)
     np.maximum(out, np.minimum(a, b), out=out)
     np.minimum(out, np.maximum(a, b), out=out)
@@ -624,6 +631,19 @@ def _foot_1d(u0: GridFunction1D, data) -> _Foot:
     )
 
 
+def step_times(T: float, dt: float):
+    """The uniform step schedule up to T: yields (k, t, t_next) for each
+    step k, where t_next is k + 1 steps of dt capped at T; ceil(T / dt)
+    steps (at least one), ending early at a step of no length."""
+    t = 0.0
+    for k in range(max(1, int(np.ceil(T / dt - 1e-12)))):
+        t_next = min((k + 1) * dt, T)
+        if t_next - t <= 0.0:
+            return
+        yield k, t, t_next
+        t = t_next
+
+
 def _solve_transport(
     u0,
     m: Mollifier,
@@ -655,7 +675,6 @@ def _solve_transport(
     check_stored_levels(u0.values.size, T, dt, cfg.store_stride)
     if foot is None:
         foot = _foot_1d(u0, data)
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
     phi = tuple(np.broadcast_to(p, u0.values.shape).copy() for p in foot.nodes)
     vals = u0.values.copy()
     fronts = foot.fronts
@@ -663,20 +682,14 @@ def _solve_transport(
     levels = [vals]
     counts = []
     last = _LastPass(m.radius)
-    t = 0.0
-    for k in range(n_steps):
-        t_next = min((k + 1) * dt, T)
-        step_dt = t_next - t
-        if step_dt <= 0.0:
-            break
+    for k, t, t_next in step_times(T, dt):
         phi, vals, nit, fronts = _picard_step_foot(
-            phi, vals, foot, velocity_of, step_dt,
+            phi, vals, foot, velocity_of, t_next - t,
             cfg.picard_max_iters, fronts, k, t, last,
         )
         counts.append(nit)
-        t = t_next
-        if (k + 1) % cfg.store_stride == 0 or t >= T:
-            times.append(t)
+        if (k + 1) % cfg.store_stride == 0 or t_next >= T:
+            times.append(t_next)
             levels.append(vals)
     return Trajectory(
         u0.copy(), times, np.stack(levels), m.epsilon, mode,

@@ -23,7 +23,13 @@ from scipy.ndimage import convolve1d
 from .fluxes import FluxSpec
 from .grids import sup_norm, uniform_grid
 from .kernel import Mollifier, build_mollifier
-from .solver import SolverConfig, Trajectory, _Foot, _solve_transport
+from .solver import (
+    SolverConfig,
+    Trajectory,
+    _cubic_weights,
+    _Foot,
+    _solve_transport,
+)
 
 __all__ = [
     "GridFunction2D",
@@ -76,11 +82,6 @@ class GridFunction2D:
 
     def copy(self) -> "GridFunction2D":
         return self.with_values(self.values.copy())
-
-    def same_grid(self, other: "GridFunction2D") -> bool:
-        return (self.x0, self.y0, self.dx, self.dy, self.values.shape) == (
-            other.x0, other.y0, other.dx, other.dy, other.values.shape
-        )
 
 
 def sample_2d(
@@ -162,12 +163,10 @@ def _axis_weights(
     edge cells; the choice is made per axis, so a trivial axis (feet on
     the nodes) never demotes the other axis's accuracy."""
     inner = (idx >= 1) & (idx <= n - 3)
-    s = t
-    wm1 = np.where(inner, -s * (s - 1.0) * (s - 2.0) / 6.0, 0.0)
-    w0 = np.where(inner, (s * s - 1.0) * (s - 2.0) / 2.0, 1.0 - s)
-    w1 = np.where(inner, -s * (s + 1.0) * (s - 2.0) / 2.0, s)
-    w2 = np.where(inner, s * (s * s - 1.0) / 6.0, 0.0)
-    return wm1, w0, w1, w2
+    linear = (0.0, 1.0 - t, t, 0.0)
+    return tuple(
+        np.where(inner, w, lin) for w, lin in zip(_cubic_weights(t), linear)
+    )
 
 
 def _interp_foot_2d(

@@ -259,6 +259,14 @@ def test_table_fit_rate_linear_in_eps():
     assert abs(tab2.fit_rate("sup", n_points=None) - 2.0) <= 1e-12
 
 
+def test_table_fit_rate_needs_two_points():
+    tab = synthetic_table([0.2, 0.1], [0.14, 0.07])
+    with pytest.raises(ValueError):
+        tab.fit_rate("sup", n_points=1)
+    with pytest.raises(ValueError):
+        synthetic_table([0.2], [0.14]).fit_rate("sup", n_points=None)
+
+
 def test_table_unknown_norm():
     tab = synthetic_table([0.2, 0.1], [0.1, 0.05])
     with pytest.raises(ValueError):

@@ -1,0 +1,246 @@
+"""Byte identity of the result files on a fixed scenario set.
+
+Each case runs in-process through ``cli.main`` with NLCLAW_THREADS=1, and
+the exit status and the sha256 of every file it writes are compared with
+the literals in DIGESTS.  The set covers every mode, Riemann, piecewise
+and expression data, the Burgers, cubic and expression fluxes, CSV and
+JSON output, ``verify``, a non-convergence sweep, a cubic Godunov sweep
+and two ``riemann`` runs.
+
+The literals change only in a change that changes the algorithm or a
+file format; such a change lists the old and the new values in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from nlclaw.cli import main
+
+SCENARIOS = {
+    "shock": """
+name = shock
+mode = nn
+initial = riemann 1 0
+epsilon = 0.1
+T = 0.3
+dx = 0.01
+domain = -1 1.5
+stride = 5
+""",
+    "cons": """
+name = cons
+mode = conservative
+initial = expression -0.5*tanh(x)
+epsilon = 0.1
+T = 0.3
+dx = 0.02
+domain = -2 2
+stride = 5
+""",
+    "vreg_cubic": """
+name = vreg_cubic
+mode = velocity_reg
+flux = cubic
+initial = riemann 1.2 0.2
+epsilon = 0.1
+T = 0.3
+dx = 0.01
+domain = -1 2
+stride = 6
+output = json
+""",
+    "freg_expr": """
+name = freg_expr
+mode = flux_reg
+flux = expression 0.5*x^2 + x ; x + 1
+initial = piecewise -1,1 ; 0.8 ; 0.3 - 0.1*tanh(x) ; -0.5 ; C=0.1
+epsilon = 0.1
+T = 0.3
+dx = 0.01
+domain = -3 3
+stride = 10
+""",
+    "pulse": """
+name = pulse
+mode = euler
+initial = expression 1 + 0.1*exp(-x^2)
+velocity = 0.2*tanh(x)
+epsilon = 0.1
+T = 0.1
+dx = 0.025
+domain = -4 4
+stride = 2
+""",
+    "plane": """
+name = plane
+mode = nn2d
+initial = expression -tanh(x)
+epsilon = 0.1
+T = 0.05
+dx = 0.05
+domain = -2 2
+domain_y = 0 0.2
+""",
+    "verify_vreg": """
+name = verify_vreg
+mode = velocity_reg
+initial = expression 0.5 - 0.4*tanh(2*x)
+epsilon = 0.1
+T = 0.2
+dx = 0.02
+domain = -2 2
+""",
+    "rare_sweep": """
+name = rare_sweep
+mode = nn
+initial = riemann -1 1
+epsilon_list = 0.2 0.1
+T = 0.5
+dx = 0.05
+domain = -2 2
+expect = nonconvergence
+""",
+    "cubic_sweep": """
+name = cubic_sweep
+mode = velocity_reg
+flux = cubic
+initial = expression 0.5 - 0.25*tanh(x)
+epsilon_list = 0.4 0.2
+T = 0.3
+dx = 0.05
+domain = -2 2
+output = json
+""",
+}
+
+RIEMANN = ["--epsilon", "0.1", "--T", "0.5", "--dx", "0.005", "--stride", "10"]
+COMMANDS = {
+    "shock": ["run"],
+    "cons": ["run"],
+    "vreg_cubic": ["run"],
+    "freg_expr": ["run"],
+    "pulse": ["euler"],
+    "plane": ["run"],
+    "verify_vreg": ["verify"],
+    "rare_sweep": ["sweep"],
+    "cubic_sweep": ["sweep"],
+    "riemann_nn": ["riemann", "--uL", "1", "--uR", "0", *RIEMANN],
+    "riemann_freg_cubic": [
+        "riemann", "--uL", "1.5", "--uR", "0.5", "--flux", "cubic",
+        "--mode", "flux_reg", "--name", "freg", *RIEMANN,
+    ],
+}
+
+DIGESTS = {
+    "cons": (0, {
+        "cons.csv":
+            "bd753fdb33a6ac792808e0e522e44c8c43a233612662fa1ed5ff783aed1e8ce8",
+        "cons_profile.dat":
+            "978722194878b42435d329925ebfede03e927352251951721d8178f4b63a75dc",
+        "cons_report.json":
+            "d53358434775ff0fa3ff7ca894106cf36fb1912a8bdb554dcd8384a040fbdd77",
+    }),
+    "cubic_sweep": (0, {
+        "cubic_sweep_eps0.2.json":
+            "aea29b7df5626bf755ed5167b8283b87b0b5e4b7feaf119ec248a44f88701cd1",
+        "cubic_sweep_eps0.4.json":
+            "b78d93aabe5196939246c745dcd96182d0362bee3dc7549485dea009e7d0c550",
+        "cubic_sweep_report.json":
+            "8150ca0a5a857ba0373af2d0d90189a3f24d0fca5313657169717706e6c462e9",
+        "cubic_sweep_table.dat":
+            "ceb1cd425b11b1fec0852bc006927feb5617f432a6d860e1c96a71fb3c94474d",
+    }),
+    "freg_expr": (2, {
+        "freg_expr.csv":
+            "b3080ba4560ece7cdcbeb5743d189b05041c268c1832f48e54b93480ac6b1838",
+        "freg_expr_profile.dat":
+            "f2078745da44a481d9510851d3f6930ecbacdf28cb4b904c4a39f6d11a7a94ac",
+        "freg_expr_report.json":
+            "b28812744e865521f070d8b86d116169402f335ba89ba2646f96dc825b22980a",
+    }),
+    "plane": (0, {
+        "plane.csv":
+            "06d184b40f886535be255e8679890238e9f06e8941e8dd748abbb3775535aa09",
+        "plane_profile.dat":
+            "9e572cc30be7ecd9a3a0088ce0ddc559178ff0d9f166830e6797c5a46e58055e",
+        "plane_report.json":
+            "33fbdcf5b3b604350af036475c6f656734dcc09957a023ecb084ad74c93abcc1",
+    }),
+    "pulse": (0, {
+        "pulse.csv":
+            "5b003ca2e37a62896f67cc1a92fd7fc8ccc7c58caf3fbbbe0d480f081d1e9b24",
+        "pulse_profile.dat":
+            "98067c1e2bd32f3f59f3acce3694835708218f52e0b9387423816d5034acc5dd",
+        "pulse_report.json":
+            "1bd800495b6e8ff41f6fae8905a9ee163e2cececb55f15d165cf5ed6663145a5",
+    }),
+    "rare_sweep": (0, {
+        "rare_sweep_eps0.1.csv":
+            "b3e30574b6b0a8db1f925d87b7ff78e6cee51190bb29bb2ec7d39f3b6cc24fdc",
+        "rare_sweep_eps0.2.csv":
+            "acbb0922634fa9b3a6b8d369b46204a6c2c5fd7bedab3187e19b1a11dce198d7",
+        "rare_sweep_report.json":
+            "e32831e464aebbfcea9bb9a8848d605641fb3c68927ed16d6319d68c2682f1d4",
+        "rare_sweep_table.dat":
+            "f54bf86cc4b75372e6d2a5f95d1e0f237f81c7c227eaef2b5274c02d72c4b31a",
+    }),
+    "riemann_freg_cubic": (0, {
+        "freg.csv":
+            "a1d181141ea1987c68f2c870d8683dbcec39126a7bc5196446d396888d7a6f6b",
+        "freg_profile.dat":
+            "e441574420d09e1bb7feab99308c95f79a8d576094e0c75c3ab6483caab28f42",
+        "freg_report.json":
+            "9446116ac56e3f34dc877dfe672fc1fc568b83338c862acd86822fbfddfeb948",
+    }),
+    "riemann_nn": (0, {
+        "riemann.csv":
+            "01710a80da4c104b4c73e7741520e7f1d02a7d555fc780cdb1256c500ccee23b",
+        "riemann_profile.dat":
+            "899e3b186a1ea4d12a09b089f06bbe487de074ec138b86bf77a2e59215567f77",
+        "riemann_report.json":
+            "985e4b678f5c33df896733536be9b67e345e8ff32801b8c16025bd18cdf9400a",
+    }),
+    "shock": (2, {
+        "shock.csv":
+            "4a3998710b853cdc62062f2c872b9c32a0a056ea2b86ddd55b2a4afb294e885e",
+        "shock_profile.dat":
+            "34642a3e297dd4fa57af6ae9bafe386e058d4f791b1c032f42122b6db1ad3bf0",
+        "shock_report.json":
+            "ebf2cfe6459419976f6ff47f21a89420ff13e2b4cb67e7fc177b2865e4483029",
+    }),
+    "verify_vreg": (0, {
+        "verify_vreg_report.json":
+            "8dd1baf3ea5a7fb411fcb6ec6173ac17a2bc33470f1da8e600d1d3c20c5b7a89",
+    }),
+    "vreg_cubic": (2, {
+        "vreg_cubic.json":
+            "91b4ca2c9a36a4a1afdb23fb94ad2e942866f2e10bad1eeeae03097512d23476",
+        "vreg_cubic_profile.dat":
+            "66b5298da62185167bbd60ffb74b8b29443548a1ba3d808756d10ca5adf3395f",
+        "vreg_cubic_report.json":
+            "9e6138e2659c38b5242004271269340fcc8d2ace02c1dd1b4bcd08693244bcbd",
+    }),
+}
+
+
+def run_case(case, tmp_path):
+    """(exit status, {file name: sha256}) of one case run into tmp_path."""
+    out = tmp_path / "out"
+    argv = list(COMMANDS[case])
+    if case in SCENARIOS:
+        scn = tmp_path / f"{case}.scn"
+        scn.write_text(SCENARIOS[case])
+        argv.insert(1, str(scn))
+    rc = main([*argv, "--outdir", str(out)])
+    files = sorted(p for p in out.iterdir()) if out.exists() else []
+    return rc, {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files
+    }
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_result_files_keep_their_digests(case, tmp_path, monkeypatch):
+    monkeypatch.setenv("NLCLAW_THREADS", "1")
+    assert run_case(case, tmp_path) == DIGESTS[case]

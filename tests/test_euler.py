@@ -3,7 +3,6 @@ import pytest
 
 from nlclaw.diagnostics import check_invariants
 from nlclaw.euler import (
-    EulerState,
     EulerTrajectory,
     _reversed_grid,
     conservative_residual,
@@ -26,8 +25,7 @@ def test_round_trip_machine_precision():
     x = np.linspace(-1.0, 1.0, 101)
     rho = GridFunction1D(-1.0, 0.02, 1.0 + 0.5 * rng.random(101))
     vel = rho.with_values(rng.standard_normal(101) * 0.3)
-    st = to_invariants(rho, vel)
-    rho2, vel2 = from_invariants(st)
+    rho2, vel2 = from_invariants(*to_invariants(rho, vel))
     assert np.max(np.abs(rho2.values - rho.values)) <= 1e-14
     assert np.max(np.abs(vel2.values - vel.values)) <= 1e-14
 
@@ -35,13 +33,13 @@ def test_round_trip_machine_precision():
 def test_trivial_invariant_values():
     ones = GridFunction1D(0.0, 0.1, np.ones(8))
     zeros = ones.with_values(np.zeros(8))
-    st = to_invariants(ones, zeros)
-    assert np.array_equal(st.mu.values, np.ones(8))
-    assert np.array_equal(st.lam.values, np.ones(8))
+    mu, lam = to_invariants(ones, zeros)
+    assert np.array_equal(mu.values, np.ones(8))
+    assert np.array_equal(lam.values, np.ones(8))
     c = 0.7
-    st2 = to_invariants(zeros, zeros.with_values(np.full(8, c)))
-    assert np.array_equal(st2.mu.values, np.full(8, c))
-    assert np.array_equal(st2.lam.values, np.full(8, -c))
+    mu2, lam2 = to_invariants(zeros, zeros.with_values(np.full(8, c)))
+    assert np.array_equal(mu2.values, np.full(8, c))
+    assert np.array_equal(lam2.values, np.full(8, -c))
 
 
 def test_grid_mismatch_raises():
@@ -50,7 +48,7 @@ def test_grid_mismatch_raises():
     with pytest.raises(GridMismatchError):
         to_invariants(a, b)
     with pytest.raises(GridMismatchError):
-        EulerState(mu=a, lam=GridFunction1D(0.0, 0.1, np.ones(9)))
+        from_invariants(a, GridFunction1D(0.0, 0.1, np.ones(9)))
 
 
 def test_vacuum_flagged_not_rejected():
@@ -155,7 +153,7 @@ def test_flipped_lam_sign_inflates_residual():
     r1, r2 = conservative_residual(rho0, tr.times, tr.rho, tr.vel)
     # mutant: drop the x -> -x conjugation, i.e. solve the wrong-sign
     # lam equation, and recombine with the correct mu levels
-    wrong = solve_nn(to_invariants(rho0, vel0).lam, eps, 0.3, cfg, dt=tr.dt)
+    wrong = solve_nn(to_invariants(rho0, vel0)[1], eps, 0.3, cfg, dt=tr.dt)
     mutant = EulerTrajectory(tr.times, eps, tr.mu_trajectory, wrong)
     m1, m2 = conservative_residual(rho0, tr.times, mutant.rho, mutant.vel)
     assert m1 >= 10.0 * r1
@@ -168,11 +166,11 @@ def test_decoupling_joint_equals_alone_bitwise():
     eps = 0.1
     rho0, vel0 = smooth_pulse(eps / 8.0)
     tr = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig())
-    st0 = to_invariants(rho0, vel0)
-    mu_alone = solve_nn(st0.mu, eps, 0.3, SolverConfig())
+    mu0, lam0 = to_invariants(rho0, vel0)
+    mu_alone = solve_nn(mu0, eps, 0.3, SolverConfig())
     for joint, alone in zip(tr.mu_trajectory.states, mu_alone.states):
         assert np.array_equal(joint.values, alone.values)
-    lam_alone = solve_nn(_reversed_grid(st0.lam), eps, 0.3, SolverConfig())
+    lam_alone = solve_nn(_reversed_grid(lam0), eps, 0.3, SolverConfig())
     for joint, alone in zip(tr.lam_trajectory.states, lam_alone.states):
         assert np.array_equal(joint.values, alone.values[::-1])
 

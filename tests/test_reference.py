@@ -6,7 +6,6 @@ import pytest
 from nlclaw.fluxes import FluxSpec, burgers_flux, cubic_flux
 from nlclaw.grids import (
     GridFunction1D,
-    PiecewiseInitialData,
     RiemannData,
     l1_distance,
     sample,
@@ -131,9 +130,22 @@ def _sides(sol, t, x):
     return sol.evaluate(t, [x, np.nextafter(x, np.inf)]).tolist()
 
 
+def _mass(sol, t, a, b):
+    """Exact integral of sol.evaluate(t, .) over [a, b]: the state is
+    constant between the fronts alive at t, so one evaluation per piece."""
+    cuts = sorted(
+        min(max(tr.position(t), a), b)
+        for tr in sol.tracks if tr.t_birth <= t < tr.t_death
+    )
+    edges = np.array([a, *cuts, b])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return float(np.sum(sol.evaluate(t, mids) * np.diff(edges)))
+
+
+# front_tracking_solve puts a jump midway between unequal neighbours, so
+# a grid with x0 = -0.5 and dx = 1 has its jumps at 0, 1, 2, ...
 def test_front_tracking_single_shock():
-    pc = PiecewiseInitialData((0.0,), (lambda x: 1.0 + 0 * x, lambda x: 0.0 * x))
-    sol = front_tracking_solve(pc, 4.0)
+    sol = front_tracking_solve(GridFunction1D(-0.5, 1.0, [1.0, 0.0]), 4.0)
     assert len(sol.events) == 0
     assert [tr.speed for tr in sol.tracks] == [0.5]
     for t in (0.0, 1.0, 4.0):
@@ -143,11 +155,9 @@ def test_front_tracking_single_shock():
 
 
 def test_front_tracking_merge_arithmetic():
-    pc = PiecewiseInitialData(
-        (0.0, 1.0),
-        (lambda x: 2.0 + 0 * x, lambda x: 1.0 + 0 * x, lambda x: 0.0 * x),
+    sol = front_tracking_solve(
+        GridFunction1D(-0.5, 1.0, [2.0, 1.0, 0.0]), 2.0
     )
-    sol = front_tracking_solve(pc, 2.0)
     assert len(sol.events) == 1
     ev = sol.events[0]
     assert ev.time == pytest.approx(1.0, abs=1e-13)
@@ -166,30 +176,23 @@ def test_front_tracking_merge_arithmetic():
 def test_front_tracking_tv_nonincreasing_at_interactions():
     rng = np.random.default_rng(17)
     levels = rng.uniform(-1, 1, size=12)
-    bps = tuple(np.sort(rng.uniform(-2, 2, size=11)))
-    pieces = tuple((lambda c: (lambda x: c + 0 * x))(c) for c in levels)
-    sol = front_tracking_solve(
-        PiecewiseInitialData(bps, pieces), 3.0
-    )
+    # 11 jumps at random midpoints of a grid on [-2, 2]
+    cells = rng.integers(1, 60, size=12)
+    u0 = GridFunction1D(-2.0, 4.0 / cells.sum(), np.repeat(levels, cells))
+    sol = front_tracking_solve(u0, 3.0)
+    assert len(sol.events) > 0
     for ev in sol.events:
         assert ev.tv_after <= ev.tv_before + 1e-14
 
 
 def test_front_tracking_mass_conserved():
     # compactly supported datum: zero states at both ends, zero boundary flux
-    pc = PiecewiseInitialData(
-        (-1.0, 0.0, 1.0),
-        (
-            lambda x: 0.0 * x,
-            lambda x: 1.0 + 0 * x,
-            lambda x: -1.0 + 0 * x,
-            lambda x: 0.0 * x,
-        ),
-    )
-    sol = front_tracking_solve(pc, 1.5)
-    m0 = sol.mass(0.0, -6.0, 6.0)
+    # jumps at -1, 0 and 1
+    u0 = GridFunction1D(-1.5, 1.0, [0.0, 1.0, -1.0, 0.0])
+    sol = front_tracking_solve(u0, 1.5)
+    m0 = _mass(sol, 0.0, -6.0, 6.0)
     for t in (0.4, 0.9, 1.5):
-        assert sol.mass(t, -6.0, 6.0) == pytest.approx(m0, abs=1e-12)
+        assert _mass(sol, t, -6.0, 6.0) == pytest.approx(m0, abs=1e-12)
 
 
 def test_front_tracking_fan_matches_exact():
@@ -198,12 +201,6 @@ def test_front_tracking_fan_matches_exact():
     got = sol.evaluate(1.0, u0.x)
     fan = np.clip(u0.x, -1.0, 1.0)
     assert np.max(np.abs(got - fan)) <= sol.delta + 0.011
-
-
-def test_front_tracking_rejects_nonconstant_pieces():
-    pc = PiecewiseInitialData((0.0,), (lambda x: x, lambda x: 0.0 * x))
-    with pytest.raises(ValueError):
-        front_tracking_solve(pc, 1.0)
 
 
 def test_front_tracking_from_grid_function():

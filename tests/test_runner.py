@@ -277,6 +277,18 @@ def test_verify_writes_only_report(tmp_path):
     assert [p.name for p in out.iterdir()] == ["pulse_report.json"]
 
 
+def test_outdir_that_is_a_file_is_one_line_input_error(tmp_path, capsys):
+    scn = _write(tmp_path, "plane.scn", PLANE)
+    taken = _write(tmp_path, "taken", "not a directory\n")
+    capsys.readouterr()
+    rc = main(["run", str(scn), "--outdir", str(taken)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("outdir: ") and err.count("\n") == 1, err
+    assert taken.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plane.scn", "taken"]
+
+
 def test_sweep_plateau(tmp_path):
     scn = _write(tmp_path, "rare.scn", RARE_SWEEP)
     rc = main(["sweep", str(scn), "--outdir", str(tmp_path)])

@@ -157,6 +157,14 @@ def test_domain_must_increase():
     assert any("a < b" in m for m in ei.value.errors)
 
 
+def test_name_at_most_200_characters():
+    spec = parse_scenario(MINIMAL.replace("shock", "a" * 200))
+    assert spec.name == "a" * 200
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario(MINIMAL.replace("shock", "a" * 201))
+    assert [m[:7] for m in ei.value.errors] == ["line 2:"]
+
+
 def test_cfl_bounds():
     with pytest.raises(ScenarioError):
         parse_scenario(MINIMAL + "cfl = 1.5\n")

@@ -196,7 +196,27 @@ GRID = "T = 0.2\ndx = 0.01\nepsilon = 0.1\nmode = nn\n"
     # would take 1e17 steps
     ("name = c\nmode = flux_reg\nflux = expression x^2/2 ; x\n"
      "initial = piecewise 0 ; -tanh(x) ; 1/x ; C=0.5\nT = 0.05\n"
-     "dx = 0.1\ndomain = -2 1\nepsilon_list = 0.2\n", "initial: sup|u0|"),
+     "dx = 0.1\ndomain = -2 1\nepsilon_list = 0.2 0.1\n", "initial: sup|u0|"),
+    # exp overflows on the flux's check points, so its wrong fprime would
+    # pass a finite-difference check that reads nan
+    ("name = x\nmode = velocity_reg\nflux = expression exp(x) ; 2*x\n"
+     "initial = riemann 800 0\nepsilon = 0.1\ndx = 0.01\nT = 0.001\n"
+     "domain = -1 3\n", "flux:"),
+    ("name = x\ninitial = riemann 1e300 0\ndomain = -1 3\n"
+     + GRID.replace("T = 0.2", "T = 0.001"), "flux:"),
+    ("name = x\ninitial = riemann 1e300 0\ndomain = -1 3\nflux = cubic\n"
+     + GRID.replace("T = 0.2", "T = 0.001").replace("nn", "velocity_reg"),
+     "flux:"),
+    # a sweep fits a rate through its rows: one distinct epsilon is no sweep
+    ("name = x\ninitial = riemann -1 1\ndomain = -2 2\n"
+     "expect = nonconvergence\n"
+     + GRID.replace("epsilon = 0.1", "epsilon_list = 0.2"), "line 7"),
+    ("name = x\ninitial = riemann -1 1\ndomain = -2 2\n"
+     "expect = nonconvergence\n"
+     + GRID.replace("epsilon = 0.1", "epsilon_list = 0.1 0.1"), "line 7"),
+    # longer than the file system's name limit once a suffix is added
+    ("name = " + "a" * 300 + "\ninitial = riemann 1 0\ndomain = -1 1\n"
+     + GRID, "line 1"),
 ])
 def test_hostile_document_is_one_line_input_error(tmp_path, capsys, body, key):
     scn = tmp_path / "doc.scn"
