@@ -138,8 +138,8 @@ def _criterion_1(reg: list) -> tuple[bool, dict]:
 
 def _criterion_2(reg: list) -> tuple[bool, dict]:
     scenario = StudyScenario(
-        "rarefaction", RiemannData(-1.0, 1.0), T=1.0, window=(-2.0, 2.0),
-        mode="nn", rate_norm="l1",
+        RiemannData(-1.0, 1.0), T=1.0, window=(-2.0, 2.0), mode="nn",
+        rate_norm="l1",
     )
     table = convergence_study(
         scenario, (0.2, 0.1, 0.05, 0.025, 0.0125), reference="fan"
@@ -161,8 +161,7 @@ def _criterion_3(reg: list) -> tuple[bool, dict]:
     # T = 0.5 is before the catastrophe time 1 of -tanh; the error bound
     # eps * L^2 M T * exp(L M T) has L = 2, M = 1, plus 10% allowance
     scenario = StudyScenario(
-        "smooth", _neg_tanh, T=0.5, window=(-3.0, 3.0), mode="nn",
-        rate_norm="sup",
+        _neg_tanh, T=0.5, window=(-3.0, 3.0), mode="nn", rate_norm="sup"
     )
     epsilons = (0.2, 0.1, 0.05, 0.025)
     table = convergence_study(scenario, epsilons, reference="lax_oleinik")
@@ -369,9 +368,7 @@ def _criterion_9(reg: list) -> tuple[bool, dict]:
     T = 0.9 * horizon
     window = (-3.0, 3.0)
     epsilons = (0.2, 0.1, 0.05, 0.025)
-    scenario = StudyScenario(
-        "pwise_increasing", datum, T=T, window=window, rate_norm="l1"
-    )
+    scenario = StudyScenario(datum, T=T, window=window, rate_norm="l1")
     table = convergence_study(scenario, epsilons)
     oleinik_all = True
     oleinik_detail = {}
@@ -440,9 +437,7 @@ def _criterion_11(reg: list) -> tuple[bool, dict]:
     T = 1.0
     window = (-3.0, 3.0)
     epsilons = (0.2, 0.1, 0.05)
-    scenario = StudyScenario(
-        "counterexample", datum, T=T, window=window, rate_norm="l1"
-    )
+    scenario = StudyScenario(datum, T=T, window=window, rate_norm="l1")
     table = convergence_study(scenario, epsilons)
     gaps = [row.error_L1 for row in table.rows]
     slope = table.fit_rate("l1", n_points=None)

@@ -97,18 +97,26 @@ def _cmd_riemann(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .acceptance import parse_criteria_arg, run_criteria, write_results
-    from .diagnostics import thread_cap
 
     try:
         numbers = parse_criteria_arg(args.criteria)
-        thread_cap()  # the sweep criteria run on its pool
     except ValueError as e:
         print(str(e), file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    outdir = Path(args.outdir)
+    try:  # an unusable outdir fails before any criterion runs
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"outdir: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     results = run_criteria(numbers)
     for r in results:
         print(r.line())
-    write_results(results, Path(args.outdir))
+    try:
+        write_results(results, outdir)
+    except OSError as e:  # outdir cannot take the files
+        print(f"outdir: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 

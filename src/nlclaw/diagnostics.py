@@ -9,8 +9,6 @@ either demonstrably honours its contract or fails loudly.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,7 +26,6 @@ from .grids import (
 )
 from .kernel import Mollifier
 from .reference import burgers_riemann_exact, godunov_solve, lax_oleinik_solve
-from .scenario import ScenarioError
 from .solver import (
     SolverConfig,
     Trajectory,
@@ -53,7 +50,6 @@ __all__ = [
     "oleinik_check",
     "predicted_front_speed",
     "stability_envelope",
-    "thread_cap",
 ]
 
 
@@ -406,7 +402,6 @@ class StudyScenario:
     discretisation.  Cap dx_max only when a fixed grid is wanted.
     """
 
-    name: str
     data: object
     T: float
     window: tuple[float, float]
@@ -451,24 +446,6 @@ def _reference_state(
     raise ValueError(f"unknown reference {reference!r}")
 
 
-def thread_cap() -> int:
-    """Sweep parallelism cap from NLCLAW_THREADS (positive integer)."""
-    raw = os.environ.get("NLCLAW_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError(
-            [f"NLCLAW_THREADS={raw!r} is not a positive integer"]
-        ) from None
-    if n < 1:
-        raise ScenarioError(
-            [f"NLCLAW_THREADS={raw!r} is not a positive integer"]
-        )
-    return n
-
-
 def convergence_study(
     scenario: StudyScenario,
     epsilons: Sequence[float],
@@ -482,12 +459,10 @@ def convergence_study(
     resolved by the same number of cells and measured rates reflect eps,
     not the grid.  Rows with L1 error at the grid floor (<= 10 dx) are
     flagged; rates fitted through them reflect the floor, not the model.
-    The eps values run on up to thread_cap() threads; rows come back in
-    decreasing eps order whatever the thread count, and each row is
-    computed the same way on any thread, so the table is bitwise
-    independent of NLCLAW_THREADS.  Every row's node-steps and stored
-    values are checked (WorkBudgetError) before any row is sampled on its
-    padded grid.
+    Rows are solved one after another on the calling thread, in
+    decreasing eps order.  Every row's node-steps and stored values are
+    checked (WorkBudgetError) before any row is sampled on its padded
+    grid.
     """
     cfg = cfg or SolverConfig(store_stride=10**9)
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
@@ -523,8 +498,7 @@ def convergence_study(
 
     # every row's work is checked before any row's padded grid is sampled
     grids = [padded(eps) for eps in eps_sorted]
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        rows = list(pool.map(lambda g: row(*g), grids))
+    rows = [row(*g) for g in grids]
     table = ConvergenceTable(rows, 0.0, reference, scenario.rate_norm)
     table.fitted_rate = table.fit_rate(scenario.rate_norm, n_points=3)
     return table

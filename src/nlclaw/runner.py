@@ -1,7 +1,7 @@
 """Execute parsed scenarios: solve, check, and serialise.
 
 Output files per run, all deterministic byte for byte (no wall clock,
-no machine identity, thread count changes nothing):
+no machine identity, no environment variable):
 
     <name>.csv           snapshots, columns t,x,u (x,y,u for nn2d,
                          t,x,rho,v for euler); .json with the same
@@ -201,7 +201,7 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
     else:
         ref_name = "godunov"
     scenario = StudyScenario(
-        spec.name, data, spec.T, spec.domain, mode=spec.mode, flux=flux,
+        data, spec.T, spec.domain, mode=spec.mode, flux=flux,
         rate_norm="l1", dx_max=spec.dx,
     )
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)

@@ -71,6 +71,7 @@ __all__ = [
 
 SUP_FLOOR = 1e-12  # dt cap divisor for all-zero data
 PICARD_TOL = 1e-10  # sup-norm change of the foot field that ends a step
+PICARD_MAX_ITERS = 50  # passes one step may take before it has diverged
 # nodes x steps one solve may take: far above any run the battery makes
 # (the largest, 8,601 nodes x 4,000 steps, is 3.4e7)
 NODE_STEP_BUDGET = 1e10
@@ -138,17 +139,14 @@ class PicardDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step-size, iteration and storage policy shared by all solvers."""
+    """Step-size and storage policy shared by all solvers."""
 
     cfl: float = 0.5
-    picard_max_iters: int = 50
     store_stride: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
-        if self.picard_max_iters < 1:
-            raise ValueError("picard_max_iters must be >= 1")
         if self.store_stride < 1:
             raise ValueError("store_stride must be >= 1")
 
@@ -368,7 +366,6 @@ def _picard_step_foot(
     foot: _Foot,
     velocity_of: Callable[[np.ndarray], tuple],
     dt: float,
-    max_iters: int,
     fronts,
     step: int,
     t: float,
@@ -432,7 +429,7 @@ def _picard_step_foot(
     cand_fronts = fronts
     older_phi = None
     raw = None  # the datum at cand_phi, before the pin
-    for j in range(max_iters):
+    for j in range(PICARD_MAX_ITERS):
         # v, where the values it was built from changed
         lo, hi = 0, n
         if last.src is not None:
@@ -488,7 +485,8 @@ def _picard_step_foot(
             return cand_phi, cand_vals, j + 1, cand_fronts
     raise PicardDivergenceError(
         step, t,
-        f"no contraction after {max_iters} iterations (last change {change:.3e})",
+        f"no contraction after {PICARD_MAX_ITERS} iterations"
+        f" (last change {change:.3e})",
     )
 
 
@@ -684,8 +682,7 @@ def _solve_transport(
     last = _LastPass(m.radius)
     for k, t, t_next in step_times(T, dt):
         phi, vals, nit, fronts = _picard_step_foot(
-            phi, vals, foot, velocity_of, t_next - t,
-            cfg.picard_max_iters, fronts, k, t, last,
+            phi, vals, foot, velocity_of, t_next - t, fronts, k, t, last,
         )
         counts.append(nit)
         if (k + 1) % cfg.store_stride == 0 or t_next >= T:

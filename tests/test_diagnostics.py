@@ -275,7 +275,7 @@ def test_table_unknown_norm():
 
 def test_study_shock_errors_at_grid_floor():
     sc = StudyScenario(
-        "shock", RiemannData(1.0, 0.0), 1.0, (-2.0, 2.0), rate_norm="l1"
+        RiemannData(1.0, 0.0), 1.0, (-2.0, 2.0), rate_norm="l1"
     )
     tab = convergence_study(sc, [0.2, 0.1], "riemann_exact")
     for row in tab.rows:
@@ -285,7 +285,7 @@ def test_study_shock_errors_at_grid_floor():
 
 def test_study_rarefaction_plateau():
     sc = StudyScenario(
-        "fan", RiemannData(-1.0, 1.0), 1.0, (-2.0, 2.0), rate_norm="l1"
+        RiemannData(-1.0, 1.0), 1.0, (-2.0, 2.0), rate_norm="l1"
     )
     tab = convergence_study(sc, [0.2, 0.1], "fan")
     for row in tab.rows:
@@ -295,7 +295,7 @@ def test_study_rarefaction_plateau():
 
 def test_study_tanh_rate_cheap_screen():
     sc = StudyScenario(
-        "tanh", lambda x: -np.tanh(x), 0.5, (-2.0, 2.0), rate_norm="sup"
+        lambda x: -np.tanh(x), 0.5, (-2.0, 2.0), rate_norm="sup"
     )
     tab = convergence_study(sc, [0.2, 0.1, 0.05], "lax_oleinik")
     assert tab.fitted_rate >= 0.8
@@ -303,8 +303,7 @@ def test_study_tanh_rate_cheap_screen():
 
 def test_study_dx_coupling_and_cap():
     sc = StudyScenario(
-        "shock", RiemannData(1.0, 0.0), 0.2, (-1.0, 1.0), rate_norm="l1",
-        dx_max=0.02,
+        RiemannData(1.0, 0.0), 0.2, (-1.0, 1.0), rate_norm="l1", dx_max=0.02
     )
     tab = convergence_study(sc, [0.4, 0.1], "riemann_exact")
     assert abs(tab.rows[0].dx - 0.02) <= 1e-15       # cap binds at eps = 0.4
@@ -312,6 +311,6 @@ def test_study_dx_coupling_and_cap():
 
 
 def test_study_unknown_reference():
-    sc = StudyScenario("shock", RiemannData(1.0, 0.0), 1.0, (-2.0, 2.0))
+    sc = StudyScenario(RiemannData(1.0, 0.0), 1.0, (-2.0, 2.0))
     with pytest.raises(ValueError):
         convergence_study(sc, [0.2], "exact")

@@ -1,11 +1,11 @@
 """Byte identity of the result files on a fixed scenario set.
 
-Each case runs in-process through ``cli.main`` with NLCLAW_THREADS=1, and
-the exit status and the sha256 of every file it writes are compared with
-the literals in DIGESTS.  The set covers every mode, Riemann, piecewise
-and expression data, the Burgers, cubic and expression fluxes, CSV and
-JSON output, ``verify``, a non-convergence sweep, a cubic Godunov sweep
-and two ``riemann`` runs.
+Each case runs in-process through ``cli.main``, and the exit status and
+the sha256 of every file it writes are compared with the literals in
+DIGESTS.  The set covers every mode, Riemann, piecewise and expression
+data, the Burgers, cubic and expression fluxes, CSV and JSON output,
+``verify``, a non-convergence sweep, a cubic Godunov sweep and two
+``riemann`` runs.
 
 The literals change only in a change that changes the algorithm or a
 file format; such a change lists the old and the new values in
@@ -241,6 +241,5 @@ def run_case(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(COMMANDS))
-def test_result_files_keep_their_digests(case, tmp_path, monkeypatch):
-    monkeypatch.setenv("NLCLAW_THREADS", "1")
+def test_result_files_keep_their_digests(case, tmp_path):
     assert run_case(case, tmp_path) == DIGESTS[case]

@@ -10,6 +10,9 @@ passes every position or every keyword.
 
 Dataclass fields are out of reach: their defaults live in the class
 body, not in a def, so an unused field default is not flagged here.
+
+An environment variable is a setting no signature shows, so a second
+scan fails on any read of os.environ or os.getenv in the package.
 """
 
 import ast
@@ -111,3 +114,45 @@ def test_scan_flags_unpassed_defaults():
 def test_every_default_is_passed_by_some_caller():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert [d for d in unpassed_defaults(sources) if d not in ALLOWED] == []
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(sources: dict) -> list:
+    """'module:line' for each use of os.environ or os.getenv (as an
+    attribute of os, or imported from os by name) in sources."""
+    found = []
+    for mod, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute):
+                hit = (
+                    isinstance(node.value, ast.Name) and node.value.id == "os"
+                    and node.attr in ENVIRONMENT_NAMES
+                )
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "os" and any(
+                    a.name in ENVIRONMENT_NAMES for a in node.names
+                )
+            else:
+                continue
+            if hit:
+                found.append((mod, node.lineno))
+    return [f"{mod}:{line}" for mod, line in sorted(found)]
+
+
+def test_scan_flags_environment_reads():
+    src = (
+        "import os\n"
+        "from os import getenv\n"
+        "a = os.environ.get('A')\n"
+        "b = os.getenv('B')\n"
+        "c = os.cpu_count()\n"
+        "environ = {}\n"
+    )
+    assert environment_reads({"m": src}) == ["m:2", "m:3", "m:4"]
+
+
+def test_package_reads_no_environment():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert environment_reads(sources) == []

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nlclaw import diagnostics, runner
+from nlclaw import acceptance, diagnostics, runner
 from nlclaw.cli import main
-from nlclaw.diagnostics import StudyScenario, convergence_study
 from nlclaw.runner import RunResult, write_outputs
 from nlclaw.grids import RiemannData
 from nlclaw.scenario import ScenarioSpec
@@ -304,41 +303,6 @@ def test_sweep_plateau(tmp_path):
     assert (tmp_path / "rare_eps0.05.csv").exists()
 
 
-def test_sweep_determinism_across_thread_counts(tmp_path, monkeypatch):
-    scn = _write(tmp_path, "rare.scn", RARE_SWEEP)
-    scenario = StudyScenario(
-        "smooth", lambda x: -np.tanh(x), T=0.3, window=(-2.0, 2.0)
-    )
-    outs = []
-    tables = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"t{threads}"
-        out.mkdir()
-        monkeypatch.setenv("NLCLAW_THREADS", threads)
-        rc = main(["sweep", str(scn), "--outdir", str(out)])
-        assert rc == 0
-        outs.append(out)
-        tables.append(convergence_study(scenario, (0.2, 0.1, 0.05)))
-    a, b = outs
-    for p in sorted(a.iterdir()):
-        assert (b / p.name).read_bytes() == p.read_bytes()
-    ta, tb = tables
-    assert ta.as_dict() == tb.as_dict()
-    for ra, rb in zip(ta.rows, tb.rows):
-        fa, fb = ra.trajectory.final, rb.trajectory.final
-        assert np.array_equal(fa.values, fb.values)
-
-
-def test_bad_thread_env_is_input_error(tmp_path, monkeypatch):
-    scn = _write(tmp_path, "rare.scn", RARE_SWEEP)
-    monkeypatch.setenv("NLCLAW_THREADS", "zero")
-    rc = main(["sweep", str(scn), "--outdir", str(tmp_path)])
-    assert rc == 1
-    rc = main(["selftest", "--criteria", "4", "--outdir", str(tmp_path)])
-    assert rc == 1
-    assert list(tmp_path.iterdir()) == [scn]
-
-
 def test_sweep_requires_epsilon_list(tmp_path):
     scn = _write(tmp_path, "shock.scn", SHOCK)
     rc = main(["sweep", str(scn), "--outdir", str(tmp_path)])
@@ -513,9 +477,8 @@ domain = -2 2
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 def test_nonconvex_sweep_rejected_before_any_solve(
-    tmp_path, monkeypatch, capsys, threads
+    tmp_path, monkeypatch, capsys
 ):
     calls = []
     real_solve = diagnostics.solve
@@ -525,7 +488,6 @@ def test_nonconvex_sweep_rejected_before_any_solve(
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "solve", counting_solve)
-    monkeypatch.setenv("NLCLAW_THREADS", threads)
     scn = _write(tmp_path, "nonconvex.scn", NONCONVEX_SWEEP)
     out = tmp_path / "out"
     rc = main(["sweep", str(scn), "--outdir", str(out)])
@@ -548,5 +510,38 @@ def test_selftest_subset(tmp_path, capsys):
 
 
 def test_selftest_rejects_unknown_criterion(tmp_path):
-    rc = main(["selftest", "--criteria", "99", "--outdir", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main(["selftest", "--criteria", "99", "--outdir", str(out)])
     assert rc == 1
+    assert list(tmp_path.iterdir()) == []  # an input error writes nothing
+
+
+def test_selftest_outdir_that_is_a_file_fails_before_any_criterion(
+    tmp_path, monkeypatch, capsys
+):
+    runs = []
+    title, criterion = acceptance._CRITERIA[4]
+
+    def counting(registry):
+        runs.append(4)
+        return criterion(registry)
+
+    monkeypatch.setitem(acceptance._CRITERIA, 4, (title, counting))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    rc = main(["selftest", "--criteria", "4", "--outdir", str(taken)])
+    assert rc == 1
+    assert runs == []
+    err = capsys.readouterr().err
+    assert err.startswith("outdir: ") and err.count("\n") == 1, err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_selftest_outdir_that_cannot_take_the_files(tmp_path, capsys):
+    (tmp_path / "selftest_results.txt").mkdir()
+    rc = main(["selftest", "--criteria", "4", "--outdir", str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "criterion  4 [PASS]" in captured.out
+    assert captured.err.startswith("outdir: ")
+    assert captured.err.count("\n") == 1, captured.err

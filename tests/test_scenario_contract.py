@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlclaw.cli import main
@@ -121,14 +121,10 @@ def documents(draw):
     return command, "\n".join(draw(st.permutations(lines))) + "\n"
 
 
-@settings(
-    max_examples=300, deadline=None, derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(doc=documents())
-def test_every_document_ends_in_an_exit_status(monkeypatch, doc):
+def test_every_document_ends_in_an_exit_status(doc):
     command, text = doc
-    monkeypatch.setenv("NLCLAW_THREADS", "1")
     with tempfile.TemporaryDirectory() as tmp:
         scn = Path(tmp) / "doc.scn"
         scn.write_text(text)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nlclaw import solver
 from nlclaw.fluxes import burgers_flux, zero_flux
 from nlclaw.grids import sample
 from nlclaw.solver import PicardDivergenceError, SolverConfig, solve_nn
@@ -144,12 +145,11 @@ def test_tv_2d_bounded_along_trajectory():
     assert worst <= 1.05 * tv0
 
 
-def test_picard_divergence_reported_2d():
+def test_picard_divergence_reported_2d(monkeypatch):
     g = sample_2d(
         lambda X, Y: np.tanh(4.0 * X), -1.0, 1.0, -1.0, 1.0, 0.05, 0.05
     )
     fl = burgers_flux(radius=1.5)
+    monkeypatch.setattr(solver, "PICARD_MAX_ITERS", 1)
     with pytest.raises(PicardDivergenceError):
-        solve_velocity_reg_2d(
-            g, (fl, fl), 0.2, 0.2, SolverConfig(picard_max_iters=1)
-        )
+        solve_velocity_reg_2d(g, (fl, fl), 0.2, 0.2, SolverConfig())
