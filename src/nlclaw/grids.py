@@ -235,3 +235,28 @@ def interpolate_values(
     out = a + theta * (b - a)
     return np.minimum(np.maximum(out, np.minimum(a, b)), np.maximum(a, b))
 
+
+def interpolate_at(
+    values: np.ndarray, x0: float, dx: float, xq: float
+) -> float:
+    """interpolate_values at the one point xq, in Python floats.
+
+    interpolate_values owns the rule; this is its arithmetic in its order,
+    so the result is bitwise that of interpolate_values(values, x0, dx,
+    np.array([xq]))[0], without numpy's per-call cost on a 1-element array.
+    Each np.maximum or np.minimum becomes a comparison that, as numpy does,
+    returns its second operand on a tie and passes a NaN through.
+    """
+    n = values.size
+    pos = (xq - x0) / dx
+    pos = 0.0 if 0.0 > pos else pos
+    pos = n - 1.0 if n - 1.0 < pos else pos
+    i = min(int(pos), n - 2)
+    theta = pos - i
+    a = values.item(i)
+    b = values.item(i + 1)
+    out = a + theta * (b - a)
+    lo = b if b <= a else a
+    hi = b if b >= a else a
+    out = lo if lo >= out else out
+    return hi if hi <= out else out

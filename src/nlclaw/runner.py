@@ -141,16 +141,22 @@ def _sample(key: str, data, a: float, b: float, dx: float):
         raise ScenarioError([f"{key}: {e}"]) from None
 
 
-def _datum_and_flux(spec: ScenarioSpec, dx: float):
-    """The 1D datum, its samples on the domain at spacing dx, and the flux
-    sized to the sampled range."""
+def _datum_and_flux(spec: ScenarioSpec, dx: float, reads_flux: bool):
+    """The 1D datum, its samples on the domain at spacing dx, and, when the
+    run reads_flux, the flux sized to the sampled range (else None, so a
+    flux the run never reads is never checked)."""
     data = spec.initial
     u0 = _sample("initial", data, spec.domain[0], spec.domain[1], dx)
-    return data, u0, _flux_spec(spec, u0)
+    return data, u0, _flux_spec(spec, u0) if reads_flux else None
+
+
+_FLUX_MODES = ("velocity_reg", "flux_reg")  # the 1D modes that read f'
 
 
 def _run_1d_single(spec: ScenarioSpec) -> RunResult:
-    data, u0, flux = _datum_and_flux(spec, spec.dx)
+    data, u0, flux = _datum_and_flux(
+        spec, spec.dx, spec.mode in _FLUX_MODES
+    )
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     traj = solve(spec.mode, u0, spec.epsilon, spec.T, cfg, data=data, flux=flux)
 
@@ -193,13 +199,17 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
     # probe on the coarsest row's grid: a datum that grid resolves is
     # resolved by every finer row
     dx = min(spec.dx, max(spec.epsilon_list) / 8.0)
-    data, _, flux = _datum_and_flux(spec, dx)
-    if spec.expect == "nonconvergence" and isinstance(data, RiemannData):
+    if spec.expect == "nonconvergence" and isinstance(
+        spec.initial, RiemannData
+    ):
         ref_name = "fan"
     elif spec.flux.kind == "burgers":
         ref_name = "lax_oleinik"
     else:
         ref_name = "godunov"
+    data, _, flux = _datum_and_flux(
+        spec, dx, spec.mode in _FLUX_MODES or ref_name == "godunov"
+    )
     scenario = StudyScenario(
         data, spec.T, spec.domain, mode=spec.mode, flux=flux,
         rate_norm="l1", dx_max=spec.dx,
@@ -369,13 +379,31 @@ def execute(spec: ScenarioSpec) -> RunResult:
 _BLOCK = 4096  # rows formatted per write: bounds the text and memo in memory
 
 
-def _repr_column(col: np.ndarray) -> np.ndarray:
-    """repr of every float in col, as an object array of str.  Each
-    distinct value is formatted once; values are told apart by their bits,
-    because 0.0 == -0.0 although their reprs differ."""
+# json's spelling of the floats whose repr is not a JSON number
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _repr_column(col: np.ndarray, spelling: dict) -> np.ndarray:
+    """repr of every float in col, as an object array of str, with the
+    reprs that spelling names replaced.  Each distinct value is formatted
+    once; values are told apart by their bits, because 0.0 == -0.0
+    although their reprs differ."""
     bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
     text = [repr(v) for v in bits.view(np.float64).tolist()]
+    if spelling:
+        text = [spelling.get(t, t) for t in text]
     return np.array(text, dtype=object)[inverse]
+
+
+def _row_blocks(rows: np.ndarray, sep: str, spelling: dict):
+    """The rows of a float64 array in blocks of _BLOCK, each an object
+    array of str with a row's values joined by sep in _repr_column form."""
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start:start + _BLOCK]
+        lines = _repr_column(block[:, 0], spelling)
+        for col in block.T[1:]:
+            lines = lines + sep + _repr_column(col, spelling)
+        yield lines
 
 
 def _write_table(path: Path, meta: dict, header: str, sep: str, rows) -> Path:
@@ -398,13 +426,31 @@ def _write_table(path: Path, meta: dict, header: str, sep: str, rows) -> Path:
         if not isinstance(rows, np.ndarray):
             fh.write("".join(sep.join(map(repr, r)) + "\n" for r in rows))
             return path
-        for start in range(0, len(rows), _BLOCK):
-            block = rows[start:start + _BLOCK]
-            lines = _repr_column(block[:, 0])
-            for col in block.T[1:]:
-                lines = lines + sep + _repr_column(col)
+        for lines in _row_blocks(rows, sep, {}):
             fh.write("\n".join(lines.tolist()) + "\n")
+            del lines  # free the block before the next one is formatted
     return path
+
+
+def _write_json(path: Path, meta: dict, columns, rows: np.ndarray) -> None:
+    """json.dumps({**meta, "columns": list(columns), "rows": rows.tolist()},
+    indent=2) + "\n", byte for byte.  json formats the meta and columns;
+    the rows are laid out at indent 2 here, in blocks of _BLOCK rows whose
+    columns format each of their distinct values once, as in _write_table
+    (json writes a float as its repr, and the non-finite ones as
+    _JSON_SPELLING spells them)."""
+    head = json.dumps({**meta, "columns": list(columns), "rows": []}, indent=2)
+    if not len(rows):
+        path.write_text(head + "\n")
+        return
+    with open(path, "w") as fh:
+        fh.write(head[:-len("[]\n}")] + "[\n")
+        blocks = _row_blocks(rows, ",\n      ", _JSON_SPELLING)
+        for k, lines in enumerate(blocks):
+            rows_text = ("    [\n      " + lines + "\n    ]").tolist()
+            fh.write((",\n" if k else "") + ",\n".join(rows_text))
+            del lines, rows_text  # as in _write_table
+        fh.write("\n  ]\n}\n")
 
 
 def write_outputs(
@@ -427,8 +473,7 @@ def write_outputs(
         # names may contain dots (eps values), so no Path.with_suffix
         path = outdir / f"{spec.name}{suffix}.{spec.output}"
         if spec.output == "json":
-            body = {**meta, "columns": list(columns), "rows": rows.tolist()}
-            path.write_text(json.dumps(body, indent=2) + "\n")
+            _write_json(path, meta, columns, rows)
         else:
             _write_table(path, meta, ",".join(columns), ",", rows)
         written.append(path)

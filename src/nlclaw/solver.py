@@ -50,6 +50,7 @@ from .grids import (
     GridFunction1D,
     PiecewiseInitialData,
     RiemannData,
+    interpolate_at,
     interpolate_values,
     sup_norm,
 )
@@ -203,11 +204,13 @@ class Trajectory:
 def _cubic_weights(s: np.ndarray) -> tuple:
     """4-point cubic Lagrange weights at offsets (-1, 0, 1, 2) for the
     fractional positions s in [0, 1]."""
+    # the shared terms, once each; every weight keeps its operation order
+    ms, s2, q = -s, s - 2.0, s * s - 1.0
     return (
-        -s * (s - 1.0) * (s - 2.0) / 6.0,
-        (s * s - 1.0) * (s - 2.0) / 2.0,
-        -s * (s + 1.0) * (s - 2.0) / 2.0,
-        s * (s * s - 1.0) / 6.0,
+        ms * (s - 1.0) * s2 / 6.0,
+        q * s2 / 2.0,
+        ms * (s + 1.0) * s2 / 2.0,
+        s * q / 6.0,
     )
 
 
@@ -535,10 +538,20 @@ def _advance_fronts(
     phi involved.  Preimages of distinct datum points cannot cross under a
     continuous velocity; the running maximum only repairs roundoff order
     violations once fronts have merged.
+
+    A datum has a few jumps (one to three in the battery), and numpy's
+    per-call cost on arrays that small outweighs the arithmetic, so each
+    preimage is stepped in Python floats.  interpolate_at is bitwise
+    interpolate_values at one point, and each preimage goes through the
+    same expressions in the same order, so the result is bitwise that of
+    interpolate_values applied to the whole array of preimages.
     """
-    v1 = interpolate_values(v, x0, dx, gammas)
-    v2 = interpolate_values(v, x0, dx, gammas + 0.5 * dt * v1)
-    out = gammas + dt * v2
+    out = []
+    for g in gammas.tolist():
+        v1 = interpolate_at(v, x0, dx, g)
+        v2 = interpolate_at(v, x0, dx, g + 0.5 * dt * v1)
+        out.append(g + dt * v2)
+    out = np.array(out)
     if out.size > 1:
         out = np.maximum.accumulate(out)
     return out

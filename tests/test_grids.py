@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlclaw.grids import (
     GridFunction1D,
     GridMismatchError,
     PiecewiseInitialData,
     RiemannData,
+    interpolate_at,
     interpolate_values,
     l1_distance,
     sample,
@@ -140,6 +144,47 @@ def test_interpolate_vector_matches_scalar():
     vec = interpolate_values(vals, 0.0, 0.25, xs)
     for xi, vi in zip(xs, vec):
         assert interpolate_values(vals, 0.0, 0.25, np.array([xi]))[0] == vi
+
+
+# signed zeros, the smallest subnormal, and a pair whose difference
+# overflows (theta = 0 against an infinite slope gives a NaN)
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1 / 3, 1e308, -1e308)
+
+
+@st.composite
+def _interp_cases(draw):
+    """values with repeats and edge entries, and an xq below x0, on a node,
+    between nodes or past the last node, or a signed zero."""
+    values = draw(hnp.arrays(
+        np.float64, st.integers(2, 6),
+        elements=st.one_of(
+            st.sampled_from(_EDGE_VALUES), st.floats(-10.0, 10.0)
+        ),
+    ))
+    n = values.size
+    x0 = draw(st.sampled_from([0.0, -0.0, -1.3, 0.5]))
+    dx = draw(st.sampled_from([1.0, 0.07, 0.25]))
+    xq = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, x0, x0 + (n - 1) * dx]),
+        st.builds(
+            lambda k, f: x0 + (k + f) * dx,
+            st.integers(-2, n + 1), st.floats(0.0, 1.0),
+        ),
+    ))
+    return values, x0, dx, xq
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_interp_cases())
+@example(case=(np.array([-1e308, 1e308]), 0.0, 1.0, 0.0))  # the NaN
+@example(case=(np.array([-0.0, -0.0]), 0.0, 1.0, -0.0))  # pos = -0.0
+def test_interpolate_at_is_bitwise_interpolate_values(case):
+    values, x0, dx, xq = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = interpolate_values(values, x0, dx, np.array([xq]))
+    got = interpolate_at(values, x0, dx, xq)
+    assert type(got) is float
+    assert np.array([got]).view(np.uint64) == want.view(np.uint64)
 
 
 def test_gridfunction_validation():

@@ -465,6 +465,37 @@ def test_write_table_matches_repr_of_every_value(tmp_path_factory, rows, sep):
     assert body == "".join(sep.join(map(repr, r)) + "\n" for r in rows.tolist())
 
 
+_JSON_POOL = (
+    0.0, -0.0, 5e-324, 1e-300, 1 / 3, 1e16, 0.1,
+    float("nan"), float("inf"), float("-inf"),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 11), st.integers(1, 4)),
+        elements=st.sampled_from(_JSON_POOL),
+    ),
+    epsilon=st.sampled_from([0.1, [0.2, 0.1, 0.05]]),
+)
+def test_write_json_matches_json_dumps(tmp_path_factory, rows, epsilon):
+    # blocks of three rows, both signed zeros, and the floats json spells
+    # its own way: the file must be json.dumps(..., indent=2) byte for byte
+    path = tmp_path_factory.getbasetemp() / "oracle.json"
+    meta = {
+        "version": "v0", "scenario": "s", "mode": "nn", "epsilon": epsilon,
+        "dx": 0.1, "dt": None,
+    }
+    columns = ("t", "x", "u", "v")[:rows.shape[1]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_BLOCK", 3)
+        runner._write_json(path, meta, columns, rows)
+    body = {**meta, "columns": list(columns), "rows": rows.tolist()}
+    assert path.read_text() == json.dumps(body, indent=2) + "\n"
+
+
 NONCONVEX_SWEEP = """
 name = nonconvex
 mode = velocity_reg

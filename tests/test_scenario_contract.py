@@ -198,8 +198,13 @@ GRID = "T = 0.2\ndx = 0.01\nepsilon = 0.1\nmode = nn\n"
     ("name = x\nmode = velocity_reg\nflux = expression exp(x) ; 2*x\n"
      "initial = riemann 800 0\nepsilon = 0.1\ndx = 0.01\nT = 0.001\n"
      "domain = -1 3\n", "flux:"),
+    # nn and conservative read no flux, so the unset Burgers default is
+    # never checked and the datum's step count is what fails
     ("name = x\ninitial = riemann 1e300 0\ndomain = -1 3\n"
-     + GRID.replace("T = 0.2", "T = 0.001"), "flux:"),
+     + GRID.replace("T = 0.2", "T = 0.001"), "initial: sup|u0|"),
+    ("name = x\ninitial = riemann 1e300 0\ndomain = -1 3\n"
+     + GRID.replace("T = 0.2", "T = 0.001").replace("nn", "conservative"),
+     "initial: sup|u0|"),
     ("name = x\ninitial = riemann 1e300 0\ndomain = -1 3\nflux = cubic\n"
      + GRID.replace("T = 0.2", "T = 0.001").replace("nn", "velocity_reg"),
      "flux:"),

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlclaw.expressions import parse_expression
 from nlclaw.fluxes import FluxSpec, burgers_flux, cubic_flux
@@ -23,6 +26,8 @@ from nlclaw.solver import (
     SolverConfig,
     Trajectory,
     WorkBudgetError,
+    _advance_fronts,
+    _cubic_weights,
     _datum_evaluator,
     _foot_1d,
     _interp_foot,
@@ -419,3 +424,63 @@ def test_incremental_passes_match_full_passes(
     assert np.array_equal(tr.picard_counts, counts)
     assert np.array_equal(bits(tr.values), bits(levels))
     assert np.array_equal(bits(tr_phis), bits(phis))
+
+
+def advance_fronts_array_form(gammas, x0, dx, v, dt):
+    """The midpoint step of the jump preimages as whole-array numpy
+    operations: the oracle for the Python-float loop of _advance_fronts."""
+    v1 = interpolate_values(v, x0, dx, gammas)
+    v2 = interpolate_values(v, x0, dx, gammas + 0.5 * dt * v1)
+    out = gammas + dt * v2
+    if out.size > 1:
+        out = np.maximum.accumulate(out)
+    return out
+
+
+@st.composite
+def _front_cases(draw):
+    """A velocity with repeats and signed zeros, and one to three
+    preimages anywhere from left of the grid to right of it."""
+    v = draw(hnp.arrays(
+        np.float64, st.integers(2, 40),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, -1.0]),
+            st.floats(-2.0, 2.0),
+        ),
+    ))
+    x0 = draw(st.sampled_from([0.0, -0.0, -0.5, -1.3]))
+    dx = draw(st.sampled_from([0.0025, 0.05, 0.25]))
+    end = x0 + (v.size - 1) * dx
+    gammas = np.array(draw(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, x0, end]),
+            st.floats(x0 - 3 * dx, end + 3 * dx),
+        ),
+        min_size=1, max_size=3,
+    )))
+    dt = draw(st.sampled_from([0.0, 1e-3, 0.01, 0.1, 0.5]))
+    return gammas, x0, dx, v, dt
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_front_cases())
+def test_advance_fronts_is_bitwise_the_array_form(case):
+    want = advance_fronts_array_form(*case)
+    got = _advance_fronts(*case)
+    assert got.dtype == np.float64
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_cubic_weights_are_bitwise_the_literal_formulas():
+    s = np.concatenate([
+        np.random.default_rng(11).uniform(0.0, 1.0, 20_000),
+        [0.0, -0.0, 1.0, 5e-324, 0.5, 1.0 - 2.0**-53],
+    ])
+    literal = (
+        -s * (s - 1.0) * (s - 2.0) / 6.0,
+        (s * s - 1.0) * (s - 2.0) / 2.0,
+        -s * (s + 1.0) * (s - 2.0) / 2.0,
+        s * (s * s - 1.0) / 6.0,
+    )
+    for got, want in zip(_cubic_weights(s), literal):
+        assert np.array_equal(bits(got), bits(want))
