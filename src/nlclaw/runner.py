@@ -98,19 +98,46 @@ def _meta(spec, epsilon, dx, dt) -> dict:
     }
 
 
+class Snapshot:
+    """A result table of len(levels) * len(nodes) rows, level by level.
+
+    levels holds one value per level (a time, or nn2d's y), nodes the
+    grid coordinates, and each of fields an array of shape (len(levels),
+    len(nodes)).  order lists the columns by index into (level, node,
+    field 0, field 1, ...): (0, 1, 2) is (t, x, u), (1, 0, 2) is nn2d's
+    (x, y, u), and (1, 2) is a plot's (x, u), with no level column.  The
+    arrays are held, not copied; len() is the number of rows.
+    """
+
+    def __init__(self, levels, nodes, fields: tuple, order: tuple = ()):
+        self.levels = np.asarray(levels, dtype=float)
+        self.nodes = np.asarray(nodes, dtype=float)
+        self.fields = tuple(np.asarray(f, dtype=float) for f in fields)
+        self.order = tuple(order) or tuple(range(2 + len(self.fields)))
+
+    def __len__(self) -> int:
+        return self.levels.size * self.nodes.size
+
+
+def _profile(x: np.ndarray, values: np.ndarray) -> Snapshot:
+    """The plot-ready one-level table (x, values)."""
+    return Snapshot((0.0,), x, (values[np.newaxis],), order=(1, 2))
+
+
 class RunResult:
     """Everything one scenario run produced, ready to serialise.
 
     The report is the meta keys, then the run kind's body in its own key
-    order, then "passed".  Snapshot rows are a float array with one row
-    per node of every stored level; extra_snapshots holds a sweep's
-    per-epsilon (suffix, meta, columns, rows); plots maps the suffix of a
-    plot-ready .dat file to its (columns, rows).
+    order, then "passed".  snapshot_rows is the run's Snapshot, whose
+    len() is the number of rows its file holds; extra_snapshots holds a
+    sweep's per-epsilon (suffix, meta, columns, Snapshot); plots maps the
+    suffix of a plot-ready .dat file to its (columns, rows), where rows
+    is a Snapshot or a list of tuples.
     """
 
     def __init__(
         self, meta: dict, body: dict, passed: bool, columns: tuple = (),
-        rows: np.ndarray | None = None, plots: dict | None = None,
+        rows: Snapshot | None = None, plots: dict | None = None,
         extra_snapshots: list | None = None,
     ):
         self.meta = meta
@@ -120,15 +147,6 @@ class RunResult:
         self.snapshot_rows = rows
         self.plots = plots or {}
         self.extra_snapshots = extra_snapshots or []
-
-
-def _snapshot_rows(levels, x: np.ndarray, *fields) -> np.ndarray:
-    """Rows (level, x, field values...), one per node of every level; each
-    field is an array of shape (len(levels), len(x))."""
-    return np.column_stack(
-        [np.repeat(levels, x.size), np.tile(x, len(levels))]
-        + [f.ravel() for f in fields]
-    )
 
 
 def _sample(key: str, data, a: float, b: float, dx: float):
@@ -190,8 +208,8 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
     return RunResult(
         _meta(spec, spec.epsilon, spec.dx, traj.dt), body, rep.passed,
         ("t", "x", "u"),
-        _snapshot_rows(traj.times, fin.x, traj.values),
-        plots={"profile": (("x", "u"), np.column_stack([fin.x, fin.values]))},
+        Snapshot(traj.times, fin.x, (traj.values,)),
+        plots={"profile": (("x", "u"), _profile(fin.x, fin.values))},
     )
 
 
@@ -231,7 +249,7 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
         snapshots.append((
             f"eps{row.epsilon!r}", _meta(spec, row.epsilon, row.dx, row.dt),
             ("t", "x", "u"),
-            _snapshot_rows(traj.times, traj.grid.x, traj.values),
+            Snapshot(traj.times, traj.grid.x, (traj.values,)),
         ))
 
     body = {"table": table.as_dict(), "runs": run_reports}
@@ -281,8 +299,8 @@ def _run_euler(spec: ScenarioSpec) -> RunResult:
     return RunResult(
         _meta(spec, spec.epsilon, spec.dx, tr.dt), body, merged.passed,
         ("t", "x", "rho", "v"),
-        _snapshot_rows(tr.times, x, rho, vel),
-        plots={"profile": (("x", "rho"), np.column_stack([x, rho[-1]]))},
+        Snapshot(tr.times, x, (rho, vel)),
+        plots={"profile": (("x", "rho"), _profile(x, rho[-1]))},
     )
 
 
@@ -313,14 +331,14 @@ def _run_2d(spec: ScenarioSpec) -> RunResult:
         "tv_growth", tvT <= 1.05 * tv0 + 1e-12, tvT, 1.05 * tv0,
         detail="terminal 2D total variation within 5% of initial",
     )
-    # the final state with y in the level column, then columns (x, y, u)
-    rows = _snapshot_rows(u0.y, u0.x, fin.values)[:, [1, 0, 2]]
+    # the final state with y as the level, in columns (x, y, u)
+    rows = Snapshot(u0.y, u0.x, (fin.values,), order=(1, 0, 2))
     mid = fin.values[u0.y.size // 2]
     return RunResult(
         _meta(spec, spec.epsilon, spec.dx, tr.dt),
         {"checks": rep.as_dict(), "tv": {"initial": tv0, "final": tvT}},
         rep.passed, ("x", "y", "u"), rows,
-        plots={"profile": (("x", "u"), np.column_stack([u0.x, mid]))},
+        plots={"profile": (("x", "u"), _profile(u0.x, mid))},
     )
 
 
@@ -376,34 +394,69 @@ def execute(spec: ScenarioSpec) -> RunResult:
     return _run_1d_single(spec)
 
 
-_BLOCK = 4096  # rows formatted per write: bounds the text and memo in memory
-
-
 # json's spelling of the floats whose repr is not a JSON number
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _repr_column(col: np.ndarray, spelling: dict) -> np.ndarray:
-    """repr of every float in col, as an object array of str, with the
-    reprs that spelling names replaced.  Each distinct value is formatted
-    once; values are told apart by their bits, because 0.0 == -0.0
-    although their reprs differ."""
-    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+def _reprs(values: np.ndarray, spelling: dict) -> np.ndarray:
+    """repr of every float in a 1D array, as an object array of str, with
+    the reprs that spelling names replaced.  Each distinct value is
+    formatted once; values are told apart by their bits, because 0.0 ==
+    -0.0 although their reprs differ.  (np.unique(..., return_inverse=
+    True) finds the same, at about twice the cost on a row of 801 nodes
+    with numpy 2.4.)"""
+    keys = values.view(np.uint64)
+    bits = np.sort(keys)
+    bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
     text = [repr(v) for v in bits.view(np.float64).tolist()]
     if spelling:
         text = [spelling.get(t, t) for t in text]
-    return np.array(text, dtype=object)[inverse]
+    return np.array(text, dtype=object)[bits.searchsorted(keys)]
 
 
-def _row_blocks(rows: np.ndarray, sep: str, spelling: dict):
-    """The rows of a float64 array in blocks of _BLOCK, each an object
-    array of str with a row's values joined by sep in _repr_column form."""
-    for start in range(0, len(rows), _BLOCK):
-        block = rows[start:start + _BLOCK]
-        lines = _repr_column(block[:, 0], spelling)
-        for col in block.T[1:]:
-            lines = lines + sep + _repr_column(col, spelling)
-        yield lines
+def _level_text(snap: Snapshot, sep: str, end: str, spelling: dict):
+    """The rows of snap level by level: for each level one str holding a
+    line per node, the row's values joined by sep in _reprs form and the
+    line ended by end.
+
+    The lines are laid out in one list per table, a row's pieces side by
+    side.  The node column and the separators and end around it are
+    formatted and joined once per table, so a (t, x, u) row is level,
+    sep + x + sep, u and end.  Each level fills in its level and field
+    pieces (each distinct value of a field row formatted once) and joins
+    the list.
+    """
+    n = snap.nodes.size
+    if not len(snap):
+        return
+    # a row's pieces: None for the level, a field's index, and the
+    # separators, node texts and end, each run of these joined here
+    pieces = []
+    for k, col in enumerate(snap.order):
+        pieces += [sep] if k else []
+        pieces.append(
+            None if col == 0
+            else _reprs(snap.nodes, spelling) if col == 1 else col - 2
+        )
+    fixed = (str, np.ndarray)  # the pieces every level shares
+    merged = []
+    for p in pieces + [end]:
+        if isinstance(p, fixed) and merged and isinstance(merged[-1], fixed):
+            merged[-1] = merged[-1] + p
+        else:
+            merged.append(p)
+    w = len(merged)
+    text = [""] * (w * n)
+    for s, p in enumerate(merged):
+        if isinstance(p, fixed):
+            text[s::w] = [p] * n if isinstance(p, str) else p.tolist()
+    for i, level in enumerate(_reprs(snap.levels, spelling).tolist()):
+        for s, p in enumerate(merged):
+            if p is None:
+                text[s::w] = [level] * n
+            elif isinstance(p, int):
+                text[s::w] = _reprs(snap.fields[p][i], spelling).tolist()
+        yield "".join(text)
 
 
 def _write_table(path: Path, meta: dict, header: str, sep: str, rows) -> Path:
@@ -411,10 +464,10 @@ def _write_table(path: Path, meta: dict, header: str, sep: str, rows) -> Path:
     per row, values joined by sep in repr form (shortest round-trip floats,
     True/False).
 
-    rows is a float64 array or a list of tuples.  An array is written in
-    blocks of _BLOCK rows, and each column of a block formats each of its
-    distinct values once, distinct by bit pattern: -0.0 prints as -0.0 and
-    0.0 as 0.0, as repr prints them.
+    rows is a Snapshot, written level by level as _level_text lays it
+    out (each distinct value of a level's field row is formatted once,
+    distinct by bit pattern: -0.0 prints as -0.0 and 0.0 as 0.0, as repr
+    prints them), or a list of tuples.
     """
     with open(path, "w") as fh:
         fh.write(f"# nlclaw {meta['version']}\n")
@@ -423,34 +476,32 @@ def _write_table(path: Path, meta: dict, header: str, sep: str, rows) -> Path:
             "dt={dt}\n".format(**meta)
         )
         fh.write(header + "\n")
-        if not isinstance(rows, np.ndarray):
+        if not isinstance(rows, Snapshot):
             fh.write("".join(sep.join(map(repr, r)) + "\n" for r in rows))
             return path
-        for lines in _row_blocks(rows, sep, {}):
-            fh.write("\n".join(lines.tolist()) + "\n")
-            del lines  # free the block before the next one is formatted
+        for text in _level_text(rows, sep, "\n", {}):
+            fh.write(text)
     return path
 
 
-def _write_json(path: Path, meta: dict, columns, rows: np.ndarray) -> None:
-    """json.dumps({**meta, "columns": list(columns), "rows": rows.tolist()},
-    indent=2) + "\n", byte for byte.  json formats the meta and columns;
-    the rows are laid out at indent 2 here, in blocks of _BLOCK rows whose
-    columns format each of their distinct values once, as in _write_table
-    (json writes a float as its repr, and the non-finite ones as
-    _JSON_SPELLING spells them)."""
+def _write_json(path: Path, meta: dict, columns, rows: Snapshot) -> None:
+    """json.dumps({**meta, "columns": list(columns), "rows": <the rows of
+    the Snapshot as lists>}, indent=2) + "\n", byte for byte.  json formats
+    the meta and columns; the rows are laid out at indent 2 here, level by
+    level from _level_text (json writes a float as its repr, and the
+    non-finite ones as _JSON_SPELLING spells them)."""
     head = json.dumps({**meta, "columns": list(columns), "rows": []}, indent=2)
     if not len(rows):
         path.write_text(head + "\n")
         return
+    # a row is "    [\n      " + values + "\n    ]", rows joined by ",\n"
+    end = "\n    ],\n    [\n      "
     with open(path, "w") as fh:
-        fh.write(head[:-len("[]\n}")] + "[\n")
-        blocks = _row_blocks(rows, ",\n      ", _JSON_SPELLING)
-        for k, lines in enumerate(blocks):
-            rows_text = ("    [\n      " + lines + "\n    ]").tolist()
-            fh.write((",\n" if k else "") + ",\n".join(rows_text))
-            del lines, rows_text  # as in _write_table
-        fh.write("\n  ]\n}\n")
+        fh.write(head[:-len("[]\n}")] + "[\n    [\n      ")
+        levels = _level_text(rows, ",\n      ", end, _JSON_SPELLING)
+        for k, text in enumerate(levels):
+            fh.write((end if k else "") + text[:-len(end)])
+        fh.write("\n    ]\n  ]\n}\n")
 
 
 def write_outputs(

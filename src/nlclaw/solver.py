@@ -397,8 +397,9 @@ def _picard_step_foot(
     convolve_values on a window with the kernel's full reach, whose own
     edge padding is the grid's exactly where it touches a grid end), and
     outside the span the inputs are bitwise those of the last pass, so a
-    pass is bitwise the full-grid pass.  The front pin and the change and
-    cycle reductions stay global.  A foot that reports the full span
+    pass is bitwise the full-grid pass.  The change reduction runs over
+    the span where phi was recomputed (elsewhere it is 0); the front pin
+    and the cycle reduction stay global.  A foot that reports the full span
     (the 2D one) makes every pass a full pass.
 
     With a front pin (1D data with tracked jumps), fronts holds the tracked
@@ -471,9 +472,11 @@ def _picard_step_foot(
             (raw,) = _patched(
                 (raw,), lo, hi, n, [foot.datum(*[p[lo:hi] for p in new_phi])]
             )
+        # outside [lo, hi) new_phi holds cand_phi's own entries
         change = max(
-            float(np.abs(a - b).max()) for a, b in zip(new_phi, cand_phi)
-        )
+            float(np.abs(a[lo:hi] - b[lo:hi]).max())
+            for a, b in zip(new_phi, cand_phi)
+        ) if lo < hi else 0.0
         cycle = np.inf if older_phi is None else max(
             float(np.abs(a - b).max()) for a, b in zip(new_phi, older_phi)
         )
@@ -578,12 +581,17 @@ def _pin_fronts(
     reparametrization and the range and variation bounds survive intact.
     """
     for g, y, fl, fr in zip(gammas, jump_pos, jump_left, jump_right):
-        wrong_left = (x <= g) & (phi > y)
+        if g != g:  # no node is on either side of a NaN preimage
+            continue
+        # x is sorted, so x <= g exactly on x[:k] and x > g on x[k:]
+        k = x.searchsorted(g, side="right")
+        left, right = vals[:k], vals[k:]
+        wrong_left = phi[:k] > y
         if wrong_left.any():
-            vals[wrong_left] = fl
-        wrong_right = (x > g) & (phi <= y)
+            left[wrong_left] = fl
+        wrong_right = phi[k:] <= y
         if wrong_right.any():
-            vals[wrong_right] = fr
+            right[wrong_right] = fr
     return vals
 
 

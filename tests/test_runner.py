@@ -10,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from nlclaw import acceptance, diagnostics, runner
 from nlclaw.cli import main
-from nlclaw.runner import RunResult, write_outputs
+from nlclaw.runner import RunResult, Snapshot, write_outputs
 from nlclaw.grids import RiemannData
-from nlclaw.scenario import ScenarioSpec
+from nlclaw.scenario import ScenarioSpec, parse_scenario
 
 SHOCK = """
 name = shock
@@ -369,25 +369,31 @@ def test_riemann_rejects_bad_domain(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_result_file_formats_are_pinned(tmp_path, monkeypatch):
-    # blocks of two rows, so the three-row files cross a block boundary;
-    # the first block's t column holds both 0.0 and -0.0
-    monkeypatch.setattr(runner, "_BLOCK", 2)
+def test_result_file_formats_are_pinned(tmp_path):
+    # signed zeros in the level, node and field columns, in the (t, x, u),
+    # (t, x, rho, v), nn2d (x, y, u) and plot (x, u) column orders
     meta = {
         "version": "v0", "scenario": "fmt", "mode": "nn", "epsilon": 0.1,
         "dx": 1 / 3, "dt": None,
     }
-    rows = np.array([[0.0, 0.1, 1 / 3], [-0.0, -0.0, 2.0], [1e-300, 2.0, -1e-5]])
+    levels, nodes = np.array([-0.0, 1e-300]), np.array([-0.0, 0.1])
+    u = np.array([[1 / 3, -0.0], [0.0, -1e-5]])
     res = RunResult(
-        meta, {"checks": {}}, True, ("t", "x", "u"), rows,
+        meta, {"checks": {}}, True, ("t", "x", "u"),
+        Snapshot(levels, nodes, (u,)),
         plots={
-            "profile": (("x", "u"), rows[:, 1:]),
+            "profile": (("x", "u"), runner._profile(nodes, u[-1])),
             "table": (
                 ("epsilon", "error_L1", "floor_dominated"),
                 [(0.1, 1 / 3, True), (0.05, -0.0, False), (0.025, 1e-300, True)],
             ),
         },
-        extra_snapshots=[("eps0.1", meta, ("t", "x", "u"), rows[:1])],
+        extra_snapshots=[
+            ("eps0.1", meta, ("x", "y", "u"),
+             Snapshot(levels[1:], nodes, (u[1:],), order=(1, 0, 2))),
+            ("eps0.05", meta, ("t", "x", "rho", "v"),
+             Snapshot(levels[:1], nodes, (u[:1], 2.0 * u[:1]))),
+        ],
     )
     head = (
         "# nlclaw v0\n"
@@ -400,13 +406,15 @@ def test_result_file_formats_are_pinned(tmp_path, monkeypatch):
             '  "checks": {},\n  "passed": true\n}\n'
         ),
         "fmt.csv": head + (
-            "t,x,u\n0.0,0.1,0.3333333333333333\n-0.0,-0.0,2.0\n"
-            "1e-300,2.0,-1e-05\n"
+            "t,x,u\n-0.0,-0.0,0.3333333333333333\n-0.0,0.1,-0.0\n"
+            "1e-300,-0.0,0.0\n1e-300,0.1,-1e-05\n"
         ),
-        "fmt_eps0.1.csv": head + "t,x,u\n0.0,0.1,0.3333333333333333\n",
-        "fmt_profile.dat": head + (
-            "# x u\n0.1 0.3333333333333333\n-0.0 2.0\n2.0 -1e-05\n"
+        "fmt_eps0.1.csv": head + "x,y,u\n-0.0,1e-300,0.0\n0.1,1e-300,-1e-05\n",
+        "fmt_eps0.05.csv": head + (
+            "t,x,rho,v\n-0.0,-0.0,0.3333333333333333,0.6666666666666666\n"
+            "-0.0,0.1,-0.0,-0.0\n"
         ),
+        "fmt_profile.dat": head + "# x u\n-0.0 0.0\n0.1 -1e-05\n",
         "fmt_table.dat": head + (
             "# epsilon error_L1 floor_dominated\n"
             "0.1 0.3333333333333333 True\n0.05 -0.0 False\n0.025 1e-300 True\n"
@@ -426,43 +434,69 @@ def test_result_file_formats_are_pinned(tmp_path, monkeypatch):
     assert (tmp_path / "json" / "fmt_eps0.1.json").read_text() == (
         '{\n  "version": "v0",\n  "scenario": "fmt",\n  "mode": "nn",\n'
         '  "epsilon": 0.1,\n  "dx": 0.3333333333333333,\n  "dt": null,\n'
-        '  "columns": [\n    "t",\n    "x",\n    "u"\n  ],\n'
-        '  "rows": [\n    [\n      0.0,\n      0.1,\n      0.3333333333333333\n'
-        '    ]\n  ]\n}\n'
+        '  "columns": [\n    "x",\n    "y",\n    "u"\n  ],\n'
+        '  "rows": [\n    [\n      -0.0,\n      1e-300,\n      0.0\n    ],\n'
+        '    [\n      0.1,\n      1e-300,\n      -1e-05\n    ]\n  ]\n}\n'
     )
     body = json.loads((tmp_path / "json" / "fmt.json").read_text())
-    assert body["rows"] == rows.tolist()
-    assert str(body["rows"][1][1]) == "-0.0"
+    assert body["rows"] == [
+        [-0.0, -0.0, 1 / 3], [-0.0, 0.1, -0.0], [1e-300, -0.0, 0.0],
+        [1e-300, 0.1, -1e-5],
+    ]
+    assert [str(v) for v in body["rows"][1]] == ["-0.0", "0.1", "-0.0"]
 
     verify = write_outputs(spec, res, tmp_path / "verify", verify_only=True)
     assert [p.name for p in verify] == ["fmt_report.json"]
+
+
+@st.composite
+def _snapshots(draw, pool):
+    """A Snapshot with its rows flattened one per node of every level, in
+    the Snapshot's column order: zero to four levels (one for a plot, whose
+    order has no level column), zero to five nodes, one or two fields, any
+    column order, values drawn from pool."""
+    n_fields = draw(st.integers(1, 2))
+    order = draw(st.permutations(range(2 + n_fields)))
+    plot = draw(st.booleans())
+    if plot:
+        order = [c for c in order if c != 0]
+    n_levels = 1 if plot else draw(st.integers(0, 4))
+    n_nodes = draw(st.integers(0, 5))
+    values = st.sampled_from(pool)
+    levels = draw(hnp.arrays(np.float64, n_levels, elements=values))
+    nodes = draw(hnp.arrays(np.float64, n_nodes, elements=values))
+    fields = [
+        draw(hnp.arrays(np.float64, (n_levels, n_nodes), elements=values))
+        for _ in range(n_fields)
+    ]
+    columns = [np.repeat(levels, n_nodes), np.tile(nodes, n_levels)]
+    columns += [f.ravel() for f in fields]
+    rows = [
+        [columns[c][r] for c in order] for r in range(n_levels * n_nodes)
+    ]
+    return Snapshot(levels, nodes, fields, order=order), rows
 
 
 _POOL = (0.0, -0.0, 5e-324, 1e-300, 1 / 3, -1e-05, 1e16, 0.1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    rows=hnp.arrays(
-        np.float64,
-        st.tuples(st.integers(0, 20), st.integers(1, 3)),
-        elements=st.sampled_from(_POOL),
-    ),
-    sep=st.sampled_from([",", " "]),
-)
-def test_write_table_matches_repr_of_every_value(tmp_path_factory, rows, sep):
-    # few distinct values, many repeats and both signed zeros, in blocks of
-    # three rows: each line must still be the reprs of its own values
+@given(case=_snapshots(_POOL), sep=st.sampled_from([",", " "]))
+def test_write_table_matches_repr_of_every_value(tmp_path_factory, case, sep):
+    # few distinct values, many repeats and both signed zeros: each line
+    # must still be the reprs of its own row's values
+    snap, rows = case
+    assert len(snap) == len(rows)
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
     meta = {
         "version": "v0", "scenario": "s", "mode": "nn", "epsilon": 0.1,
         "dx": 0.1, "dt": None,
     }
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "_BLOCK", 3)
-        runner._write_table(path, meta, "h", sep, rows)
+    runner._write_table(path, meta, "h", sep, snap)
     body = path.read_text().split("\n", 3)[3]
-    assert body == "".join(sep.join(map(repr, r)) + "\n" for r in rows.tolist())
+    assert body == "".join(
+        sep.join(repr(float(v)) for v in r) + "\n" for r in rows
+    )
 
 
 _JSON_POOL = (
@@ -473,27 +507,75 @@ _JSON_POOL = (
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    rows=hnp.arrays(
-        np.float64,
-        st.tuples(st.integers(0, 11), st.integers(1, 4)),
-        elements=st.sampled_from(_JSON_POOL),
-    ),
+    case=_snapshots(_JSON_POOL),
     epsilon=st.sampled_from([0.1, [0.2, 0.1, 0.05]]),
 )
-def test_write_json_matches_json_dumps(tmp_path_factory, rows, epsilon):
-    # blocks of three rows, both signed zeros, and the floats json spells
-    # its own way: the file must be json.dumps(..., indent=2) byte for byte
+def test_write_json_matches_json_dumps(tmp_path_factory, case, epsilon):
+    # both signed zeros and the floats json spells its own way: the file
+    # must be json.dumps(..., indent=2) of the flattened rows, byte for byte
+    snap, rows = case
     path = tmp_path_factory.getbasetemp() / "oracle.json"
     meta = {
         "version": "v0", "scenario": "s", "mode": "nn", "epsilon": epsilon,
         "dx": 0.1, "dt": None,
     }
-    columns = ("t", "x", "u", "v")[:rows.shape[1]]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "_BLOCK", 3)
-        runner._write_json(path, meta, columns, rows)
-    body = {**meta, "columns": list(columns), "rows": rows.tolist()}
+    columns = ("a", "b", "c", "d")[:len(snap.order)]
+    runner._write_json(path, meta, columns, snap)
+    body = {
+        **meta, "columns": list(columns),
+        "rows": [[float(v) for v in r] for r in rows],
+    }
     assert path.read_text() == json.dumps(body, indent=2) + "\n"
+
+
+SMALL_RUNS = {
+    "run": """
+name = run
+mode = nn
+initial = riemann 1 0
+epsilon = 0.1
+T = 0.3
+dx = 0.02
+domain = -1 1.5
+stride = 5
+""",
+    "sweep": """
+name = sweep
+mode = nn
+initial = riemann -1 1
+epsilon_list = 0.2 0.1
+T = 0.3
+dx = 0.05
+domain = -1 1
+stride = 5
+output = json
+""",
+    "euler": PULSE.replace("T = 0.3", "T = 0.1").replace(
+        "dx = 0.0125", "dx = 0.05"
+    ).replace("stride = 20", "stride = 2"),
+    "nn2d": PLANE.replace("T = 0.2", "T = 0.05"),
+}
+
+
+def _data_rows(path):
+    if path.suffix == ".json":
+        return len(json.loads(path.read_text())["rows"])
+    return len(path.read_text().splitlines()) - 3  # two meta lines, header
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_snapshot_len_is_the_rows_written(tmp_path, name):
+    # perfbench's runner.rows_out counts rows as len(res.snapshot_rows)
+    # plus len(extra[3]) over res.extra_snapshots
+    spec = parse_scenario(SMALL_RUNS[name])
+    res = runner.execute(spec)
+    write_outputs(spec, res, tmp_path)
+    snapshots = [("", res.snapshot_rows)] if name != "sweep" else []
+    snapshots += [(f"_{extra[0]}", extra[3]) for extra in res.extra_snapshots]
+    assert len(snapshots) == (2 if name == "sweep" else 1)
+    for suffix, snap in snapshots:
+        path = tmp_path / f"{spec.name}{suffix}.{spec.output}"
+        assert len(snap) == _data_rows(path) > 0
 
 
 NONCONVEX_SWEEP = """

@@ -484,3 +484,61 @@ def test_cubic_weights_are_bitwise_the_literal_formulas():
     )
     for got, want in zip(_cubic_weights(s), literal):
         assert np.array_equal(bits(got), bits(want))
+
+
+def pin_fronts_mask_form(vals, phi, x, gammas, jump_pos, jump_left, jump_right):
+    """The front pin as full-grid masks: the oracle for _pin_fronts."""
+    for g, y, fl, fr in zip(gammas, jump_pos, jump_left, jump_right):
+        wrong_left = (x <= g) & (phi > y)
+        vals[wrong_left] = fl
+        wrong_right = (x > g) & (phi <= y)
+        vals[wrong_right] = fr
+    return vals
+
+
+@st.composite
+def _pin_cases(draw):
+    """A sorted grid, a foot field in any order with repeats and signed
+    zeros, and one to three jumps whose preimages fall before the first
+    node, after the last, exactly on a node, on either zero or nowhere
+    (NaN)."""
+    n = draw(st.integers(1, 30))
+    x0 = draw(st.sampled_from([0.0, -0.0, -0.5, -1.3]))
+    dx = draw(st.sampled_from([0.05, 0.25]))
+    x = x0 + dx * np.arange(n)
+    phi = draw(hnp.arrays(
+        np.float64, n,
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, -0.5, x0]), st.floats(-3.0, 3.0),
+        ),
+    ))
+    k = draw(st.integers(1, 3))
+    node = st.sampled_from(x.tolist())
+    gammas = np.array(draw(st.lists(
+        st.one_of(
+            node, st.sampled_from([0.0, -0.0, -np.inf, np.inf, np.nan]),
+            st.floats(x0 - 3 * dx, x[-1] + 3 * dx),
+        ),
+        min_size=k, max_size=k,
+    )))
+    jump_pos = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+        min_size=k, max_size=k,
+    )))
+    limits = st.lists(
+        st.sampled_from([1.0, 0.0, -0.0, -0.6, 0.2]), min_size=k, max_size=k
+    )
+    vals = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    return (
+        vals, phi, x, gammas, jump_pos,
+        np.array(draw(limits)), np.array(draw(limits)),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_pin_cases())
+def test_pin_fronts_is_bitwise_the_mask_form(case):
+    vals, *rest = case
+    want = pin_fronts_mask_form(vals.copy(), *rest)
+    got = solver._pin_fronts(vals.copy(), *rest)
+    assert np.array_equal(bits(got), bits(want))
