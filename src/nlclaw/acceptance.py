@@ -2,8 +2,10 @@
 
 Each criterion is one function returning its pass/fail verdict and the
 measured numbers behind it; run_criteria wraps them, with the title from
-the one criterion table, into a CriterionResult.  The same battery
-backs the pytest acceptance suite and the ``nlclaw selftest``
+the one criterion table, into a CriterionResult.  The table also names
+the criteria whose registered solves a criterion reads; those run first,
+so a verdict means the same whatever subset was requested.  The same
+battery backs the pytest acceptance suite and the ``nlclaw selftest``
 subcommand, so the shipped checks and the tested checks cannot drift
 apart.  Results carry no wall-clock or machine identity: the written
 files are byte-identical across repeated runs.
@@ -14,7 +16,7 @@ Criterion list:
      2  rarefaction non-convergence plateau
      3  smooth-regime convergence rate and error bound
      4  catastrophe time formula
-     5  structural invariants on every registered non-conservative run
+     5  structural invariants on the runs of criteria 1, 6, 7 and 10
      6  general-flux Riemann speeds differ from Rankine-Hugoniot
      7  Burgers-mode equivalence of the three regularisations
      8  oracle triangulation (Godunov, Lax-Oleinik, front tracking)
@@ -107,7 +109,7 @@ def _neg_tanh(x):
     return -np.tanh(x)
 
 
-def _criterion_1(reg: list) -> tuple[bool, dict]:
+def _criterion_1(reg: dict) -> tuple[bool, dict]:
     # decreasing Riemann datum (1, 0): the regularised front travels at
     # the mean of the two states, for every eps
     data = RiemannData(1.0, 0.0)
@@ -118,7 +120,7 @@ def _criterion_1(reg: list) -> tuple[bool, dict]:
     speeds = {}
     for eps in (0.1, 0.05):
         traj = solve_nn(u0, eps, T, cfg, data=data)
-        reg.append((f"c1_nn_eps{eps}", traj))
+        reg[f"c1_nn_eps{eps}"] = traj
         fit = measure_front_speed_fit(traj, 0.5, (0.5, T))
         speeds[eps] = fit.speed
     target = predicted_front_speed("nn", None, data.uL, data.uR)
@@ -136,7 +138,7 @@ def _criterion_1(reg: list) -> tuple[bool, dict]:
     }
 
 
-def _criterion_2(reg: list) -> tuple[bool, dict]:
+def _criterion_2(reg: dict) -> tuple[bool, dict]:
     scenario = StudyScenario(
         RiemannData(-1.0, 1.0), T=1.0, window=(-2.0, 2.0), mode="nn",
         rate_norm="l1",
@@ -157,7 +159,7 @@ def _criterion_2(reg: list) -> tuple[bool, dict]:
     }
 
 
-def _criterion_3(reg: list) -> tuple[bool, dict]:
+def _criterion_3(reg: dict) -> tuple[bool, dict]:
     # T = 0.5 is before the catastrophe time 1 of -tanh; the error bound
     # eps * L^2 M T * exp(L M T) has L = 2, M = 1, plus 10% allowance
     scenario = StudyScenario(
@@ -182,7 +184,7 @@ def _criterion_3(reg: list) -> tuple[bool, dict]:
     }
 
 
-def _criterion_4(reg: list) -> tuple[bool, dict]:
+def _criterion_4(reg: dict) -> tuple[bool, dict]:
     u0 = sample(_neg_tanh, -5.0, 5.0, 1e-3)
     t_star = catastrophe_time(u0)
     first_ok = abs(t_star - 1.0) <= 1e-3
@@ -197,36 +199,10 @@ def _criterion_4(reg: list) -> tuple[bool, dict]:
     }
 
 
-def _default_registry_runs(reg: list) -> None:
-    """Canonical runs for a standalone criterion-5 invocation."""
-    shock = RiemannData(1.0, 0.0)
-    u0 = sample(shock, -2.2, 2.8, 1e-3)
-    reg.append((
-        "c5_nn_shock",
-        solve_nn(u0, 0.1, 1.0, SolverConfig(store_stride=25), data=shock),
-    ))
-    smooth = sample(_neg_tanh, -3.0, 3.0, 1e-3)
-    reg.append((
-        "c5_nn_smooth",
-        solve_nn(smooth, 0.1, 0.5, SolverConfig(store_stride=20)),
-    ))
-    cub = cubic_flux(radius=2.0)
-    data = RiemannData(2.0, 0.0)
-    v0 = sample(data, -3.2, 5.4, 1e-3)
-    cfg = SolverConfig(store_stride=50)
-    for mode in ("velocity_reg", "flux_reg"):
-        reg.append((
-            f"c5_{mode}_cubic",
-            solve_general(v0, cub, 0.1, 1.0, cfg, mode, data=data),
-        ))
-
-
-def _criterion_5(reg: list) -> tuple[bool, dict]:
-    if not reg:
-        _default_registry_runs(reg)
+def _criterion_5(reg: dict) -> tuple[bool, dict]:
     per_run = {}
     all_ok = True
-    for label, traj in reg:
+    for label, traj in reg.items():
         rep = check_invariants(traj)
         per_run[label] = {
             "passed": bool(rep.passed),
@@ -239,7 +215,7 @@ def _criterion_5(reg: list) -> tuple[bool, dict]:
     return all_ok, {"runs": per_run, "run_count": len(reg)}
 
 
-def _criterion_6(reg: list) -> tuple[bool, dict]:
+def _criterion_6(reg: dict) -> tuple[bool, dict]:
     flux = cubic_flux(radius=2.0)
     data = RiemannData(2.0, 0.0)
     u0 = sample(data, -3.2, 5.4, 1e-3)
@@ -249,7 +225,7 @@ def _criterion_6(reg: list) -> tuple[bool, dict]:
     ok = True
     for mode in ("velocity_reg", "flux_reg"):
         traj = solve_general(u0, flux, 0.1, 1.0, cfg, mode, data=data)
-        reg.append((f"c6_{mode}_cubic", traj))
+        reg[f"c6_{mode}_cubic"] = traj
         fit = measure_front_speed_fit(traj, 1.0, (0.5, 1.0))
         width = max(fit.stderr, 1e-15)
         distinct = abs(fit.speed - rh) / width
@@ -269,16 +245,15 @@ def _criterion_6(reg: list) -> tuple[bool, dict]:
     return ok, out
 
 
-def _criterion_7(reg: list) -> tuple[bool, dict]:
+def _criterion_7(reg: dict) -> tuple[bool, dict]:
     data = RiemannData(1.0, 0.0)
     u0 = sample(data, -2.2, 2.8, 1e-3)
     flux = burgers_flux(radius=1.5)
     cfg = SolverConfig(store_stride=25)
     eps, T = 0.1, 1.0
-    # criterion 1 makes this very nn solve (same u0, eps, T, cfg, data)
-    nn = dict(reg).get("c1_nn_eps0.1")
+    # criterion 1 solved nn on this very u0, eps, T, cfg and data
     trajs = {
-        "nn": nn if nn is not None else solve_nn(u0, eps, T, cfg, data=data),
+        "nn": reg["c1_nn_eps0.1"],
         "velocity_reg": solve_general(
             u0, flux, eps, T, cfg, "velocity_reg", data=data
         ),
@@ -287,7 +262,7 @@ def _criterion_7(reg: list) -> tuple[bool, dict]:
         ),
     }
     for label, traj in trajs.items():
-        reg.append((f"c7_{label}_burgers", traj))
+        reg[f"c7_{label}_burgers"] = traj
     worst = max(
         float(np.max(np.abs(a.values - b.values)))
         for a, b in combinations(trajs.values(), 2)
@@ -295,7 +270,7 @@ def _criterion_7(reg: list) -> tuple[bool, dict]:
     return worst <= 1e-12, {"worst_pointwise_gap": worst, "bound": 1e-12}
 
 
-def _criterion_8(reg: list) -> tuple[bool, dict]:
+def _criterion_8(reg: dict) -> tuple[bool, dict]:
     # sample past the domain of dependence (pad = sup |u0| * T + margin)
     # and compare on the window, so grid-boundary effects cannot leak in
     flux = burgers_flux(radius=1.5)
@@ -360,7 +335,7 @@ def _drop_tubes(ref: GridFunction1D, window, eps: float) -> list:
     return tubes
 
 
-def _criterion_9(reg: list) -> tuple[bool, dict]:
+def _criterion_9(reg: dict) -> tuple[bool, dict]:
     datum = _pwise_increasing_datum()
     sup0 = 0.9
     D = 2.0  # minimum breakpoint gap
@@ -393,7 +368,7 @@ def _criterion_9(reg: list) -> tuple[bool, dict]:
     }
 
 
-def _criterion_10(reg: list) -> tuple[bool, dict]:
+def _criterion_10(reg: dict) -> tuple[bool, dict]:
     dx = 1e-3
     u0 = sample(_neg_tanh, -5.0, 5.0, dx)
     shifted = u0.with_values(
@@ -403,8 +378,8 @@ def _criterion_10(reg: list) -> tuple[bool, dict]:
     eps, T = 0.1, 1.0
     tu = solve_nn(u0, eps, T, cfg)
     tv = solve_nn(shifted, eps, T, cfg)
-    reg.append(("c10_nn_neg_tanh", tu))
-    reg.append(("c10_nn_neg_tanh_shifted", tv))
+    reg["c10_nn_neg_tanh"] = tu
+    reg["c10_nn_neg_tanh_shifted"] = tv
     m = build_mollifier(eps, dx)
     rep = stability_envelope(tu, tv, m)
     worst = max((c.value for c in rep.checks), default=0.0)
@@ -432,7 +407,7 @@ def _counterexample_datum() -> PiecewiseInitialData:
     )
 
 
-def _criterion_11(reg: list) -> tuple[bool, dict]:
+def _criterion_11(reg: dict) -> tuple[bool, dict]:
     datum = _counterexample_datum()
     T = 1.0
     window = (-3.0, 3.0)
@@ -464,7 +439,7 @@ def _criterion_11(reg: list) -> tuple[bool, dict]:
     }
 
 
-def _criterion_12(reg: list) -> tuple[bool, dict]:
+def _criterion_12(reg: dict) -> tuple[bool, dict]:
     # refinement: residual of the smooth-pulse run drops >= 1.8x when
     # dx, dt, eps are all halved (dt follows dx through the fixed cfl)
     residuals = {}
@@ -516,7 +491,7 @@ def _criterion_12(reg: list) -> tuple[bool, dict]:
     }
 
 
-def _criterion_13(reg: list) -> tuple[bool, dict]:
+def _criterion_13(reg: dict) -> tuple[bool, dict]:
     dx = 1e-2
     eps, T = 0.1, 0.3
     u0 = sample(_neg_tanh, -3.0, 3.0, dx)
@@ -543,7 +518,7 @@ def _criterion_13(reg: list) -> tuple[bool, dict]:
     }
 
 
-def _criterion_14(reg: list) -> tuple[bool, dict]:
+def _criterion_14(reg: dict) -> tuple[bool, dict]:
     """Run a fast selftest subset twice in subprocesses and require the
     result files to be byte-identical."""
     subset = "4,13"
@@ -579,21 +554,24 @@ def _criterion_14(reg: list) -> tuple[bool, dict]:
     }
 
 
+# n: (title, function, reads), where reads names the criteria whose
+# registered runs the function uses; run_criteria runs those first
 _CRITERIA = {
-    1: ("Riemann shock front speed", _criterion_1),
-    2: ("rarefaction non-convergence plateau", _criterion_2),
-    3: ("smooth-regime convergence", _criterion_3),
-    4: ("catastrophe time", _criterion_4),
-    5: ("structural invariants on all registered runs", _criterion_5),
-    6: ("general-flux Riemann speeds vs Rankine-Hugoniot", _criterion_6),
-    7: ("Burgers-mode equivalence", _criterion_7),
-    8: ("oracle triangulation", _criterion_8),
-    9: ("piecewise-Lipschitz-increasing datum", _criterion_9),
-    10: ("L1 stability envelope", _criterion_10),
-    11: ("counterexample datum: NN vs conservative", _criterion_11),
-    12: ("Euler refinement, round trip, mutation", _criterion_12),
-    13: ("2D dimensional reduction", _criterion_13),
-    14: ("selftest determinism", _criterion_14),
+    1: ("Riemann shock front speed", _criterion_1, ()),
+    2: ("rarefaction non-convergence plateau", _criterion_2, ()),
+    3: ("smooth-regime convergence", _criterion_3, ()),
+    4: ("catastrophe time", _criterion_4, ()),
+    5: ("structural invariants on all registered runs", _criterion_5,
+        (1, 6, 7, 10)),
+    6: ("general-flux Riemann speeds vs Rankine-Hugoniot", _criterion_6, ()),
+    7: ("Burgers-mode equivalence", _criterion_7, (1,)),
+    8: ("oracle triangulation", _criterion_8, ()),
+    9: ("piecewise-Lipschitz-increasing datum", _criterion_9, ()),
+    10: ("L1 stability envelope", _criterion_10, ()),
+    11: ("counterexample datum: NN vs conservative", _criterion_11, ()),
+    12: ("Euler refinement, round trip, mutation", _criterion_12, ()),
+    13: ("2D dimensional reduction", _criterion_13, ()),
+    14: ("selftest determinism", _criterion_14, ()),
 }
 
 
@@ -610,7 +588,9 @@ def parse_criteria_arg(arg: str | None) -> list[int]:
         except ValueError:
             raise ValueError(f"criterion {tok!r} is not a number") from None
         if n not in _CRITERIA:
-            raise ValueError(f"no criterion {n} (have 1..14)")
+            raise ValueError(
+                f"no criterion {n} (have {min(_CRITERIA)}..{max(_CRITERIA)})"
+            )
         numbers.append(n)
     if not numbers:
         raise ValueError("empty criteria list")
@@ -618,25 +598,32 @@ def parse_criteria_arg(arg: str | None) -> list[int]:
 
 
 def run_criteria(numbers=None) -> list:
-    """Execute the requested criteria and return results in numeric
-    order.  Each criterion appends its non-conservative runs, as (label,
-    trajectory) pairs, to one registry list; criterion 5 runs after the
-    others so it checks every run they made.  A crash inside one
-    criterion becomes a FAIL for that criterion, not an abort of the
-    battery."""
-    if numbers is None:
-        numbers = sorted(_CRITERIA)
-    registry = []
-    order = [n for n in numbers if n != 5] + ([5] if 5 in numbers else [])
+    """Execute the requested criteria and return their results, and only
+    theirs, in numeric order.  Each criterion adds its non-conservative
+    runs to one registry, a dict from label to trajectory, and runs after
+    the criteria its table entry says it reads, so its verdict covers the
+    same runs whatever else was requested.  Every criterion runs at most
+    once.  A crash inside one criterion becomes a FAIL for that
+    criterion, not an abort of the battery."""
+    requested = sorted(set(_CRITERIA if numbers is None else numbers))
+    registry = {}
     results = {}
-    for n in order:
-        title, criterion = _CRITERIA[n]
+
+    def run(n: int) -> None:
+        if n in results:
+            return
+        title, criterion, reads = _CRITERIA[n]
+        for m in reads:
+            run(m)
         try:
             passed, details = criterion(registry)
         except Exception as e:  # honest red instead of a crashed battery
             passed, details = False, {"error": f"{type(e).__name__}: {e}"}
         results[n] = CriterionResult(n, title, passed, details)
-    return [results[n] for n in sorted(results)]
+
+    for n in requested:
+        run(n)
+    return [results[n] for n in requested]
 
 
 def write_results(results, outdir: Path) -> list:

@@ -173,7 +173,9 @@ def main(argv=None) -> int:
     p.add_argument(
         "--criteria",
         default=None,
-        help="comma-separated criterion numbers (default: all)",
+        help="comma-separated criterion numbers (default: all); the "
+        "criteria whose solves a selected one reads also run, but only "
+        "the selected ones are printed and written",
     )
     _add_outdir(p)
     p.set_defaults(fn=_cmd_selftest)

@@ -622,10 +622,11 @@ def test_selftest_subset(tmp_path, capsys):
     assert rep["criteria"][0]["number"] == 4
 
 
-def test_selftest_rejects_unknown_criterion(tmp_path):
+def test_selftest_rejects_unknown_criterion(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["selftest", "--criteria", "99", "--outdir", str(out)])
     assert rc == 1
+    assert capsys.readouterr().err == "no criterion 99 (have 1..14)\n"
     assert list(tmp_path.iterdir()) == []  # an input error writes nothing
 
 
@@ -633,13 +634,13 @@ def test_selftest_outdir_that_is_a_file_fails_before_any_criterion(
     tmp_path, monkeypatch, capsys
 ):
     runs = []
-    title, criterion = acceptance._CRITERIA[4]
+    title, criterion, reads = acceptance._CRITERIA[4]
 
     def counting(registry):
         runs.append(4)
         return criterion(registry)
 
-    monkeypatch.setitem(acceptance._CRITERIA, 4, (title, counting))
+    monkeypatch.setitem(acceptance._CRITERIA, 4, (title, counting, reads))
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
     rc = main(["selftest", "--criteria", "4", "--outdir", str(taken)])
