@@ -271,8 +271,10 @@ def _criterion_7(reg: dict) -> tuple[bool, dict]:
 
 
 def _criterion_8(reg: dict) -> tuple[bool, dict]:
-    # sample past the domain of dependence (pad = sup |u0| * T + margin)
-    # and compare on the window, so grid-boundary effects cannot leak in
+    # sample past the domain of dependence and compare on the window, so
+    # grid-boundary effects cannot leak in; the pad 1.0 * T + 0.5 is the
+    # speed bound times T plus a margin, written as a literal: both data
+    # are Burgers data with sup|u0| <= 1, so solver.speed_bound is <= 1
     flux = burgers_flux(radius=1.5)
     out = {}
     ok = True
@@ -315,23 +317,13 @@ def _drop_tubes(ref: GridFunction1D, window, eps: float) -> list:
     """Exclusion tubes: 4 eps around each cluster of reference drops."""
     sl = ref.window_slice(*window)
     x = ref.x[sl]
-    v = ref.values[sl]
-    d = np.diff(v)
-    idx = np.nonzero(d < -0.05)[0]
+    idx = np.nonzero(np.diff(ref.values[sl]) < -0.05)[0]
     tubes = []
-    if idx.size == 0:
-        return tubes
-    start = idx[0]
-    prev = idx[0]
-    gap = 10
-    for k in idx[1:]:
-        if k - prev > gap:
-            center = 0.5 * (x[start] + x[prev + 1])
+    # a cluster ends where the next drop is more than 10 cells on
+    for run in np.split(idx, np.nonzero(np.diff(idx) > 10)[0] + 1):
+        if run.size:
+            center = 0.5 * (x[run[0]] + x[run[-1] + 1])
             tubes.append((center - 4.0 * eps, center + 4.0 * eps))
-            start = k
-        prev = k
-    center = 0.5 * (x[start] + x[prev + 1])
-    tubes.append((center - 4.0 * eps, center + 4.0 * eps))
     return tubes
 
 

@@ -22,11 +22,13 @@ from .runner import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    _flux_spec,
     read_scenario,
     run,
     run_file,
 )
 from .scenario import ScenarioError, ScenarioSpec, spec_from_fields
+from .solver import FLUX_MODES, speed_bound
 
 __all__ = ["main"]
 
@@ -72,11 +74,12 @@ def _cmd_euler(args) -> int:
 
 
 def _riemann_domain(spec: ScenarioSpec) -> tuple:
-    """[-reach, reach] with reach = 1 + m^k T, m = max(|uL|, |uR|, 1) and
-    k = 1 for burgers, 2 for cubic: the fronts stay inside until T."""
-    m = max(abs(spec.initial.uL), abs(spec.initial.uR), 1.0)
-    speed = m if spec.flux.kind == "burgers" else m * m
-    reach = 1.0 + speed * spec.T
+    """[-reach, reach] with reach = 1 + max(S, 1) T, S the mode's
+    solver.speed_bound on uL and uR: the fronts stay inside until T."""
+    states = (spec.initial.uL, spec.initial.uR)
+    reads_flux = spec.mode in FLUX_MODES
+    flux = _flux_spec(spec, max(map(abs, states))) if reads_flux else None
+    reach = 1.0 + max(speed_bound(spec.mode, flux, states), 1.0) * spec.T
     return (-reach, reach)
 
 

@@ -32,6 +32,7 @@ from .solver import (
     check_node_steps,
     check_stored_levels,
     solve,
+    speed_bound,
 )
 
 __all__ = [
@@ -209,9 +210,11 @@ def check_invariants(traj: Trajectory) -> DiagnosticsReport:
 
     Non-conservative modes must honour the exact range bound, the exact
     TV bound (no stored state exceeds the initial variation) with a small
-    terminal deficit, and the L1 time-Lipschitz bound with constant
-    sup|u0| * TV(u0).  The conservative mode is held to mass conservation
-    instead; its range may grow.
+    terminal deficit; the conservative mode to mass conservation instead
+    (its range may grow).  Every mode is held to the L1 time-Lipschitz
+    bound with K = S * TV(u0), S = traj.speed_bound (solver.speed_bound):
+    sup|u0| in nn and conservative, sup|f'| on u0's range in the flux
+    modes, and the detail names S as sup|u0| wherever the two are equal.
     """
     rep = DiagnosticsReport(mode=traj.mode)
     vals = traj.values
@@ -241,13 +244,15 @@ def check_invariants(traj: Trajectory) -> DiagnosticsReport:
         rep.add("mass conservation", drift <= MASS_TOL * span, drift,
                 MASS_TOL * span, "largest drift of the discrete integral")
 
-    K = float(np.max(np.abs(u0))) * tv0
+    S = traj.speed_bound
+    K = S * tv0
     steps = np.sum(np.abs(np.diff(vals, axis=0)), axis=1) * dx
     bounds = LIPSCHITZ_SLACK * K * np.diff(traj.times) + 1e-14
     worst_ratio = float(np.max(steps / bounds, initial=0.0))
+    speed = "sup|u0|" if S == float(np.max(np.abs(u0))) else "sup|f'(u0)|"
     rep.add("l1 time lipschitz", worst_ratio <= 1.0, worst_ratio, 1.0,
             f"worst ratio of stored-pair L1 distance to {LIPSCHITZ_SLACK}*K*dt, "
-            f"K = sup|u0|*TV(u0) = {K:.6g}")
+            f"K = {speed}*TV(u0) = {K:.6g}")
     return rep
 
 
@@ -415,13 +420,13 @@ PADDING_MARGIN = 1.0
 
 
 def padded_grid_bounds(
-    window: tuple[float, float], sup0: float, epsilon: float, T: float,
+    window: tuple[float, float], speed: float, epsilon: float, T: float,
     dx: float,
 ) -> tuple[float, float]:
     """Domain covering the window plus the influence-zone padding
-    sup|u0| * T + epsilon + PADDING_MARGIN, aligned so window nodes land on
-    the grid."""
-    pad = sup0 * T + epsilon + PADDING_MARGIN
+    speed * T + epsilon + PADDING_MARGIN, aligned so window nodes land on
+    the grid; speed is the mode's solver.speed_bound on the data range."""
+    pad = speed * T + epsilon + PADDING_MARGIN
     cells = int(np.ceil(pad / dx))
     return window[0] - cells * dx, window[1] + cells * dx
 
@@ -470,11 +475,12 @@ def convergence_study(
     def padded(eps: float) -> tuple[float, float, float, float]:
         """The row's eps, dx and padded domain, once its work is checked."""
         dx = min(scenario.dx_max, eps / 8.0)
-        sup0 = sup_norm(sample(scenario.data, *scenario.window, dx))
-        a, b = padded_grid_bounds(scenario.window, sup0, eps, scenario.T, dx)
+        u0 = sample(scenario.data, *scenario.window, dx)
+        speed = speed_bound(scenario.mode, scenario.flux, u0.values)
+        a, b = padded_grid_bounds(scenario.window, speed, eps, scenario.T, dx)
         nodes = uniform_grid(a, b, dx)[1]
-        dt = cfg.time_step(dx, sup0)
-        check_node_steps(nodes, scenario.T, dt, sup0, dx)
+        dt = cfg.time_step(dx, sup_norm(u0))
+        check_node_steps(nodes, scenario.T, dt)
         check_stored_levels(nodes, scenario.T, dt, cfg.store_stride)
         return eps, dx, a, b
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction1D, GridMismatchError
+from .grids import GridFunction1D, GridMismatchError, sup_norm
 from .kernel import _bump_unnormalized
 from .solver import SolverConfig, Trajectory, solve_nn
 
@@ -114,17 +114,14 @@ def solve_isentropic(
     two solves never reference each other, so evolving them jointly is
     bitwise the same as evolving each alone."""
     mu0, lam0 = to_invariants(rho0, vel0)
-    sup_shared = max(
-        float(np.max(np.abs(mu0.values))),
-        float(np.max(np.abs(lam0.values))),
-    )
-    dt = cfg.time_step(rho0.dx, sup_shared)
+    dt = cfg.time_step(rho0.dx, max(sup_norm(mu0), sup_norm(lam0)))
     mu_traj = solve_nn(mu0, epsilon, T, cfg, dt=dt)
     lam_rev = solve_nn(_reversed_grid(lam0), epsilon, T, cfg, dt=dt)
     lam_traj = Trajectory(
         _reversed_grid(lam_rev.grid), lam_rev.times,
         np.ascontiguousarray(lam_rev.values[:, ::-1]), epsilon, "nn",
-        picard_counts=lam_rev.picard_counts, dt=lam_rev.dt,
+        lam_rev.speed_bound, picard_counts=lam_rev.picard_counts,
+        dt=lam_rev.dt,
     )
     if mu_traj.times.size != lam_traj.times.size or np.any(
         np.abs(mu_traj.times - lam_traj.times) > 1e-12

@@ -26,8 +26,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .fluxes import FluxSpec
-from .grids import GridFunction1D, RiemannData, sup_norm
-from .solver import check_node_steps, step_times
+from .grids import GridFunction1D, RiemannData
+from .solver import (
+    SPEED_PROBES, SUP_FLOOR, check_node_steps, speed_bound, step_times,
+)
 
 __all__ = [
     "FrontTrackingSolution",
@@ -94,15 +96,6 @@ def lax_oleinik_solve(u0: GridFunction1D, t: float) -> GridFunction1D:
     return u0.with_values(out)
 
 
-def _convexity_interval(u0: GridFunction1D) -> tuple[float, float]:
-    lo = float(np.min(u0.values))
-    hi = float(np.max(u0.values))
-    if hi - lo < 1e-12:
-        lo -= 0.5
-        hi += 0.5
-    return lo, hi
-
-
 def _sonic_point(flux: FluxSpec, lo: float, hi: float) -> float:
     """Minimiser of f over [lo, hi]; the stagnation value of the exact
     Riemann flux for convex f."""
@@ -137,18 +130,21 @@ def godunov_solve(
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    lo, hi = _convexity_interval(u0)
-    probe = np.linspace(lo, hi, 201)
+    lo, hi = float(np.min(u0.values)), float(np.max(u0.values))
+    if hi - lo < 1e-12:  # constant data: probe a unit interval around it
+        lo, hi = lo - 0.5, hi + 0.5
+    # the local law's characteristics move at f'(u), as velocity_reg's do
+    speed = speed_bound("velocity_reg", flux, (lo, hi))
+    probe = np.linspace(lo, hi, SPEED_PROBES)
     fp = np.asarray(flux.fprime(probe), dtype=float)
-    if np.any(np.diff(fp) < -1e-10 * max(1.0, np.max(np.abs(fp)))):
+    if np.any(np.diff(fp) < -1e-10 * max(1.0, speed)):
         raise NonConvexFluxError(
             "godunov_solve requires a convex flux on the data range"
         )
     omega = _sonic_point(flux, lo, hi)
-    max_speed = float(np.max(np.abs(fp)))
     dx = u0.dx
-    dt = GODUNOV_CFL * dx / max(max_speed, 1e-12)
-    check_node_steps(u0.n, T, dt, sup_norm(u0), dx)
+    dt = GODUNOV_CFL * dx / max(speed, SUP_FLOOR)
+    check_node_steps(u0.n, T, dt)
     vals = u0.values.copy()
 
     def interface_flux(ul: np.ndarray, ur: np.ndarray) -> np.ndarray:

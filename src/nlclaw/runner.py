@@ -41,6 +41,7 @@ from .grids import DatumError, RiemannData, sample, sup_norm
 from .reference import NonConvexFluxError
 from .scenario import ScenarioError, ScenarioSpec, parse_scenario
 from .solver import (
+    FLUX_MODES,
     LEVEL_BUDGET,
     PicardDivergenceError,
     SolverConfig,
@@ -71,12 +72,12 @@ _RUN_ERRORS = (
 )
 
 
-def _flux_spec(spec: ScenarioSpec, u0) -> FluxSpec:
-    """The scenario's flux, its spot-check sized to the sampled data:
-    radius max(1, 1.5 sup|u0|).  A flux that fails the check is an input
-    error on flux."""
+def _flux_spec(spec: ScenarioSpec, sup0: float) -> FluxSpec:
+    """The scenario's flux, its spot-check sized to the data's sup-norm
+    sup0: radius max(1, 1.5 sup0).  A flux that fails the check is an
+    input error on flux."""
     fc = spec.flux
-    radius = max(1.0, 1.5 * sup_norm(u0))
+    radius = max(1.0, 1.5 * sup0)
     try:
         if fc.kind == "burgers":
             return burgers_flux(radius=radius)
@@ -165,16 +166,11 @@ def _datum_and_flux(spec: ScenarioSpec, dx: float, reads_flux: bool):
     flux the run never reads is never checked)."""
     data = spec.initial
     u0 = _sample("initial", data, spec.domain[0], spec.domain[1], dx)
-    return data, u0, _flux_spec(spec, u0) if reads_flux else None
-
-
-_FLUX_MODES = ("velocity_reg", "flux_reg")  # the 1D modes that read f'
+    return data, u0, _flux_spec(spec, sup_norm(u0)) if reads_flux else None
 
 
 def _run_1d_single(spec: ScenarioSpec) -> RunResult:
-    data, u0, flux = _datum_and_flux(
-        spec, spec.dx, spec.mode in _FLUX_MODES
-    )
+    data, u0, flux = _datum_and_flux(spec, spec.dx, spec.mode in FLUX_MODES)
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     traj = solve(spec.mode, u0, spec.epsilon, spec.T, cfg, data=data, flux=flux)
 
@@ -226,7 +222,7 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
     else:
         ref_name = "godunov"
     data, _, flux = _datum_and_flux(
-        spec, dx, spec.mode in _FLUX_MODES or ref_name == "godunov"
+        spec, dx, spec.mode in FLUX_MODES or ref_name == "godunov"
     )
     scenario = StudyScenario(
         data, spec.T, spec.domain, mode=spec.mode, flux=flux,
@@ -314,7 +310,7 @@ def _run_2d(spec: ScenarioSpec) -> RunResult:
         )
     except ValueError as e:
         raise ScenarioError([f"initial: {e}"]) from None
-    flux = _flux_spec(spec, u0)
+    flux = _flux_spec(spec, sup_norm(u0))
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     tr = solve_velocity_reg_2d(u0, (flux, flux), spec.epsilon, spec.T, cfg)
     fin = tr.final

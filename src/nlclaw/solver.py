@@ -67,6 +67,7 @@ __all__ = [
     "solve_conservative_nonlocal",
     "solve_general",
     "solve_nn",
+    "speed_bound",
     "step_times",
 ]
 
@@ -82,6 +83,26 @@ NODE_STEP_BUDGET = 1e10
 LEVEL_BUDGET = 1e8
 
 MODES = ("nn", "conservative", "velocity_reg", "flux_reg", "velocity_reg_2d")
+FLUX_MODES = ("velocity_reg", "flux_reg")  # the 1D modes that read f'
+SPEED_PROBES = 201  # evenly spaced points of the data range speed_bound reads
+
+
+def speed_bound(mode: str, flux: FluxSpec | None, values) -> float:
+    """The largest characteristic speed S of a mode on the data range [lo,
+    hi] = [min values, max values], the constant of the L1 bound
+    ||u(t) - u(s)||_1 <= S TV(u0) |t - s|.  nn and conservative advect at
+    a mollified u: S = max(|lo|, |hi|).  The FLUX_MODES advect at a
+    mollified f'(u) or at f' of a mollified u (in [lo, hi] too): S is the
+    largest |f'| at SPEED_PROBES evenly spaced points of [lo, hi], ends
+    included, which is sup|f'| when |f'| is convex or monotone there
+    (Burgers: bitwise max(|lo|, |hi|); cubic: max(lo^2, hi^2)) and, for
+    an expression flux, an estimate that misses peaks between the points.
+    """
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if mode not in FLUX_MODES:
+        return max(abs(lo), abs(hi))
+    probe = np.linspace(lo, hi, SPEED_PROBES)
+    return float(np.max(np.abs(np.asarray(flux.fprime(probe), dtype=float))))
 
 
 class WorkBudgetError(ValueError):
@@ -94,18 +115,16 @@ class WorkBudgetError(ValueError):
         self.key = key
 
 
-def check_node_steps(
-    nodes: int, T: float, dt: float, sup0: float, dx: float
-) -> None:
+def check_node_steps(nodes: int, T: float, dt: float) -> None:
     """Reject a solve of nodes nodes over ceil(T/dt) steps beyond the
-    budget, before anything is allocated for it; sup0 and dx (the datum's
-    sup-norm and the grid spacing behind dt) only explain the count."""
-    count = nodes * float(np.ceil(T / dt))
+    budget, before anything is allocated for it."""
+    steps = float(np.ceil(T / dt))
+    count = nodes * steps
     if count > NODE_STEP_BUDGET:
         raise WorkBudgetError(
             "initial",
-            f"sup|u0| = {sup0:.6g}, T = {T!r} and dx = {dx!r} need "
-            f"{count:.3g} node-steps, above the budget of "
+            f"{nodes} nodes x {steps:.6g} steps (T = {T!r}, dt = {dt!r}) "
+            f"= {count:.3g} node-steps, above the budget of "
             f"{NODE_STEP_BUDGET:.0e}",
         )
 
@@ -128,14 +147,17 @@ def check_stored_levels(nodes: int, T: float, dt: float, stride: int) -> None:
 class PicardDivergenceError(RuntimeError):
     """Self-consistency iteration failed to contract; dt is too large.
 
-    step is the index of the failing step (0 for the first) and t the
-    time it started from.
+    step is the index of the failing step (0 for the first), t the time
+    it started from, residual the foot field's change in its last pass.
     """
 
-    def __init__(self, step: int, t: float, detail: str):
-        super().__init__(f"step {step} from t = {t!r}: {detail}; reduce dt")
-        self.step = step
-        self.t = t
+    def __init__(self, step: int, t: float, residual: float):
+        super().__init__(
+            f"step {step} from t = {t!r}: no contraction after "
+            f"{PICARD_MAX_ITERS} iterations (last change {residual:.3e}); "
+            "reduce dt"
+        )
+        self.step, self.t, self.residual = step, t, residual
 
 
 @dataclass(frozen=True)
@@ -161,8 +183,9 @@ class Trajectory:
 
     values[k] holds the state at times[k] on the nodes of grid (the
     state at t = 0; a twodim.GridFunction2D for the 2D solver), so values
-    has shape (levels, *grid.values.shape).  dt is the step the solver
-    chose (the conservative solver: its first step, before any clamp to T).
+    has shape (levels, *grid.values.shape).  speed_bound is speed_bound
+    on grid's range (2D: the larger axis's), dt the step the solver chose
+    (the conservative solver: its first step, before any clamp to T).
     """
 
     grid: GridFunction1D
@@ -170,6 +193,7 @@ class Trajectory:
     values: np.ndarray
     epsilon: float
     mode: str
+    speed_bound: float
     picard_counts: np.ndarray | None = None
     dt: float | None = None
 
@@ -489,11 +513,7 @@ def _picard_step_foot(
             )
         if change < PICARD_TOL or cycle < PICARD_TOL:
             return cand_phi, cand_vals, j + 1, cand_fronts
-    raise PicardDivergenceError(
-        step, t,
-        f"no contraction after {PICARD_MAX_ITERS} iterations"
-        f" (last change {change:.3e})",
-    )
+    raise PicardDivergenceError(step, t, change)
 
 
 def _datum_jumps(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -670,6 +690,7 @@ def _solve_transport(
     cfg: SolverConfig,
     velocity_of: Callable[[np.ndarray], tuple],
     mode: str,
+    speed: float,
     data=None,
     dt: float | None = None,
     foot: _Foot | None = None,
@@ -678,19 +699,18 @@ def _solve_transport(
 
     Advances the foot field phi (phi(0) = identity, one component per
     axis) and stores u = u0 o phi at each kept level.  velocity_of maps a
-    state to one velocity array per axis.  foot defaults to the 1D pieces
-    for u0 and data; the 2D solver passes its own.  dt, when given,
-    overrides the sup-norm CFL choice so coupled solves can share a time
-    grid.
+    state to one velocity array per axis; speed is the speed_bound the
+    trajectory records.  foot defaults to the 1D pieces for u0 and data;
+    the 2D solver passes its own.  dt, when given, overrides the sup-norm
+    CFL choice so coupled solves can share a time grid.
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    sup0 = sup_norm(u0)
     if dt is None:
-        dt = cfg.time_step(u0.dx, sup0)
+        dt = cfg.time_step(u0.dx, sup_norm(u0))
     elif dt <= 0.0:
         raise ValueError("dt must be positive")
-    check_node_steps(u0.values.size, T, dt, sup0, u0.dx)
+    check_node_steps(u0.values.size, T, dt)
     check_stored_levels(u0.values.size, T, dt, cfg.store_stride)
     if foot is None:
         foot = _foot_1d(u0, data)
@@ -710,7 +730,7 @@ def _solve_transport(
             times.append(t_next)
             levels.append(vals)
     return Trajectory(
-        u0.copy(), times, np.stack(levels), m.epsilon, mode,
+        u0.copy(), times, np.stack(levels), m.epsilon, mode, speed,
         picard_counts=np.asarray(counts, dtype=int), dt=dt,
     )
 
@@ -735,7 +755,7 @@ def solve(
         return solve_nn(u0, epsilon, T, cfg, data=data)
     if mode == "conservative":
         return solve_conservative_nonlocal(u0, epsilon, T, cfg)
-    if mode in ("velocity_reg", "flux_reg"):
+    if mode in FLUX_MODES:
         if flux is None:
             raise ValueError(f"mode {mode!r} needs a flux")
         return solve_general(u0, flux, epsilon, T, cfg, mode, data=data)
@@ -756,7 +776,8 @@ def solve_nn(
     """
     m = build_mollifier(epsilon, u0.dx)
     return _solve_transport(
-        u0, m, T, cfg, _velocity_fn(m, None, "nn"), "nn", data=data, dt=dt
+        u0, m, T, cfg, _velocity_fn(m, None, "nn"), "nn",
+        speed_bound("nn", None, u0.values), data=data, dt=dt,
     )
 
 
@@ -775,11 +796,12 @@ def solve_general(
     f'(eta_eps * u).  For the quadratic flux both collapse to solve_nn,
     and the shared code path makes that equality bitwise.
     """
-    if mode not in ("velocity_reg", "flux_reg"):
+    if mode not in FLUX_MODES:
         raise ValueError("mode must be velocity_reg or flux_reg")
     m = build_mollifier(epsilon, u0.dx)
     return _solve_transport(
-        u0, m, T, cfg, _velocity_fn(m, flux, mode), mode, data=data
+        u0, m, T, cfg, _velocity_fn(m, flux, mode), mode,
+        speed_bound(mode, flux, u0.values), data=data,
     )
 
 
@@ -798,9 +820,8 @@ def solve_conservative_nonlocal(
         raise ValueError("T must be positive")
     m = build_mollifier(epsilon, u0.dx)
     dx = u0.dx
-    sup0 = sup_norm(u0)
-    dt0 = cfg.time_step(dx, sup0)
-    check_node_steps(u0.n, T, dt0, sup0, dx)
+    dt0 = cfg.time_step(dx, sup_norm(u0))
+    check_node_steps(u0.n, T, dt0)
     check_stored_levels(u0.n, T, dt0, cfg.store_stride)
     vals = u0.values.copy()
     times = [0.0]
@@ -825,6 +846,7 @@ def solve_conservative_nonlocal(
             times.append(t)
             levels.append(vals)
     return Trajectory(
-        u0.copy(), times, np.stack(levels), epsilon, "conservative", dt=dt0
+        u0.copy(), times, np.stack(levels), epsilon, "conservative",
+        speed_bound("conservative", None, u0.values), dt=dt0,
     )
 

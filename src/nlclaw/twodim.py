@@ -29,6 +29,7 @@ from .solver import (
     _cubic_weights,
     _Foot,
     _solve_transport,
+    speed_bound,
 )
 
 __all__ = [
@@ -262,6 +263,7 @@ def solve_velocity_reg_2d(
         reach=lambda v, dt: 0,
     )
     dt = cfg.time_step(min(dx, dy), sup_norm(u0))
+    speed = max(speed_bound("velocity_reg", f, u0.values) for f in fluxes)
     return _solve_transport(
-        u0, mx, T, cfg, velocity_of, "velocity_reg_2d", dt=dt, foot=foot
+        u0, mx, T, cfg, velocity_of, "velocity_reg_2d", speed, dt=dt, foot=foot
     )

@@ -84,7 +84,7 @@ def test_criterion_14_selftest_determinism(battery):
 # criterion's algorithm and data must keep them
 BATTERY_SHA256 = {
     "selftest_report.json":
-        "ebc1f4e9c950b14a891e581063f0ae0ce715a903f2dff8bace4dea7537f48bb9",
+        "ac3354958e84afe02219b62cd685096ff7ce15e984fd10088f725748819433e1",
     "selftest_results.txt":
         "788c861f4fe1c27133f4955c692bba7100f632c9cf813f019c00c25adc308416",
 }

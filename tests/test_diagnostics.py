@@ -21,6 +21,7 @@ from nlclaw.solver import (
     Trajectory,
     solve_conservative_nonlocal,
     solve_nn,
+    speed_bound,
 )
 
 
@@ -55,7 +56,9 @@ def translated_ramp_trajectory(speed, times, dx=1e-2):
     u0 = grid_fn(lambda x: np.clip(-x, -1.0, 1.0), -4.0, 4.0, dx)
     t = np.asarray(times, dtype=float)[:, None]
     values = np.clip(-(u0.x - speed * t), -1.0, 1.0)
-    return Trajectory(u0, times, values, 0.1, "nn")
+    return Trajectory(
+        u0, times, values, 0.1, "nn", speed_bound("nn", None, u0.values)
+    )
 
 
 def test_front_speed_exact_on_translated_ramp():
@@ -85,7 +88,10 @@ def test_front_speed_no_crossing():
 def test_front_speed_multiple_crossings():
     times = np.array([0.0, 0.5])
     u0 = grid_fn(np.sin, -7.0, 7.0, 1e-2)
-    traj = Trajectory(u0, times, np.stack([u0.values, u0.values]), 0.1, "nn")
+    traj = Trajectory(
+        u0, times, np.stack([u0.values, u0.values]), 0.1, "nn",
+        speed_bound("nn", None, u0.values),
+    )
     with pytest.raises(MultipleCrossingsError):
         measure_front_speed_fit(traj, 0.0, (0.0, 0.5)).speed
 
@@ -143,7 +149,9 @@ def test_check_invariants_flags_violation():
     times = np.array([0.0, 0.1])
     base = grid_fn(lambda x: np.tanh(x), -2.0, 2.0, 1e-2)
     values = np.stack([base.values, base.values * 1.5])
-    traj = Trajectory(base, times, values, 0.1, "nn")
+    traj = Trajectory(
+        base, times, values, 0.1, "nn", speed_bound("nn", None, base.values)
+    )
     rep = check_invariants(traj)
     assert not rep["max principle"].passed
     assert rep["max principle"].value > 0.4

@@ -5,7 +5,8 @@ the sha256 of every file it writes are compared with the literals in
 DIGESTS.  The set covers every mode, Riemann, piecewise and expression
 data, the Burgers, cubic and expression fluxes, CSV and JSON output,
 ``verify``, a non-convergence sweep, a cubic Godunov sweep and two
-``riemann`` runs.
+``riemann`` runs.  Two ``flux_reg`` runs with an expression flux pin
+the L1 time-Lipschitz constant sup|f'| of the flux modes.
 
 The literals change only in a change that changes the algorithm or a
 file format; such a change lists the old and the new values in
@@ -61,6 +62,18 @@ T = 0.3
 dx = 0.01
 domain = -3 3
 stride = 10
+""",
+    # sup|f'| on the data range is about 3.3 times sup|u0|, so the L1
+    # time-Lipschitz constant must read f'
+    "freg_exp": """
+name = freg_exp
+mode = flux_reg
+flux = expression exp(x) ; exp(x)
+initial = expression -0.5*tanh(x)
+epsilon = 0.1
+T = 0.3
+dx = 0.02
+domain = -3 3
 """,
     "pulse": """
 name = pulse
@@ -121,6 +134,7 @@ COMMANDS = {
     "cons": ["run"],
     "vreg_cubic": ["run"],
     "freg_expr": ["run"],
+    "freg_exp": ["run"],
     "pulse": ["euler"],
     "plane": ["run"],
     "verify_vreg": ["verify"],
@@ -144,21 +158,29 @@ DIGESTS = {
     }),
     "cubic_sweep": (0, {
         "cubic_sweep_eps0.2.json":
-            "aea29b7df5626bf755ed5167b8283b87b0b5e4b7feaf119ec248a44f88701cd1",
+            "ed344cbf5789e3cb025ccd07e0b985b6a8a9a27018d8ed666e0c4f3737483f92",
         "cubic_sweep_eps0.4.json":
-            "b78d93aabe5196939246c745dcd96182d0362bee3dc7549485dea009e7d0c550",
+            "7301f44d60e53013f62fcacac9f5b326f2feb5c2e7680d72a09c3cd34f8821f1",
         "cubic_sweep_report.json":
-            "8150ca0a5a857ba0373af2d0d90189a3f24d0fca5313657169717706e6c462e9",
+            "40cf013fe2951bbc0aeac1ac91ef3ccfb5f7d105510fba86691cc06b2f870942",
         "cubic_sweep_table.dat":
-            "ceb1cd425b11b1fec0852bc006927feb5617f432a6d860e1c96a71fb3c94474d",
+            "329049ea48707c71c43bad1c2c4119515379b65ba59c4d8962650522174279e9",
     }),
-    "freg_expr": (2, {
+    "freg_expr": (0, {
         "freg_expr.csv":
             "b3080ba4560ece7cdcbeb5743d189b05041c268c1832f48e54b93480ac6b1838",
         "freg_expr_profile.dat":
             "f2078745da44a481d9510851d3f6930ecbacdf28cb4b904c4a39f6d11a7a94ac",
         "freg_expr_report.json":
-            "b28812744e865521f070d8b86d116169402f335ba89ba2646f96dc825b22980a",
+            "4e859e00fd08e6d7b2901ab5703686ff303eae338bc96deca14eae47364f1e0c",
+    }),
+    "freg_exp": (0, {
+        "freg_exp.csv":
+            "c1b5bb14bfdfa2d34130d374d49277cd135b0ae63a1e7acff7f1792194e7ab80",
+        "freg_exp_profile.dat":
+            "976a77deb71c7eefa99027f0568bb9260b9431aa06aa57fc3e9f13a6d5216969",
+        "freg_exp_report.json":
+            "2cc4a3bd89d647df538c28917a88a294048477ebc9e0e49c50fc7a0a7f1c5ce1",
     }),
     "plane": (0, {
         "plane.csv":
@@ -192,7 +214,7 @@ DIGESTS = {
         "freg_profile.dat":
             "e441574420d09e1bb7feab99308c95f79a8d576094e0c75c3ab6483caab28f42",
         "freg_report.json":
-            "9446116ac56e3f34dc877dfe672fc1fc568b83338c862acd86822fbfddfeb948",
+            "3e64d36be4597bf06504761176976a452980f56f126a047b647e7afd2c95961d",
     }),
     "riemann_nn": (0, {
         "riemann.csv":
@@ -220,7 +242,7 @@ DIGESTS = {
         "vreg_cubic_profile.dat":
             "66b5298da62185167bbd60ffb74b8b29443548a1ba3d808756d10ca5adf3395f",
         "vreg_cubic_report.json":
-            "9e6138e2659c38b5242004271269340fcc8d2ace02c1dd1b4bcd08693244bcbd",
+            "aaf87153f0f6908e66165a6bf1861a0f210745fee6fc9c6489ded789e1e883af",
     }),
 }
 

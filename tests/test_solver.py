@@ -38,6 +38,7 @@ from nlclaw.solver import (
     solve_conservative_nonlocal,
     solve_general,
     solve_nn,
+    speed_bound,
 )
 
 CFG = SolverConfig(store_stride=20)
@@ -71,9 +72,12 @@ def test_flux_spec_validation():
 
 
 def test_node_step_budget():
-    check_node_steps(5 * 10**9, 1.0, 0.5, 1.0, 0.01)  # 1e10, at the budget
-    with pytest.raises(WorkBudgetError, match=r"^sup\|u0\| = 1, T = 1.0 "):
-        check_node_steps(5 * 10**9 + 1, 1.0, 0.5, 1.0, 0.01)
+    check_node_steps(5 * 10**9, 1.0, 0.5)  # 1e10, at the budget
+    with pytest.raises(
+        WorkBudgetError, match=r"^5000000001 nodes x 2 steps \(T = 1.0, "
+    ) as info:
+        check_node_steps(5 * 10**9 + 1, 1.0, 0.5)
+    assert info.value.key == "initial"
     # the conservative solver checks its first step before any step
     u0 = sample(lambda x: 1e12 * np.exp(-x * x), -1.0, 1.0, 0.01)
     with pytest.raises(WorkBudgetError):
@@ -117,6 +121,63 @@ def test_picard_divergence_signalled(monkeypatch):
     assert info.value.step == 4
     assert info.value.t == pytest.approx(0.02, abs=1e-15)
     assert str(info.value).startswith("step 4 from t = 0.02: ")
+
+
+def test_picard_divergence_carries_last_residual(monkeypatch):
+    # the residual is the foot field's change in the step's last pass: the
+    # first pass moves the feet by about dt sup|v| (sup|v| close to sup|u0|
+    # here), a second pass only corrects them
+    u0 = sample(lambda x: -np.tanh(x), -2.0, 2.0, 0.01)
+    residuals = []
+    for passes in (1, 2):
+        monkeypatch.setattr(solver, "PICARD_MAX_ITERS", passes)
+        with pytest.raises(PicardDivergenceError) as info:
+            solve_nn(u0, 0.1, 0.005, SolverConfig())
+        residuals.append(info.value.residual)
+        assert f"(last change {info.value.residual:.3e})" in str(info.value)
+    assert residuals[0] == pytest.approx(0.5 * 0.01, rel=0.05)
+    assert PICARD_TOL < residuals[1] < 0.1 * residuals[0]
+
+
+def test_speed_bound_per_mode():
+    # nn, conservative and the Burgers flux: bitwise sup|u0|; the cubic
+    # flux: max(lo^2, hi^2), whichever end of the range is the larger
+    for data in (lambda x: 0.3 - 0.9 * np.tanh(x), RiemannData(-1.5, 0.5)):
+        u0 = sample(data, -3.0, 3.0, 0.01)
+        lo, hi = float(u0.values.min()), float(u0.values.max())
+        for mode in ("nn", "conservative"):
+            assert speed_bound(mode, None, u0.values) == sup_norm(u0)
+        for mode in ("velocity_reg", "flux_reg"):
+            assert speed_bound(mode, burgers_flux(), u0.values) == sup_norm(u0)
+            cubic = speed_bound(mode, cubic_flux(), u0.values)
+            assert cubic == max(lo * lo, hi * hi)
+            # the two ends of the range serve as well as the data
+            assert speed_bound(mode, cubic_flux(), (hi, lo)) == cubic
+
+
+def test_velocity_stays_within_recorded_speed_bound(monkeypatch):
+    # a cubic velocity_reg solve advects at eta * u^2, up to 1.44 here,
+    # above sup|u0| = 1.2: every velocity any Picard pass computes stays
+    # within the bound the trajectory records (a pass keeps the entries of
+    # v it does not recompute, so the computed ones cover every pass's v)
+    seen = []
+    make = solver._velocity_fn
+
+    def recording(m, flux, mode):
+        velocity_of = make(m, flux, mode)
+
+        def traced(u):
+            v = velocity_of(u)
+            seen.append(float(np.abs(v[0]).max()))
+            return v
+
+        return traced
+
+    monkeypatch.setattr(solver, "_velocity_fn", recording)
+    data = RiemannData(1.2, -0.6)
+    u0 = sample(data, -1.0, 2.0, 0.01)
+    tr = solve_general(u0, cubic_flux(), 0.1, 0.3, CFG, "velocity_reg", data)
+    assert sup_norm(u0) < max(seen) <= tr.speed_bound
 
 
 def test_cycle_rule_accepts_increasing_jump():
@@ -255,18 +316,18 @@ def test_conservative_may_break_max_principle():
 def test_trajectory_validation():
     u0 = sample(0.0, -1.0, 1.0, 0.1)
     two = np.stack([u0.values, u0.values])
-    tr = Trajectory(u0, [0.0, 0.1], two, 0.1, "nn")
+    tr = Trajectory(u0, [0.0, 0.1], two, 0.1, "nn", 0.0)
     assert tr.final_time == 0.1 and len(tr.states) == 2
     with pytest.raises(ValueError):  # one level short of the times
-        Trajectory(u0, [0.0, 0.1], two[:1], 0.1, "nn")
+        Trajectory(u0, [0.0, 0.1], two[:1], 0.1, "nn", 0.0)
     with pytest.raises(ValueError):  # levels on another grid
-        Trajectory(u0, [0.0, 0.1], two[:, 1:], 0.1, "nn")
+        Trajectory(u0, [0.0, 0.1], two[:, 1:], 0.1, "nn", 0.0)
     with pytest.raises(ValueError):  # times not strictly increasing
-        Trajectory(u0, [0.0, 0.0], two, 0.1, "nn")
+        Trajectory(u0, [0.0, 0.0], two, 0.1, "nn", 0.0)
     with pytest.raises(ValueError):  # a level that blew up
-        Trajectory(u0, [0.0, 0.1], two + [[0.0], [np.inf]], 0.1, "nn")
+        Trajectory(u0, [0.0, 0.1], two + [[0.0], [np.inf]], 0.1, "nn", 0.0)
     with pytest.raises(ValueError):
-        Trajectory(u0, [0.0], two[:1], 0.1, "warp")
+        Trajectory(u0, [0.0], two[:1], 0.1, "warp", 0.0)
 
 
 def backward_characteristic(traj, m, t: float, x: float) -> float:
@@ -347,7 +408,7 @@ def full_pass_solve(u0, epsilon, T, cfg, mode, data=None, flux=None):
             if change < PICARD_TOL or cycle < PICARD_TOL:
                 break
         else:
-            raise PicardDivergenceError(k, t, "reference diverged")
+            raise PicardDivergenceError(k, t, change)
         phi, vals, fronts, t = cand_phi, cand_vals, cand_fronts, t_next
         counts.append(j + 1)
         phis.append(phi)
