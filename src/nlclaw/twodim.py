@@ -143,10 +143,12 @@ def _bilinear(
     j = np.minimum(py.astype(np.int64), ny - 2)
     tx = px - i
     ty = py - j
-    c00 = vals[j, i]
-    c01 = vals[j, i + 1]
-    c10 = vals[j + 1, i]
-    c11 = vals[j + 1, i + 1]
+    flat = vals.ravel()
+    k = j * nx + i
+    c00 = flat.take(k)
+    c01 = flat.take(k + 1)
+    c10 = flat.take(k + nx)
+    c11 = flat.take(k + (nx + 1))
     low = (1.0 - tx) * c00 + tx * c01
     high = (1.0 - tx) * c10 + tx * c11
     out = (1.0 - ty) * low + ty * high
@@ -171,60 +173,52 @@ def _axis_weights(
 
 
 def _interp_foot_2d(
-    phi: np.ndarray,
+    phis: tuple,
     x0: float,
     y0: float,
     dx: float,
     dy: float,
     qx: np.ndarray,
     qy: np.ndarray,
-    axis: int,
-) -> np.ndarray:
-    """Interpolate one foot-field component at the feet (qx, qy).
+) -> tuple:
+    """Interpolate both foot-field components phis at the feet (qx, qy).
 
     Tensor product of the per-axis stencils from _axis_weights, clipped to
     the four corner values of the containing cell: the same containment
     rule that makes the 1D scheme range- and variation-shrinking.  Feet
     outside the grid get the clamped-point value plus an identity offset
-    along this component's own axis (0 for x, 1 for y), exact wherever
-    the boundary zone is causally constant.
+    along the component's own axis (x for the first, y for the second),
+    exact wherever the boundary zone is causally constant.  The stencil
+    (positions, weights and flat node indices) is built once, and each
+    gather takes the node values of both components at once.
     """
-    ny, nx = phi.shape
+    ny, nx = phis[0].shape
     cqx = np.clip(qx, x0, x0 + (nx - 1) * dx)
     cqy = np.clip(qy, y0, y0 + (ny - 1) * dy)
     px = (cqx - x0) / dx
     py = (cqy - y0) / dy
     i = np.minimum(px.astype(np.int64), nx - 2)
     j = np.minimum(py.astype(np.int64), ny - 2)
-    tx = px - i
-    ty = py - j
-    wx = _axis_weights(tx, i, nx)
-    wy = _axis_weights(ty, j, ny)
-    cols = [i - 1, i, i + 1, np.minimum(i + 2, nx - 1)]
-    cols[0] = np.maximum(cols[0], 0)
-    rows = [j - 1, j, j + 1, np.minimum(j + 2, ny - 1)]
-    rows[0] = np.maximum(rows[0], 0)
-    out = np.zeros_like(px)
-    for r in range(4):
-        xr = (
-            wx[0] * phi[rows[r], cols[0]]
-            + wx[1] * phi[rows[r], cols[1]]
-            + wx[2] * phi[rows[r], cols[2]]
-            + wx[3] * phi[rows[r], cols[3]]
+    wx = _axis_weights(px - i, i, nx)
+    wy = _axis_weights(py - j, j, ny)
+    cols = [np.maximum(i - 1, 0), i, i + 1, np.minimum(i + 2, nx - 1)]
+    rows = [np.maximum(j - 1, 0), j, j + 1, np.minimum(j + 2, ny - 1)]
+    flat = np.stack(phis).reshape(2, -1)
+    out = np.zeros((2, *px.shape))
+    corners = []
+    for r, (row, w) in enumerate(zip(rows, wy)):
+        base = row * nx
+        taps = [flat.take(base + col, axis=1) for col in cols]
+        out = out + w * (
+            wx[0] * taps[0] + wx[1] * taps[1] + wx[2] * taps[2]
+            + wx[3] * taps[3]
         )
-        out = out + wy[r] * xr
-    c00 = phi[j, i]
-    c01 = phi[j, i + 1]
-    c10 = phi[j + 1, i]
-    c11 = phi[j + 1, i + 1]
+        if r in (1, 2):  # rows j and j + 1, columns i and i + 1
+            corners += taps[1:3]
+    c00, c01, c10, c11 = corners
     lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
     hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
-    out = np.clip(out, lo, hi)
-    if axis == 0:
-        off = qx - cqx
-    else:
-        off = qy - cqy
-    return out + off
+    return tuple(np.clip(out, lo, hi) + np.stack((qx - cqx, qy - cqy)))
 
 
 def solve_velocity_reg_2d(
@@ -255,8 +249,8 @@ def solve_velocity_reg_2d(
     foot = _Foot(
         nodes=(u0.x[np.newaxis, :], u0.y[:, np.newaxis]),
         interp_linear=lambda vals, pts: _bilinear(vals, x0, y0, dx, dy, *pts),
-        interp_foot=lambda phi, feet, k: _interp_foot_2d(
-            phi, x0, y0, dx, dy, *feet, k
+        interp_foot=lambda phis, feet: _interp_foot_2d(
+            phis, x0, y0, dx, dy, *feet
         ),
         datum=lambda fx, fy: _bilinear(u0.values, x0, y0, dx, dy, fx, fy),
         changed=lambda new, old: (0, new.shape[0]),  # full passes only

@@ -158,13 +158,13 @@ DIGESTS = {
     }),
     "cubic_sweep": (0, {
         "cubic_sweep_eps0.2.json":
-            "ed344cbf5789e3cb025ccd07e0b985b6a8a9a27018d8ed666e0c4f3737483f92",
+            "1dc2f9a062bbfec6d24934991ade69c66045cca73800a71f276d46a9967e26c8",
         "cubic_sweep_eps0.4.json":
-            "7301f44d60e53013f62fcacac9f5b326f2feb5c2e7680d72a09c3cd34f8821f1",
+            "d5db7669469ba07a311f26bfbd474649af111bf1fb1e881cc76088142195750a",
         "cubic_sweep_report.json":
-            "40cf013fe2951bbc0aeac1ac91ef3ccfb5f7d105510fba86691cc06b2f870942",
+            "371d58d97d95e689412bee19cea1d4edf3689bf82e57a8c018aed1f511702708",
         "cubic_sweep_table.dat":
-            "329049ea48707c71c43bad1c2c4119515379b65ba59c4d8962650522174279e9",
+            "b30858bb477bb618d1fdbd6dda121bb33c9da0838594cdc8daf36e45bf108816",
     }),
     "freg_expr": (0, {
         "freg_expr.csv":
@@ -176,27 +176,27 @@ DIGESTS = {
     }),
     "freg_exp": (0, {
         "freg_exp.csv":
-            "c1b5bb14bfdfa2d34130d374d49277cd135b0ae63a1e7acff7f1792194e7ab80",
+            "4ff5f7bef73ba66f4990ab4dab218dff5d12ba3f9cb0304c96804c61b115139c",
         "freg_exp_profile.dat":
-            "976a77deb71c7eefa99027f0568bb9260b9431aa06aa57fc3e9f13a6d5216969",
+            "e917b9e5f5695c4ee38ad5e8d71de6d8b7023ac1df6e85936bea0f7d18d6b5af",
         "freg_exp_report.json":
-            "2cc4a3bd89d647df538c28917a88a294048477ebc9e0e49c50fc7a0a7f1c5ce1",
+            "9ef1d60ad74752f3ce2562430798be5bf13bbad57fa310a4cd47559a0f4bafcf",
     }),
     "plane": (0, {
         "plane.csv":
-            "06d184b40f886535be255e8679890238e9f06e8941e8dd748abbb3775535aa09",
+            "50801837f77a21d9f8947e500d65cff344c6c0dbe407c8a072a76e74ea03ed29",
         "plane_profile.dat":
-            "9e572cc30be7ecd9a3a0088ce0ddc559178ff0d9f166830e6797c5a46e58055e",
+            "e752d659879c26d5d3fbdfa461ec022b1c5376c066dd36de0ea0d9cf1baa0e8c",
         "plane_report.json":
-            "33fbdcf5b3b604350af036475c6f656734dcc09957a023ecb084ad74c93abcc1",
+            "38375b63d1a31cd64a827bc81c4cbe89968fb41493b3878f0d60159f9c969b63",
     }),
     "pulse": (0, {
         "pulse.csv":
-            "5b003ca2e37a62896f67cc1a92fd7fc8ccc7c58caf3fbbbe0d480f081d1e9b24",
+            "1d1e28bc2aacf94203acebd0d9e846661f213ce21b92d045cb5b716b5bd0b031",
         "pulse_profile.dat":
-            "98067c1e2bd32f3f59f3acce3694835708218f52e0b9387423816d5034acc5dd",
+            "c084f6c9eeba21147f0955e8bb77fc81f1e27c65f8d3e552afb698f825760c33",
         "pulse_report.json":
-            "1bd800495b6e8ff41f6fae8905a9ee163e2cececb55f15d165cf5ed6663145a5",
+            "e70062ab4345af07c18e2d48f577485fed75ae67cdca0f80c4d2fdf9568e53d0",
     }),
     "rare_sweep": (0, {
         "rare_sweep_eps0.1.csv":
@@ -234,7 +234,7 @@ DIGESTS = {
     }),
     "verify_vreg": (0, {
         "verify_vreg_report.json":
-            "8dd1baf3ea5a7fb411fcb6ec6173ac17a2bc33470f1da8e600d1d3c20c5b7a89",
+            "89d8309277afcebb1093e7b3023cc227e6c3c2fb1ef48a3908ef02b12253feaa",
     }),
     "vreg_cubic": (2, {
         "vreg_cubic.json":

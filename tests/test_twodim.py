@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlclaw import solver
 from nlclaw.fluxes import burgers_flux, zero_flux
@@ -9,6 +12,9 @@ from nlclaw.grids import sample
 from nlclaw.solver import PicardDivergenceError, SolverConfig, solve_nn
 from nlclaw.twodim import (
     GridFunction2D,
+    _axis_weights,
+    _bilinear,
+    _interp_foot_2d,
     sample_2d,
     solve_velocity_reg_2d,
     tv_2d,
@@ -153,3 +159,106 @@ def test_picard_divergence_reported_2d(monkeypatch):
     monkeypatch.setattr(solver, "PICARD_MAX_ITERS", 1)
     with pytest.raises(PicardDivergenceError):
         solve_velocity_reg_2d(g, (fl, fl), 0.2, 0.2, SolverConfig())
+
+
+def interp_foot_2d_per_component(phi, x0, y0, dx, dy, qx, qy, axis):
+    """One foot-field component at the feet, its stencil built for it
+    alone and gathered with 2D fancy indexing: the oracle for the shared
+    stencil of _interp_foot_2d."""
+    ny, nx = phi.shape
+    cqx = np.clip(qx, x0, x0 + (nx - 1) * dx)
+    cqy = np.clip(qy, y0, y0 + (ny - 1) * dy)
+    px = (cqx - x0) / dx
+    py = (cqy - y0) / dy
+    i = np.minimum(px.astype(np.int64), nx - 2)
+    j = np.minimum(py.astype(np.int64), ny - 2)
+    tx = px - i
+    ty = py - j
+    wx = _axis_weights(tx, i, nx)
+    wy = _axis_weights(ty, j, ny)
+    cols = [i - 1, i, i + 1, np.minimum(i + 2, nx - 1)]
+    cols[0] = np.maximum(cols[0], 0)
+    rows = [j - 1, j, j + 1, np.minimum(j + 2, ny - 1)]
+    rows[0] = np.maximum(rows[0], 0)
+    out = np.zeros_like(px)
+    for r in range(4):
+        xr = (
+            wx[0] * phi[rows[r], cols[0]]
+            + wx[1] * phi[rows[r], cols[1]]
+            + wx[2] * phi[rows[r], cols[2]]
+            + wx[3] * phi[rows[r], cols[3]]
+        )
+        out = out + wy[r] * xr
+    c00 = phi[j, i]
+    c01 = phi[j, i + 1]
+    c10 = phi[j + 1, i]
+    c11 = phi[j + 1, i + 1]
+    lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
+    hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
+    out = np.clip(out, lo, hi)
+    off = qx - cqx if axis == 0 else qy - cqy
+    return out + off
+
+
+def bilinear_fancy_index(vals, x0, y0, dx, dy, qx, qy):
+    """_bilinear with its cell corners gathered by 2D fancy indexing."""
+    ny, nx = vals.shape
+    px = np.clip((qx - x0) / dx, 0.0, nx - 1.0)
+    py = np.clip((qy - y0) / dy, 0.0, ny - 1.0)
+    i = np.minimum(px.astype(np.int64), nx - 2)
+    j = np.minimum(py.astype(np.int64), ny - 2)
+    tx = px - i
+    ty = py - j
+    c00 = vals[j, i]
+    c01 = vals[j, i + 1]
+    c10 = vals[j + 1, i]
+    c11 = vals[j + 1, i + 1]
+    low = (1.0 - tx) * c00 + tx * c01
+    high = (1.0 - tx) * c10 + tx * c11
+    out = (1.0 - ty) * low + ty * high
+    lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
+    hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
+    return np.clip(out, lo, hi)
+
+
+@st.composite
+def _foot_cases(draw):
+    """Two foot-field components with repeats and signed zeros, and feet
+    on nodes, inside cells, on the grid edges and up to three cells
+    outside it, signed zeros included."""
+    ny, nx = draw(st.integers(2, 6)), draw(st.integers(2, 8))
+    element = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 0.5, -1.0]),
+        st.floats(-2.0, 2.0),
+    )
+    phis = tuple(draw(hnp.arrays(np.float64, (ny, nx), elements=element))
+                 for _ in range(2))
+    x0, y0 = (draw(st.sampled_from([0.0, -0.0, -0.5, -1.3])) for _ in "xy")
+    dx, dy = (draw(st.sampled_from([0.05, 0.25, 1.0])) for _ in "xy")
+    m = draw(st.integers(1, 12))
+
+    def positions(o, d, n):
+        end = o + (n - 1) * d
+        return np.array(draw(st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, o, end, o + d, end - 0.5 * d]),
+                st.floats(o - 3 * d, end + 3 * d),
+            ),
+            min_size=m, max_size=m,
+        )))
+
+    return phis, x0, y0, dx, dy, positions(x0, dx, nx), positions(y0, dy, ny)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_foot_cases())
+def test_interp_foot_2d_is_bitwise_the_per_component_form(case):
+    phis, x0, y0, dx, dy, qx, qy = case
+    got = _interp_foot_2d(phis, x0, y0, dx, dy, qx, qy)
+    assert len(got) == 2
+    for axis, (phi, g) in enumerate(zip(phis, got)):
+        want = interp_foot_2d_per_component(phi, x0, y0, dx, dy, qx, qy, axis)
+        assert np.array_equal(want.view(np.uint64), g.view(np.uint64))
+    want = bilinear_fancy_index(phis[0], x0, y0, dx, dy, qx, qy)
+    got = _bilinear(phis[0], x0, y0, dx, dy, qx, qy)
+    assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
