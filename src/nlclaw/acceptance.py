@@ -140,8 +140,7 @@ def _criterion_1(reg: dict) -> tuple[bool, dict]:
 
 def _criterion_2(reg: dict) -> tuple[bool, dict]:
     scenario = StudyScenario(
-        RiemannData(-1.0, 1.0), T=1.0, window=(-2.0, 2.0), mode="nn",
-        rate_norm="l1",
+        RiemannData(-1.0, 1.0), T=1.0, window=(-2.0, 2.0), mode="nn"
     )
     table = convergence_study(
         scenario, (0.2, 0.1, 0.05, 0.025, 0.0125), reference="fan"
@@ -162,9 +161,7 @@ def _criterion_2(reg: dict) -> tuple[bool, dict]:
 def _criterion_3(reg: dict) -> tuple[bool, dict]:
     # T = 0.5 is before the catastrophe time 1 of -tanh; the error bound
     # eps * L^2 M T * exp(L M T) has L = 2, M = 1, plus 10% allowance
-    scenario = StudyScenario(
-        _neg_tanh, T=0.5, window=(-3.0, 3.0), mode="nn", rate_norm="sup"
-    )
+    scenario = StudyScenario(_neg_tanh, T=0.5, window=(-3.0, 3.0), mode="nn")
     epsilons = (0.2, 0.1, 0.05, 0.025)
     table = convergence_study(scenario, epsilons, reference="lax_oleinik")
     rate = table.fit_rate("sup", n_points=3)
@@ -335,7 +332,7 @@ def _criterion_9(reg: dict) -> tuple[bool, dict]:
     T = 0.9 * horizon
     window = (-3.0, 3.0)
     epsilons = (0.2, 0.1, 0.05, 0.025)
-    scenario = StudyScenario(datum, T=T, window=window, rate_norm="l1")
+    scenario = StudyScenario(datum, T=T, window=window)
     table = convergence_study(scenario, epsilons)
     oleinik_all = True
     oleinik_detail = {}
@@ -404,7 +401,7 @@ def _criterion_11(reg: dict) -> tuple[bool, dict]:
     T = 1.0
     window = (-3.0, 3.0)
     epsilons = (0.2, 0.1, 0.05)
-    scenario = StudyScenario(datum, T=T, window=window, rate_norm="l1")
+    scenario = StudyScenario(datum, T=T, window=window)
     table = convergence_study(scenario, epsilons)
     gaps = [row.error_L1 for row in table.rows]
     slope = table.fit_rate("l1", n_points=None)

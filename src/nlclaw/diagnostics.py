@@ -20,7 +20,6 @@ from .grids import (
     GridMismatchError,
     RiemannData,
     sample,
-    sup_norm,
     total_variation,
     uniform_grid,
 )
@@ -33,6 +32,7 @@ from .solver import (
     check_stored_levels,
     solve,
     speed_bound,
+    time_step,
 )
 
 __all__ = [
@@ -350,12 +350,10 @@ class ConvergenceRow:
 
 @dataclass
 class ConvergenceTable:
-    """eps vs error records with a fitted log-log rate."""
+    """eps vs error records, and log-log rates fitted through them."""
 
     rows: list
-    fitted_rate: float
     reference: str
-    rate_norm: str = "sup"
 
     def __post_init__(self) -> None:
         eps = [r.epsilon for r in self.rows]
@@ -364,15 +362,15 @@ class ConvergenceTable:
         if any(r.error_L1 < 0 or r.error_sup < 0 for r in self.rows):
             raise ValueError("errors must be nonnegative")
 
-    def errors(self, norm: str | None = None) -> np.ndarray:
-        norm = norm or self.rate_norm
+    def errors(self, norm: str) -> np.ndarray:
+        """Each row's error in norm ("sup" or "l1")."""
         if norm == "sup":
             return np.array([r.error_sup for r in self.rows])
         if norm == "l1":
             return np.array([r.error_L1 for r in self.rows])
         raise ValueError(f"unknown norm {norm!r}")
 
-    def fit_rate(self, norm: str | None = None, n_points: int | None = 3) -> float:
+    def fit_rate(self, norm: str, n_points: int | None = 3) -> float:
         """Least-squares slope of log error against log eps over the
         n_points smallest eps values (all rows when n_points is None);
         ValueError when that leaves fewer than two points."""
@@ -388,10 +386,11 @@ class ConvergenceTable:
         return float(np.polyfit(np.log(eps), np.log(errs), 1)[0])
 
     def as_dict(self) -> dict:
+        """The table as sweep files hold it: the L1 rate, 3 smallest eps."""
         return {
             "reference": self.reference,
-            "rate_norm": self.rate_norm,
-            "fitted_rate": self.fitted_rate,
+            "rate_norm": "l1",
+            "fitted_rate": self.fit_rate("l1"),
             "rows": [r.as_dict() for r in self.rows],
         }
 
@@ -412,7 +411,6 @@ class StudyScenario:
     window: tuple[float, float]
     mode: str = "nn"
     flux: FluxSpec | None = None
-    rate_norm: str = "sup"
     dx_max: float = np.inf
 
 
@@ -436,10 +434,10 @@ def _reference_state(
 ) -> GridFunction1D:
     if reference == "lax_oleinik":
         return lax_oleinik_solve(u0, scenario.T)
-    if reference in ("fan", "riemann_exact"):
+    if reference == "fan":
         d = scenario.data
         if not isinstance(d, RiemannData):
-            raise ValueError(f"{reference!r} reference needs RiemannData")
+            raise ValueError("'fan' reference needs RiemannData")
         return u0.with_values(
             np.asarray(burgers_riemann_exact(d, u0.x / scenario.T))
         )
@@ -467,7 +465,9 @@ def convergence_study(
     Rows are solved one after another on the calling thread, in
     decreasing eps order.  Every row's node-steps and stored values are
     checked (WorkBudgetError) before any row is sampled on its padded
-    grid.
+    grid.  That pre-check sizes dt on the window's samples, the solve on
+    the padded grid, whose sup is at least as large: the pre-check's
+    counts are lower bounds, and each solve checks its own exactly.
     """
     cfg = cfg or SolverConfig(store_stride=10**9)
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
@@ -479,7 +479,7 @@ def convergence_study(
         speed = speed_bound(scenario.mode, scenario.flux, u0.values)
         a, b = padded_grid_bounds(scenario.window, speed, eps, scenario.T, dx)
         nodes = uniform_grid(a, b, dx)[1]
-        dt = cfg.time_step(dx, sup_norm(u0))
+        dt = time_step(cfg, dx, u0.values)
         check_node_steps(nodes, scenario.T, dt)
         check_stored_levels(nodes, scenario.T, dt, cfg.store_stride)
         return eps, dx, a, b
@@ -505,6 +505,4 @@ def convergence_study(
     # every row's work is checked before any row's padded grid is sampled
     grids = [padded(eps) for eps in eps_sorted]
     rows = [row(*g) for g in grids]
-    table = ConvergenceTable(rows, 0.0, reference, scenario.rate_norm)
-    table.fitted_rate = table.fit_rate(scenario.rate_norm, n_points=3)
-    return table
+    return ConvergenceTable(rows, reference)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction1D, GridMismatchError, sup_norm
+from .grids import GridFunction1D, GridMismatchError
 from .kernel import _bump_unnormalized
-from .solver import SolverConfig, Trajectory, solve_nn
+from .solver import SolverConfig, Trajectory, solve_nn, time_step
 
 __all__ = [
     "EulerTrajectory",
@@ -114,7 +114,7 @@ def solve_isentropic(
     two solves never reference each other, so evolving them jointly is
     bitwise the same as evolving each alone."""
     mu0, lam0 = to_invariants(rho0, vel0)
-    dt = cfg.time_step(rho0.dx, max(sup_norm(mu0), sup_norm(lam0)))
+    dt = time_step(cfg, rho0.dx, (mu0.values, lam0.values))
     mu_traj = solve_nn(mu0, epsilon, T, cfg, dt=dt)
     lam_rev = solve_nn(_reversed_grid(lam0), epsilon, T, cfg, dt=dt)
     lam_traj = Trajectory(

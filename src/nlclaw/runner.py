@@ -225,8 +225,7 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
         spec, dx, spec.mode in FLUX_MODES or ref_name == "godunov"
     )
     scenario = StudyScenario(
-        data, spec.T, spec.domain, mode=spec.mode, flux=flux,
-        rate_norm="l1", dx_max=spec.dx,
+        data, spec.T, spec.domain, mode=spec.mode, flux=flux, dx_max=spec.dx
     )
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
     try:

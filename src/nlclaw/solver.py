@@ -59,7 +59,6 @@ from .grids import (
     RiemannData,
     interpolate_at,
     interpolate_values,
-    sup_norm,
 )
 from .kernel import Mollifier, build_mollifier, convolve_values
 
@@ -76,6 +75,7 @@ __all__ = [
     "solve_nn",
     "speed_bound",
     "step_times",
+    "time_step",
 ]
 
 SUP_FLOOR = 1e-12  # dt cap divisor for all-zero data
@@ -112,6 +112,14 @@ def speed_bound(mode: str, flux: FluxSpec | None, values) -> float:
     return float(np.max(np.abs(np.asarray(flux.fprime(probe), dtype=float))))
 
 
+def time_step(cfg: SolverConfig, dx: float, values) -> float:
+    """The transport step cfg.cfl dx / sup|values| of every solver (SUP_FLOOR
+    caps it on all-zero data).  values is a state's nodal values, or a
+    tuple of equal-shape arrays whose joint sup sets one shared step (the
+    Euler invariants); dx is the grid spacing (2D: the smaller one)."""
+    return cfg.cfl * dx / max(float(np.max(np.abs(values))), SUP_FLOOR)
+
+
 class WorkBudgetError(ValueError):
     """A solve would take more than NODE_STEP_BUDGET node-steps or keep
     more than LEVEL_BUDGET stored values; key names the scenario setting
@@ -123,9 +131,9 @@ class WorkBudgetError(ValueError):
 
 
 def check_node_steps(nodes: int, T: float, dt: float) -> None:
-    """Reject a solve of nodes nodes over ceil(T/dt) steps beyond the
-    budget, before anything is allocated for it."""
-    steps = float(np.ceil(T / dt))
+    """Reject a solve of nodes nodes over the steps step_times takes to T
+    beyond the budget, before anything is allocated for it."""
+    steps = _step_count(T, dt)
     count = nodes * steps
     if count > NODE_STEP_BUDGET:
         raise WorkBudgetError(
@@ -138,9 +146,9 @@ def check_node_steps(nodes: int, T: float, dt: float) -> None:
 
 def check_stored_levels(nodes: int, T: float, dt: float, stride: int) -> None:
     """Reject a solve that would store more than LEVEL_BUDGET values, before
-    any step: nodes values per level, one level every stride of the
-    ceil(T/dt) steps plus those at t = 0 and at T."""
-    levels = 1.0 + float(np.ceil(np.ceil(T / dt) / stride))
+    any step: nodes values per level, one level every stride of the steps
+    step_times takes to T, plus those at t = 0 and at T."""
+    levels = 1.0 + float(np.ceil(_step_count(T, dt) / stride))
     count = nodes * levels
     if count > LEVEL_BUDGET:
         raise WorkBudgetError(
@@ -180,9 +188,6 @@ class SolverConfig:
         if self.store_stride < 1:
             raise ValueError("store_stride must be >= 1")
 
-    def time_step(self, dx: float, sup0: float) -> float:
-        return self.cfl * dx / max(sup0, SUP_FLOOR)
-
 
 @dataclass
 class Trajectory:
@@ -191,8 +196,9 @@ class Trajectory:
     values[k] holds the state at times[k] on the nodes of grid (the
     state at t = 0; a twodim.GridFunction2D for the 2D solver), so values
     has shape (levels, *grid.values.shape).  speed_bound is speed_bound
-    on grid's range (2D: the larger axis's), dt the step the solver chose
+    on grid's range (2D: the larger axis's), dt the step time_step chose
     (the conservative solver: its first step, before any clamp to T).
+    Solves on step_times' schedule store their last step, at T exactly.
     """
 
     grid: GridFunction1D
@@ -712,17 +718,24 @@ def _foot_1d(u0: GridFunction1D, data) -> _Foot:
     )
 
 
+def _step_count(T: float, dt: float) -> float:
+    """How many steps step_times takes to T, a whole float (inf if T/dt
+    overflows): ceil(T/dt - 1e-12), at least one, and one fewer if the
+    last step would start at or past T in floating point."""
+    n = max(1.0, float(np.ceil(T / dt - 1e-12)))
+    if n > 1.0 and (n - 1.0) * dt >= T:
+        n -= 1.0
+    return n
+
+
 def step_times(T: float, dt: float):
     """The uniform step schedule up to T: yields (k, t, t_next) for each
-    step k, where t_next is k + 1 steps of dt capped at T; ceil(T / dt)
-    steps (at least one), ending early at a step of no length."""
-    t = 0.0
-    for k in range(max(1, int(np.ceil(T / dt - 1e-12)))):
-        t_next = min((k + 1) * dt, T)
-        if t_next - t <= 0.0:
-            return
-        yield k, t, t_next
-        t = t_next
+    of the _step_count(T, dt) steps the budget checks count.  Step k
+    starts at k dt; all but the last end at (k + 1) dt and the last at T
+    exactly, so the final level a solve stores is the state at T."""
+    n = int(_step_count(T, dt))
+    for k in range(n):
+        yield k, k * dt, (k + 1) * dt if k + 1 < n else T
 
 
 def _solve_transport(
@@ -743,13 +756,13 @@ def _solve_transport(
     axis) and stores u = u0 o phi at each kept level.  velocity_of maps a
     state to one velocity array per axis; speed is the speed_bound the
     trajectory records.  foot defaults to the 1D pieces for u0 and data;
-    the 2D solver passes its own.  dt, when given, overrides the sup-norm
-    CFL choice so coupled solves can share a time grid.
+    the 2D solver passes its own.  dt, when given, replaces time_step of
+    u0 so coupled solves can share a time grid.
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
     if dt is None:
-        dt = cfg.time_step(u0.dx, sup_norm(u0))
+        dt = time_step(cfg, u0.dx, u0.values)
     elif dt <= 0.0:
         raise ValueError("dt must be positive")
     check_node_steps(u0.values.size, T, dt)
@@ -862,7 +875,7 @@ def solve_conservative_nonlocal(
         raise ValueError("T must be positive")
     m = build_mollifier(epsilon, u0.dx)
     dx = u0.dx
-    dt0 = cfg.time_step(dx, sup_norm(u0))
+    dt0 = time_step(cfg, dx, u0.values)
     check_node_steps(u0.n, T, dt0)
     check_stored_levels(u0.n, T, dt0, cfg.store_stride)
     vals = u0.values.copy()
@@ -873,7 +886,7 @@ def solve_conservative_nonlocal(
     # sup|u| can grow in this mode, so the step size adapts to the current
     # state; the schedule is still deterministic.
     while t < T - 1e-15:
-        dt = min(cfg.time_step(dx, float(np.max(np.abs(vals)))), T - t)
+        dt = min(time_step(cfg, dx, vals), T - t)
         v = convolve_values(m, vals)
         # interface values between i and i+1; constant extension at ends
         v_face = 0.5 * (v[:-1] + v[1:])

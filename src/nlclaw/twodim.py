@@ -21,7 +21,7 @@ import numpy as np
 from scipy.ndimage import convolve1d
 
 from .fluxes import FluxSpec
-from .grids import sup_norm, uniform_grid
+from .grids import uniform_grid
 from .kernel import Mollifier, build_mollifier
 from .solver import (
     SolverConfig,
@@ -30,6 +30,7 @@ from .solver import (
     _Foot,
     _solve_transport,
     speed_bound,
+    time_step,
 )
 
 __all__ = [
@@ -256,7 +257,7 @@ def solve_velocity_reg_2d(
         changed=lambda new, old: (0, new.shape[0]),  # full passes only
         reach=lambda v, dt: 0,
     )
-    dt = cfg.time_step(min(dx, dy), sup_norm(u0))
+    dt = time_step(cfg, min(dx, dy), u0.values)
     speed = max(speed_bound("velocity_reg", f, u0.values) for f in fluxes)
     return _solve_transport(
         u0, mx, T, cfg, velocity_of, "velocity_reg_2d", speed, dt=dt, foot=foot

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlclaw import diagnostics
 from nlclaw.diagnostics import (
     ConvergenceRow,
     ConvergenceTable,
@@ -22,6 +23,7 @@ from nlclaw.solver import (
     solve_conservative_nonlocal,
     solve_nn,
     speed_bound,
+    time_step,
 )
 
 
@@ -237,12 +239,12 @@ def test_oleinik_everything_excluded():
 # -------------------------------------------------------- convergence tables
 
 
-def synthetic_table(eps, errs, norm="sup"):
+def synthetic_table(eps, errs):
     rows = [
         ConvergenceRow(e, e / 8.0, e / 16.0, err, err, False)
         for e, err in zip(eps, errs)
     ]
-    return ConvergenceTable(rows, 0.0, "lax_oleinik", norm)
+    return ConvergenceTable(rows, "lax_oleinik")
 
 
 def test_table_requires_decreasing_epsilon():
@@ -254,7 +256,6 @@ def test_table_rejects_negative_errors():
     with pytest.raises(ValueError):
         ConvergenceTable(
             [ConvergenceRow(0.1, 0.0125, 0.006, -1.0, 0.1, False)],
-            0.0,
             "fan",
         )
 
@@ -282,19 +283,15 @@ def test_table_unknown_norm():
 
 
 def test_study_shock_errors_at_grid_floor():
-    sc = StudyScenario(
-        RiemannData(1.0, 0.0), 1.0, (-2.0, 2.0), rate_norm="l1"
-    )
-    tab = convergence_study(sc, [0.2, 0.1], "riemann_exact")
+    sc = StudyScenario(RiemannData(1.0, 0.0), 1.0, (-2.0, 2.0))
+    tab = convergence_study(sc, [0.2, 0.1], "fan")
     for row in tab.rows:
         assert row.error_L1 <= 10.0 * row.dx
         assert row.floor_dominated
 
 
 def test_study_rarefaction_plateau():
-    sc = StudyScenario(
-        RiemannData(-1.0, 1.0), 1.0, (-2.0, 2.0), rate_norm="l1"
-    )
+    sc = StudyScenario(RiemannData(-1.0, 1.0), 1.0, (-2.0, 2.0))
     tab = convergence_study(sc, [0.2, 0.1], "fan")
     for row in tab.rows:
         assert abs(row.error_L1 - 1.0) <= 0.1
@@ -302,23 +299,42 @@ def test_study_rarefaction_plateau():
 
 
 def test_study_tanh_rate_cheap_screen():
-    sc = StudyScenario(
-        lambda x: -np.tanh(x), 0.5, (-2.0, 2.0), rate_norm="sup"
-    )
+    sc = StudyScenario(lambda x: -np.tanh(x), 0.5, (-2.0, 2.0))
     tab = convergence_study(sc, [0.2, 0.1, 0.05], "lax_oleinik")
-    assert tab.fitted_rate >= 0.8
+    assert tab.fit_rate("sup") >= 0.8
 
 
 def test_study_dx_coupling_and_cap():
-    sc = StudyScenario(
-        RiemannData(1.0, 0.0), 0.2, (-1.0, 1.0), rate_norm="l1", dx_max=0.02
-    )
-    tab = convergence_study(sc, [0.4, 0.1], "riemann_exact")
+    sc = StudyScenario(RiemannData(1.0, 0.0), 0.2, (-1.0, 1.0), dx_max=0.02)
+    tab = convergence_study(sc, [0.4, 0.1], "fan")
     assert abs(tab.rows[0].dx - 0.02) <= 1e-15       # cap binds at eps = 0.4
     assert abs(tab.rows[1].dx - 0.0125) <= 1e-15     # eps/8 binds at eps = 0.1
 
 
-def test_study_unknown_reference():
+@pytest.mark.parametrize("reference", ["exact", "riemann_exact"])
+def test_study_unknown_reference(reference):
     sc = StudyScenario(RiemannData(1.0, 0.0), 1.0, (-2.0, 2.0))
-    with pytest.raises(ValueError):
-        convergence_study(sc, [0.2], "exact")
+    with pytest.raises(ValueError, match="unknown reference"):
+        convergence_study(sc, [0.2], reference)
+
+
+def test_study_budget_precheck_is_a_lower_bound(monkeypatch):
+    # the pre-check sizes dt on the window's samples (sup 0.5), the solve
+    # on the padded grid (-2.7, 2.7) (sup 1.35): the solve takes more
+    # steps than the pre-check counted, and checks its own count
+    checked = []
+    check = diagnostics.check_node_steps
+
+    def recording(nodes, T, dt):
+        checked.append((nodes, dt))
+        return check(nodes, T, dt)
+
+    monkeypatch.setattr(diagnostics, "check_node_steps", recording)
+    sc = StudyScenario(lambda x: 0.5 * x, 1.0, (-1.0, 1.0), dx_max=0.01)
+    (row,) = convergence_study(sc, [0.2]).rows
+    ((nodes, pre_dt),) = checked
+    traj = row.trajectory
+    assert nodes == traj.grid.n
+    assert pre_dt == 0.01
+    assert traj.dt == row.dt == time_step(SolverConfig(), 0.01, 1.35)
+    assert traj.dt == pytest.approx(0.0037, abs=1e-4)

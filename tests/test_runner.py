@@ -120,6 +120,32 @@ def test_profile_format(shock_runs):
     assert float(x0) == -1.5 and float(u0) == 1.0
 
 
+SLOW_SHOCK = """
+name = slow
+mode = nn
+initial = riemann 0.515 0
+epsilon = 0.1
+T = 1.0
+dx = 0.01
+domain = -2 3
+stride = 20
+"""
+
+
+def test_last_stored_level_is_at_T(tmp_path):
+    # dt = 0.005/0.515 puts T/dt 1.4e-14 above 103: the last step ends at
+    # T, not one ulp short, so the level at T is stored although stride
+    # 20 does not divide the 103 steps
+    scn = _write(tmp_path, "slow.scn", SLOW_SHOCK)
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--outdir", str(out)]) == 0
+    times = [
+        line.split(",")[0]
+        for line in (out / "slow.csv").read_text().splitlines()[3:]
+    ]
+    assert list(dict.fromkeys(times))[-2:] == ["0.9708737864077669", "1.0"]
+
+
 def test_reruns_byte_identical(shock_runs):
     (_, a), (_, b) = shock_runs
     for name in ("shock.csv", "shock_report.json", "shock_profile.dat"):

@@ -1,8 +1,11 @@
 """Nonlocal transport solver: stepping, modes, invariants."""
 
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,6 +22,7 @@ from nlclaw.grids import (
     total_variation,
 )
 from nlclaw import solver
+from nlclaw.euler import solve_isentropic, to_invariants
 from nlclaw.kernel import build_mollifier, convolve_values
 from nlclaw.solver import (
     PICARD_TOL,
@@ -39,7 +43,10 @@ from nlclaw.solver import (
     solve_general,
     solve_nn,
     speed_bound,
+    step_times,
+    time_step,
 )
+from nlclaw.twodim import sample_2d, solve_velocity_reg_2d
 
 CFG = SolverConfig(store_stride=20)
 
@@ -263,6 +270,82 @@ def test_final_time_is_exact():
     assert np.all(np.diff(tr.times) > 0.0)
 
 
+@st.composite
+def _schedules(draw):
+    """(T, dt, stride) with T the product of dt and a whole number N, that
+    product plus a few ulps (T/dt = N + delta, delta from 1e-16 to 1e-11,
+    on both sides of the 1e-12 margin), or anything between."""
+    dt = draw(st.floats(1e-4, 10.0))
+    n = draw(st.integers(1, 2000))
+    kind = draw(st.sampled_from(["whole", "ulps", "between"]))
+    if kind == "whole":
+        T = n * dt
+    elif kind == "ulps":
+        T = n * dt + draw(st.integers(1, 16)) * math.ulp(n * dt)
+    else:
+        T = (n + draw(st.floats(0.0, 1.0, exclude_max=True))) * dt
+    return T, dt, draw(st.integers(1, 60))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_schedules())
+# a riemann 0.515 0 run at dx 0.01: T/dt is 103 plus 1.4e-14
+@example(case=(1.0, 0.5 * 0.01 / 0.515, 20))
+@example(case=(1.0, (1.0 / 3.0) * (1.0 - 1e-14), 1))
+def test_schedule_ends_at_T_and_budgets_count_its_steps(case):
+    T, dt, stride = case
+    steps = list(step_times(T, dt))
+    assert [k for k, _, _ in steps] == list(range(len(steps)))
+    assert steps[0][1] == 0.0
+    assert steps[-1][2] == T
+    assert all(t < t_next for _, t, t_next in steps)
+    assert all(a[2] == b[1] for a, b in zip(steps, steps[1:]))
+    assert steps[-1][2] - steps[-1][1] <= dt * (1.0 + 1e-11)
+    # both budget checks report the count of the schedule the loop takes
+    with pytest.raises(WorkBudgetError) as info:
+        check_node_steps(10**10 + 1, T, dt)
+    reported = re.search(r" x (\d+) steps ", str(info.value)).group(1)
+    assert int(reported) == len(steps)
+    kept = sum(
+        (k + 1) % stride == 0 or t_next >= T for k, _, t_next in steps
+    )
+    with pytest.raises(WorkBudgetError) as info:
+        check_stored_levels(10**8, T, dt, stride)
+    reported = re.search(r" x (\d+) stored levels ", str(info.value)).group(1)
+    assert int(reported) == 1 + kept
+
+
+def test_every_solver_steps_by_time_step():
+    # each solver's dt is time_step on its own inputs, bitwise: the sup
+    # of u0 also where the cubic flux's speed bound is larger, the joint
+    # sup of both Euler invariants (here lam's), the smaller 2D spacing
+    cfg = SolverConfig(cfl=0.4, store_stride=10**9)
+    u0 = sample(lambda x: 0.3 - 0.9 * np.tanh(2.0 * x), -2.0, 2.0, 0.02)
+    step = time_step(cfg, u0.dx, u0.values)
+    assert solve_nn(u0, 0.2, 0.05, cfg).dt == step
+    for mode in ("velocity_reg", "flux_reg"):
+        tr = solve_general(u0, cubic_flux(), 0.2, 0.05, cfg, mode)
+        assert tr.speed_bound > np.max(np.abs(u0.values))
+        assert tr.dt == step
+    assert solve_conservative_nonlocal(u0, 0.2, 0.05, cfg).dt == step
+    u2 = sample_2d(
+        lambda x, y: 0.5 * np.tanh(x) + 0.2 * y, -1.0, 1.0, 0.0, 0.5,
+        0.05, 0.04,
+    )
+    tr = solve_velocity_reg_2d(
+        u2, (burgers_flux(), burgers_flux()), 0.2, 0.02, cfg
+    )
+    assert u2.dy < u2.dx
+    assert tr.dt == time_step(cfg, u2.dy, u2.values)
+    rho0 = sample(1.0, -2.0, 2.0, 0.02)
+    vel0 = sample(lambda x: -0.5 * np.exp(-x * x), -2.0, 2.0, 0.02)
+    mu0, lam0 = to_invariants(rho0, vel0)
+    assert np.max(np.abs(lam0.values)) > np.max(np.abs(mu0.values))
+    tr = solve_isentropic(rho0, vel0, 0.2, 0.05, cfg)
+    step = time_step(cfg, rho0.dx, (mu0.values, lam0.values))
+    assert tr.mu_trajectory.dt == tr.lam_trajectory.dt == step
+
+
 def test_l1_time_lipschitz_bound():
     u0 = sample(lambda x: -np.tanh(x), -3.0, 3.0, 5e-3)
     tr = solve_nn(u0, 0.1, 0.4, SolverConfig(store_stride=10))
@@ -386,14 +469,11 @@ def full_pass_solve(
     m = build_mollifier(epsilon, u0.dx)
     velocity_of = _velocity_fn(m, flux, mode)
     foot = _foot_1d(u0, data)
-    dt = cfg.time_step(u0.dx, sup_norm(u0))
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
     (x,) = foot.nodes
     phi, vals, fronts = x.copy(), u0.values.copy(), foot.fronts
-    levels, counts, phis, t = [vals], [], [], 0.0
+    levels, counts, phis = [vals], [], []
     starts = []  # the velocity at the earlier step starts, latest first
-    for k in range(n_steps):
-        t_next = min((k + 1) * dt, T)
+    for k, t, t_next in step_times(T, time_step(cfg, u0.dx, u0.values)):
         h = t_next - t
         cand_phi, cand_vals, cand_fronts, older = phi, vals, fronts, None
         for j in range(solver.PICARD_MAX_ITERS):
@@ -422,10 +502,10 @@ def full_pass_solve(
                 break
         else:
             raise PicardDivergenceError(k, t, change)
-        phi, vals, fronts, t = cand_phi, cand_vals, cand_fronts, t_next
+        phi, vals, fronts = cand_phi, cand_vals, cand_fronts
         counts.append(j + 1)
         phis.append(phi)
-        if (k + 1) % cfg.store_stride == 0 or t >= T:
+        if (k + 1) % cfg.store_stride == 0 or t_next >= T:
             levels.append(vals)
     return np.stack(levels), np.asarray(counts), np.stack(phis)
 
