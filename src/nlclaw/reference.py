@@ -154,12 +154,12 @@ def godunov_solve(
         rare = flux.f(np.clip(omega, ul, ur))        # ul <= ur
         return np.where(ul > ur, shock, rare)
 
-    for _, t, t_next in step_times(T, dt):
+    for _, _, _, h in step_times(T, dt):
         F = interface_flux(vals[:-1], vals[1:])
         # constant extension: boundary interfaces see equal states
         F_left = np.concatenate([[float(flux.f(vals[0]))], F])
         F_right = np.concatenate([F, [float(flux.f(vals[-1]))]])
-        vals = vals - ((t_next - t) / dx) * (F_right - F_left)
+        vals = vals - (h / dx) * (F_right - F_left)
     return u0.with_values(vals)
 
 

@@ -46,6 +46,7 @@ from .solver import (
     PicardDivergenceError,
     SolverConfig,
     WorkBudgetError,
+    schedule,
     solve,
 )
 from .kernel import ResolutionError
@@ -172,11 +173,15 @@ def _datum_and_flux(spec: ScenarioSpec, dx: float, reads_flux: bool):
 def _run_1d_single(spec: ScenarioSpec) -> RunResult:
     data, u0, flux = _datum_and_flux(spec, spec.dx, spec.mode in FLUX_MODES)
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
+    shock = isinstance(data, RiemannData) and data.uL > data.uR
+    if shock and spec.mode != "conservative":  # the levels, before solving
+        _, times = schedule(u0, spec.T, cfg)
+        _check_levels(times, 0.5 * spec.T, 2, spec, "front-speed fit")
     traj = solve(spec.mode, u0, spec.epsilon, spec.T, cfg, data=data, flux=flux)
 
     rep = check_invariants(traj)
     front = None
-    if isinstance(data, RiemannData) and data.uL > data.uR:
+    if shock:
         predicted = predicted_front_speed(spec.mode, flux, data.uL, data.uR)
         level = 0.5 * (data.uL + data.uR)
         _check_levels(traj.times, 0.5 * spec.T, 2, spec, "front-speed fit")
@@ -338,14 +343,14 @@ def _run_2d(spec: ScenarioSpec) -> RunResult:
 
 
 def _check_levels(times, t_from: float, need: int, spec, use: str) -> None:
-    """Reject a run whose stride stored fewer than need levels at t >=
-    t_from, which use reads, as an input error on stride."""
-    kept = int(np.count_nonzero(np.asarray(times) >= t_from - 1e-12))
-    if kept < need:
+    """Reject a run whose stride stores fewer than need levels in [t_from,
+    T], or ones less than (T - t_from)/2 apart, as an input error on stride."""
+    kept = times[times >= t_from - 1e-12]  # T is one of them
+    if kept.size < need or kept[-1] - kept[0] < 0.5 * (spec.T - t_from):
         raise ScenarioError([
-            f"stride: stride {spec.stride} stored {kept} level(s) in "
-            f"[{t_from!r}, T = {spec.T!r}]; the {use} needs at least "
-            f"{need}, so lower the stride"
+            f"stride: stride {spec.stride} stores {kept.size} level(s) "
+            f"{kept[-1] - kept[0]:.3g} apart in [{t_from!r}, T = {spec.T!r}]; "
+            f"the {use} needs {need} spanning half of it, so lower the stride"
         ])
 
 

@@ -27,9 +27,10 @@ A Picard pass recomputes the velocity, the feet, phi and the datum only
 on the span of nodes whose inputs changed since the previous pass: each
 stage on the span of the stage before, widened by that stage's stencil
 reach.  Away from a front a Riemann or piecewise solution is constant, so
-after a step's first pass almost every node is final.  A recomputed entry
-goes through the same elementwise operations as on the full grid and the
-rest keep their bits, so the result is bitwise that of full passes.
+after a step's first pass almost every node is final, and a pass that
+returns the values its velocity came from ends the step.  A recomputed
+entry goes through the same elementwise operations as on the full grid
+and the rest keep their bits, so the result is bitwise that of full passes.
 
 On data without tracked jumps a step's first pass traces the feet through
 the velocity extrapolated over the last three step starts, not through
@@ -69,6 +70,7 @@ __all__ = [
     "WorkBudgetError",
     "check_node_steps",
     "check_stored_levels",
+    "schedule",
     "solve",
     "solve_conservative_nonlocal",
     "solve_general",
@@ -363,15 +365,17 @@ class _LastPass:
     """What the previous Picard pass built, for the next pass to update.
 
     v is the velocity of the values src, and feet were traced through v
-    over a step of dt.  radius is the kernel radius: a value reaches that
-    many nodes into v.  The arrays are never written to; an update makes
-    copies.  dt is NaN when the feet were traced through a predicted field
-    instead of v: no step matches it, so the next pass retraces them all.
-    starts holds v at the earlier step starts, the latest first (at most
-    two), for the first pass of a step to extrapolate from.
+    over a step of dt.  The next pass recomputes v on span: foot.changed
+    of src and the values the pass returned, or the grid before the first.
+    radius is the kernel radius: a value reaches that many nodes into v.
+    The arrays are never written to; an update makes copies.  dt is NaN
+    when the feet were traced through a predicted field instead of v: no
+    step matches it, so the next pass retraces them all.  starts holds v
+    at the earlier step starts, the latest first (at most two).
     """
 
     radius: int
+    span: tuple
     src: np.ndarray | None = None
     v: tuple = ()
     dt: float = 0.0
@@ -453,8 +457,10 @@ def _picard_step_foot(
     outside the span the inputs are bitwise those of the last pass, so a
     pass is bitwise the full-grid pass.  The change reduction runs over
     the span where phi was recomputed (elsewhere it is 0); the front pin
-    and the cycle reduction stay global.  A foot that reports the full span
-    (the 2D one) makes every pass a full pass.
+    and the cycle reduction (run only if the change is >= PICARD_TOL)
+    stay global; a foot that reports the full span (the 2D one) makes every
+    pass full.  A pass that pins the very values v was built from, its feet
+    traced through v over dt, ends the step (at PICARD_MAX_ITERS too).
 
     Without a front pin (no tracked datum jumps), the first pass traces the
     feet through a prediction of the velocity at the end of the step,
@@ -503,9 +509,7 @@ def _picard_step_foot(
     raw = None  # the datum at cand_phi, before the pin
     for j in range(PICARD_MAX_ITERS):
         # v, where the values it was built from changed
-        lo, hi = 0, n
-        if last.src is not None:
-            lo, hi = _widen(foot.changed(cand_vals, last.src), r, n)
+        lo, hi = _widen(last.span, r, n)
         if lo < hi:
             w = max(lo - r, 0)  # the window reaches r nodes past the span
             part = velocity_of(cand_vals[w:min(hi + r, n)])
@@ -549,18 +553,18 @@ def _picard_step_foot(
             float(np.abs(a[lo:hi] - b[lo:hi]).max())
             for a, b in zip(new_phi, cand_phi)
         ) if lo < hi else 0.0
-        cycle = np.inf if older_phi is None else max(
-            float(np.abs(a - b).max()) for a, b in zip(new_phi, older_phi)
-        )
-        older_phi = cand_phi
-        cand_phi = new_phi
         cand_vals = raw
         if foot.pin is not None:
             cand_vals, cand_fronts = foot.pin(
                 raw.copy(), new_phi, v, dt, fronts
             )
-        if change < PICARD_TOL or cycle < PICARD_TOL:
-            return cand_phi, cand_vals, j + 1, cand_fronts
+        last.span = lo, hi = foot.changed(cand_vals, last.src)
+        # a contraction, a fixed point, or (from pass 1 on) a closed cycle
+        if change < PICARD_TOL or (lo >= hi and last.dt == dt) or j and max(
+            float(np.abs(a - b).max()) for a, b in zip(new_phi, older_phi)
+        ) < PICARD_TOL:
+            return new_phi, cand_vals, j + 1, cand_fronts
+        older_phi, cand_phi = cand_phi, new_phi
     raise PicardDivergenceError(step, t, change)
 
 
@@ -729,13 +733,33 @@ def _step_count(T: float, dt: float) -> float:
 
 
 def step_times(T: float, dt: float):
-    """The uniform step schedule up to T: yields (k, t, t_next) for each
+    """The uniform step schedule up to T: yields (k, t, t_next, h) for each
     of the _step_count(T, dt) steps the budget checks count.  Step k
     starts at k dt; all but the last end at (k + 1) dt and the last at T
-    exactly, so the final level a solve stores is the state at T."""
+    exactly, so the final level a solve stores is the state at T.  h is
+    the step's length: dt itself on all but the last, T - t on the last."""
     n = int(_step_count(T, dt))
     for k in range(n):
-        yield k, k * dt, (k + 1) * dt if k + 1 < n else T
+        t = k * dt
+        yield (k, t, (k + 1) * dt, dt) if k + 1 < n else (k, t, T, T - t)
+
+
+def schedule(u0, T: float, cfg: SolverConfig, dt: float | None = None):
+    """dt (time_step of u0 unless given) and the times a solve of u0 to T
+    on step_times' schedule stores at (0, every cfg.store_stride-th step's
+    end, T), after the budget checks (WorkBudgetError) and before any work."""
+    if T <= 0.0:
+        raise ValueError("T must be positive")
+    if dt is None:
+        dt = time_step(cfg, u0.dx, u0.values)
+    elif dt <= 0.0:
+        raise ValueError("dt must be positive")
+    check_node_steps(u0.values.size, T, dt)
+    check_stored_levels(u0.values.size, T, dt, cfg.store_stride)
+    return dt, np.array([0.0] + [
+        t_next for k, _, t_next, _ in step_times(T, dt)
+        if (k + 1) % cfg.store_stride == 0 or t_next >= T
+    ])
 
 
 def _solve_transport(
@@ -759,30 +783,21 @@ def _solve_transport(
     the 2D solver passes its own.  dt, when given, replaces time_step of
     u0 so coupled solves can share a time grid.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if dt is None:
-        dt = time_step(cfg, u0.dx, u0.values)
-    elif dt <= 0.0:
-        raise ValueError("dt must be positive")
-    check_node_steps(u0.values.size, T, dt)
-    check_stored_levels(u0.values.size, T, dt, cfg.store_stride)
+    dt, times = schedule(u0, T, cfg, dt)
     if foot is None:
         foot = _foot_1d(u0, data)
     phi = tuple(np.broadcast_to(p, u0.values.shape).copy() for p in foot.nodes)
     vals = u0.values.copy()
     fronts = foot.fronts
-    times = [0.0]
     levels = [vals]
     counts = []
-    last = _LastPass(m.radius)
-    for k, t, t_next in step_times(T, dt):
+    last = _LastPass(m.radius, span=(0, vals.shape[0]))
+    for k, t, t_next, h in step_times(T, dt):
         phi, vals, nit, fronts = _picard_step_foot(
-            phi, vals, foot, velocity_of, t_next - t, fronts, k, t, last,
+            phi, vals, foot, velocity_of, h, fronts, k, t, last,
         )
         counts.append(nit)
-        if (k + 1) % cfg.store_stride == 0 or t_next >= T:
-            times.append(t_next)
+        if t_next == times[len(levels)]:  # the next level to store
             levels.append(vals)
     return Trajectory(
         u0.copy(), times, np.stack(levels), m.epsilon, mode, speed,

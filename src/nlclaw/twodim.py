@@ -163,14 +163,14 @@ def _axis_weights(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stencil weights at offsets (-1, 0, 1, 2) for one axis.
 
-    Cubic Lagrange on cells with a full 4-point stencil, linear on the two
-    edge cells; the choice is made per axis, so a trivial axis (feet on
-    the nodes) never demotes the other axis's accuracy."""
-    inner = (idx >= 1) & (idx <= n - 3)
-    linear = (0.0, 1.0 - t, t, 0.0)
-    return tuple(
-        np.where(inner, w, lin) for w, lin in zip(_cubic_weights(t), linear)
-    )
+    Cubic Lagrange, overwritten with linear on the two edge cells; the
+    choice is made per axis, so a trivial axis (feet on the nodes) never
+    demotes the other axis's accuracy."""
+    weights = _cubic_weights(t)
+    edge = (idx < 1) | (idx > n - 3)
+    for w, lin in zip(weights, (0.0, 1.0 - t[edge], t[edge], 0.0)):
+        w[edge] = lin
+    return weights
 
 
 def _interp_foot_2d(

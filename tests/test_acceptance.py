@@ -84,7 +84,7 @@ def test_criterion_14_selftest_determinism(battery):
 # criterion's algorithm and data must keep them
 BATTERY_SHA256 = {
     "selftest_report.json":
-        "a320beabef5c5809eab389182ba887ed4b887eb64d4904d09bb0721ede79ae76",
+        "7d87684097fb2eddc3f6e081b01bb148ac8209c90a495daaf84742b2f1bb78c5",
     "selftest_results.txt":
         "788c861f4fe1c27133f4955c692bba7100f632c9cf813f019c00c25adc308416",
 }

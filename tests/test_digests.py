@@ -160,25 +160,25 @@ DIGESTS = {
         "cubic_sweep_eps0.2.json":
             "1dc2f9a062bbfec6d24934991ade69c66045cca73800a71f276d46a9967e26c8",
         "cubic_sweep_eps0.4.json":
-            "d5db7669469ba07a311f26bfbd474649af111bf1fb1e881cc76088142195750a",
+            "320f36824141b6982a2530c17e6e9e7a49d1908ff0966ec5c2dc3fcfbb5a87a6",
         "cubic_sweep_report.json":
-            "371d58d97d95e689412bee19cea1d4edf3689bf82e57a8c018aed1f511702708",
+            "4183110432fe6546e41024e7eb6b5724781811cac52b4a0de6b3066b5535edad",
         "cubic_sweep_table.dat":
-            "b30858bb477bb618d1fdbd6dda121bb33c9da0838594cdc8daf36e45bf108816",
+            "758eb7111f4fff99f00ed87cb089d4736876bc0f189701568131fe9857d5627d",
     }),
     "freg_expr": (0, {
         "freg_expr.csv":
-            "b3080ba4560ece7cdcbeb5743d189b05041c268c1832f48e54b93480ac6b1838",
+            "6c2ec5be212dd38948442bbb43280865e15af8f7a169e45527e788badd422761",
         "freg_expr_profile.dat":
-            "f2078745da44a481d9510851d3f6930ecbacdf28cb4b904c4a39f6d11a7a94ac",
+            "93d33a613855ec326cd15b91cbbcb6432d2f75466baa7ab075860f00d9691cda",
         "freg_expr_report.json":
             "4e859e00fd08e6d7b2901ab5703686ff303eae338bc96deca14eae47364f1e0c",
     }),
     "freg_exp": (0, {
         "freg_exp.csv":
-            "4ff5f7bef73ba66f4990ab4dab218dff5d12ba3f9cb0304c96804c61b115139c",
+            "b65e7a4f7388bf97366c519f93b131ae3e2a5807c34710a377c65ed8b1cc6d1a",
         "freg_exp_profile.dat":
-            "e917b9e5f5695c4ee38ad5e8d71de6d8b7023ac1df6e85936bea0f7d18d6b5af",
+            "8149d726e282d4577da231237c1e08199f41963711d2c0f09ef8973a5b8f16ea",
         "freg_exp_report.json":
             "9ef1d60ad74752f3ce2562430798be5bf13bbad57fa310a4cd47559a0f4bafcf",
     }),
@@ -192,11 +192,11 @@ DIGESTS = {
     }),
     "pulse": (0, {
         "pulse.csv":
-            "1d1e28bc2aacf94203acebd0d9e846661f213ce21b92d045cb5b716b5bd0b031",
+            "db65e37f8a6a684053b3f775e0b8e0fcfee23681542c71697a0a28b7104a8035",
         "pulse_profile.dat":
-            "c084f6c9eeba21147f0955e8bb77fc81f1e27c65f8d3e552afb698f825760c33",
+            "f5c43c63a8ee3eb538dd48a23d6728cf231257fbd509bcf6c9425158cf758f10",
         "pulse_report.json":
-            "e70062ab4345af07c18e2d48f577485fed75ae67cdca0f80c4d2fdf9568e53d0",
+            "63c5de2842082cb0f13a35d6d2050beeb8e991b68c7ab674a3ed06a206748d05",
     }),
     "rare_sweep": (0, {
         "rare_sweep_eps0.1.csv":
@@ -234,7 +234,7 @@ DIGESTS = {
     }),
     "verify_vreg": (0, {
         "verify_vreg_report.json":
-            "89d8309277afcebb1093e7b3023cc227e6c3c2fb1ef48a3908ef02b12253feaa",
+            "502d6afe624d46c0d9afe400287bcc24f751ad97eb584ce115c7874e00def66f",
     }),
     "vreg_cubic": (2, {
         "vreg_cubic.json":

@@ -146,6 +146,29 @@ def test_last_stored_level_is_at_T(tmp_path):
     assert list(dict.fromkeys(times))[-2:] == ["0.9708737864077669", "1.0"]
 
 
+def test_stride_whose_levels_bunch_at_T_is_rejected_before_the_solve(
+    tmp_path, monkeypatch, capsys
+):
+    # stride 50 of the 103 steps stores 0.9709 and 1.0 in [0.5, 1]: two
+    # levels, but 0.029 apart, over which the fit saw one dx of front
+    # motion (0.343 against 0.2575); the schedule shows it before any step
+    scn = _write(
+        tmp_path, "slow.scn", SLOW_SHOCK.replace("stride = 20", "stride = 50")
+    )
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(runner, "solve", no_solve)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stride: stride 50 stores 2 level(s) 0.0291 apart")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_reruns_byte_identical(shock_runs):
     (_, a), (_, b) = shock_runs
     for name in ("shock.csv", "shock_report.json", "shock_profile.dat"):

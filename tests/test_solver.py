@@ -119,10 +119,16 @@ def test_picard_divergence_signalled(monkeypatch):
     with pytest.raises(PicardDivergenceError) as info:
         solve_nn(u0, 0.1, 0.005, SolverConfig())
     assert (info.value.step, info.value.t) == (0, 0.0)
-    # a shock datum contracts in two passes until its fifth step (dt 0.005)
+    # a shock datum's first pass already returns the step-start values
+    # until its fifth step (dt 0.005), where the front crosses a node and
+    # the second pass returns them; a fixed point reached on the last
+    # allowed pass ends the step
     data = RiemannData(1.0, 0.0)
     u0 = sample(data, -2.0, 2.0, 0.01)
     monkeypatch.setattr(solver, "PICARD_MAX_ITERS", 2)
+    counts = solve_nn(u0, 0.1, 0.3, SolverConfig(), data=data).picard_counts
+    assert counts[:5].tolist() == [1, 1, 1, 1, 2]
+    monkeypatch.setattr(solver, "PICARD_MAX_ITERS", 1)
     with pytest.raises(PicardDivergenceError) as info:
         solve_nn(u0, 0.1, 0.3, SolverConfig(), data=data)
     assert info.value.step == 4
@@ -295,19 +301,23 @@ def _schedules(draw):
 def test_schedule_ends_at_T_and_budgets_count_its_steps(case):
     T, dt, stride = case
     steps = list(step_times(T, dt))
-    assert [k for k, _, _ in steps] == list(range(len(steps)))
+    assert [k for k, *_ in steps] == list(range(len(steps)))
     assert steps[0][1] == 0.0
     assert steps[-1][2] == T
-    assert all(t < t_next for _, t, t_next in steps)
+    assert all(t < t_next for _, t, t_next, _ in steps)
     assert all(a[2] == b[1] for a, b in zip(steps, steps[1:]))
     assert steps[-1][2] - steps[-1][1] <= dt * (1.0 + 1e-11)
+    # a solve steps by dt itself, bitwise, on all but the last step, and
+    # by the rest of the way to T on the last
+    assert all(bits(h) == bits(dt) for *_, h in steps[:-1])
+    assert bits(steps[-1][3]) == bits(T - steps[-1][1])
     # both budget checks report the count of the schedule the loop takes
     with pytest.raises(WorkBudgetError) as info:
         check_node_steps(10**10 + 1, T, dt)
     reported = re.search(r" x (\d+) steps ", str(info.value)).group(1)
     assert int(reported) == len(steps)
     kept = sum(
-        (k + 1) % stride == 0 or t_next >= T for k, _, t_next in steps
+        (k + 1) % stride == 0 or t_next >= T for k, _, t_next, _ in steps
     )
     with pytest.raises(WorkBudgetError) as info:
         check_stored_levels(10**8, T, dt, stride)
@@ -458,25 +468,30 @@ def test_backward_characteristic_representation():
 
 
 def full_pass_solve(
-    u0, epsilon, T, cfg, mode, data=None, flux=None, predict=True
+    u0, epsilon, T, cfg, mode, data=None, flux=None, predict=True,
+    fixed_point=True,
 ):
     """Reference stepping loop: every Picard pass recomputes the velocity,
     the feet, phi and the datum on the whole grid.  Without tracked datum
     jumps, each step's first pass traces the feet through the velocity
     extrapolated over the last three step starts (predict=False: through
-    the velocity at the step start).  Returns the stored levels, the
-    passes per step and the foot field after each step."""
+    the velocity at the step start).  A step ends on a pass that changes
+    phi by less than PICARD_TOL, closes a period-2 cycle to that, or
+    (fixed_point=False: never) returns bitwise the values its velocity
+    was built from, the feet traced through that velocity.  Returns the
+    stored levels, the passes per step, the foot field after each step
+    and whether the fixed-point rule alone ended each step."""
     m = build_mollifier(epsilon, u0.dx)
     velocity_of = _velocity_fn(m, flux, mode)
     foot = _foot_1d(u0, data)
     (x,) = foot.nodes
     phi, vals, fronts = x.copy(), u0.values.copy(), foot.fronts
-    levels, counts, phis = [vals], [], []
+    levels, counts, phis, fired = [vals], [], [], []
     starts = []  # the velocity at the earlier step starts, latest first
-    for k, t, t_next in step_times(T, time_step(cfg, u0.dx, u0.values)):
-        h = t_next - t
+    for k, t, t_next, h in step_times(T, time_step(cfg, u0.dx, u0.values)):
         cand_phi, cand_vals, cand_fronts, older = phi, vals, fronts, None
         for j in range(solver.PICARD_MAX_ITERS):
+            src = cand_vals
             (v,) = velocity_of(cand_vals)
             w = v  # the field the feet are traced through
             if j == 0 and predict and foot.pin is None:
@@ -500,6 +515,11 @@ def full_pass_solve(
                 )
             if change < PICARD_TOL or cycle < PICARD_TOL:
                 break
+            if fixed_point and w is v and np.array_equal(
+                bits(cand_vals), bits(src)
+            ):
+                fired.append(k)
+                break
         else:
             raise PicardDivergenceError(k, t, change)
         phi, vals, fronts = cand_phi, cand_vals, cand_fronts
@@ -507,7 +527,10 @@ def full_pass_solve(
         phis.append(phi)
         if (k + 1) % cfg.store_stride == 0 or t_next >= T:
             levels.append(vals)
-    return np.stack(levels), np.asarray(counts), np.stack(phis)
+    return (
+        np.stack(levels), np.asarray(counts), np.stack(phis),
+        np.isin(np.arange(len(counts)), fired),
+    )
 
 
 def bits(a):
@@ -542,7 +565,7 @@ def _several_fronts():
     )
 
 
-@pytest.mark.parametrize(
+incremental_cases = pytest.mark.parametrize(
     "mode, data, flux, T, functional",
     [
         ("nn", RiemannData(1.0, 0.0), None, 0.4, True),
@@ -563,6 +586,9 @@ def _several_fronts():
     ids=["riemann", "cubic-vreg", "cubic-freg", "cubic-downwind", "fronts",
          "fan", "tanh", "signed-zero", "sampled-signed-zero"],
 )
+
+
+@incremental_cases
 def test_incremental_passes_match_full_passes(
     monkeypatch, mode, data, flux, T, functional
 ):
@@ -571,13 +597,35 @@ def test_incremental_passes_match_full_passes(
     u0 = sample(data, -2.0, 2.0, 0.01)
     data = data if functional else None
     cfg = SolverConfig()
-    levels, counts, phis = full_pass_solve(u0, 0.1, T, cfg, mode, data, flux)
+    levels, counts, phis, _ = full_pass_solve(
+        u0, 0.1, T, cfg, mode, data, flux
+    )
     tr, tr_phis = solve_recording_phi(
         monkeypatch, mode, u0, 0.1, T, cfg, data=data, flux=flux
     )
     assert np.array_equal(tr.picard_counts, counts)
     assert np.array_equal(bits(tr.values), bits(levels))
     assert np.array_equal(bits(tr_phis), bits(phis))
+
+
+@incremental_cases
+def test_fixed_point_rule_keeps_the_result(mode, data, flux, T, functional):
+    # a pass that returns the values its velocity was built from leaves
+    # the next pass nothing to change: ending the step there keeps every
+    # level and foot field, one pass earlier
+    u0 = sample(data, -2.0, 2.0, 0.01)
+    data = data if functional else None
+    cfg = SolverConfig()
+    levels, counts, phis, fired = full_pass_solve(
+        u0, 0.1, T, cfg, mode, data, flux
+    )
+    levels_off, counts_off, phis_off, fired_off = full_pass_solve(
+        u0, 0.1, T, cfg, mode, data, flux, fixed_point=False
+    )
+    assert not fired_off.any()
+    assert np.array_equal(bits(levels), bits(levels_off))
+    assert np.array_equal(bits(phis), bits(phis_off))
+    assert np.array_equal(counts_off - counts, fired.astype(int))
 
 
 def test_predictor_pass_counts():
@@ -589,8 +637,10 @@ def test_predictor_pass_counts():
     # a tracked jump: no prediction, the same passes as without it
     d = RiemannData(1.0, 0.0)
     tr = solve_nn(sample(d, -2.0, 2.0, 0.01), 0.1, 0.4, SolverConfig(), data=d)
+    # (the step ends on the pass that returns the values it started
+    # from: 80 passes fewer than if it ran one more pass to confirm them)
     assert tr.picard_counts.size == 80
-    assert tr.picard_counts.sum() == 179
+    assert tr.picard_counts.sum() == 99
 
 
 @pytest.mark.parametrize("k, T", [(1.0, 0.5), (3.0, 0.2)])
@@ -603,7 +653,7 @@ def test_predicted_state_matches_unpredicted(k, T):
     d = parse_expression(f"-tanh({k}*x)")
     u0 = sample(d, -2.0, 2.0, 0.01)
     tr = solve_nn(u0, 0.1, T, SolverConfig(), data=d)
-    levels, counts, _ = full_pass_solve(
+    levels, counts, _, _ = full_pass_solve(
         u0, 0.1, T, SolverConfig(), "nn", d, predict=False
     )
     assert tr.picard_counts.sum() < counts.sum()

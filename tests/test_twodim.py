@@ -9,7 +9,12 @@ from hypothesis.extra import numpy as hnp
 from nlclaw import solver
 from nlclaw.fluxes import burgers_flux, zero_flux
 from nlclaw.grids import sample
-from nlclaw.solver import PicardDivergenceError, SolverConfig, solve_nn
+from nlclaw.solver import (
+    PicardDivergenceError,
+    SolverConfig,
+    _cubic_weights,
+    solve_nn,
+)
 from nlclaw.twodim import (
     GridFunction2D,
     _axis_weights,
@@ -262,3 +267,31 @@ def test_interp_foot_2d_is_bitwise_the_per_component_form(case):
     want = bilinear_fancy_index(phis[0], x0, y0, dx, dy, qx, qy)
     got = _bilinear(phis[0], x0, y0, dx, dy, qx, qy)
     assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+
+
+def axis_weights_where_form(t, idx, n):
+    """_axis_weights as an np.where blend of every cubic weight with its
+    linear edge weight, at every foot: the oracle."""
+    inner = (idx >= 1) & (idx <= n - 3)
+    linear = (0.0, 1.0 - t, t, 0.0)
+    return tuple(
+        np.where(inner, w, lin) for w, lin in zip(_cubic_weights(t), linear)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_foot_cases())
+def test_axis_weights_are_bitwise_the_where_form(case):
+    # feet inside, on and outside the grid, clamped and split into cell
+    # and fraction as _interp_foot_2d does, as a row and as a 2D array
+    phis, x0, y0, dx, dy, qx, qy = case
+    ny, nx = phis[0].shape
+    for q, o, d, n in ((qx, x0, dx, nx), (qy, y0, dy, ny)):
+        for feet in (q, np.stack((q, q[::-1]))):
+            p = (np.clip(feet, o, o + (n - 1) * d) - o) / d
+            i = np.minimum(p.astype(np.int64), n - 2)
+            got = _axis_weights(p - i, i, n)
+            want = axis_weights_where_form(p - i, i, n)
+            assert len(got) == 4
+            for g, w in zip(got, want):
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
