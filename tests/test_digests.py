@@ -6,7 +6,8 @@ DIGESTS.  The set covers every mode, Riemann, piecewise and expression
 data, the Burgers, cubic and expression fluxes, CSV and JSON output,
 ``verify``, a non-convergence sweep, a cubic Godunov sweep and two
 ``riemann`` runs.  Two ``flux_reg`` runs with an expression flux pin
-the L1 time-Lipschitz constant sup|f'| of the flux modes.
+the L1 time-Lipschitz constant sup|f'| of the flux modes, and a fast
+cubic ``flux_reg`` run sends feet several cells past the grid's end.
 
 The literals change only in a change that changes the algorithm or a
 file format; such a change lists the old and the new values in
@@ -75,6 +76,19 @@ T = 0.3
 dx = 0.02
 domain = -3 3
 """,
+    # the cubic flux at u = 2 moves the left-end feet dt S/dx = 3 cells a
+    # step, so several feet per step land in the end cell or off the grid
+    "freg_fast": """
+name = freg_fast
+mode = flux_reg
+flux = cubic
+initial = riemann 2 0
+epsilon = 0.1
+T = 0.2
+dx = 0.01
+domain = -0.5 2.5
+stride = 4
+""",
     "pulse": """
 name = pulse
 mode = euler
@@ -135,6 +149,7 @@ COMMANDS = {
     "vreg_cubic": ["run"],
     "freg_expr": ["run"],
     "freg_exp": ["run"],
+    "freg_fast": ["run"],
     "pulse": ["euler"],
     "plane": ["run"],
     "verify_vreg": ["verify"],
@@ -181,6 +196,14 @@ DIGESTS = {
             "8149d726e282d4577da231237c1e08199f41963711d2c0f09ef8973a5b8f16ea",
         "freg_exp_report.json":
             "9ef1d60ad74752f3ce2562430798be5bf13bbad57fa310a4cd47559a0f4bafcf",
+    }),
+    "freg_fast": (0, {
+        "freg_fast.csv":
+            "bc372058ee8e8ccf031551f5ab130ff4c6213d2f546ee4a57888cd954ff4ae85",
+        "freg_fast_profile.dat":
+            "0dd584f1630567e778eb7058132becc9db7779261eb6ac86c4b66b48fec9394b",
+        "freg_fast_report.json":
+            "f1ae92a912fea22d4db34adcaa7bcfbad12264e4e91202e690855b18c8e46d70",
     }),
     "plane": (0, {
         "plane.csv":
