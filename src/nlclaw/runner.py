@@ -344,13 +344,19 @@ def _run_2d(spec: ScenarioSpec) -> RunResult:
 
 def _check_levels(times, t_from: float, need: int, spec, use: str) -> None:
     """Reject a run whose stride stores fewer than need levels in [t_from,
-    T], or ones less than (T - t_from)/2 apart, as an input error on stride."""
+    T], or ones less than (T - t_from)/2 apart, as an input error on stride
+    (on dx at stride 1, which stores every step: only more steps help)."""
     kept = times[times >= t_from - 1e-12]  # T is one of them
     if kept.size < need or kept[-1] - kept[0] < 0.5 * (spec.T - t_from):
+        key, what = "stride", f"stride {spec.stride} stores"
+        if spec.stride == 1:
+            n = times.size - 1
+            key, what = "dx", f"dx {spec.dx!r} takes {n} step(s) and stores"
         raise ScenarioError([
-            f"stride: stride {spec.stride} stores {kept.size} level(s) "
+            f"{key}: {what} {kept.size} level(s) "
             f"{kept[-1] - kept[0]:.3g} apart in [{t_from!r}, T = {spec.T!r}]; "
-            f"the {use} needs {need} spanning half of it, so lower the stride"
+            f"the {use} needs {need} spanning half of it, so lower "
+            + ("the stride" if key == "stride" else "dx")
         ])
 
 

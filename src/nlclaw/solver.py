@@ -23,14 +23,16 @@ range of the data, and its total variation can only shrink, never grow.
 One Picard step and one stepping loop serve every such solve, the 2D
 solver in twodim included (its foot field has two components).
 
-A Picard pass recomputes the velocity, the feet, phi and the datum only
-on the span of nodes whose inputs changed since the previous pass: each
-stage on the span of the stage before, widened by that stage's stencil
-reach.  Away from a front a Riemann or piecewise solution is constant, so
-after a step's first pass almost every node is final, and a pass that
-returns the values its velocity came from ends the step.  A recomputed
-entry goes through the same elementwise operations as on the full grid
-and the rest keep their bits, so the result is bitwise that of full passes.
+A Picard pass recomputes the velocity, the feet, phi and the datum only on
+the span of nodes whose inputs changed since the previous pass: each stage
+on the span of the stage before, widened by that stage's stencil reach.  A
+foot's stencil (cell and cubic weights) is built where the foot is traced
+and kept with it: a pass that retraces no foot only gathers phi.  Away
+from a front a Riemann or piecewise solution is constant, so after a
+step's first pass almost every node is final, and a pass that returns the
+values its velocity came from ends the step.  A recomputed entry goes
+through the same elementwise operations as on the full grid and the rest
+keep their bits, so the result is bitwise that of full passes.
 
 On data without tracked jumps a step's first pass traces the feet through
 the velocity extrapolated over the last three step starts, not through
@@ -253,10 +255,19 @@ def _cubic_weights(s: np.ndarray) -> tuple:
     )
 
 
+def _foot_stencil(x0: float, dx: float, n: int, y: np.ndarray) -> tuple:
+    """The interpolation stencil of the feet y on an n-node grid: y, the
+    cells i, the _cubic_weights at pos - i, and the mask of the end-cell
+    feet, which the cubic does not serve (every off-grid foot is one)."""
+    pos = (y - x0) / dx
+    i = np.minimum(n - 2, np.maximum(0, np.floor(pos).astype(int)))
+    return (y, i, *_cubic_weights(pos - i), (i < 1) | (i > n - 3))
+
+
 def _interp_foot(
-    phi: np.ndarray, x0: float, dx: float, y: np.ndarray
+    phi: np.ndarray, x0: float, dx: float, stencil: tuple
 ) -> np.ndarray:
-    """Interpolate the foot field phi at positions y.
+    """Interpolate the foot field phi at the feet of stencil (_foot_stencil).
 
     Inside the grid: 4-point cubic Lagrange, clipped to the bracketing
     nodal values.  The clip keeps the interpolant monotone wherever phi is,
@@ -266,34 +277,38 @@ def _interp_foot(
     interpolation error (~ phi'' dx^2) then pushes the datum-jump preimage
     systematically sideways, i.e. the front drifts off its speed by O(1)
     percents.  The cubic knocks that error down by the squared ratio of
-    front width to dx.  Outside the grid: unit-slope extension, exact
-    wherever the boundary zone is causally constant (phi(x) - x is
-    constant there).
+    front width to dx.  In an end cell: the clipped linear interpolant.
+    Outside the grid: unit-slope extension, exact wherever the boundary
+    zone is causally constant (phi(x) - x is constant there).
+
+    Only feet within a step's travel of a grid end land in an end cell: at
+    most two per end for nn at cfl 0.5 (a foot moves half a cell), about
+    1 + dt S / dx in the flux modes.  On so few, numpy's per-call cost
+    outweighs the arithmetic: they are fixed up in Python floats, each
+    np.maximum or np.minimum a comparison as in grids.interpolate_at.
     """
-    n = phi.size
-    pos = (y - x0) / dx
-    i = np.minimum(n - 2, np.maximum(0, np.floor(pos).astype(int)))
-    th = pos - i
-    a = phi[i]
-    b = phi[i + 1]
-    out = a + th * (b - a)
-    inner = (i >= 1) & (i <= n - 3)
-    if inner.any():
-        ii = i[inner]
-        wm1, w0, w1, w2 = _cubic_weights(th[inner])
-        out[inner] = (
-            wm1 * phi[ii - 1] + w0 * phi[ii] + w1 * phi[ii + 1]
-            + w2 * phi[ii + 2]
-        )
+    y, i, wm1, w0, w1, w2, edge = stencil
+    a, b = phi[i], phi[i + 1]
+    out = wm1 * phi.take(i - 1, mode="clip") + w0 * a + w1 * b
+    out += w2 * phi.take(i + 2, mode="clip")
     # np.clip(out, lo, hi, out=out) with its tie rule (see interpolate_values)
     np.maximum(out, np.minimum(a, b), out=out)
     np.minimum(out, np.maximum(a, b), out=out)
-    left = pos < 0.0
-    if left.any():
-        out[left] = phi[0] + (y[left] - x0)
-    right = pos > n - 1
-    if right.any():
-        out[right] = phi[-1] + (y[right] - (x0 + (n - 1) * dx))
+    n = phi.size
+    for k in np.flatnonzero(edge).tolist():
+        yk, ik = y.item(k), i.item(k)
+        pos = (yk - x0) / dx
+        if pos < 0.0:
+            out[k] = phi.item(0) + (yk - x0)
+        elif pos > n - 1:
+            out[k] = phi.item(-1) + (yk - (x0 + (n - 1) * dx))
+        else:
+            a_k, b_k = phi.item(ik), phi.item(ik + 1)
+            o = a_k + (pos - ik) * (b_k - a_k)
+            lo = b_k if b_k <= a_k else a_k
+            hi = b_k if b_k >= a_k else a_k
+            o = lo if lo >= o else o
+            out[k] = hi if hi <= o else o
     return out
 
 
@@ -337,21 +352,22 @@ class _Foot(NamedTuple):
 
     nodes holds the node coordinates, one array per axis, broadcastable to
     the grid shape (phi at t = 0).  interp_linear(values, points) is the
-    clipped linear interpolant that traces the feet; interp_foot(phi,
-    feet) interpolates every foot-field component at the feet, one array
-    each, from one interpolation stencil; datum(*phi)
-    evaluates u0 o phi.  changed(new, old) is the span (lo, hi) of
-    first-axis indices outside which two value arrays agree bit for bit,
+    clipped linear interpolant that traces the feet; stencil(feet) is what
+    interpolating at the feet needs of them alone (the feet themselves in
+    2D, whose passes are all full-grid); interp_foot(phi, stencil)
+    interpolates every foot-field component at the feet, one array each;
+    datum(*phi) evaluates u0 o phi.  changed(new, old) is the span (lo, hi)
+    of first-axis indices outside which two value arrays agree bit for bit,
     and reach(v, dt) how many nodes a change of v can move along that axis
     into the feet traced through it; a foot whose nodes are not arrays
-    along that axis (the 2D one) reports the full span.  pin, when set,
-    is the front pin: pin(vals, phi, v, dt, fronts) returns the pinned
-    values and the advanced front state, and fronts is that state at
-    t = 0.
+    along that axis (the 2D one) reports the full span.  pin, when set, is
+    the front pin: pin(vals, phi, v, dt, fronts) returns the pinned values
+    and the advanced front state, and fronts is that state at t = 0.
     """
 
     nodes: tuple
     interp_linear: Callable
+    stencil: Callable
     interp_foot: Callable
     datum: Callable
     changed: Callable
@@ -364,14 +380,14 @@ class _Foot(NamedTuple):
 class _LastPass:
     """What the previous Picard pass built, for the next pass to update.
 
-    v is the velocity of the values src, and feet were traced through v
-    over a step of dt.  The next pass recomputes v on span: foot.changed
-    of src and the values the pass returned, or the grid before the first.
-    radius is the kernel radius: a value reaches that many nodes into v.
-    The arrays are never written to; an update makes copies.  dt is NaN
-    when the feet were traced through a predicted field instead of v: no
-    step matches it, so the next pass retraces them all.  starts holds v
-    at the earlier step starts, the latest first (at most two).
+    v is the velocity of the values src, and feet the foot.stencil of the
+    feet traced through v over dt.  The next pass recomputes v on span:
+    foot.changed of src and the values the pass returned, or the grid
+    before the first.  radius is the kernel radius: a value reaches that
+    many nodes into v.  The arrays are never written to; an update makes
+    copies.  dt is NaN when the feet were traced through a predicted field
+    instead of v: no step matches it, so the next pass retraces them all.
+    starts holds v at the earlier step starts, the latest first (at most two).
     """
 
     radius: int
@@ -447,20 +463,21 @@ def _picard_step_foot(
     the previous pass (of this step or the one before) to it.  v is
     recomputed where the candidate values differ from those v was built
     from, bit for bit (so a 0.0/-0.0 flip counts), widened by the kernel
-    radius; the feet where v was recomputed, widened by foot.reach, or
-    everywhere when dt differs from the feet's step; phi and the datum
-    where the feet were recomputed, or everywhere on a step's first pass,
-    since phi_prev has moved.  Every recomputed entry goes through the same
-    elementwise operations as on the full grid (the velocity through
-    convolve_values on a window with the kernel's full reach, whose own
-    edge padding is the grid's exactly where it touches a grid end), and
-    outside the span the inputs are bitwise those of the last pass, so a
-    pass is bitwise the full-grid pass.  The change reduction runs over
-    the span where phi was recomputed (elsewhere it is 0); the front pin
-    and the cycle reduction (run only if the change is >= PICARD_TOL)
-    stay global; a foot that reports the full span (the 2D one) makes every
-    pass full.  A pass that pins the very values v was built from, its feet
-    traced through v over dt, ends the step (at PICARD_MAX_ITERS too).
+    radius; the feet and their foot.stencil where v was recomputed, widened
+    by foot.reach, or everywhere when dt differs from the feet's step; phi
+    and the datum where the feet were recomputed, or everywhere on a step's
+    first pass, since phi_prev has moved (the kept stencils then only
+    gather it).  Every recomputed entry goes through the same elementwise
+    operations as on the full grid (the velocity through convolve_values on
+    a window with the kernel's full reach, whose own edge padding is the
+    grid's exactly where it touches a grid end), and outside the span the
+    inputs are bitwise those of the last pass, so a pass is bitwise the
+    full-grid pass.  The change reduction runs over the span where phi was
+    recomputed (elsewhere it is 0); the front pin and the cycle reduction
+    (run only if the change is >= PICARD_TOL) stay global; a foot that
+    reports the full span (the 2D one) makes every pass full.  A pass that
+    pins the very values v was built from, its feet traced through v over
+    dt, ends the step (at PICARD_MAX_ITERS too).
 
     Without a front pin (no tracked datum jumps), the first pass traces the
     feet through a prediction of the velocity at the end of the step,
@@ -531,19 +548,19 @@ def _picard_step_foot(
         if lo < hi:
             vs = [vk[lo:hi] for vk in v]
             mids = [p[lo:hi] - 0.5 * dt * vk for p, vk in zip(foot.nodes, vs)]
-            last.feet = _patched(last.feet, lo, hi, n, [
+            last.feet = _patched(last.feet, lo, hi, n, foot.stencil([
                 p[lo:hi] - dt * 0.5 * (vk + foot.interp_linear(vf, mids))
                 for p, vk, vf in zip(foot.nodes, vs, v)
-            ])
+            ]))
         # phi and the datum, where the feet changed; everywhere on a
         # step's first pass, since phi_prev has moved
         if j == 0:
             lo, hi = 0, n
         new_phi = cand_phi
         if lo < hi:
-            feet = [fk[lo:hi] for fk in last.feet]
+            stencil = [sk[lo:hi] for sk in last.feet]
             new_phi = _patched(
-                cand_phi, lo, hi, n, foot.interp_foot(phi_prev, feet)
+                cand_phi, lo, hi, n, foot.interp_foot(phi_prev, stencil)
             )
             (raw,) = _patched(
                 (raw,), lo, hi, n, [foot.datum(*[p[lo:hi] for p in new_phi])]
@@ -709,7 +726,8 @@ def _foot_1d(u0: GridFunction1D, data) -> _Foot:
         interp_linear=lambda vals, pts: interpolate_values(
             vals, x0, dx, pts[0]
         ),
-        interp_foot=lambda phi, feet: (_interp_foot(phi[0], x0, dx, feet[0]),),
+        stencil=lambda feet: _foot_stencil(x0, dx, x.size, feet[0]),
+        interp_foot=lambda phi, st: (_interp_foot(phi[0], x0, dx, st),),
         datum=_datum_evaluator(u0, data),
         changed=_changed_span,
         # a midpoint sits within 0.5 dt |v| of its node; one more node for

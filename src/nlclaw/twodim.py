@@ -250,6 +250,7 @@ def solve_velocity_reg_2d(
     foot = _Foot(
         nodes=(u0.x[np.newaxis, :], u0.y[:, np.newaxis]),
         interp_linear=lambda vals, pts: _bilinear(vals, x0, y0, dx, dy, *pts),
+        stencil=lambda feet: feet,
         interp_foot=lambda phis, feet: _interp_foot_2d(
             phis, x0, y0, dx, dy, *feet
         ),

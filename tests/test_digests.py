@@ -7,7 +7,7 @@ data, the Burgers, cubic and expression fluxes, CSV and JSON output,
 ``verify``, a non-convergence sweep, a cubic Godunov sweep and two
 ``riemann`` runs.  Two ``flux_reg`` runs with an expression flux pin
 the L1 time-Lipschitz constant sup|f'| of the flux modes, and a fast
-cubic ``flux_reg`` run sends feet several cells past the grid's end.
+cubic ``flux_reg`` run sends a foot a whole cell past the grid's end.
 
 The literals change only in a change that changes the algorithm or a
 file format; such a change lists the old and the new values in
@@ -76,8 +76,9 @@ T = 0.3
 dx = 0.02
 domain = -3 3
 """,
-    # the cubic flux at u = 2 moves the left-end feet dt S/dx = 3 cells a
-    # step, so several feet per step land in the end cell or off the grid
+    # the cubic flux at u = 2 moves the left-end feet dt S/dx = 1 cell a
+    # step, twice nn's reach at cfl 0.5: the first node's foot leaves the
+    # grid and the second's lands on its end node on every step
     "freg_fast": """
 name = freg_fast
 mode = flux_reg

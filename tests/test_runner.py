@@ -169,6 +169,29 @@ def test_stride_whose_levels_bunch_at_T_is_rejected_before_the_solve(
     assert not out.exists()
 
 
+def test_stride_one_with_too_few_steps_names_dx(tmp_path, capsys):
+    # stride 1 stores every step, so it cannot be lowered: one step of
+    # dt = T stores only T in [T/2, T], and the cure is a finer grid
+    scn = _write(tmp_path, "s1.scn", """
+name = s1
+mode = nn
+initial = riemann 1 0
+epsilon = 1
+T = 0.5
+dx = 1
+domain = -1 1
+stride = 1
+""")
+    capsys.readouterr()
+    assert main(["run", str(scn), "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "dx: dx 1.0 takes 1 step(s) and stores 1 level(s) 0 apart in "
+        "[0.25, T = 0.5]; the front-speed fit needs 2 spanning half of it, "
+        "so lower dx\n"
+    )
+
+
 def test_reruns_byte_identical(shock_runs):
     (_, a), (_, b) = shock_runs
     for name in ("shock.csv", "shock_report.json", "shock_profile.dat"):

@@ -34,6 +34,7 @@ from nlclaw.solver import (
     _cubic_weights,
     _datum_evaluator,
     _foot_1d,
+    _foot_stencil,
     _interp_foot,
     _velocity_fn,
     check_node_steps,
@@ -51,15 +52,82 @@ from nlclaw.twodim import sample_2d, solve_velocity_reg_2d
 CFG = SolverConfig(store_stride=20)
 
 
+def interp_foot_oracle(phi, x0, dx, y):
+    """The foot interpolation of _interp_foot in one vectorised pass: the
+    cubic on the inner cells, the clipped linear interpolant in the end
+    cells, the unit-slope extension off the grid."""
+    n = phi.size
+    pos = (y - x0) / dx
+    i = np.minimum(n - 2, np.maximum(0, np.floor(pos).astype(int)))
+    th = pos - i
+    a = phi[i]
+    b = phi[i + 1]
+    out = a + th * (b - a)
+    inner = (i >= 1) & (i <= n - 3)
+    if inner.any():
+        ii = i[inner]
+        wm1, w0, w1, w2 = _cubic_weights(th[inner])
+        out[inner] = (
+            wm1 * phi[ii - 1] + w0 * phi[ii] + w1 * phi[ii + 1]
+            + w2 * phi[ii + 2]
+        )
+    np.maximum(out, np.minimum(a, b), out=out)
+    np.minimum(out, np.maximum(a, b), out=out)
+    left = pos < 0.0
+    if left.any():
+        out[left] = phi[0] + (y[left] - x0)
+    right = pos > n - 1
+    if right.any():
+        out[right] = phi[-1] + (y[right] - (x0 + (n - 1) * dx))
+    return out
+
+
+@st.composite
+def _foot_cases(draw):
+    """A foot field phi with signed-zero ties on 2, 3, 4 or more nodes, and
+    feet on nodes, inside cells, in both end cells and up to four cells
+    off either end (as the flux modes' feet can be)."""
+    n = draw(st.one_of(st.sampled_from([2, 3, 4]), st.integers(5, 12)))
+    phi = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-10.0, 10.0)
+    )))
+    x0 = draw(st.sampled_from([0.0, -0.0, -1.3, 0.5]))
+    dx = draw(st.sampled_from([1.0, 0.07, 0.25]))
+    y = draw(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, x0, x0 + (n - 1) * dx]),
+        st.builds(lambda k: x0 + k * dx, st.integers(0, n - 1)),
+        st.builds(
+            lambda k, f: x0 + (k + f) * dx,
+            st.integers(-4, n + 3), st.floats(0.0, 1.0),
+        ),
+    ), min_size=1, max_size=8))
+    return phi, x0, dx, np.array(y)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_foot_cases())
+@example(case=(np.array([0.0, -0.0]), 0.0, 1.0, np.array([0.0, 0.5, 1.0])))
+@example(case=(
+    np.array([1.0, 0.0, -0.0, 2.0, 0.0, -0.0]), 0.0, 1.0,
+    np.array([-3.5, 0.25, 1.0, 2.5, 4.0, 4.5, 5.0, 8.25]),
+))
+def test_interp_foot_on_a_stencil_is_bitwise_the_oracle(case):
+    phi, x0, dx, y = case
+    got = _interp_foot(phi, x0, dx, _foot_stencil(x0, dx, phi.size, y))
+    assert np.array_equal(bits(got), bits(interp_foot_oracle(phi, x0, dx, y)))
+
+
 def test_clips_resolve_signed_zero_ties_as_np_clip():
     # np.clip with array bounds returns the bound on a tie, with scalar
     # bounds the clipped value; the interpolants' min/max clips keep both
     phi = np.array([-0.0, 1.0, -0.0, 1.0, 2.0])
     # a linear (first) and a cubic cell: both give +0.0 at the node -0.0,
-    # which ties the lower bound
+    # which ties the lower bound; _interp_foot clips the linear (end) cell
+    # in Python floats and the cubic one in numpy
     y = np.array([0.0, 2.0])
     assert np.signbit(interpolate_values(phi, 0.0, 1.0, y)).all()
-    assert np.signbit(_interp_foot(phi, 0.0, 1.0, y)).all()
+    stencil = _foot_stencil(0.0, 1.0, phi.size, y)
+    assert np.signbit(_interp_foot(phi, 0.0, 1.0, stencil)).all()
     ev = _datum_evaluator(GridFunction1D(0.0, 1.0, [0.0, 1.0]), lambda y: -0.0 * y)
     assert np.signbit(ev(y)).all()
 
@@ -502,7 +570,7 @@ def full_pass_solve(
                 starts = [v, *starts[:1]]
             mids = x - 0.5 * h * w
             feet = x - h * 0.5 * (w + interpolate_values(w, u0.x0, u0.dx, mids))
-            new_phi = _interp_foot(phi, u0.x0, u0.dx, feet)
+            new_phi = interp_foot_oracle(phi, u0.x0, u0.dx, feet)
             change = float(np.max(np.abs(new_phi - cand_phi)))
             cycle = np.inf if older is None else float(
                 np.max(np.abs(new_phi - older))
@@ -606,6 +674,28 @@ def test_incremental_passes_match_full_passes(
     assert np.array_equal(tr.picard_counts, counts)
     assert np.array_equal(bits(tr.values), bits(levels))
     assert np.array_equal(bits(tr_phis), bits(phis))
+
+
+def test_passes_that_keep_their_feet_keep_their_stencil(monkeypatch):
+    # on Riemann data only the foot trace interpolates linearly, and the
+    # stencil is built exactly where the feet are traced: a pass that
+    # retraces no foot only gathers phi
+    calls = {"stencil": 0, "trace": 0}
+    build, trace = solver._foot_stencil, solver.interpolate_values
+
+    def counted(key, f):
+        def g(*a):
+            calls[key] += 1
+            return f(*a)
+        return g
+
+    monkeypatch.setattr(solver, "_foot_stencil", counted("stencil", build))
+    monkeypatch.setattr(solver, "interpolate_values", counted("trace", trace))
+    data = RiemannData(1.0, 0.0)
+    tr = solve_nn(sample(data, -2.0, 2.0, 0.01), 0.1, 0.4, SolverConfig(),
+                  data=data)
+    assert calls["stencil"] == calls["trace"]
+    assert calls["stencil"] < tr.picard_counts.sum()
 
 
 @incremental_cases
