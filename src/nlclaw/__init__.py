@@ -43,9 +43,9 @@ from .diagnostics import (
     stability_envelope,
 )
 from .euler import (
-    EulerTrajectory,
     conservative_residual,
     from_invariants,
+    recombine,
     solve_isentropic,
     to_invariants,
 )
@@ -87,7 +87,6 @@ __all__ = [
     "CheckResult",
     "ConvergenceTable",
     "DiagnosticsReport",
-    "EulerTrajectory",
     "Expression",
     "ExpressionError",
     "FluxSpec",
@@ -124,6 +123,7 @@ __all__ = [
     "oleinik_check",
     "parse_expression",
     "parse_scenario",
+    "recombine",
     "sample",
     "sample_2d",
     "solve",

@@ -51,6 +51,7 @@ __all__ = [
     "oleinik_check",
     "predicted_front_speed",
     "stability_envelope",
+    "sweep_dx",
 ]
 
 
@@ -414,6 +415,11 @@ class StudyScenario:
     dx_max: float = np.inf
 
 
+def sweep_dx(dx_max: float, epsilon: float) -> float:
+    """The grid spacing of a sweep's eps row: min(dx_max, eps/8)."""
+    return min(dx_max, epsilon / 8.0)
+
+
 PADDING_MARGIN = 1.0
 
 
@@ -458,7 +464,7 @@ def convergence_study(
     """Solve the scenario for each eps and measure errors against the
     reference at time T on the stated window.
 
-    dx is coupled to eps as min(dx_max, eps/8) so the kernel is always
+    dx is coupled to eps by sweep_dx so the kernel is always
     resolved by the same number of cells and measured rates reflect eps,
     not the grid.  Rows with L1 error at the grid floor (<= 10 dx) are
     flagged; rates fitted through them reflect the floor, not the model.
@@ -474,7 +480,7 @@ def convergence_study(
 
     def padded(eps: float) -> tuple[float, float, float, float]:
         """The row's eps, dx and padded domain, once its work is checked."""
-        dx = min(scenario.dx_max, eps / 8.0)
+        dx = sweep_dx(scenario.dx_max, eps)
         u0 = sample(scenario.data, *scenario.window, dx)
         speed = speed_bound(scenario.mode, scenario.flux, u0.values)
         a, b = padded_grid_bounds(scenario.window, speed, eps, scenario.T, dx)

@@ -9,9 +9,9 @@ mu = rho + v and lam = rho - v.  In the smooth regime they decouple:
 
 and each is regularised independently by mollifying its own advecting
 field.  The lam equation is the mu equation under x -> -x (the kernel is
-symmetric), so one transport solver serves both.  The two solves share
-one time step, chosen from the larger invariant sup, so their stored
-levels coincide and states can be recombined per step.
+symmetric), so one transport solver serves both.  solve_isentropic
+returns the two as nn Trajectory's sharing one time step, chosen from
+the larger invariant sup, so recombine can pair their stored levels.
 
 Conservation of mass and momentum holds only in the singular limit; the
 weak residual of the conservative form against a bank of smooth
@@ -20,7 +20,7 @@ compactly supported test functions measures how far a run is from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,9 +29,9 @@ from .kernel import _bump_unnormalized
 from .solver import SolverConfig, Trajectory, solve_nn, time_step
 
 __all__ = [
-    "EulerTrajectory",
     "conservative_residual",
     "from_invariants",
+    "recombine",
     "solve_isentropic",
     "to_invariants",
 ]
@@ -49,55 +49,27 @@ def to_invariants(
     )
 
 
+def recombine(mu, lam) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, vel) = ((mu + lam) / 2, (mu - lam) / 2) on the values of two
+    grid functions, or of two Trajectory's on one time grid.  rho > 0 is a
+    diagnostic, not a constraint: the invariant formulation degenerates at
+    vacuum and no claim is made there."""
+    return 0.5 * (mu.values + lam.values), 0.5 * (mu.values - lam.values)
+
+
 def from_invariants(
     mu: GridFunction1D, lam: GridFunction1D
 ) -> tuple[GridFunction1D, GridFunction1D]:
-    """(rho, vel) = ((mu + lam) / 2, (mu - lam) / 2) on the grid the two
-    share.  Positivity of rho is a diagnostic, not a constraint: the
-    invariant formulation degenerates at vacuum and no claim is made
-    there."""
+    """recombine, as grid functions on the grid mu and lam share."""
     if not mu.same_grid(lam):
         raise GridMismatchError("fields must share one grid")
-    return (
-        mu.with_values(0.5 * (mu.values + lam.values)),
-        mu.with_values(0.5 * (mu.values - lam.values)),
-    )
+    rho, vel = recombine(mu, lam)
+    return mu.with_values(rho), mu.with_values(vel)
 
 
 def _reversed_grid(u: GridFunction1D) -> GridFunction1D:
     """The function x -> u(-x) on the mirrored grid."""
     return GridFunction1D(-u.x_end, u.dx, u.values[::-1].copy())
-
-
-@dataclass
-class EulerTrajectory:
-    """Recombined invariant solves sharing one stored time grid.
-
-    rho and vel hold density and velocity at every stored level, shape
-    (levels, n), derived from the two invariant trajectories; dt is their
-    shared step."""
-
-    times: np.ndarray
-    epsilon: float
-    mu_trajectory: Trajectory
-    lam_trajectory: Trajectory
-
-    @property
-    def dt(self) -> float:
-        return self.mu_trajectory.dt
-
-    @property
-    def rho(self) -> np.ndarray:
-        return 0.5 * (self.mu_trajectory.values + self.lam_trajectory.values)
-
-    @property
-    def vel(self) -> np.ndarray:
-        return 0.5 * (self.mu_trajectory.values - self.lam_trajectory.values)
-
-    @property
-    def has_vacuum(self) -> bool:
-        """Whether rho <= 0 at some node of some stored level."""
-        return bool(np.min(self.rho) <= 0.0)
 
 
 def solve_isentropic(
@@ -106,28 +78,17 @@ def solve_isentropic(
     epsilon: float,
     T: float,
     cfg: SolverConfig,
-) -> EulerTrajectory:
-    """Evolve both invariants on one shared time grid.
-
-    mu marches forward as nonlocal transport; lam marches as the same
-    equation under x -> -x (values reversed, solved, reversed back).  The
-    two solves never reference each other, so evolving them jointly is
-    bitwise the same as evolving each alone."""
+) -> tuple[Trajectory, Trajectory]:
+    """Evolve both invariants: (mu, lam), two nn Trajectory's on rho0's
+    grid that step by time_step of both, so their stored times are equal.
+    lam marches as the mu equation under x -> -x (values reversed, solved,
+    reversed back).  The two solves never reference each other, so
+    evolving them jointly is bitwise the same as evolving each alone."""
     mu0, lam0 = to_invariants(rho0, vel0)
     dt = time_step(cfg, rho0.dx, (mu0.values, lam0.values))
-    mu_traj = solve_nn(mu0, epsilon, T, cfg, dt=dt)
-    lam_rev = solve_nn(_reversed_grid(lam0), epsilon, T, cfg, dt=dt)
-    lam_traj = Trajectory(
-        _reversed_grid(lam_rev.grid), lam_rev.times,
-        np.ascontiguousarray(lam_rev.values[:, ::-1]), epsilon, "nn",
-        lam_rev.speed_bound, picard_counts=lam_rev.picard_counts,
-        dt=lam_rev.dt,
-    )
-    if mu_traj.times.size != lam_traj.times.size or np.any(
-        np.abs(mu_traj.times - lam_traj.times) > 1e-12
-    ):
-        raise RuntimeError("invariant solves lost their shared time grid")
-    return EulerTrajectory(mu_traj.times, float(epsilon), mu_traj, lam_traj)
+    mu = solve_nn(mu0, epsilon, T, cfg, dt=dt)
+    lam = solve_nn(_reversed_grid(lam0), epsilon, T, cfg, dt=dt)
+    return mu, replace(lam, grid=lam0, values=lam.values[:, ::-1].copy())
 
 
 def _bump_dz(z: np.ndarray) -> np.ndarray:

@@ -34,8 +34,9 @@ from .diagnostics import (
     convergence_study,
     measure_front_speed_fit,
     predicted_front_speed,
+    sweep_dx,
 )
-from .euler import conservative_residual, solve_isentropic
+from .euler import conservative_residual, recombine, solve_isentropic
 from .fluxes import FluxSpec, burgers_flux, cubic_flux
 from .grids import DatumError, RiemannData, sample, sup_norm
 from .reference import NonConvexFluxError
@@ -217,7 +218,7 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
 def _run_sweep(spec: ScenarioSpec) -> RunResult:
     # probe on the coarsest row's grid: a datum that grid resolves is
     # resolved by every finer row
-    dx = min(spec.dx, max(spec.epsilon_list) / 8.0)
+    dx = sweep_dx(spec.dx, max(spec.epsilon_list))
     if spec.expect == "nonconvergence" and isinstance(
         spec.initial, RiemannData
     ):
@@ -280,12 +281,12 @@ def _run_euler(spec: ScenarioSpec) -> RunResult:
     else:
         vel0 = rho0.with_values(np.zeros(rho0.n))
     cfg = SolverConfig(cfl=spec.cfl, store_stride=spec.stride)
-    tr = solve_isentropic(rho0, vel0, spec.epsilon, spec.T, cfg)
-    rho, vel = tr.rho, tr.vel
-    _check_levels(tr.times, 0.0, 3, spec, "conservative residual")
-    r1, r2 = conservative_residual(rho0, tr.times, rho, vel)
+    mu, lam = solve_isentropic(rho0, vel0, spec.epsilon, spec.T, cfg)
+    rho, vel = recombine(mu, lam)
+    _check_levels(mu.times, 0.0, 3, spec, "conservative residual")
+    r1, r2 = conservative_residual(rho0, mu.times, rho, vel)
     merged = DiagnosticsReport(mode="euler")
-    for prefix, traj in (("mu", tr.mu_trajectory), ("lam", tr.lam_trajectory)):
+    for prefix, traj in (("mu", mu), ("lam", lam)):
         for c in check_invariants(traj).checks:
             merged.add(
                 f"{prefix}_{c.name}", c.passed, c.value, c.threshold, c.detail
@@ -293,13 +294,13 @@ def _run_euler(spec: ScenarioSpec) -> RunResult:
     body = {
         "checks": merged.as_dict(),
         "conservative_residual": {"mass": r1, "momentum": r2},
-        "vacuum_flagged": tr.has_vacuum,
+        "vacuum_flagged": bool(np.min(rho) <= 0.0),
     }
     x = rho0.x
     return RunResult(
-        _meta(spec, spec.epsilon, spec.dx, tr.dt), body, merged.passed,
+        _meta(spec, spec.epsilon, spec.dx, mu.dt), body, merged.passed,
         ("t", "x", "rho", "v"),
-        Snapshot(tr.times, x, (rho, vel)),
+        Snapshot(mu.times, x, (rho, vel)),
         plots={"profile": (("x", "rho"), _profile(x, rho[-1]))},
     )
 
@@ -363,11 +364,11 @@ def _check_levels(times, t_from: float, need: int, spec, use: str) -> None:
 def _check_sizes(spec: ScenarioSpec) -> None:
     """Reject, before anything is allocated, a grid or kernel no solve
     could keep within LEVEL_BUDGET: the nodes of the domain (nx*ny in
-    nn2d; a sweep row's dx is min(dx, eps/8)) and the 2*ceil(eps/dx) + 1
+    nn2d; a sweep row's dx is sweep_dx) and the 2*ceil(eps/dx) + 1
     kernel weights.  Counts are floats, so no huge input overflows."""
     (a, b), (ya, yb) = spec.domain, spec.domain_y or spec.domain
     for eps in spec.epsilon_list or (spec.epsilon,):
-        dx = spec.dx if spec.epsilon_list is None else min(spec.dx, eps / 8.0)
+        dx = spec.dx if spec.epsilon_list is None else sweep_dx(spec.dx, eps)
         nodes = (b - a) / dx + 1.0
         if spec.mode == "nn2d":
             nodes *= (yb - ya) / dx + 1.0

@@ -284,8 +284,8 @@ def _interp_foot(
     Only feet within a step's travel of a grid end land in an end cell: at
     most two per end for nn at cfl 0.5 (a foot moves half a cell), about
     1 + dt S / dx in the flux modes.  On so few, numpy's per-call cost
-    outweighs the arithmetic: they are fixed up in Python floats, each
-    np.maximum or np.minimum a comparison as in grids.interpolate_at.
+    outweighs the arithmetic: they are fixed up in Python floats, an
+    end-cell foot by grids.interpolate_at (its cell is the stencil's).
     """
     y, i, wm1, w0, w1, w2, edge = stencil
     a, b = phi[i], phi[i + 1]
@@ -296,19 +296,14 @@ def _interp_foot(
     np.minimum(out, np.maximum(a, b), out=out)
     n = phi.size
     for k in np.flatnonzero(edge).tolist():
-        yk, ik = y.item(k), i.item(k)
+        yk = y.item(k)
         pos = (yk - x0) / dx
         if pos < 0.0:
             out[k] = phi.item(0) + (yk - x0)
         elif pos > n - 1:
             out[k] = phi.item(-1) + (yk - (x0 + (n - 1) * dx))
         else:
-            a_k, b_k = phi.item(ik), phi.item(ik + 1)
-            o = a_k + (pos - ik) * (b_k - a_k)
-            lo = b_k if b_k <= a_k else a_k
-            hi = b_k if b_k >= a_k else a_k
-            o = lo if lo >= o else o
-            out[k] = hi if hi <= o else o
+            out[k] = interpolate_at(phi, x0, dx, yk)
     return out
 
 
@@ -904,13 +899,9 @@ def solve_conservative_nonlocal(
     no maximum principle here, on purpose: the continuum model it
     discretises does not have one either.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
     m = build_mollifier(epsilon, u0.dx)
     dx = u0.dx
-    dt0 = time_step(cfg, dx, u0.values)
-    check_node_steps(u0.n, T, dt0)
-    check_stored_levels(u0.n, T, dt0, cfg.store_stride)
+    dt0, _ = schedule(u0, T, cfg)
     vals = u0.values.copy()
     times = [0.0]
     levels = [vals]

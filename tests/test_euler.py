@@ -3,10 +3,10 @@ import pytest
 
 from nlclaw.diagnostics import check_invariants
 from nlclaw.euler import (
-    EulerTrajectory,
     _reversed_grid,
     conservative_residual,
     from_invariants,
+    recombine,
     solve_isentropic,
     to_invariants,
 )
@@ -56,19 +56,24 @@ def test_vacuum_flagged_not_rejected():
     rho = GridFunction1D(-2.0, 0.1, np.maximum(0.0, 1.0 - np.abs(x)))
     vel = rho.with_values(np.zeros(41))
     cfg = SolverConfig()
-    assert solve_isentropic(rho, vel, 0.2, 0.05, cfg).has_vacuum
+    rho_levels = recombine(*solve_isentropic(rho, vel, 0.2, 0.05, cfg))[0]
+    assert np.min(rho_levels) <= 0.0
     lifted = rho.with_values(rho.values + 0.5)
-    assert not solve_isentropic(lifted, vel, 0.2, 0.05, cfg).has_vacuum
+    rho_levels = recombine(*solve_isentropic(lifted, vel, 0.2, 0.05, cfg))[0]
+    assert np.min(rho_levels) > 0.0
 
 
 def test_constant_state_stationary_with_small_residual():
     dx = 0.0125
     rho0 = sample(1.0, -6.0, 6.0, dx)
     vel0 = rho0.with_values(np.full(rho0.n, 0.5))
-    tr = solve_isentropic(rho0, vel0, 0.1, 0.3, SolverConfig(store_stride=1))
-    assert np.array_equal(tr.rho[-1], rho0.values)
-    assert np.array_equal(tr.vel[-1], vel0.values)
-    r1, r2 = conservative_residual(rho0, tr.times, tr.rho, tr.vel)
+    mu, lam = solve_isentropic(
+        rho0, vel0, 0.1, 0.3, SolverConfig(store_stride=1)
+    )
+    rho, vel = recombine(mu, lam)
+    assert np.array_equal(rho[-1], rho0.values)
+    assert np.array_equal(vel[-1], vel0.values)
+    r1, r2 = conservative_residual(rho0, mu.times, rho, vel)
     # residual of an exactly stationary state is pure quadrature error
     assert r1 <= 1e-3
     assert r2 <= 1e-3
@@ -77,9 +82,10 @@ def test_constant_state_stationary_with_small_residual():
 def test_even_density_odd_velocity_preserved():
     eps = 0.1
     rho0, vel0 = smooth_pulse(eps / 8.0)
-    tr = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig())
-    rv = tr.rho[-1]
-    vv = tr.vel[-1]
+    mu, lam = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig())
+    rho, vel = recombine(mu, lam)
+    rv = rho[-1]
+    vv = vel[-1]
     assert np.max(np.abs(rv - rv[::-1])) <= 1e-10
     assert np.max(np.abs(vv + vv[::-1])) <= 1e-10
 
@@ -87,29 +93,47 @@ def test_even_density_odd_velocity_preserved():
 def test_shared_time_grid_and_state_count():
     eps = 0.1
     rho0, vel0 = smooth_pulse(eps / 8.0)
-    tr = solve_isentropic(rho0, vel0, eps, 0.2, SolverConfig())
-    assert np.array_equal(tr.times, tr.mu_trajectory.times)
-    assert np.array_equal(tr.times, tr.lam_trajectory.times)
-    assert tr.rho.shape == tr.vel.shape == (tr.times.size, rho0.n)
-    assert tr.times[0] == 0.0
-    assert abs(tr.times[-1] - 0.2) <= 1e-12
+    mu, lam = solve_isentropic(rho0, vel0, eps, 0.2, SolverConfig())
+    assert np.array_equal(mu.times, lam.times)
+    rho, vel = recombine(mu, lam)
+    assert rho.shape == vel.shape == (mu.times.size, rho0.n)
+    assert mu.times[0] == 0.0
+    assert abs(mu.times[-1] - 0.2) <= 1e-12
+
+
+def test_both_invariants_live_on_the_data_grid():
+    # lam is solved on the mirrored grid, yet its trajectory sits on the
+    # data's grid exactly; mirroring the mirrored grid back would land x0
+    # a roundoff off -1.3 on this domain
+    rho0 = sample(lambda x: 1.0 + 0.1 * np.exp(-x * x), -1.3, 2.9, 0.0125)
+    vel0 = rho0.with_values(0.2 * np.tanh(rho0.x))
+    mu, lam = solve_isentropic(rho0, vel0, 0.1, 0.1, SolverConfig())
+    assert mu.grid.x0 == lam.grid.x0 == rho0.x0
+    assert mu.times.tobytes() == lam.times.tobytes()
+    mu0, lam0 = to_invariants(rho0, vel0)
+    assert np.array_equal(lam.grid.values, lam0.values)
+    assert np.array_equal(lam.values[0], lam0.values)
 
 
 def test_invariant_trajectories_pass_solver_checks():
     eps = 0.1
     rho0, _ = smooth_pulse(eps / 8.0)
     vel0 = rho0.with_values(0.2 * np.tanh(rho0.x))
-    tr = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig())
-    assert check_invariants(tr.mu_trajectory).passed
-    assert check_invariants(tr.lam_trajectory).passed
+    mu, lam = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig())
+    assert check_invariants(mu).passed
+    assert check_invariants(lam).passed
 
 
 def test_residual_refinement_ratio():
     results = {}
     for eps in (0.1, 0.05):
         rho0, vel0 = smooth_pulse(eps / 8.0)
-        tr = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig(store_stride=1))
-        results[eps] = conservative_residual(rho0, tr.times, tr.rho, tr.vel)
+        mu, lam = solve_isentropic(
+            rho0, vel0, eps, 0.3, SolverConfig(store_stride=1)
+        )
+        results[eps] = conservative_residual(
+            rho0, mu.times, *recombine(mu, lam)
+        )
     assert results[0.1][0] / results[0.05][0] >= 1.8
     assert results[0.1][1] / results[0.05][1] >= 1.8
 
@@ -149,13 +173,12 @@ def test_flipped_lam_sign_inflates_residual():
     rho0, _ = smooth_pulse(dx)
     vel0 = rho0.with_values(0.2 * np.tanh(rho0.x))
     cfg = SolverConfig(store_stride=1)
-    tr = solve_isentropic(rho0, vel0, eps, 0.3, cfg)
-    r1, r2 = conservative_residual(rho0, tr.times, tr.rho, tr.vel)
+    mu, lam = solve_isentropic(rho0, vel0, eps, 0.3, cfg)
+    r1, r2 = conservative_residual(rho0, mu.times, *recombine(mu, lam))
     # mutant: drop the x -> -x conjugation, i.e. solve the wrong-sign
     # lam equation, and recombine with the correct mu levels
-    wrong = solve_nn(to_invariants(rho0, vel0)[1], eps, 0.3, cfg, dt=tr.dt)
-    mutant = EulerTrajectory(tr.times, eps, tr.mu_trajectory, wrong)
-    m1, m2 = conservative_residual(rho0, tr.times, mutant.rho, mutant.vel)
+    wrong = solve_nn(to_invariants(rho0, vel0)[1], eps, 0.3, cfg, dt=mu.dt)
+    m1, m2 = conservative_residual(rho0, mu.times, *recombine(mu, wrong))
     assert m1 >= 10.0 * r1
     assert m2 >= 10.0 * r2
 
@@ -165,13 +188,13 @@ def test_decoupling_joint_equals_alone_bitwise():
     # the same time step as the coupled one and equality can be bitwise
     eps = 0.1
     rho0, vel0 = smooth_pulse(eps / 8.0)
-    tr = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig())
+    mu, lam = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig())
     mu0, lam0 = to_invariants(rho0, vel0)
     mu_alone = solve_nn(mu0, eps, 0.3, SolverConfig())
-    for joint, alone in zip(tr.mu_trajectory.states, mu_alone.states):
+    for joint, alone in zip(mu.states, mu_alone.states):
         assert np.array_equal(joint.values, alone.values)
     lam_alone = solve_nn(_reversed_grid(lam0), eps, 0.3, SolverConfig())
-    for joint, alone in zip(tr.lam_trajectory.states, lam_alone.states):
+    for joint, alone in zip(lam.states, lam_alone.states):
         assert np.array_equal(joint.values, alone.values[::-1])
 
 

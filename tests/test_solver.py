@@ -419,9 +419,9 @@ def test_every_solver_steps_by_time_step():
     vel0 = sample(lambda x: -0.5 * np.exp(-x * x), -2.0, 2.0, 0.02)
     mu0, lam0 = to_invariants(rho0, vel0)
     assert np.max(np.abs(lam0.values)) > np.max(np.abs(mu0.values))
-    tr = solve_isentropic(rho0, vel0, 0.2, 0.05, cfg)
+    mu, lam = solve_isentropic(rho0, vel0, 0.2, 0.05, cfg)
     step = time_step(cfg, rho0.dx, (mu0.values, lam0.values))
-    assert tr.mu_trajectory.dt == tr.lam_trajectory.dt == step
+    assert mu.dt == lam.dt == step
 
 
 def test_l1_time_lipschitz_bound():
