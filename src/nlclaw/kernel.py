@@ -2,11 +2,11 @@
 
 The bump is eta(x) = exp(-1/(1-x^2)) on (-1, 1), scaled as eta_eps(x) =
 eta(x/eps)/eps.  Discrete kernels sample it at the grid offsets and are
-renormalised to unit mass exactly, so its continuum normalising constant
-never enters.  They are symmetric, nonnegative and compactly supported in
-[-eps, eps], so convolving a constant returns that constant up to the
-rounding of the weighted sum (a few ulps; within 1e-14 for values of
-order one).
+renormalised to unit mass (np.sum of the weights is 1.0 or one of its two
+float neighbours), so its continuum normalising constant never enters.
+They are symmetric, nonnegative and compactly supported in [-eps, eps],
+so convolving a constant returns that constant up to the rounding of
+the weighted sum (a few ulps; within 1e-14 for values of order one).
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class Mollifier:
     """Discrete symmetric unit-mass kernel of half-width epsilon.
 
     weights[r + k] holds the weight at offset k*dx for k = -r..r with
-    r = ceil(epsilon/dx).  Invariants: symmetric, nonnegative, sum exactly
-    1.0, zero beyond |k|*dx > epsilon.
+    r = ceil(epsilon/dx).  Invariants: symmetric, nonnegative, np.sum 1.0
+    or one of its two float neighbours, zero beyond |k|*dx > epsilon.
     """
 
     epsilon: float
@@ -64,8 +64,10 @@ def build_mollifier(epsilon: float, dx: float) -> Mollifier:
     """Sample eta_eps at offsets k*dx and renormalise to unit mass.
 
     One side is computed and mirrored, so symmetry is exact by
-    construction.  The centre weight absorbs any residual so the sum is
-    exactly 1.0 in floating point.
+    construction.  The centre weight absorbs the residual, which leaves
+    np.sum of the weights at 1.0 or one of its two float neighbours: a
+    nudge of the centre by the defect can round the sum past 1.0, and
+    exactly 1.0 is not always reachable by moving one weight.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
@@ -78,7 +80,8 @@ def build_mollifier(epsilon: float, dx: float) -> Mollifier:
     side = _bump_unnormalized(offsets / epsilon)
     w = np.concatenate([side[::-1], side[1:]])
     w = w / w.sum()
-    # np.sum is the arbiter of 'exactly 1'; nudge the centre until it agrees.
+    # np.sum is the arbiter: up to five nudges of the centre bring it to 1.0
+    # or an adjacent float (every result digest reads these weights)
     for _ in range(5):
         defect = 1.0 - float(w.sum())
         if defect == 0.0:
@@ -92,7 +95,8 @@ def convolve_values(m: Mollifier, values: np.ndarray) -> np.ndarray:
 
     Nonnegative unit-mass weights make each output value a convex
     combination of inputs, so neither the sup-norm nor the total variation
-    can increase.
+    can increase beyond the rounding of the weighted sum (a few ulps, see
+    the module docstring).
     """
     r = m.radius
     padded = np.concatenate(

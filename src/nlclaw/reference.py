@@ -23,7 +23,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fluxes import FluxSpec
 from .grids import GridFunction1D, RiemannData
@@ -105,6 +104,10 @@ def _sonic_point(flux: FluxSpec, lo: float, hi: float) -> float:
         return lo
     if fhi <= 0.0:
         return hi
+    # only a sonic point needs scipy.optimize, which takes longer to import
+    # than the whole package, so a run that never meets one never loads it
+    from scipy.optimize import brentq
+
     return float(brentq(lambda u: float(np.asarray(flux.fprime(u))), lo, hi, xtol=1e-14))
 
 

@@ -18,8 +18,12 @@ intermediate values in the jump cell, and the velocity gradient of order
 1/epsilon would stretch them into a spurious rarefaction fan, erasing
 exactly the non-convergence behaviour this model exists to exhibit.  The
 interpolation of phi at the characteristic feet is cubic and clipped to
-the bracketing nodal values, so the visited portion of the datum, the
-range of the data, and its total variation can only shrink, never grow.
+the bracketing nodal values, so each interpolated foot stays between the
+two nodes around it, and the visited portion of the datum and the range
+of the data can only shrink, never grow.  The clip does not keep a
+monotone phi monotone (the cubic can turn back inside the bracket), so
+the total variation is not bounded by construction: check_invariants
+checks it on every run.
 One Picard step and one stepping loop serve every such solve, the 2D
 solver in twodim included (its foot field has two components).
 
@@ -270,9 +274,12 @@ def _interp_foot(
     """Interpolate the foot field phi at the feet of stencil (_foot_stencil).
 
     Inside the grid: 4-point cubic Lagrange, clipped to the bracketing
-    nodal values.  The clip keeps the interpolant monotone wherever phi is,
-    which is what makes range and total variation shrink under composition
-    with the datum.  Cubic rather than linear matters at a compressive
+    nodal values, so the range of phi never grows and neither does that of
+    the datum composed with it.  The clip does not keep the interpolant
+    monotone where phi is: on phi = (-52.33, -11.67, 0, 1, 4.67, 29.33),
+    x0 = -2, dx = 1, the feet 0.9 and 0.95 give 0.99996 and then 0.99748.
+    The total variation is checked per run (check_invariants), not
+    guaranteed here.  Cubic rather than linear matters at a compressive
     front: phi steepens there with one-sided curvature, and the linear
     interpolation error (~ phi'' dx^2) then pushes the datum-jump preimage
     systematically sideways, i.e. the front drifts off its speed by O(1)
@@ -660,9 +667,8 @@ def _pin_fronts(
     that error is one-sided, so the flip cell acquires a systematic speed
     bias.  The tracked preimage gamma carries the exact kinematics, so
     nodes between the two placements are reassigned to gamma's side of the
-    jump.  The overwritten values are one-sided datum limits, hence the
-    profile remains a composition of the datum with a monotone
-    reparametrization and the range and variation bounds survive intact.
+    jump.  The overwritten values are one-sided datum limits, so they lie
+    in the range of the datum and the range bound survives intact.
     """
     for g, y, fl, fr in zip(gammas, jump_pos, jump_left, jump_right):
         if g != g:  # no node is on either side of a NaN preimage

@@ -9,8 +9,8 @@ its 1D counterpart, so a 2D solve reproduces the 1D solution to roundoff
 rather than to discretisation accuracy.
 
 The kernel is the tensor product of two 1D unit-mass bumps (symmetric,
-compactly supported, mass exactly 1), applied separably.  Velocity is
-(eta_eps * f1'(u), eta_eps * f2'(u)).
+compactly supported, mass 1 to within one ulp), applied separably.
+Velocity is (eta_eps * f1'(u), eta_eps * f2'(u)).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .fluxes import FluxSpec
 from .grids import uniform_grid
@@ -116,9 +115,11 @@ def tv_2d(u: GridFunction2D) -> float:
 def _convolve2(mx: Mollifier, my: Mollifier, vals: np.ndarray) -> np.ndarray:
     """Separable tensor-product mollification with constant end extension.
 
-    Each 1D kernel has mass exactly 1, so the product does too and a
-    constant field passes through up to the rounding of the weighted
+    Each 1D kernel has unit mass to within one ulp (kernel.build_mollifier),
+    so a constant field passes through up to the rounding of the weighted
     sums (a few ulps)."""
+    from scipy.ndimage import convolve1d  # only 2D solves load scipy.ndimage
+
     out = convolve1d(vals, mx.weights, axis=1, mode="nearest")
     return convolve1d(out, my.weights, axis=0, mode="nearest")
 

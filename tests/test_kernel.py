@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlclaw.grids import sample, sup_norm, total_variation
@@ -49,6 +51,29 @@ def test_exact_mass_many_shapes():
         r = m.radius
         k = np.arange(-r, r + 1)
         assert np.all(m.weights[np.abs(k) * dx > eps] == 0.0)
+
+
+# np.sum of the weights: 1.0 or one of its two float neighbours
+UNIT_MASS = (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))
+
+
+@pytest.mark.parametrize("eps, dx", [(0.07, 0.0025), (0.05, 1e-3)])
+def test_mass_one_ulp_below_one(eps, dx):
+    # five centre nudges do not reach 1.0 here; (0.05, 1e-3) is c1's second
+    # kernel
+    assert float(build_mollifier(eps, dx).weights.sum()) == UNIT_MASS[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    dx=st.floats(1e-4, 0.1),
+    ratio=st.floats(1.0, 316.0),
+)
+def test_mass_is_one_to_within_one_float(dx, ratio):
+    m = build_mollifier(ratio * dx, dx)
+    assert float(m.weights.sum()) in UNIT_MASS
+    np.testing.assert_array_equal(m.weights, m.weights[::-1])
+    assert np.all(m.weights >= 0.0)
 
 
 def test_convolve_constant():

@@ -169,6 +169,53 @@ def test_stride_whose_levels_bunch_at_T_is_rejected_before_the_solve(
     assert not out.exists()
 
 
+def test_conservative_stride_is_rejected_after_the_solve(
+    tmp_path, monkeypatch, capsys
+):
+    # the conservative solver sizes each step by the current sup|u|, so its
+    # stored times exist only after the solve: stride 1000 keeps 0 and T
+    scn = _write(tmp_path, "cons.scn", """
+name = cons
+mode = conservative
+initial = riemann 1 0
+epsilon = 0.1
+T = 0.5
+dx = 0.05
+domain = -1 1.5
+stride = 1000
+""")
+    solves = []
+    solve = runner.solve
+
+    def counted(*args, **kwargs):
+        solves.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "solve", counted)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--outdir", str(out)]) == 1
+    assert solves == ["conservative"]
+    assert capsys.readouterr().err == (
+        "stride: stride 1000 stores 1 level(s) 0 apart in [0.25, T = 0.5]; "
+        "the front-speed fit needs 2 spanning half of it, so lower the "
+        "stride\n"
+    )
+    assert not out.exists()
+
+
+def test_a_scheduled_shock_checks_its_levels_once(monkeypatch):
+    # the solver stores exactly schedule's times: one check, before solving
+    calls = []
+    check = runner._check_levels
+    monkeypatch.setattr(
+        runner, "_check_levels",
+        lambda *args: calls.append(args[0]) or check(*args),
+    )
+    runner.execute(parse_scenario(SMALL_RUNS["run"]))
+    assert len(calls) == 1
+
+
 def test_stride_one_with_too_few_steps_names_dx(tmp_path, capsys):
     # stride 1 stores every step, so it cannot be lowered: one step of
     # dt = T stores only T in [T/2, T], and the cure is a finer grid

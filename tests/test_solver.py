@@ -117,6 +117,30 @@ def test_interp_foot_on_a_stencil_is_bitwise_the_oracle(case):
     assert np.array_equal(bits(got), bits(interp_foot_oracle(phi, x0, dx, y)))
 
 
+def test_interp_foot_does_not_keep_monotone_phi_monotone():
+    # phi increases, yet the clipped cubic turns back inside the cell [0, 1]
+    phi = np.array([-52.33, -11.67, 0.0, 1.0, 4.67, 29.33])
+    assert np.all(np.diff(phi) > 0.0)
+    y = np.array([0.9, 0.95])
+    lo, hi = _interp_foot(phi, -2.0, 1.0, _foot_stencil(-2.0, 1.0, 6, y))
+    assert 0.99 < hi < lo <= 1.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_foot_cases())
+def test_interp_foot_stays_within_its_bracketing_nodes(case):
+    # what the clip does guarantee: an on-grid foot's value lies between
+    # the two nodes around it, so the range of phi never grows
+    phi, x0, dx, y = case
+    out = _interp_foot(phi, x0, dx, _foot_stencil(x0, dx, phi.size, y))
+    pos = (y - x0) / dx
+    on = (pos >= 0.0) & (pos <= phi.size - 1)
+    i = np.minimum(phi.size - 2, np.floor(pos[on]).astype(int))
+    a, b = phi[i], phi[i + 1]
+    assert np.all(np.minimum(a, b) <= out[on])
+    assert np.all(out[on] <= np.maximum(a, b))
+
+
 def test_clips_resolve_signed_zero_ties_as_np_clip():
     # np.clip with array bounds returns the bound on a tie, with scalar
     # bounds the clipped value; the interpolants' min/max clips keep both
