@@ -1,4 +1,5 @@
-"""Mollifier family and discrete convolution.
+"""Mollifier family and discrete convolution, the one rule for
+constant-end mollification in 1D and 2D.
 
 The bump is eta(x) = exp(-1/(1-x^2)) on (-1, 1), scaled as eta_eps(x) =
 eta(x/eps)/eps.  Discrete kernels sample it at the grid offsets and are
@@ -91,7 +92,14 @@ def build_mollifier(epsilon: float, dx: float) -> Mollifier:
 
 
 def convolve_values(m: Mollifier, values: np.ndarray) -> np.ndarray:
-    """Kernel applied to raw nodal values with constant end extension.
+    """Kernel applied along the last axis of raw nodal values, any rank,
+    with constant end extension.
+
+    Each row (a 1D slice along the last axis) is padded with r copies of
+    its end values, the padded rows are laid end to end and one
+    np.convolve runs over them.  An output that straddles two rows is
+    never read, and every row of the result is bitwise the result of
+    calling this on that row alone.
 
     Nonnegative unit-mass weights make each output value a convex
     combination of inputs, so neither the sup-norm nor the total variation
@@ -100,8 +108,15 @@ def convolve_values(m: Mollifier, values: np.ndarray) -> np.ndarray:
     """
     r = m.radius
     padded = np.concatenate(
-        [values[:1].repeat(r), values, values[-1:].repeat(r)]
+        [values[..., :1].repeat(r, axis=-1), values,
+         values[..., -1:].repeat(r, axis=-1)],
+        axis=-1, dtype=float,
     )
-    # Symmetric kernel: correlation and convolution coincide.
-    return np.convolve(padded, m.weights, mode="valid")
-
+    # Symmetric kernel: correlation and convolution coincide.  Row k of
+    # the result starts where row k of the C-ordered padded rows does
+    # (np.concatenate keeps a transposed input's layout).
+    flat = padded.ravel()
+    out = np.convolve(flat, m.weights, mode="valid")
+    return np.ndarray(
+        values.shape, out.dtype, out, strides=flat.reshape(padded.shape).strides
+    )

@@ -1,6 +1,6 @@
 """Entropy-solution references for the local conservation law.
 
-Three mutually independent oracles so that no single discretisation bias
+Four mutually independent oracles, so that no single discretisation bias
 can masquerade as truth:
 
   * burgers_riemann_exact: the closed-form self-similar solution for
@@ -96,19 +96,30 @@ def lax_oleinik_solve(u0: GridFunction1D, t: float) -> GridFunction1D:
 
 
 def _sonic_point(flux: FluxSpec, lo: float, hi: float) -> float:
-    """Minimiser of f over [lo, hi]; the stagnation value of the exact
-    Riemann flux for convex f."""
-    flo = float(np.asarray(flux.fprime(lo)))
-    fhi = float(np.asarray(flux.fprime(hi)))
-    if flo >= 0.0:
-        return lo
-    if fhi <= 0.0:
-        return hi
-    # only a sonic point needs scipy.optimize, which takes longer to import
-    # than the whole package, so a run that never meets one never loads it
-    from scipy.optimize import brentq
+    """Minimiser of f over [lo, hi] for convex f, the stagnation value of
+    the exact Riemann flux.
 
-    return float(brentq(lambda u: float(np.asarray(flux.fprime(u))), lo, hi, xtol=1e-14))
+    lo when f'(lo) >= 0, hi when f'(hi) <= 0.  Otherwise a bisection on
+    the sign of f' in Python floats keeps f'(lo) < 0 < f'(hi) and stops at
+    a midpoint u* with f'(u*) == 0 or equal to one of the ends, so either
+    f'(u*) == 0 or f' changes sign between u* and an adjacent float.
+    """
+    def fprime(u: float) -> float:
+        return float(np.asarray(flux.fprime(u)))
+
+    if fprime(lo) >= 0.0:
+        return lo
+    if fprime(hi) <= 0.0:
+        return hi
+    while True:
+        mid = 0.5 * lo + 0.5 * hi  # hi - lo can overflow; the halves cannot
+        slope = fprime(mid)
+        if slope == 0.0 or mid == lo or mid == hi:
+            return mid
+        if slope < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 class NonConvexFluxError(ValueError):

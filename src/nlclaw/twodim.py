@@ -4,13 +4,12 @@ The 2D scheme runs the 1D foot-field stepping loop and Picard step with a
 vector foot field (Phix, Phiy): it is advected by a Picard-self-consistent
 semi-Lagrangian step and the state is recovered by composing the initial
 datum with it.  Only the interpolants and the datum evaluation are 2D.
-On y-independent data every array operation here reduces row by row to
-its 1D counterpart, so a 2D solve reproduces the 1D solution to roundoff
-rather than to discretisation accuracy.
+On y-independent data with an inactive y-flux, a 2D solve reproduces the
+1D solution to roundoff rather than to discretisation accuracy.
 
-The kernel is the tensor product of two 1D unit-mass bumps (symmetric,
-compactly supported, mass 1 to within one ulp), applied separably.
-Velocity is (eta_eps * f1'(u), eta_eps * f2'(u)).
+The kernel is the tensor product of the 1D kernels of kernel.build_mollifier
+for dx and dy, applied separably by kernel.convolve_values.  Velocity is
+(eta_eps * f1'(u), eta_eps * f2'(u)).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .fluxes import FluxSpec
 from .grids import uniform_grid
-from .kernel import Mollifier, build_mollifier
+from .kernel import Mollifier, build_mollifier, convolve_values
 from .solver import (
     SolverConfig,
     Trajectory,
@@ -113,15 +112,11 @@ def tv_2d(u: GridFunction2D) -> float:
 
 
 def _convolve2(mx: Mollifier, my: Mollifier, vals: np.ndarray) -> np.ndarray:
-    """Separable tensor-product mollification with constant end extension.
-
-    Each 1D kernel has unit mass to within one ulp (kernel.build_mollifier),
-    so a constant field passes through up to the rounding of the weighted
-    sums (a few ulps)."""
-    from scipy.ndimage import convolve1d  # only 2D solves load scipy.ndimage
-
-    out = convolve1d(vals, mx.weights, axis=1, mode="nearest")
-    return convolve1d(out, my.weights, axis=0, mode="nearest")
+    """Tensor-product mollification with constant end extension:
+    kernel.convolve_values along each row with mx, then along each column
+    (through a transpose) with my, so each pass is bitwise the 1D rule on
+    each row or column."""
+    return convolve_values(my, convolve_values(mx, vals).T).T
 
 
 def _bilinear(

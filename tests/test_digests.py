@@ -208,9 +208,9 @@ DIGESTS = {
     }),
     "plane": (0, {
         "plane.csv":
-            "50801837f77a21d9f8947e500d65cff344c6c0dbe407c8a072a76e74ea03ed29",
+            "b4be431b3f413073db48724cf726176f25776c9a6c12247f10037c1363fe0d9b",
         "plane_profile.dat":
-            "e752d659879c26d5d3fbdfa461ec022b1c5376c066dd36de0ea0d9cf1baa0e8c",
+            "0f44efcf57249d73b8dde1c83ef43059650f4fdba68b077b39245b2ada4e4588",
         "plane_report.json":
             "38375b63d1a31cd64a827bc81c4cbe89968fb41493b3878f0d60159f9c969b63",
     }),

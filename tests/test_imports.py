@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and a 1D
-run loads no scipy module.
+"""Every name a package module imports is used in that module, no module
+imports scipy, and no run loads it.
 
 No linter ships with the package, so the scan below stands in for one: an
 import is used when its name occurs in the module body or is listed in
@@ -50,9 +50,41 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# scipy.optimize and scipy.ndimage cost about half a second to import, so
-# the package imports each inside the one function that calls it: brentq in
-# the Godunov sonic-point search, convolve1d in the 2D solver
+def scipy_imports(source: str) -> list:
+    """Line numbers of the statements in source that import scipy."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_scan_flags_every_import_form():
+    src = (
+        "import numpy as np\nimport scipy\n"
+        "def f():\n    from scipy.optimize import brentq\n"
+        "    import scipy.ndimage as nd\n"
+        "from .scipyish import x\nfrom scipyish import y\n"
+    )
+    assert scipy_imports(src) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+# The package needs numpy only.  The scan above sees the package's own
+# imports; a fresh process that imports every module, makes two 1D runs
+# and a 2D run, and a Godunov solve whose data range holds a sonic point
+# must also end with no scipy module loaded, so nothing reaches scipy
+# through another package either.
 NO_SCIPY = """
 import sys
 from pathlib import Path
@@ -63,6 +95,9 @@ def scipy_modules():
 
 
 import nlclaw, nlclaw.acceptance, nlclaw.cli, nlclaw.runner
+from nlclaw.fluxes import burgers_flux
+from nlclaw.grids import RiemannData, sample
+from nlclaw.reference import _sonic_point, godunov_solve
 
 scipy_modules()
 out = Path(sys.argv[1])
@@ -70,6 +105,8 @@ for name, text in {
     "nn": "mode = nn\\ninitial = riemann 1 0\\ndomain = -1 1.5\\n",
     "freg": "mode = flux_reg\\nflux = cubic\\ninitial = riemann 2 0\\n"
             "domain = -0.5 2.5\\n",
+    "plane": "mode = nn2d\\ninitial = expression -tanh(x)\\n"
+             "domain = -1 1\\ndomain_y = 0 0.2\\n",
 }.items():
     scn = out / f"{name}.scn"
     scn.write_text(
@@ -77,11 +114,14 @@ for name, text in {
         "stride = 4\\n"
     )
     assert nlclaw.runner.run_file(scn, out / "res") == 0, name
+# f' = u changes sign inside [-1, 0.5], so the solve bisects for omega
+assert -1.0 < _sonic_point(burgers_flux(), -1.0, 0.5) < 0.5
+godunov_solve(sample(RiemannData(-1.0, 0.5), -1, 1, 0.05), burgers_flux(), 0.2)
 scipy_modules()
 """
 
 
-def test_a_1d_riemann_run_loads_no_scipy(tmp_path):
+def test_runs_in_1d_and_2d_and_godunov_load_no_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
         capture_output=True, text=True, timeout=120,
@@ -90,4 +130,4 @@ def test_a_1d_riemann_run_loads_no_scipy(tmp_path):
     after_import, after_runs = proc.stdout.split("\n")[:2]
     assert after_import == "", f"the imports loaded {after_import}"
     assert after_runs == "", f"the runs loaded {after_runs}"
-    assert len(list((tmp_path / "res").iterdir())) == 6
+    assert len(list((tmp_path / "res").iterdir())) == 9

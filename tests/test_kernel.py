@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from nlclaw.grids import sample, sup_norm, total_variation
@@ -121,6 +122,41 @@ def test_convolve_contracts_sup_and_tv():
         out = u.with_values(convolve_values(m, u.values))
         assert sup_norm(out) <= sup_norm(u) + 1e-14
         assert total_variation(out) <= total_variation(u) + 1e-12
+
+
+def convolve_edge_padded(m, row):
+    """The 1D rule with np.pad's edge mode: the oracle."""
+    padded = np.pad(row, m.radius, mode="edge")
+    return np.convolve(padded, m.weights, mode="valid")
+
+
+@st.composite
+def _convolve_cases(draw):
+    """A kernel, possibly wider than the rows, and values of rank 1 to 3
+    in C or Fortran order, with signed zeros and repeats."""
+    dx = draw(st.sampled_from([0.01, 0.05, 0.3]))
+    m = build_mollifier(dx * draw(st.floats(1.0, 12.0)), dx)
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=9))
+    n = draw(st.integers(1, 40))
+    element = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(-1e3, 1e3)
+    )
+    values = draw(hnp.arrays(np.float64, (*shape[:-1], n), elements=element))
+    # a transposed layout, as the column pass of a 2D field has
+    return m, np.asfortranarray(values) if draw(st.booleans()) else values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_convolve_cases())
+def test_convolve_values_is_the_1d_rule_on_every_row(case):
+    m, values = case
+    got = convolve_values(m, values)
+    assert got.shape == values.shape
+    for index in np.ndindex(values.shape[:-1]):
+        want = convolve_edge_padded(m, values[index])
+        assert np.array_equal(got[index].view(np.uint64), want.view(np.uint64))
+        alone = convolve_values(m, values[index])
+        assert np.array_equal(alone.view(np.uint64), want.view(np.uint64))
 
 
 def test_kernel_sup_norm_estimate():

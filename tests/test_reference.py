@@ -13,6 +13,7 @@ from nlclaw.grids import (
 )
 from nlclaw.reference import (
     NonConvexFluxError,
+    _sonic_point,
     burgers_riemann_exact,
     front_tracking_solve,
     godunov_solve,
@@ -123,6 +124,78 @@ def test_godunov_cubic_shock_speed_is_rankine_hugoniot():
     out = godunov_solve(u0, cubic_flux(radius=2.0), 1.0)
     xf = np.interp(-1.0, -out.values, out.x)
     assert xf == pytest.approx(4.0 / 3.0, rel=0.02)
+
+
+SONIC_FLUXES = {
+    "burgers": burgers_flux(3.0),
+    "exp": FluxSpec(
+        f=lambda u: np.exp(u) - 2.0 * u,
+        fprime=lambda u: np.exp(u) - 2.0,
+        radius=3.0,
+    ),
+    "quartic": FluxSpec(
+        f=lambda u: 0.25 * u**4 - u,
+        fprime=lambda u: u**3 - 1.0,
+        radius=3.0,
+    ),
+    # f' is u below 0.0 and u + 1e-300 from 0.0 on: a sign change, no zero
+    "kink": FluxSpec(
+        f=lambda u: 0.5 * u * u + 1e-300 * np.maximum(u, 0.0),
+        fprime=lambda u: u + np.where(u < 0.0, 0.0, 1e-300),
+        radius=3.0,
+    ),
+}
+
+
+def assert_at_sign_change(flux, lo, hi, u):
+    """u is lo or hi on an early return, else where f' changes sign."""
+    slope = lambda v: float(np.asarray(flux.fprime(v)))
+    if slope(lo) >= 0.0:
+        assert u == lo
+    elif slope(hi) <= 0.0:
+        assert u == hi
+    else:
+        assert lo <= u <= hi
+        d = slope(u)
+        if d < 0.0:
+            assert slope(np.nextafter(u, np.inf)) > 0.0
+        elif d > 0.0:
+            assert slope(np.nextafter(u, -np.inf)) < 0.0
+        else:
+            assert d == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(SONIC_FLUXES))
+def test_sonic_point_sits_at_the_sign_change_of_fprime(name):
+    flux = SONIC_FLUXES[name]
+    rng = np.random.default_rng(5)
+    brackets = np.sort(rng.uniform(-3.0, 3.0, size=(300, 2)), axis=1)
+    for lo, hi in [*brackets.tolist(), (-3.0, 3.0), (-1.0, 0.7)]:
+        assert_at_sign_change(flux, lo, hi, _sonic_point(flux, lo, hi))
+
+
+def test_sonic_point_early_returns():
+    burgers = SONIC_FLUXES["burgers"]
+    assert _sonic_point(burgers, 0.0, 1.0) == 0.0   # f'(lo) == 0
+    assert _sonic_point(burgers, 0.5, 1.0) == 0.5
+    assert _sonic_point(burgers, -1.0, 0.0) == 0.0  # f'(hi) == 0
+    assert _sonic_point(burgers, -1.0, -0.5) == -0.5
+
+
+BIG = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("name", ["burgers", "kink"])
+@pytest.mark.parametrize(
+    "lo, hi", [(-1.0, 0.7), (-BIG, 0.5 * BIG)], ids=["unit", "huge"]
+)
+def test_sonic_point_bracket_shrinks_onto_zero(name, lo, hi):
+    # no early midpoint is 0.0, so the bracket closes onto it through the
+    # subnormals; on the second bracket hi - lo would overflow to inf
+    flux = SONIC_FLUXES[name]
+    u = _sonic_point(flux, lo, hi)
+    assert u == 0.0
+    assert_at_sign_change(flux, lo, hi, u)
 
 
 def _sides(sol, t, x):

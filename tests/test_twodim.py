@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from nlclaw import solver
 from nlclaw.fluxes import burgers_flux, zero_flux
 from nlclaw.grids import sample
+from nlclaw.kernel import build_mollifier, convolve_values
 from nlclaw.solver import (
     PicardDivergenceError,
     SolverConfig,
@@ -19,6 +20,7 @@ from nlclaw.twodim import (
     GridFunction2D,
     _axis_weights,
     _bilinear,
+    _convolve2,
     _interp_foot_2d,
     sample_2d,
     solve_velocity_reg_2d,
@@ -295,3 +297,20 @@ def test_axis_weights_are_bitwise_the_where_form(case):
             assert len(got) == 4
             for g, w in zip(got, want):
                 assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    ny=st.integers(2, 12),
+    nx=st.integers(2, 30),
+    ratios=st.tuples(st.floats(1.0, 8.0), st.floats(1.0, 8.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_convolve2_is_the_1d_rule_per_row_then_per_column(ny, nx, ratios, seed):
+    mx = build_mollifier(0.05 * ratios[0], 0.05)
+    my = build_mollifier(0.02 * ratios[1], 0.02)
+    vals = np.random.default_rng(seed).normal(size=(ny, nx))
+    rows = np.array([convolve_values(mx, row) for row in vals])
+    want = np.array([convolve_values(my, col) for col in rows.T]).T
+    got = _convolve2(mx, my, vals)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
