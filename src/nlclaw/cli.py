@@ -43,17 +43,23 @@ def _cmd_run(args) -> int:
     return run_file(args.scenario, args.outdir)
 
 
-def _cmd_sweep(args) -> int:
+def _run_checked(args, accepts, need: str) -> int:
+    """Read args.scenario and run it if accepts(spec); otherwise print
+    '<scenario>: <need>' to stderr and write nothing."""
     spec = read_scenario(args.scenario)
     if spec is None:
         return EXIT_INPUT_ERROR
-    if spec.epsilon_list is None:
-        print(
-            f"{args.scenario}: sweep needs epsilon_list in the scenario",
-            file=sys.stderr,
-        )
+    if not accepts(spec):
+        print(f"{args.scenario}: {need}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return run(spec, args.outdir)
+
+
+def _cmd_sweep(args) -> int:
+    return _run_checked(
+        args, lambda spec: spec.epsilon_list is not None,
+        "sweep needs epsilon_list in the scenario",
+    )
 
 
 def _cmd_verify(args) -> int:
@@ -61,16 +67,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    spec = read_scenario(args.scenario)
-    if spec is None:
-        return EXIT_INPUT_ERROR
-    if spec.mode != "euler":
-        print(
-            f"{args.scenario}: euler subcommand needs mode = euler",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
-    return run(spec, args.outdir)
+    return _run_checked(
+        args, lambda spec: spec.mode == "euler",
+        "euler subcommand needs mode = euler",
+    )
 
 
 def _riemann_domain(spec: ScenarioSpec) -> tuple:

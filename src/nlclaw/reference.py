@@ -194,23 +194,16 @@ class _Track:
         return self.x_birth + self.speed * (t - self.t_birth)
 
 
-@dataclass(frozen=True)
-class InteractionEvent:
-    time: float
-    position: float
-    left_state: float
-    right_state: float
-    tv_before: float
-    tv_after: float
-
-
 class FrontTrackingSolution:
-    """Event history plus an exact evaluator for the tracked solution."""
+    """The front tracks plus an exact evaluator for the tracked solution.
 
-    def __init__(self, tracks: list, events: list, T: float, delta: float,
+    A front born at t > 0 is the merger of the two whose t_death is its
+    t_birth: it joins the left state of the left one to the right state
+    of the right one."""
+
+    def __init__(self, tracks: list, T: float, delta: float,
                  constant_state: float):
         self.tracks = tracks
-        self.events = events
         self.T = T
         self.delta = delta
         self._constant_state = constant_state
@@ -274,7 +267,7 @@ def front_tracking_solve(
             for a, b in zip(sub[:-1], sub[1:]):
                 tracks.append(_Track(p, 0.0, 0.5 * (a + b), float(a), float(b)))
 
-    sol = FrontTrackingSolution(tracks, [], T, delta, float(levels[0]))
+    sol = FrontTrackingSolution(tracks, T, delta, float(levels[0]))
     if not tracks:
         return sol
 
@@ -324,11 +317,6 @@ def front_tracking_solve(
             tracks[ti.left].right = k
         if tj.right >= 0:
             tracks[tj.right].left = k
-        tv_before = abs(ti.uR - ti.uL) + abs(tj.uR - tj.uL)
-        tv_after = abs(new.uR - new.uL)
-        sol.events.append(
-            InteractionEvent(t_col, x_col, ti.uL, tj.uR, tv_before, tv_after)
-        )
         if new.left >= 0:
             push(new.left, k)
         if new.right >= 0:

@@ -24,8 +24,9 @@ of the data can only shrink, never grow.  The clip does not keep a
 monotone phi monotone (the cubic can turn back inside the bracket), so
 the total variation is not bounded by construction: check_invariants
 checks it on every run.
-One Picard step and one stepping loop serve every such solve, the 2D
-solver in twodim included (its foot field has two components).
+One Picard loop, the step generator _transport_steps, serves every such
+solve, the 2D solver in twodim included (its foot field has two
+components).
 
 A Picard pass recomputes the velocity, the feet, phi and the datum only on
 the span of nodes whose inputs changed since the previous pass: each stage
@@ -352,22 +353,24 @@ def _datum_evaluator(
 class _Foot(NamedTuple):
     """The dimension-specific pieces of the foot-field step.
 
-    nodes holds the node coordinates, one array per axis, broadcastable to
-    the grid shape (phi at t = 0).  interp_linear(values, points) is the
-    clipped linear interpolant that traces the feet; stencil(feet) is what
-    interpolating at the feet needs of them alone (the feet themselves in
-    2D, whose passes are all full-grid); interp_foot(phi, stencil)
-    interpolates every foot-field component at the feet, one array each;
-    datum(*phi) evaluates u0 o phi.  changed(new, old) is the span (lo, hi)
-    of first-axis indices outside which two value arrays agree bit for bit,
-    and reach(v, dt) how many nodes a change of v can move along that axis
-    into the feet traced through it; a foot whose nodes are not arrays
-    along that axis (the 2D one) reports the full span.  pin, when set, is
-    the front pin: pin(vals, phi, v, dt, fronts) returns the pinned values
-    and the advanced front state, and fronts is that state at t = 0.
+    A field with one component per axis (the nodes, the foot field, the
+    velocity, the feet) is one (axes, *grid) array, and a span (lo, hi)
+    indexes the grid's last axis.  nodes holds the node coordinates (phi
+    at t = 0).  interp_linear(v, points) is the clipped linear interpolant
+    of every component of v at the points, which traces the feet;
+    stencil(feet) is what interpolating at the feet needs of them alone
+    (the feet themselves in 2D, whose passes are all full-grid);
+    interp_foot(phi, stencil) interpolates every foot-field component at
+    the feet; datum(phi) evaluates u0 o phi.  changed(new, old) is the
+    span outside which two value arrays agree bit for bit, and reach(v,
+    dt) how many nodes a change of v can move along that axis into the
+    feet traced through it; the 2D foot reports the full span.  pin, when
+    set, is the front pin: pin(vals, phi, v, dt, fronts) returns the
+    pinned values and the advanced front state, and fronts is that state
+    at t = 0.
     """
 
-    nodes: tuple
+    nodes: np.ndarray
     interp_linear: Callable
     stencil: Callable
     interp_foot: Callable
@@ -376,29 +379,6 @@ class _Foot(NamedTuple):
     reach: Callable
     pin: Callable | None = None
     fronts: object = None
-
-
-@dataclass
-class _LastPass:
-    """What the previous Picard pass built, for the next pass to update.
-
-    v is the velocity of the values src, and feet the foot.stencil of the
-    feet traced through v over dt.  The next pass recomputes v on span:
-    foot.changed of src and the values the pass returned, or the grid
-    before the first.  radius is the kernel radius: a value reaches that
-    many nodes into v.  The arrays are never written to; an update makes
-    copies.  dt is NaN when the feet were traced through a predicted field
-    instead of v: no step matches it, so the next pass retraces them all.
-    starts holds v at the earlier step starts, the latest first (at most two).
-    """
-
-    radius: int
-    span: tuple
-    src: np.ndarray | None = None
-    v: tuple = ()
-    dt: float = 0.0
-    feet: tuple = ()
-    starts: tuple = ()
 
 
 def _widen(span: tuple, d: int, n: int) -> tuple:
@@ -414,86 +394,94 @@ def _widen(span: tuple, d: int, n: int) -> tuple:
     return (0, n) if 2 * (hi - lo) > n else (lo, hi)
 
 
-def _extrapolated(v: tuple, starts: tuple) -> tuple:
+def _extrapolated(v: np.ndarray, starts: tuple) -> np.ndarray:
     """The velocity at the end of a step predicted from v, the velocity at
     its start, and starts, the velocities at the earlier step starts
     (latest first): quadratic through three step starts, linear through
     two, v itself on the first step."""
     if len(starts) == 2:
-        return tuple(3.0 * a - 3.0 * b + c for a, b, c in zip(v, *starts))
+        return 3.0 * v - 3.0 * starts[0] + starts[1]
     if starts:
-        return tuple(2.0 * a - b for a, b in zip(v, starts[0]))
+        return 2.0 * v - starts[0]
     return v
 
 
-def _patched(old: tuple, lo: int, hi: int, n: int, part: list) -> tuple:
-    """Copies of the arrays old with [lo:hi] replaced by those of part; on
-    the full span [0:n], part's own arrays."""
+def _patched(old, lo: int, hi: int, n: int, part):
+    """A copy of the array old with [..., lo:hi] replaced by part, or of
+    each array of the tuple old (the 1D stencil) by that of part; on the
+    full span [0:n], part itself."""
     if hi - lo == n:
-        return tuple(part)
-    out = []
-    for o, p in zip(old, part):
-        o = o.copy()
+        return part
+    if type(old) is not tuple:
+        out = old.copy()
+        out[..., lo:hi] = part
+        return out
+    out = [o.copy() for o in old]
+    for o, p in zip(out, part):
         o[lo:hi] = p
-        out.append(o)
     return tuple(out)
 
 
-def _picard_step_foot(
-    phi_prev: tuple,
-    vals_prev: np.ndarray,
-    foot: _Foot,
-    velocity_of: Callable[[np.ndarray], tuple],
+def _transport_steps(
+    u0,
+    m: Mollifier,
+    T: float,
     dt: float,
-    fronts,
-    step: int,
-    t: float,
-    last: _LastPass,
-) -> tuple[tuple, np.ndarray, int, object]:
-    """One self-consistent step of the foot-field formulation, any dimension.
+    velocity_of: Callable[[np.ndarray], np.ndarray],
+    foot: _Foot,
+):
+    """The self-consistent steps of the foot-field formulation, any
+    dimension: for each step of step_times(T, dt), yields (t_next, phi,
+    vals, passes), the foot field and the state u0 o phi at the step's
+    end and the Picard passes the step took.  phi(0) is foot.nodes, and
+    velocity_of maps a state to its velocity, one component per axis.
 
-    The velocity comes from the candidate new state u0 o phi, the feet are
-    traced with the midpoint rule, and every component of the previous foot
-    field is interpolated at the feet.  Convergence is measured on phi (a
-    continuous quantity even across jumps of the state), as the largest
-    sup-norm change over the components.
+    In each pass the velocity comes from the candidate new state u0 o phi,
+    the feet are traced with the midpoint rule, and every component of the
+    step-start foot field is interpolated at the feet.  Convergence is
+    measured on phi (a continuous quantity even across jumps of the
+    state), as the largest sup-norm change over the components.  A step
+    that does not converge raises PicardDivergenceError with its index and
+    start time.
 
-    step and t (the step's index and start time) only locate a
-    PicardDivergenceError.
-
-    A pass recomputes only the span whose inputs changed, and last carries
-    the previous pass (of this step or the one before) to it.  v is
-    recomputed where the candidate values differ from those v was built
-    from, bit for bit (so a 0.0/-0.0 flip counts), widened by the kernel
-    radius; the feet and their foot.stencil where v was recomputed, widened
-    by foot.reach, or everywhere when dt differs from the feet's step; phi
-    and the datum where the feet were recomputed, or everywhere on a step's
-    first pass, since phi_prev has moved (the kept stencils then only
-    gather it).  Every recomputed entry goes through the same elementwise
-    operations as on the full grid (the velocity through convolve_values on
-    a window with the kernel's full reach, whose own edge padding is the
-    grid's exactly where it touches a grid end), and outside the span the
-    inputs are bitwise those of the last pass, so a pass is bitwise the
+    A pass recomputes only the span whose inputs changed, and the
+    generator's locals carry the previous pass (of this step or the one
+    before) to it: v, the velocity of the values src, recomputed on span;
+    feet, the foot.stencil of the feet traced through v over h_feet; raw,
+    the datum at the foot field before the pin.  These arrays are never
+    written to; an update makes copies.  v is recomputed where the
+    candidate values differ from src, bit for bit (so a 0.0/-0.0 flip
+    counts), widened by the kernel radius; the feet and their stencil
+    where v was recomputed, widened by foot.reach, or everywhere when the
+    step length h differs from h_feet; phi and the datum where the feet
+    were recomputed, or everywhere on a step's first pass, since the
+    step-start phi has moved (the kept stencils then only gather it).
+    Every recomputed entry goes through the same elementwise operations as
+    on the full grid (the velocity through convolve_values on a window
+    with the kernel's full reach, whose own edge padding is the grid's
+    exactly where it touches a grid end), and outside the span the inputs
+    are bitwise those of the previous pass, so a pass is bitwise the
     full-grid pass.  The change reduction runs over the span where phi was
     recomputed (elsewhere it is 0); the front pin and the cycle reduction
     (run only if the change is >= PICARD_TOL) stay global; a foot that
     reports the full span (the 2D one) makes every pass full.  A pass that
     pins the very values v was built from, its feet traced through v over
-    dt, ends the step (at PICARD_MAX_ITERS too).
+    h, ends the step (at PICARD_MAX_ITERS too).
 
     Without a front pin (no tracked datum jumps), the first pass traces the
     feet through a prediction of the velocity at the end of the step,
-    extrapolated from its values at the step starts (last.starts):
-    3 V(u_n) - 3 V(u_{n-1}) + V(u_{n-2}) from the third step on,
+    extrapolated from its values at the step starts (starts, the latest
+    first): 3 V(u_n) - 3 V(u_{n-1}) + V(u_{n-2}) from the third step on,
     2 V(u_n) - V(u_{n-1}) on the second, V(u_n) on the first.  Those feet
-    are traced on the whole grid and the next pass retraces them all.  The
-    fixed point is unchanged and the iteration reaches it in fewer passes
-    (nn on -tanh(x), dx 0.01, eps 0.1, to T = 0.5: 295, where V(u_n) takes
-    484), so the state moves only within the PICARD_TOL stopping rule.
-    With a front pin the first pass keeps V(u_n): the extrapolation would
-    cross the front, put nodes on the wrong side of the jump and widen
-    every later pass's span, and so cost passes (on the benchmark's
-    decreasing Riemann runs, 2.77 per step where V(u_n) takes 2.26).
+    are traced on the whole grid, and h_feet is then NaN: no step matches
+    it, so the next pass retraces them all.  The fixed point is unchanged
+    and the iteration reaches it in fewer passes (nn on -tanh(x), dx 0.01,
+    eps 0.1, to T = 0.5: 295, where V(u_n) takes 484), so the state moves
+    only within the PICARD_TOL stopping rule.  With a front pin the first
+    pass keeps V(u_n): the extrapolation would cross the front, put nodes
+    on the wrong side of the jump and widen every later pass's span, and
+    so cost passes (on the benchmark's decreasing Riemann runs, 2.77 per
+    step where V(u_n) takes 2.26).
 
     With a front pin (1D data with tracked jumps), fronts holds the tracked
     preimages of the datum jumps at the start of the step.  Each pass then
@@ -519,72 +507,67 @@ def _picard_step_foot(
     before T = 0.2).  In 2D a datum jump is a curve and feet straddling it
     flip sides the same way.
     """
-    n = vals_prev.shape[0]
-    r = last.radius
-    cand_phi = phi_prev
-    cand_vals = vals_prev
-    cand_fronts = fronts
-    older_phi = None
-    raw = None  # the datum at cand_phi, before the pin
-    for j in range(PICARD_MAX_ITERS):
-        # v, where the values it was built from changed
-        lo, hi = _widen(last.span, r, n)
-        if lo < hi:
-            w = max(lo - r, 0)  # the window reaches r nodes past the span
-            part = velocity_of(cand_vals[w:min(hi + r, n)])
-            last.v = _patched(
-                last.v, lo, hi, n, [p[lo - w:hi - w] for p in part]
-            )
-        last.src = cand_vals
-        v = last.v
-        if j == 0 and foot.pin is None:
-            v = _extrapolated(last.v, last.starts)
-            last.starts = (last.v, *last.starts[:1])
-        # the feet, where v changed; all of them when dt moved or when
-        # they are traced through the prediction
-        if dt != last.dt or v is not last.v:
-            lo, hi = 0, n
-        elif 0 < hi - lo < n:
-            lo, hi = _widen((lo, hi), foot.reach(v, dt), n)
-        last.dt = dt if v is last.v else np.nan
-        if lo < hi:
-            vs = [vk[lo:hi] for vk in v]
-            mids = [p[lo:hi] - 0.5 * dt * vk for p, vk in zip(foot.nodes, vs)]
-            last.feet = _patched(last.feet, lo, hi, n, foot.stencil([
-                p[lo:hi] - dt * 0.5 * (vk + foot.interp_linear(vf, mids))
-                for p, vk, vf in zip(foot.nodes, vs, v)
-            ]))
-        # phi and the datum, where the feet changed; everywhere on a
-        # step's first pass, since phi_prev has moved
-        if j == 0:
-            lo, hi = 0, n
-        new_phi = cand_phi
-        if lo < hi:
-            stencil = [sk[lo:hi] for sk in last.feet]
-            new_phi = _patched(
-                cand_phi, lo, hi, n, foot.interp_foot(phi_prev, stencil)
-            )
-            (raw,) = _patched(
-                (raw,), lo, hi, n, [foot.datum(*[p[lo:hi] for p in new_phi])]
-            )
-        # outside [lo, hi) new_phi holds cand_phi's own entries
-        change = max(
-            float(np.abs(a[lo:hi] - b[lo:hi]).max())
-            for a, b in zip(new_phi, cand_phi)
-        ) if lo < hi else 0.0
-        cand_vals = raw
-        if foot.pin is not None:
-            cand_vals, cand_fronts = foot.pin(
-                raw.copy(), new_phi, v, dt, fronts
-            )
-        last.span = lo, hi = foot.changed(cand_vals, last.src)
-        # a contraction, a fixed point, or (from pass 1 on) a closed cycle
-        if change < PICARD_TOL or (lo >= hi and last.dt == dt) or j and max(
-            float(np.abs(a - b).max()) for a, b in zip(new_phi, older_phi)
-        ) < PICARD_TOL:
-            return new_phi, cand_vals, j + 1, cand_fronts
-        older_phi, cand_phi = cand_phi, new_phi
-    raise PicardDivergenceError(step, t, change)
+    n, r = u0.values.shape[-1], m.radius
+    phi, vals, fronts = foot.nodes, u0.values, foot.fronts
+    span, v, h_feet, feet, raw, starts = (0, n), None, 0.0, None, None, ()
+    for k, t, t_next, h in step_times(T, dt):
+        cand_phi, cand_vals, cand_fronts, older_phi = phi, vals, fronts, None
+        for j in range(PICARD_MAX_ITERS):
+            # v, where the values it was built from changed
+            lo, hi = _widen(span, r, n)
+            if lo < hi:
+                w = max(lo - r, 0)  # the window reaches r nodes past the span
+                part = velocity_of(cand_vals[..., w:min(hi + r, n)])
+                v = _patched(v, lo, hi, n, part[..., lo - w:hi - w])
+            src = cand_vals
+            traced = v  # the field the feet are traced through
+            if j == 0 and foot.pin is None:
+                traced = _extrapolated(v, starts)
+                starts = (v, *starts[:1])
+            # the feet, where v changed; all of them when h moved or when
+            # they are traced through the prediction
+            if h != h_feet or traced is not v:
+                lo, hi = 0, n
+            elif 0 < hi - lo < n:
+                lo, hi = _widen((lo, hi), foot.reach(v, h), n)
+            h_feet = h if traced is v else np.nan
+            if lo < hi:
+                nodes, vs = foot.nodes[..., lo:hi], traced[..., lo:hi]
+                mids = nodes - 0.5 * h * vs
+                feet = _patched(feet, lo, hi, n, foot.stencil(
+                    nodes - h * 0.5 * (vs + foot.interp_linear(traced, mids))
+                ))
+            # phi and the datum, where the feet changed; everywhere on a
+            # step's first pass, since phi has moved
+            if j == 0:
+                lo, hi = 0, n
+            new_phi = cand_phi
+            if lo < hi:
+                stencil = [s[..., lo:hi] for s in feet]
+                new_phi = _patched(
+                    cand_phi, lo, hi, n, foot.interp_foot(phi, stencil)
+                )
+                raw = _patched(raw, lo, hi, n, foot.datum(new_phi[..., lo:hi]))
+            # outside [lo, hi) new_phi holds cand_phi's own entries
+            change = float(np.abs(
+                new_phi[..., lo:hi] - cand_phi[..., lo:hi]
+            ).max()) if lo < hi else 0.0
+            cand_vals = raw
+            if foot.pin is not None:
+                cand_vals, cand_fronts = foot.pin(
+                    raw.copy(), new_phi, v, h, fronts
+                )
+            span = lo, hi = foot.changed(cand_vals, src)
+            # a contraction, a fixed point, or (from pass 1 on) a closed cycle
+            if change < PICARD_TOL or (lo >= hi and h_feet == h) or (
+                j and float(np.abs(new_phi - older_phi).max()) < PICARD_TOL
+            ):
+                break
+            older_phi, cand_phi = cand_phi, new_phi
+        else:
+            raise PicardDivergenceError(k, t, change)
+        phi, vals, fronts = new_phi, cand_vals, cand_fronts
+        yield t_next, phi, vals, j + 1
 
 
 def _datum_jumps(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -687,14 +670,14 @@ def _pin_fronts(
 
 def _velocity_fn(
     m: Mollifier, flux: FluxSpec | None, mode: str
-) -> Callable[[np.ndarray], tuple]:
-    """The 1D advecting field of a mode, as a one-component tuple."""
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The 1D advecting field of a mode, as a (1, n) array."""
     if mode == "nn":
-        return lambda u: (convolve_values(m, u),)
+        return lambda u: convolve_values(m, u)[np.newaxis]
     if mode == "velocity_reg":
-        return lambda u: (convolve_values(m, flux.fprime(u)),)
+        return lambda u: convolve_values(m, flux.fprime(u))[np.newaxis]
     if mode == "flux_reg":
-        return lambda u: (flux.fprime(convolve_values(m, u)),)
+        return lambda u: flux.fprime(convolve_values(m, u))[np.newaxis]
     raise ValueError(f"no velocity wiring for mode {mode!r}")
 
 
@@ -714,6 +697,7 @@ def _foot_1d(u0: GridFunction1D, data) -> _Foot:
     """1D pieces: linear tracing, cubic foot interpolation, front pin."""
     x0, dx, x = u0.x0, u0.dx, u0.x
     jump_pos, jump_left, jump_right = _datum_jumps(data)
+    datum = _datum_evaluator(u0, data)
 
     def pin(vals, phi, v, dt, gammas):
         gammas = _advance_fronts(gammas, x0, dx, v[0], dt)
@@ -723,13 +707,13 @@ def _foot_1d(u0: GridFunction1D, data) -> _Foot:
         return vals, gammas
 
     return _Foot(
-        nodes=(x,),
-        interp_linear=lambda vals, pts: interpolate_values(
-            vals, x0, dx, pts[0]
-        ),
+        nodes=x[np.newaxis],
+        interp_linear=lambda v, pts: interpolate_values(v[0], x0, dx, pts[0]),
         stencil=lambda feet: _foot_stencil(x0, dx, x.size, feet[0]),
-        interp_foot=lambda phi, st: (_interp_foot(phi[0], x0, dx, st),),
-        datum=_datum_evaluator(u0, data),
+        interp_foot=lambda phi, st: _interp_foot(
+            phi[0], x0, dx, st
+        )[np.newaxis],
+        datum=lambda phi: datum(phi[0]),
         changed=_changed_span,
         # a midpoint sits within 0.5 dt |v| of its node; one more node for
         # the stencil's right neighbour and one for the floor's roundoff
@@ -786,36 +770,30 @@ def _solve_transport(
     m: Mollifier,
     T: float,
     cfg: SolverConfig,
-    velocity_of: Callable[[np.ndarray], tuple],
+    velocity_of: Callable[[np.ndarray], np.ndarray],
     mode: str,
     speed: float,
     data=None,
     dt: float | None = None,
     foot: _Foot | None = None,
 ) -> Trajectory:
-    """Uniform-dt stepping loop shared by every non-conservative solve.
+    """Every non-conservative solve: the levels of _transport_steps that
+    schedule keeps, as a Trajectory.
 
-    Advances the foot field phi (phi(0) = identity, one component per
-    axis) and stores u = u0 o phi at each kept level.  velocity_of maps a
-    state to one velocity array per axis; speed is the speed_bound the
-    trajectory records.  foot defaults to the 1D pieces for u0 and data;
-    the 2D solver passes its own.  dt, when given, replaces time_step of
-    u0 so coupled solves can share a time grid.
+    velocity_of maps a state to its velocity, one component per axis;
+    speed is the speed_bound the trajectory records.  foot defaults to the
+    1D pieces for u0 and data; the 2D solver passes its own.  dt, when
+    given, replaces time_step of u0 so coupled solves can share a time
+    grid.
     """
     dt, times = schedule(u0, T, cfg, dt)
     if foot is None:
         foot = _foot_1d(u0, data)
-    phi = tuple(np.broadcast_to(p, u0.values.shape).copy() for p in foot.nodes)
-    vals = u0.values.copy()
-    fronts = foot.fronts
-    levels = [vals]
-    counts = []
-    last = _LastPass(m.radius, span=(0, vals.shape[0]))
-    for k, t, t_next, h in step_times(T, dt):
-        phi, vals, nit, fronts = _picard_step_foot(
-            phi, vals, foot, velocity_of, h, fronts, k, t, last,
-        )
-        counts.append(nit)
+    levels, counts = [u0.values], []
+    for t_next, _, vals, passes in _transport_steps(
+        u0, m, T, dt, velocity_of, foot
+    ):
+        counts.append(passes)
         if t_next == times[len(levels)]:  # the next level to store
             levels.append(vals)
     return Trajectory(

@@ -1,6 +1,6 @@
 """Two-dimensional velocity-regularised nonlocal solver.
 
-The 2D scheme runs the 1D foot-field stepping loop and Picard step with a
+The 2D scheme runs solver._transport_steps, the one Picard loop, with a
 vector foot field (Phix, Phiy): it is advected by a Picard-self-consistent
 semi-Lagrangian step and the state is recovered by composing the initial
 datum with it.  Only the interpolants and the datum evaluation are 2D.
@@ -128,24 +128,25 @@ def _bilinear(
     qx: np.ndarray,
     qy: np.ndarray,
 ) -> np.ndarray:
-    """Clipped bilinear interpolation with constant extension outside.
+    """Clipped bilinear interpolation with constant extension outside, of
+    vals or of each array of a stack of them (shape (..., ny, nx)).
 
     Symmetric-form weights (1-t)*a + t*b hit both endpoints exactly, so
     evaluation at the nodes reproduces nodal values to the bit; the corner
     clip mirrors the 1D clipped-linear rule per axis."""
-    ny, nx = vals.shape
+    ny, nx = vals.shape[-2:]
     px = np.clip((qx - x0) / dx, 0.0, nx - 1.0)
     py = np.clip((qy - y0) / dy, 0.0, ny - 1.0)
     i = np.minimum(px.astype(np.int64), nx - 2)
     j = np.minimum(py.astype(np.int64), ny - 2)
     tx = px - i
     ty = py - j
-    flat = vals.ravel()
+    flat = vals.reshape(*vals.shape[:-2], -1)
     k = j * nx + i
-    c00 = flat.take(k)
-    c01 = flat.take(k + 1)
-    c10 = flat.take(k + nx)
-    c11 = flat.take(k + (nx + 1))
+    c00 = flat.take(k, axis=-1)
+    c01 = flat.take(k + 1, axis=-1)
+    c10 = flat.take(k + nx, axis=-1)
+    c11 = flat.take(k + (nx + 1), axis=-1)
     low = (1.0 - tx) * c00 + tx * c01
     high = (1.0 - tx) * c10 + tx * c11
     out = (1.0 - ty) * low + ty * high
@@ -170,15 +171,16 @@ def _axis_weights(
 
 
 def _interp_foot_2d(
-    phis: tuple,
+    phi: np.ndarray,
     x0: float,
     y0: float,
     dx: float,
     dy: float,
     qx: np.ndarray,
     qy: np.ndarray,
-) -> tuple:
-    """Interpolate both foot-field components phis at the feet (qx, qy).
+) -> np.ndarray:
+    """Interpolate both foot-field components phi (shape (2, ny, nx)) at
+    the feet (qx, qy), into one (2, *qx.shape) array.
 
     Tensor product of the per-axis stencils from _axis_weights, clipped to
     the four corner values of the containing cell: the same containment
@@ -189,7 +191,7 @@ def _interp_foot_2d(
     (positions, weights and flat node indices) is built once, and each
     gather takes the node values of both components at once.
     """
-    ny, nx = phis[0].shape
+    ny, nx = phi.shape[1:]
     cqx = np.clip(qx, x0, x0 + (nx - 1) * dx)
     cqy = np.clip(qy, y0, y0 + (ny - 1) * dy)
     px = (cqx - x0) / dx
@@ -200,7 +202,7 @@ def _interp_foot_2d(
     wy = _axis_weights(py - j, j, ny)
     cols = [np.maximum(i - 1, 0), i, i + 1, np.minimum(i + 2, nx - 1)]
     rows = [np.maximum(j - 1, 0), j, j + 1, np.minimum(j + 2, ny - 1)]
-    flat = np.stack(phis).reshape(2, -1)
+    flat = phi.reshape(2, -1)
     out = np.zeros((2, *px.shape))
     corners = []
     for r, (row, w) in enumerate(zip(rows, wy)):
@@ -215,7 +217,7 @@ def _interp_foot_2d(
     c00, c01, c10, c11 = corners
     lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
     hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
-    return tuple(np.clip(out, lo, hi) + np.stack((qx - cqx, qy - cqy)))
+    return np.clip(out, lo, hi) + np.stack((qx - cqx, qy - cqy))
 
 
 def solve_velocity_reg_2d(
@@ -227,31 +229,31 @@ def solve_velocity_reg_2d(
 ) -> Trajectory:
     """Solve du/dt + (eta*f1'(u)) du/dx + (eta*f2'(u)) du/dy = 0 to time T.
 
-    The 1D stepping loop with a two-component foot field: both components
-    of the backward characteristic map are advected and u(t) = u0 o Phi.
-    The datum is the clipped bilinear interpolant of the samples u0, so
-    the maximum principle is exact.
+    solver._transport_steps with a two-component foot field: both
+    components of the backward characteristic map are advected and u(t) =
+    u0 o Phi.  The datum is the clipped bilinear interpolant of the
+    samples u0, so the maximum principle is exact.
     """
     f1, f2 = fluxes
     mx = build_mollifier(epsilon, u0.dx)
     my = build_mollifier(epsilon, u0.dy)
     x0, y0, dx, dy = u0.x0, u0.y0, u0.dx, u0.dy
 
-    def velocity_of(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (
+    def velocity_of(u: np.ndarray) -> np.ndarray:
+        return np.stack((
             _convolve2(mx, my, f1.fprime(u)),
             _convolve2(mx, my, f2.fprime(u)),
-        )
+        ))
 
     foot = _Foot(
-        nodes=(u0.x[np.newaxis, :], u0.y[:, np.newaxis]),
-        interp_linear=lambda vals, pts: _bilinear(vals, x0, y0, dx, dy, *pts),
+        nodes=np.stack(np.meshgrid(u0.x, u0.y)),
+        interp_linear=lambda v, pts: _bilinear(v, x0, y0, dx, dy, *pts),
         stencil=lambda feet: feet,
-        interp_foot=lambda phis, feet: _interp_foot_2d(
-            phis, x0, y0, dx, dy, *feet
+        interp_foot=lambda phi, feet: _interp_foot_2d(
+            phi, x0, y0, dx, dy, *feet
         ),
-        datum=lambda fx, fy: _bilinear(u0.values, x0, y0, dx, dy, fx, fy),
-        changed=lambda new, old: (0, new.shape[0]),  # full passes only
+        datum=lambda phi: _bilinear(u0.values, x0, y0, dx, dy, *phi),
+        changed=lambda new, old: (0, new.shape[-1]),  # full passes only
         reach=lambda v, dt: 0,
     )
     dt = time_step(cfg, min(dx, dy), u0.values)

@@ -203,6 +203,15 @@ def _sides(sol, t, x):
     return sol.evaluate(t, [x, np.nextafter(x, np.inf)]).tolist()
 
 
+def _mergers(sol):
+    """The fronts born at a collision, t_birth > 0, each with the two
+    fronts that died there (t_death == its t_birth)."""
+    return [
+        (tr, [p for p in sol.tracks if p.t_death == tr.t_birth])
+        for tr in sol.tracks if tr.t_birth > 0.0
+    ]
+
+
 def _mass(sol, t, a, b):
     """Exact integral of sol.evaluate(t, .) over [a, b]: the state is
     constant between the fronts alive at t, so one evaluation per piece."""
@@ -219,7 +228,7 @@ def _mass(sol, t, a, b):
 # a grid with x0 = -0.5 and dx = 1 has its jumps at 0, 1, 2, ...
 def test_front_tracking_single_shock():
     sol = front_tracking_solve(GridFunction1D(-0.5, 1.0, [1.0, 0.0]), 4.0)
-    assert len(sol.events) == 0
+    assert len(_mergers(sol)) == 0
     assert [tr.speed for tr in sol.tracks] == [0.5]
     for t in (0.0, 1.0, 4.0):
         # the left state holds up to the front at 0.5 t, the right one past it
@@ -231,12 +240,12 @@ def test_front_tracking_merge_arithmetic():
     sol = front_tracking_solve(
         GridFunction1D(-0.5, 1.0, [2.0, 1.0, 0.0]), 2.0
     )
-    assert len(sol.events) == 1
-    ev = sol.events[0]
-    assert ev.time == pytest.approx(1.0, abs=1e-13)
-    assert ev.position == pytest.approx(1.5, abs=1e-13)
-    assert (ev.left_state, ev.right_state) == (2.0, 0.0)
-    merged = [tr for tr in sol.tracks if tr.t_birth == ev.time]
+    assert len(_mergers(sol)) == 1
+    ((ev, _),) = _mergers(sol)
+    assert ev.t_birth == pytest.approx(1.0, abs=1e-13)
+    assert ev.x_birth == pytest.approx(1.5, abs=1e-13)
+    assert (ev.uL, ev.uR) == (2.0, 0.0)
+    merged = [tr for tr in sol.tracks if tr.t_birth == ev.t_birth]
     assert len(merged) == 1
     assert merged[0].speed == pytest.approx(1.0, abs=1e-14)
     # at t = 1.5 one front at 1.5 + 0.5 * 1.0 joins 2 to 0, and the middle
@@ -253,9 +262,15 @@ def test_front_tracking_tv_nonincreasing_at_interactions():
     cells = rng.integers(1, 60, size=12)
     u0 = GridFunction1D(-2.0, 4.0 / cells.sum(), np.repeat(levels, cells))
     sol = front_tracking_solve(u0, 3.0)
-    assert len(sol.events) > 0
-    for ev in sol.events:
-        assert ev.tv_after <= ev.tv_before + 1e-14
+    assert len(_mergers(sol)) > 0
+    for ev, parents in _mergers(sol):
+        assert len(parents) == 2
+        # the merger joins the left one's left state to the right one's
+        # right state
+        left, right = sorted(parents, key=lambda p: p.uL != ev.uL)
+        assert (left.uL, right.uR) == (ev.uL, ev.uR)
+        tv_before = sum(abs(p.uR - p.uL) for p in parents)
+        assert abs(ev.uR - ev.uL) <= tv_before + 1e-14
 
 
 def test_front_tracking_mass_conserved():

@@ -424,10 +424,24 @@ def test_sweep_plateau(tmp_path):
     assert (tmp_path / "rare_eps0.05.csv").exists()
 
 
-def test_sweep_requires_epsilon_list(tmp_path):
-    scn = _write(tmp_path, "shock.scn", SHOCK)
-    rc = main(["sweep", str(scn), "--outdir", str(tmp_path)])
+@pytest.mark.parametrize(
+    "command, text, need",
+    [
+        ("sweep", SHOCK, "sweep needs epsilon_list in the scenario"),
+        ("euler", SHOCK, "euler subcommand needs mode = euler"),
+    ],
+    ids=["sweep-requires-epsilon-list", "euler-requires-mode-euler"],
+)
+def test_subcommand_rejects_another_kind_of_scenario(
+    tmp_path, capsys, command, text, need
+):
+    # exit 1, one line naming the file and what it lacks, no file written
+    scn = _write(tmp_path, "shock.scn", text)
+    out = tmp_path / "out"
+    rc = main([command, str(scn), "--outdir", str(out)])
     assert rc == 1
+    assert capsys.readouterr().err == f"{scn}: {need}\n"
+    assert not out.exists()
 
 
 def test_expected_nonconvergence_absent_fails_run(tmp_path):

@@ -36,6 +36,7 @@ from nlclaw.solver import (
     _foot_1d,
     _foot_stencil,
     _interp_foot,
+    _transport_steps,
     _velocity_fn,
     check_node_steps,
     check_stored_levels,
@@ -600,10 +601,10 @@ def full_pass_solve(
                 np.max(np.abs(new_phi - older))
             )
             older, cand_phi = cand_phi, new_phi
-            cand_vals = foot.datum(new_phi)
+            cand_vals = foot.datum(new_phi[np.newaxis])
             if foot.pin is not None:
                 cand_vals, cand_fronts = foot.pin(
-                    cand_vals, (new_phi,), (v,), h, fronts
+                    cand_vals, new_phi[np.newaxis], v[np.newaxis], h, fronts
                 )
             if change < PICARD_TOL or cycle < PICARD_TOL:
                 break
@@ -629,18 +630,18 @@ def bits(a):
     return np.asarray(a).view(np.uint64)
 
 
-def solve_recording_phi(monkeypatch, *args, **kwargs):
-    """solver.solve, plus the foot field each step returned."""
-    phis = []
-    step = solver._picard_step_foot
-
-    def recording(*a):
-        out = step(*a)
-        phis.append(out[0][0])
-        return out
-
-    monkeypatch.setattr(solver, "_picard_step_foot", recording)
-    return solve(*args, **kwargs), np.stack(phis)
+def solve_recording_phi(mode, u0, epsilon, T, cfg, data=None, flux=None):
+    """solver.solve, plus what _transport_steps yields on the same solve:
+    the foot field, the Picard passes and the end time of each step."""
+    tr = solve(mode, u0, epsilon, T, cfg, data=data, flux=flux)
+    m = build_mollifier(epsilon, u0.dx)
+    steps = list(_transport_steps(
+        u0, m, T, tr.dt, _velocity_fn(m, flux, mode), _foot_1d(u0, data)
+    ))
+    return (
+        tr, np.stack([phi[0] for _, phi, _, _ in steps]),
+        np.array([passes for *_, passes in steps]), steps[-1][0],
+    )
 
 
 def _several_fronts():
@@ -682,7 +683,7 @@ incremental_cases = pytest.mark.parametrize(
 
 @incremental_cases
 def test_incremental_passes_match_full_passes(
-    monkeypatch, mode, data, flux, T, functional
+    mode, data, flux, T, functional
 ):
     # the foot field is compared too: where the datum is constant the
     # levels cannot show a stale foot
@@ -692,9 +693,11 @@ def test_incremental_passes_match_full_passes(
     levels, counts, phis, _ = full_pass_solve(
         u0, 0.1, T, cfg, mode, data, flux
     )
-    tr, tr_phis = solve_recording_phi(
-        monkeypatch, mode, u0, 0.1, T, cfg, data=data, flux=flux
+    tr, tr_phis, passes, t_last = solve_recording_phi(
+        mode, u0, 0.1, T, cfg, data=data, flux=flux
     )
+    # the generator's steps are the solve's steps, the last ending at T
+    assert np.array_equal(passes, tr.picard_counts) and t_last == T
     assert np.array_equal(tr.picard_counts, counts)
     assert np.array_equal(bits(tr.values), bits(levels))
     assert np.array_equal(bits(tr_phis), bits(phis))

@@ -261,7 +261,7 @@ def _foot_cases(draw):
 @given(case=_foot_cases())
 def test_interp_foot_2d_is_bitwise_the_per_component_form(case):
     phis, x0, y0, dx, dy, qx, qy = case
-    got = _interp_foot_2d(phis, x0, y0, dx, dy, qx, qy)
+    got = _interp_foot_2d(np.stack(phis), x0, y0, dx, dy, qx, qy)
     assert len(got) == 2
     for axis, (phi, g) in enumerate(zip(phis, got)):
         want = interp_foot_2d_per_component(phi, x0, y0, dx, dy, qx, qy, axis)
@@ -269,6 +269,11 @@ def test_interp_foot_2d_is_bitwise_the_per_component_form(case):
     want = bilinear_fancy_index(phis[0], x0, y0, dx, dy, qx, qy)
     got = _bilinear(phis[0], x0, y0, dx, dy, qx, qy)
     assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+    # on a stack of arrays, each array's result bitwise as alone
+    got = _bilinear(np.stack(phis), x0, y0, dx, dy, qx, qy)
+    for phi, g in zip(phis, got):
+        want = bilinear_fancy_index(phi, x0, y0, dx, dy, qx, qy)
+        assert np.array_equal(want.view(np.uint64), g.view(np.uint64))
 
 
 def axis_weights_where_form(t, idx, n):
