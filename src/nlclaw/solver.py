@@ -54,6 +54,7 @@ under study, not a bug.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -247,26 +248,46 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def _cubic_weights(s: np.ndarray) -> tuple:
+def _cubic_weights(s: np.ndarray) -> np.ndarray:
     """4-point cubic Lagrange weights at offsets (-1, 0, 1, 2) for the
-    fractional positions s in [0, 1]."""
-    # the shared terms, once each; every weight keeps its operation order
-    ms, s2, q = -s, s - 2.0, s * s - 1.0
-    return (
-        ms * (s - 1.0) * s2 / 6.0,
-        q * s2 / 2.0,
-        ms * (s + 1.0) * s2 / 2.0,
-        s * q / 6.0,
-    )
+    fractional positions s in [0, 1], as the rows of one (4, *s.shape)
+    block."""
+    # every weight keeps the operation order of its formula: -s (s - 1)
+    # (s - 2) / 6, (s^2 - 1) (s - 2) / 2, -s (s + 1) (s - 2) / 2 and
+    # s (s^2 - 1) / 6
+    w = np.empty((4, *s.shape))
+    q = np.multiply(s, s, out=w[1])
+    q -= 1.0
+    # rows 0 and 2 at once: (-1 + s, 1 + s), bitwise (s - 1, s + 1), times -s
+    outer = np.add.outer((-1.0, 1.0), s, out=w[::2])
+    outer *= -s
+    np.multiply(s, q, out=w[3])
+    w[:3] *= s - 2.0
+    w[::3] /= 6.0
+    w[1:3] /= 2.0
+    return w
+
+
+# the nodes of a cubic stencil, from its cell
+_TAPS = np.array([[-1], [0], [1], [2]])
 
 
 def _foot_stencil(x0: float, dx: float, n: int, y: np.ndarray) -> tuple:
-    """The interpolation stencil of the feet y on an n-node grid: y, the
-    cells i, the _cubic_weights at pos - i, and the mask of the end-cell
-    feet, which the cubic does not serve (every off-grid foot is one)."""
+    """The interpolation stencil of the feet y on an n-node grid: the (4,
+    y.size) block of the nodes i - 1 .. i + 2 around each foot's cell i
+    (gathered with take(mode="clip"), which clips i - 1 and i + 2 to the
+    grid), the (4, y.size) block of their _cubic_weights at pos - i, and
+    the (index, foot) pairs of the end-cell feet, which the cubic does not
+    serve (every off-grid foot is one)."""
     pos = (y - x0) / dx
-    i = np.minimum(n - 2, np.maximum(0, np.floor(pos).astype(int)))
-    return (y, i, *_cubic_weights(pos - i), (i < 1) | (i > n - 3))
+    # the cell, by truncation, of the position clipped to [0, n - 2]
+    i = np.minimum(np.maximum(pos, 0.0), n - 2.0).astype(int)
+    edge = ((i < 1) | (i > n - 3)).nonzero()[0]
+    return (
+        i + _TAPS,
+        _cubic_weights(pos - i),
+        list(zip(edge.tolist(), y[edge].tolist())),
+    )
 
 
 def _interp_foot(
@@ -289,22 +310,26 @@ def _interp_foot(
     Outside the grid: unit-slope extension, exact wherever the boundary
     zone is causally constant (phi(x) - x is constant there).
 
-    Only feet within a step's travel of a grid end land in an end cell: at
-    most two per end for nn at cfl 0.5 (a foot moves half a cell), about
-    1 + dt S / dx in the flux modes.  On so few, numpy's per-call cost
-    outweighs the arithmetic: they are fixed up in Python floats, an
-    end-cell foot by grids.interpolate_at (its cell is the stencil's).
+    The cubic is one gather of the stencil's (4, m) node block, one
+    product with its weights and one sum over the four rows, in the order
+    ((w_-1 phi_-1 + w_0 phi_0) + w_1 phi_1) + w_2 phi_2.  Only feet within
+    a step's travel of a grid end land in an end cell: at most two per end
+    for nn at cfl 0.5 (a foot moves half a cell), about 1 + dt S / dx in
+    the flux modes.  On so few, numpy's per-call cost outweighs the
+    arithmetic: the stencil lists them, and they are fixed up in Python
+    floats, an end-cell foot by grids.interpolate_at (its cell is the
+    stencil's).
     """
-    y, i, wm1, w0, w1, w2, edge = stencil
-    a, b = phi[i], phi[i + 1]
-    out = wm1 * phi.take(i - 1, mode="clip") + w0 * a + w1 * b
-    out += w2 * phi.take(i + 2, mode="clip")
+    taps, w, edge = stencil
+    g = phi.take(taps, mode="clip")
+    lo, hi = np.minimum(g[1], g[2]), np.maximum(g[1], g[2])
+    g *= w  # in place: on a large grid a new (4, m) block takes fresh pages
+    out = np.add.reduce(g, axis=0)
     # np.clip(out, lo, hi, out=out) with its tie rule (see interpolate_values)
-    np.maximum(out, np.minimum(a, b), out=out)
-    np.minimum(out, np.maximum(a, b), out=out)
+    np.maximum(out, lo, out=out)
+    np.minimum(out, hi, out=out)
     n = phi.size
-    for k in np.flatnonzero(edge).tolist():
-        yk = y.item(k)
+    for k, yk in edge:
         pos = (yk - x0) / dx
         if pos < 0.0:
             out[k] = phi.item(0) + (yk - x0)
@@ -358,16 +383,19 @@ class _Foot(NamedTuple):
     indexes the grid's last axis.  nodes holds the node coordinates (phi
     at t = 0).  interp_linear(v, points) is the clipped linear interpolant
     of every component of v at the points, which traces the feet;
-    stencil(feet) is what interpolating at the feet needs of them alone
-    (the feet themselves in 2D, whose passes are all full-grid);
-    interp_foot(phi, stencil) interpolates every foot-field component at
-    the feet; datum(phi) evaluates u0 o phi.  changed(new, old) is the
-    span outside which two value arrays agree bit for bit, and reach(v,
-    dt) how many nodes a change of v can move along that axis into the
-    feet traced through it; the 2D foot reports the full span.  pin, when
-    set, is the front pin: pin(vals, phi, v, dt, fronts) returns the
-    pinned values and the advanced front state, and fronts is that state
-    at t = 0.
+    stencil(feet) is what interpolating at the feet needs of them alone:
+    in 1D the _foot_stencil (the (4, n) blocks of cubic nodes and weights
+    and the list of end-cell feet), in 2D the feet themselves, whose
+    passes are all full-grid.  interp_foot(phi, stencil) interpolates
+    every foot-field component at the feet; datum(phi) evaluates u0 o
+    phi.  changed(new, old) is the span outside which two value arrays
+    agree bit for bit, and reach(v, dt) how many nodes a change of v can
+    move along that axis into the feet traced through it; the 2D foot
+    reports the full span.  pin, when
+    set, is the front pin: pin(vals, phi, v, dt, fronts) writes the pinned
+    values into vals and returns them and the advanced front state, and
+    fronts is that state at t = 0 (in 1D the list of the jump preimages,
+    in Python floats).
     """
 
     nodes: np.ndarray
@@ -408,18 +436,22 @@ def _extrapolated(v: np.ndarray, starts: tuple) -> np.ndarray:
 
 def _patched(old, lo: int, hi: int, n: int, part):
     """A copy of the array old with [..., lo:hi] replaced by part, or of
-    each array of the tuple old (the 1D stencil) by that of part; on the
-    full span [0:n], part itself."""
+    the 1D stencil old (_foot_stencil) with the stencil part of the feet
+    on [lo, hi) in their place; on the full span [0:n], part itself."""
     if hi - lo == n:
         return part
-    if type(old) is not tuple:
-        out = old.copy()
-        out[..., lo:hi] = part
-        return out
-    out = [o.copy() for o in old]
-    for o, p in zip(out, part):
-        o[lo:hi] = p
-    return tuple(out)
+    if type(old) is tuple:
+        (taps, w, edge), (part_taps, part_w, part_edge) = old, part
+        return (
+            _patched(taps, lo, hi, n, part_taps),
+            _patched(w, lo, hi, n, part_w),
+            [e for e in edge if e[0] < lo]
+            + [(k + lo, yk) for k, yk in part_edge]
+            + [e for e in edge if e[0] >= hi],
+        )
+    out = old.copy()
+    out[..., lo:hi] = part
+    return out
 
 
 def _transport_steps(
@@ -454,19 +486,21 @@ def _transport_steps(
     counts), widened by the kernel radius; the feet and their stencil
     where v was recomputed, widened by foot.reach, or everywhere when the
     step length h differs from h_feet; phi and the datum where the feet
-    were recomputed, or everywhere on a step's first pass, since the
-    step-start phi has moved (the kept stencils then only gather it).
+    were recomputed, through the stencil just built there, or everywhere
+    on a step's first pass, since the step-start phi has moved, through
+    the whole kept stencil as it is (it then only gathers phi).
     Every recomputed entry goes through the same elementwise operations as
     on the full grid (the velocity through convolve_values on a window
     with the kernel's full reach, whose own edge padding is the grid's
     exactly where it touches a grid end), and outside the span the inputs
     are bitwise those of the previous pass, so a pass is bitwise the
-    full-grid pass.  The change reduction runs over the span where phi was
-    recomputed (elsewhere it is 0); the front pin and the cycle reduction
-    (run only if the change is >= PICARD_TOL) stay global; a foot that
-    reports the full span (the 2D one) makes every pass full.  A pass that
-    pins the very values v was built from, its feet traced through v over
-    h, ends the step (at PICARD_MAX_ITERS too).
+    full-grid pass.  A pass that pins the very values v was built from,
+    its feet traced through v over h, ends the step (at PICARD_MAX_ITERS
+    too); that test comes first, and only a pass that fails it runs the
+    change reduction, over the span where phi was recomputed (elsewhere
+    the change is 0).  The front pin and the cycle reduction (run only if
+    the change is >= PICARD_TOL) stay global; a foot that reports the full
+    span (the 2D one) makes every pass full.
 
     Without a front pin (no tracked datum jumps), the first pass traces the
     feet through a prediction of the velocity at the end of the step,
@@ -534,32 +568,35 @@ def _transport_steps(
             if lo < hi:
                 nodes, vs = foot.nodes[..., lo:hi], traced[..., lo:hi]
                 mids = nodes - 0.5 * h * vs
-                feet = _patched(feet, lo, hi, n, foot.stencil(
+                built = foot.stencil(
                     nodes - h * 0.5 * (vs + foot.interp_linear(traced, mids))
-                ))
-            # phi and the datum, where the feet changed; everywhere on a
-            # step's first pass, since phi has moved
+                )
+                feet = _patched(feet, lo, hi, n, built)
+            # phi and the datum, where the feet changed, through the stencil
+            # just built; everywhere on a step's first pass, since phi has
+            # moved, through the whole kept stencil
             if j == 0:
-                lo, hi = 0, n
+                lo, hi, built = 0, n, feet
             new_phi = cand_phi
             if lo < hi:
-                stencil = [s[..., lo:hi] for s in feet]
-                new_phi = _patched(
-                    cand_phi, lo, hi, n, foot.interp_foot(phi, stencil)
-                )
-                raw = _patched(raw, lo, hi, n, foot.datum(new_phi[..., lo:hi]))
-            # outside [lo, hi) new_phi holds cand_phi's own entries
-            change = float(np.abs(
-                new_phi[..., lo:hi] - cand_phi[..., lo:hi]
-            ).max()) if lo < hi else 0.0
+                phi_part = foot.interp_foot(phi, built)
+                new_phi = _patched(cand_phi, lo, hi, n, phi_part)
+                raw = _patched(raw, lo, hi, n, foot.datum(phi_part))
             cand_vals = raw
             if foot.pin is not None:
                 cand_vals, cand_fronts = foot.pin(
                     raw.copy(), new_phi, v, h, fronts
                 )
-            span = lo, hi = foot.changed(cand_vals, src)
-            # a contraction, a fixed point, or (from pass 1 on) a closed cycle
-            if change < PICARD_TOL or (lo >= hi and h_feet == h) or (
+            # a fixed point: the pass pins the values v was built from
+            span = foot.changed(cand_vals, src)
+            if span[0] >= span[1] and h_feet == h:
+                break
+            # outside [lo, hi) new_phi holds cand_phi's own entries
+            change = float(
+                np.abs(phi_part - cand_phi[..., lo:hi]).max()
+            ) if lo < hi else 0.0
+            # a contraction, or (from pass 1 on) a closed cycle
+            if change < PICARD_TOL or (
                 j and float(np.abs(new_phi - older_phi).max()) < PICARD_TOL
             ):
                 break
@@ -570,22 +607,19 @@ def _transport_steps(
         yield t_next, phi, vals, j + 1
 
 
-def _datum_jumps(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jump positions and one-sided limits of a structured functional datum.
+def _datum_jumps(data) -> list:
+    """The jumps of a structured functional datum, as (position, left
+    limit, right limit) triples of Python floats.
 
     Only the structured datum types expose their discontinuities exactly;
     an arbitrary callable contributes no tracked jumps.  A limit that is
     not finite raises DatumError.
     """
+    jumps = []
     if isinstance(data, RiemannData):
         if data.uL != data.uR:
-            return (
-                np.array([0.0]),
-                np.array([float(data.uL)]),
-                np.array([float(data.uR)]),
-            )
+            jumps.append((0.0, float(data.uL), float(data.uR)))
     elif isinstance(data, PiecewiseInitialData):
-        pos, lefts, rights = [], [], []
         for k, b in enumerate(data.breakpoints):
             bq = np.array([float(b)])
             fl = float(np.asarray(data.pieces[k](bq), dtype=float).ravel()[0])
@@ -596,17 +630,13 @@ def _datum_jumps(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     f"breakpoint {b!r} are {fl!r} and {fr!r}"
                 )
             if fl != fr:
-                pos.append(float(b))
-                lefts.append(fl)
-                rights.append(fr)
-        if pos:
-            return (np.array(pos), np.array(lefts), np.array(rights))
-    return (np.empty(0), np.empty(0), np.empty(0))
+                jumps.append((float(b), fl, fr))
+    return jumps
 
 
 def _advance_fronts(
-    gammas: np.ndarray, x0: float, dx: float, v: np.ndarray, dt: float
-) -> np.ndarray:
+    gammas: list, x0: float, dx: float, v: np.ndarray, dt: float
+) -> list:
     """Midpoint step of d(gamma)/dt = v(gamma) for the jump preimages.
 
     Differentiating phi(t, gamma(t)) = const through the transport equation
@@ -617,31 +647,28 @@ def _advance_fronts(
     violations once fronts have merged.
 
     A datum has a few jumps (one to three in the battery), and numpy's
-    per-call cost on arrays that small outweighs the arithmetic, so each
-    preimage is stepped in Python floats.  interpolate_at is bitwise
-    interpolate_values at one point, and each preimage goes through the
-    same expressions in the same order, so the result is bitwise that of
-    interpolate_values applied to the whole array of preimages.
+    per-call cost on arrays that small outweighs the arithmetic, so the
+    preimages are a list of Python floats and each is stepped alone.
+    interpolate_at is bitwise interpolate_values at one point, and each
+    preimage goes through the same expressions in the same order; the
+    running maximum keeps np.maximum.accumulate's rules (the later value
+    on a tie, a NaN passed through), so the result is bitwise that of
+    interpolate_values and np.maximum.accumulate on the whole array of
+    preimages.
     """
     out = []
-    for g in gammas.tolist():
+    for g in gammas:
         v1 = interpolate_at(v, x0, dx, g)
         v2 = interpolate_at(v, x0, dx, g + 0.5 * dt * v1)
-        out.append(g + dt * v2)
-    out = np.array(out)
-    if out.size > 1:
-        out = np.maximum.accumulate(out)
+        g = g + dt * v2
+        if out and (out[-1] > g or out[-1] != out[-1]):
+            g = out[-1]
+        out.append(g)
     return out
 
 
 def _pin_fronts(
-    vals: np.ndarray,
-    phi: np.ndarray,
-    x: np.ndarray,
-    gammas: np.ndarray,
-    jump_pos: np.ndarray,
-    jump_left: np.ndarray,
-    jump_right: np.ndarray,
+    vals: np.ndarray, phi: np.ndarray, x: list, gammas: list, jumps: list
 ) -> np.ndarray:
     """Overwrite the jump side where phi disagrees with the tracked preimage.
 
@@ -652,19 +679,18 @@ def _pin_fronts(
     nodes between the two placements are reassigned to gamma's side of the
     jump.  The overwritten values are one-sided datum limits, so they lie
     in the range of the datum and the range bound survives intact.
+
+    vals is written in place.  x is the sorted list of the node
+    coordinates, gammas the preimages (_advance_fronts) and jumps the
+    datum's _datum_jumps, all in Python floats.
     """
-    for g, y, fl, fr in zip(gammas, jump_pos, jump_left, jump_right):
+    for g, (y, fl, fr) in zip(gammas, jumps):
         if g != g:  # no node is on either side of a NaN preimage
             continue
         # x is sorted, so x <= g exactly on x[:k] and x > g on x[k:]
-        k = x.searchsorted(g, side="right")
-        left, right = vals[:k], vals[k:]
-        wrong_left = phi[:k] > y
-        if wrong_left.any():
-            left[wrong_left] = fl
-        wrong_right = phi[k:] <= y
-        if wrong_right.any():
-            right[wrong_right] = fr
+        k = bisect_right(x, g)
+        np.putmask(vals[:k], phi[:k] > y, fl)
+        np.putmask(vals[k:], phi[k:] <= y, fr)
     return vals
 
 
@@ -696,15 +722,12 @@ def _changed_span(new: np.ndarray, old: np.ndarray) -> tuple:
 def _foot_1d(u0: GridFunction1D, data) -> _Foot:
     """1D pieces: linear tracing, cubic foot interpolation, front pin."""
     x0, dx, x = u0.x0, u0.dx, u0.x
-    jump_pos, jump_left, jump_right = _datum_jumps(data)
+    xs, jumps = x.tolist(), _datum_jumps(data)
     datum = _datum_evaluator(u0, data)
 
     def pin(vals, phi, v, dt, gammas):
         gammas = _advance_fronts(gammas, x0, dx, v[0], dt)
-        vals = _pin_fronts(
-            vals, phi[0], x, gammas, jump_pos, jump_left, jump_right
-        )
-        return vals, gammas
+        return _pin_fronts(vals, phi[0], xs, gammas, jumps), gammas
 
     return _Foot(
         nodes=x[np.newaxis],
@@ -720,8 +743,8 @@ def _foot_1d(u0: GridFunction1D, data) -> _Foot:
         reach=lambda v, dt: int(
             np.ceil(0.5 * dt * float(np.abs(v[0]).max()) / dx)
         ) + 2,
-        pin=pin if jump_pos.size else None,
-        fronts=jump_pos.copy(),
+        pin=pin if jumps else None,
+        fronts=[position for position, _, _ in jumps],
     )
 
 

@@ -115,7 +115,11 @@ def _convolve2(mx: Mollifier, my: Mollifier, vals: np.ndarray) -> np.ndarray:
     """Tensor-product mollification with constant end extension:
     kernel.convolve_values along each row with mx, then along each column
     (through a transpose) with my, so each pass is bitwise the 1D rule on
-    each row or column."""
+    each row or column.  vals whose bits are all zero (the velocity of an
+    inactive flux) are all +0.0, and so is their mollification: they are
+    returned as they are."""
+    if not vals.view(np.uint64).any():
+        return vals
     return convolve_values(my, convolve_values(mx, vals).T).T
 
 

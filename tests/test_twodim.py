@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nlclaw import solver
+from nlclaw import solver, twodim
 from nlclaw.fluxes import burgers_flux, zero_flux
 from nlclaw.grids import sample
 from nlclaw.kernel import build_mollifier, convolve_values
@@ -319,3 +319,32 @@ def test_convolve2_is_the_1d_rule_per_row_then_per_column(ny, nx, ratios, seed):
     want = np.array([convolve_values(my, col) for col in rows.T]).T
     got = _convolve2(mx, my, vals)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_an_inactive_axis_is_not_mollified_and_keeps_every_bit(monkeypatch):
+    # criterion 13's solve, to a shorter T: the zero flux's velocity is all
+    # +0.0, and so is its mollification, which _convolve2 skips
+    u0 = sample_2d(
+        lambda X, Y: -np.tanh(X) + 0.0 * Y, -3.0, 3.0, 0.0, 0.2, 1e-2, 1e-2
+    )
+    fluxes = (burgers_flux(radius=1.5), zero_flux(radius=1.5))
+    calls = []
+
+    def counted(m, vals):
+        calls.append(vals.shape)
+        return convolve_values(m, vals)
+
+    monkeypatch.setattr(twodim, "convolve_values", counted)
+    got = solve_velocity_reg_2d(u0, fluxes, 0.1, 0.1, SolverConfig())
+    short = len(calls)
+    monkeypatch.setattr(
+        twodim, "_convolve2",
+        lambda mx, my, vals: counted(my, counted(mx, vals).T).T,
+    )
+    want = solve_velocity_reg_2d(u0, fluxes, 0.1, 0.1, SolverConfig())
+    assert np.array_equal(got.picard_counts, want.picard_counts)
+    assert np.array_equal(
+        got.values.view(np.uint64), want.values.view(np.uint64)
+    )
+    # two convolutions per pass, where mollifying both components takes four
+    assert 2 * short == len(calls) - short == 4 * want.picard_counts.sum()
