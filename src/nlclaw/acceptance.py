@@ -48,9 +48,8 @@ from .diagnostics import (
     catastrophe_time,
     check_invariants,
     convergence_study,
-    measure_front_speed_fit,
+    front_speed_check,
     oleinik_check,
-    predicted_front_speed,
     stability_envelope,
 )
 from .euler import (
@@ -117,16 +116,13 @@ def _criterion_1(reg: dict) -> tuple[bool, dict]:
     u0 = sample(data, -2.2, 2.8, dx)
     cfg = SolverConfig(store_stride=25)
     T = 1.0
-    speeds = {}
+    speeds, each_ok = {}, True
     for eps in (0.1, 0.05):
         traj = solve_nn(u0, eps, T, cfg, data=data)
         reg[f"c1_nn_eps{eps}"] = traj
-        fit = measure_front_speed_fit(traj, 0.5, (0.5, T))
+        fit, target, check = front_speed_check(traj, None, data, T)
         speeds[eps] = fit.speed
-    target = predicted_front_speed("nn", None, data.uL, data.uR)
-    each_ok = all(
-        abs(s - target) <= FRONT_SPEED_TOL * target for s in speeds.values()
-    )
+        each_ok = each_ok and check.passed
     agreement = abs(speeds[0.1] - speeds[0.05])
     agree_ok = agreement <= 2.0 * dx / T
     return each_ok and agree_ok, {
@@ -223,14 +219,10 @@ def _criterion_6(reg: dict) -> tuple[bool, dict]:
     for mode in ("velocity_reg", "flux_reg"):
         traj = solve_general(u0, flux, 0.1, 1.0, cfg, mode, data=data)
         reg[f"c6_{mode}_cubic"] = traj
-        fit = measure_front_speed_fit(traj, 1.0, (0.5, 1.0))
+        fit, predicted, check = front_speed_check(traj, flux, data, 1.0)
         width = max(fit.stderr, 1e-15)
         distinct = abs(fit.speed - rh) / width
-        predicted = predicted_front_speed(mode, flux, data.uL, data.uR)
-        mode_ok = (
-            abs(fit.speed - predicted) <= FRONT_SPEED_TOL * predicted
-            and distinct > 10.0
-        )
+        mode_ok = check.passed and distinct > 10.0
         out[mode] = {
             "speed": float(fit.speed),
             "stderr": float(fit.stderr),

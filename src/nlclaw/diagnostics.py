@@ -47,6 +47,7 @@ __all__ = [
     "catastrophe_time",
     "check_invariants",
     "convergence_study",
+    "front_speed_check",
     "measure_front_speed_fit",
     "oleinik_check",
     "predicted_front_speed",
@@ -197,6 +198,26 @@ def measure_front_speed_fit(
     else:
         stderr = 0.0
     return FrontSpeedFit(slope, stderr, times, pos)
+
+
+def front_speed_check(
+    traj: Trajectory, flux: FluxSpec | None, data: RiemannData, T: float
+) -> tuple:
+    """The front-speed claim of a solve of the decreasing Riemann datum
+    data to T: (fit, predicted, check), the fit of the crossing of (uL +
+    uR)/2 over [T/2, T], traj's mode's predicted speed, and the
+    "front_speed" CheckResult that the fit is within FRONT_SPEED_TOL of
+    |predicted|, None when no nonzero speed is predicted."""
+    fit = measure_front_speed_fit(traj, 0.5 * (data.uL + data.uR), (0.5 * T, T))
+    predicted = predicted_front_speed(traj.mode, flux, data.uL, data.uR)
+    if predicted is None or abs(predicted) <= 1e-12:
+        return fit, predicted, None
+    return fit, predicted, CheckResult(
+        "front_speed",
+        abs(fit.speed - predicted) <= FRONT_SPEED_TOL * abs(predicted),
+        fit.speed, predicted,
+        f"within {FRONT_SPEED_TOL:.0%} of the mode's predicted speed",
+    )
 
 
 TV_DEFICIT_TOL = 0.01  # terminal TV loss, relative to TV(u0)

@@ -25,15 +25,13 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
-    FRONT_SPEED_TOL,
     DiagnosticsReport,
     MultipleCrossingsError,
     NoCrossingError,
     StudyScenario,
     check_invariants,
     convergence_study,
-    measure_front_speed_fit,
-    predicted_front_speed,
+    front_speed_check,
     sweep_dx,
 )
 from .euler import conservative_residual, recombine, solve_isentropic
@@ -184,35 +182,22 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
     traj = solve(spec.mode, u0, spec.epsilon, spec.T, cfg, data=data, flux=flux)
 
     rep = check_invariants(traj)
-    front = None
+    front = {}
     if shock:
-        predicted = predicted_front_speed(spec.mode, flux, data.uL, data.uR)
-        level = 0.5 * (data.uL + data.uR)
         if adaptive:
             _check_levels(traj.times, 0.5 * spec.T, 2, spec, "front-speed fit")
-        fit = measure_front_speed_fit(
-            traj, level, (0.5 * spec.T, spec.T)
-        )
-        front = {
+        fit, predicted, check = front_speed_check(traj, flux, data, spec.T)
+        front["front_speed"] = {
             "measured": fit.speed,
             "stderr": fit.stderr,
             "predicted": predicted,
         }
-        if predicted is not None and abs(predicted) > 1e-12:
-            rep.add(
-                "front_speed",
-                abs(fit.speed - predicted) <= FRONT_SPEED_TOL * abs(predicted),
-                fit.speed,
-                predicted,
-                detail=f"within {FRONT_SPEED_TOL:.0%} of the mode's "
-                "predicted speed",
-            )
-    body = {"checks": rep.as_dict()}
-    if front is not None:
-        body["front_speed"] = front
+        if check is not None:
+            rep.checks.append(check)
     fin = traj.final
     return RunResult(
-        _meta(spec, spec.epsilon, spec.dx, traj.dt), body, rep.passed,
+        _meta(spec, spec.epsilon, spec.dx, traj.dt),
+        {"checks": rep.as_dict(), **front}, rep.passed,
         ("t", "x", "u"),
         Snapshot(traj.times, fin.x, (traj.values,)),
         plots={"profile": (("x", "u"), _profile(fin.x, fin.values))},
@@ -409,20 +394,19 @@ def execute(spec: ScenarioSpec) -> RunResult:
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _reprs(values: np.ndarray, spelling: dict) -> np.ndarray:
-    """repr of every float in a 1D array, as an object array of str, with
-    the reprs that spelling names replaced.  Each distinct value is
-    formatted once; values are told apart by their bits, because 0.0 ==
-    -0.0 although their reprs differ.  (np.unique(..., return_inverse=
-    True) finds the same, at about twice the cost on a row of 801 nodes
-    with numpy 2.4.)"""
+def _reprs(values: np.ndarray, spelling: dict, suffix: str) -> list:
+    """repr of every float in a 1D array, the reprs that spelling names
+    replaced and suffix appended, as a list of str.  Each distinct value
+    is formatted and suffixed once; values are told apart by their bits,
+    because 0.0 == -0.0 although their reprs differ.  (np.unique(...,
+    return_inverse=True) finds the same, at about twice the cost on a row
+    of 801 nodes with numpy 2.4.)"""
     keys = values.view(np.uint64)
     bits = np.sort(keys)
     bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
     text = [repr(v) for v in bits.view(np.float64).tolist()]
-    if spelling:
-        text = [spelling.get(t, t) for t in text]
-    return np.array(text, dtype=object)[bits.searchsorted(keys)]
+    text = [spelling.get(t, t) + suffix for t in text]
+    return np.array(text, dtype=object)[bits.searchsorted(keys)].tolist()
 
 
 def _level_text(snap: Snapshot, sep: str, end: str, spelling: dict):
@@ -430,43 +414,27 @@ def _level_text(snap: Snapshot, sep: str, end: str, spelling: dict):
     line per node, the row's values joined by sep in _reprs form and the
     line ended by end.
 
-    The lines are laid out in one list per table, a row's pieces side by
-    side.  The node column and the separators and end around it are
-    formatted and joined once per table, so a (t, x, u) row is level,
-    sep + x + sep, u and end.  Each level fills in its level and field
-    pieces (each distinct value of a field row formatted once) and joins
-    the list.
+    The lines are laid out in one list per table, one piece per value: a
+    row of k columns is k pieces, each value carrying the sep that follows
+    it, or end in the last column.  The node column is filled in once per
+    table; each level fills in its level column and its field columns
+    (each distinct value of a field row formatted once) and joins the
+    list.
     """
-    n = snap.nodes.size
+    n, w = snap.nodes.size, len(snap.order)
     if not len(snap):
         return
-    # a row's pieces: None for the level, a field's index, and the
-    # separators, node texts and end, each run of these joined here
-    pieces = []
-    for k, col in enumerate(snap.order):
-        pieces += [sep] if k else []
-        pieces.append(
-            None if col == 0
-            else _reprs(snap.nodes, spelling) if col == 1 else col - 2
-        )
-    fixed = (str, np.ndarray)  # the pieces every level shares
-    merged = []
-    for p in pieces + [end]:
-        if isinstance(p, fixed) and merged and isinstance(merged[-1], fixed):
-            merged[-1] = merged[-1] + p
-        else:
-            merged.append(p)
-    w = len(merged)
+    ends = [sep] * (w - 1) + [end]
     text = [""] * (w * n)
-    for s, p in enumerate(merged):
-        if isinstance(p, fixed):
-            text[s::w] = [p] * n if isinstance(p, str) else p.tolist()
-    for i, level in enumerate(_reprs(snap.levels, spelling).tolist()):
-        for s, p in enumerate(merged):
-            if p is None:
-                text[s::w] = [level] * n
-            elif isinstance(p, int):
-                text[s::w] = _reprs(snap.fields[p][i], spelling).tolist()
+    for c, col in enumerate(snap.order):
+        if col == 1:
+            text[c::w] = _reprs(snap.nodes, spelling, ends[c])
+    for i, level in enumerate(_reprs(snap.levels, spelling, "")):
+        for c, col in enumerate(snap.order):
+            if col == 0:
+                text[c::w] = [level + ends[c]] * n
+            elif col > 1:
+                text[c::w] = _reprs(snap.fields[col - 2][i], spelling, ends[c])
         yield "".join(text)
 
 
@@ -476,9 +444,9 @@ def _write_table(path: Path, meta: dict, header: str, sep: str, rows) -> Path:
     True/False).
 
     rows is a Snapshot, written level by level as _level_text lays it
-    out (each distinct value of a level's field row is formatted once,
-    distinct by bit pattern: -0.0 prints as -0.0 and 0.0 as 0.0, as repr
-    prints them), or a list of tuples.
+    out (each distinct value of a level's field row formatted once with
+    its sep or the newline appended, distinct by bit pattern: -0.0 prints
+    as -0.0 and 0.0 as 0.0, as repr prints them), or a list of tuples.
     """
     with open(path, "w") as fh:
         fh.write(f"# nlclaw {meta['version']}\n")
@@ -499,8 +467,10 @@ def _write_json(path: Path, meta: dict, columns, rows: Snapshot) -> None:
     """json.dumps({**meta, "columns": list(columns), "rows": <the rows of
     the Snapshot as lists>}, indent=2) + "\n", byte for byte.  json formats
     the meta and columns; the rows are laid out at indent 2 here, level by
-    level from _level_text (json writes a float as its repr, and the
-    non-finite ones as _JSON_SPELLING spells them)."""
+    level from _level_text, whose values carry the ",\n      " that follows
+    them and whose rows end by closing the row and opening the next, an
+    end cut from each level's last row (json writes a float as its repr,
+    and the non-finite ones as _JSON_SPELLING spells them)."""
     head = json.dumps({**meta, "columns": list(columns), "rows": []}, indent=2)
     if not len(rows):
         path.write_text(head + "\n")

@@ -11,6 +11,7 @@ from nlclaw.diagnostics import (
     catastrophe_time,
     check_invariants,
     convergence_study,
+    front_speed_check,
     measure_front_speed_fit,
     oleinik_check,
     stability_envelope,
@@ -103,6 +104,48 @@ def test_front_speed_needs_two_states():
     traj = translated_ramp_trajectory(0.3, times)
     with pytest.raises(ValueError):
         measure_front_speed_fit(traj, 0.0, (0.95, 1.0)).speed
+
+
+def riemann_ramp_trajectory(data, speed, mode="nn"):
+    # a ramp from uL to uR whose crossing of (uL + uR)/2 moves at speed
+    mid, half = 0.5 * (data.uL + data.uR), 0.5 * (data.uL - data.uR)
+    u0 = grid_fn(lambda x: mid + np.clip(-x, -half, half), -4.0, 4.0, 1e-2)
+    times = np.linspace(0.0, 1.0, 11)
+    values = mid + np.clip(-(u0.x - speed * times[:, None]), -half, half)
+    return Trajectory(
+        u0, times, values, 0.1, mode, speed_bound(mode, None, u0.values)
+    )
+
+
+@pytest.mark.parametrize(
+    "speed, passed", [(-0.5, True), (-0.495, True), (-0.52, False)]
+)
+def test_front_speed_check_holds_a_negative_speed_to_abs_predicted(
+    speed, passed
+):
+    # nn on (0, -1) predicts -0.5: the 2 % tolerance is 0.01 either way
+    data = RiemannData(0.0, -1.0)
+    traj = riemann_ramp_trajectory(data, speed)
+    fit, predicted, check = front_speed_check(traj, None, data, 1.0)
+    assert predicted == -0.5
+    assert fit.times.size == 6 and abs(fit.speed - speed) <= 1e-6
+    ref = measure_front_speed_fit(traj, -0.5, (0.5, 1.0))
+    assert (fit.speed, fit.stderr) == (ref.speed, ref.stderr)
+    assert (check.name, check.passed, check.value, check.threshold) == (
+        "front_speed", passed, fit.speed, predicted
+    )
+
+
+@pytest.mark.parametrize(
+    "data, mode, predicted",
+    [(RiemannData(1.0, -1.0), "nn", 0.0),
+     (RiemannData(1.0, 0.0), "conservative", None)],
+)
+def test_front_speed_check_needs_a_nonzero_prediction(data, mode, predicted):
+    traj = riemann_ramp_trajectory(data, 0.3, mode)
+    fit, got, check = front_speed_check(traj, None, data, 1.0)
+    assert (got, check) == (predicted, None)
+    assert abs(fit.speed - 0.3) <= 1e-6
 
 
 # ---------------------------------------------------------- invariant checks

@@ -131,3 +131,34 @@ def test_runs_in_1d_and_2d_and_godunov_load_no_scipy(tmp_path):
     assert after_import == "", f"the imports loaded {after_import}"
     assert after_runs == "", f"the runs loaded {after_runs}"
     assert len(list((tmp_path / "res").iterdir())) == 9
+
+
+# perfbench's setup_s times a fresh `import nlclaw.runner`, the start of
+# every run: it must not load the selftest, the command line, the
+# standard modules only they use, or scipy.  numpy loads tempfile itself
+# (through importlib.resources), so the check is on the modules the
+# import adds to a fresh interpreter that has imported numpy.
+RUN_PATH_AVOIDS = (
+    "nlclaw.acceptance", "nlclaw.cli", "subprocess", "tempfile", "argparse",
+)
+RUNNER_IMPORT = """
+import sys
+import numpy
+before = set(sys.modules)
+import nlclaw.runner
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_runner_loads_no_selftest_cli_or_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER_IMPORT],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "nlclaw.runner" in added
+    assert [
+        m for m in added
+        if m in RUN_PATH_AVOIDS or m.split(".")[0] == "scipy"
+    ] == []
