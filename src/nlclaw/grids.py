@@ -128,11 +128,30 @@ class PiecewiseInitialData:
             raise ValueError("lipschitz_C must be nonnegative")
 
     def __call__(self, x):
+        """The datum at the points x, a float array of x's shape (at least
+        1D).  Each piece is called only on its points, and not at all when
+        it has none.
+
+        Points that are 1D and nondecreasing (the sampled grid, and the
+        feet wherever the foot field is monotone) are cut at the
+        breakpoints by one searchsorted, so each piece runs on a
+        contiguous slice of x, a view it must not write into.  Other points
+        (unsorted, containing NaN, or of higher rank) go through one
+        boolean mask per piece.  Both rules give the same values.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty_like(x)
+        if x.ndim == 1 and (x[1:] >= x[:-1]).all():
+            # x <= a_k exactly on x[:cuts[k]] (left continuity), so piece k
+            # owns x[cuts[k-1]:cuts[k]]
+            cuts = x.searchsorted(self.breakpoints, side="right").tolist()
+            for piece, lo, hi in zip(self.pieces, [0, *cuts], [*cuts, x.size]):
+                if lo < hi:
+                    out[lo:hi] = np.asarray(piece(x[lo:hi]), dtype=float)
+            return out
         # 'left' side counts breakpoints strictly below x, so x == a_k picks
         # the piece ending at a_k (left continuity).
         idx = np.searchsorted(np.asarray(self.breakpoints), x, side="left")
-        out = np.empty_like(x)
         for k, piece in enumerate(self.pieces):
             mask = idx == k
             if np.any(mask):

@@ -352,6 +352,13 @@ def _datum_evaluator(
     for smooth data.  The clip pins the maximum principle to the range of
     the stored initial state even where a smooth datum peaks between nodes.
     A datum value that is not finite raises DatumError.
+
+    A RiemannData with finite states takes only those two values, so they
+    are clipped once here and each call is one np.where (bitwise the clip
+    of data(y)).  Any other callable, and a RiemannData with a state that
+    is not finite, is evaluated, checked and clipped on every call; the
+    check is on the raw states because the clip would map an infinite one
+    to a bound.
     """
     lo = float(np.min(u0.values))
     hi = float(np.max(u0.values))
@@ -359,6 +366,9 @@ def _datum_evaluator(
         return lambda y: interpolate_values(u0.values, u0.x0, u0.dx, y)
     if not callable(data):
         raise TypeError(f"cannot evaluate initial data of type {type(data)!r}")
+    if isinstance(data, RiemannData) and np.isfinite([data.uL, data.uR]).all():
+        cL, cR = np.minimum(hi, np.maximum(lo, [data.uL, data.uR]))
+        return lambda y: np.where(y <= 0.0, cL, cR)
 
     def ev(y: np.ndarray) -> np.ndarray:
         vals = np.asarray(data(y), dtype=float)

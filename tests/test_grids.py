@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from nlclaw.expressions import parse_expression
 from nlclaw.grids import (
     GridFunction1D,
     GridMismatchError,
@@ -63,6 +64,106 @@ def test_piecewise_validation():
         PiecewiseInitialData((1.0, 0.0), (None, None, None))
     with pytest.raises(ValueError):
         PiecewiseInitialData((0.0,), (None,))
+
+
+def reference_piecewise(data, x):
+    """A PiecewiseInitialData evaluated by one boolean mask per piece, the
+    rule it used for every input before sorted points were cut into
+    contiguous slices; the oracle of both rules."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = np.searchsorted(np.asarray(data.breakpoints), x, side="left")
+    out = np.empty_like(x)
+    for k, piece in enumerate(data.pieces):
+        mask = idx == k
+        if np.any(mask):
+            out[mask] = np.asarray(piece(x[mask]), dtype=float)
+    return out
+
+
+PIECEWISE_DATA = {
+    "lambdas": PiecewiseInitialData(
+        (-2.0, -1.0, 0.0, 1.0, 2.0),
+        (
+            lambda x: np.zeros_like(x),
+            lambda x: x + 2.0,
+            lambda x: 1.0,  # a constant piece: a scalar broadcast
+            lambda x: -1.0 + 0.0 * x,
+            lambda x: (x - 2.0) / 3.0,
+            lambda x: np.tanh(2.0 * x),
+        ),
+        lipschitz_C=1.0,
+    ),
+    "expressions": PiecewiseInitialData(
+        (-0.5, 0.75),
+        (
+            parse_expression("-tanh(3*(x + 1.3))"),
+            parse_expression("exp(-x^2) - 0.25"),
+            parse_expression("0.4*tanh(x - 2) + exp(0.1*x)"),
+        ),
+    ),
+}
+
+
+def _piecewise_inputs():
+    bps = [-2.0, -1.0, -0.5, 0.0, 0.75, 1.0, 2.0]
+    sorted_x = np.linspace(-3.0, 3.0, 601) + 0.0037  # off the breakpoints
+    exact = np.sort(
+        bps + [np.nextafter(b, s) for b in bps for s in (-np.inf, np.inf)]
+        + [-0.0, 0.0, -0.0, -3.0, -3.0, 3.0]
+    )
+    shuffled = np.random.default_rng(26).permutation(sorted_x)
+    with_nan = sorted_x.copy()
+    with_nan[300] = np.nan
+    return {
+        "sorted": sorted_x,
+        "sorted_from_zero": np.linspace(0.0, 3.0, 301),
+        "reversed": sorted_x[::-1],
+        "shuffled": shuffled,
+        "breakpoint_exact": exact,
+        "nan_inside": with_nan,
+        "nan_first": np.concatenate([[np.nan], sorted_x]),
+        "nan_last": np.concatenate([sorted_x, [np.nan]]),
+        "nan_alone": np.array([np.nan]),
+        "infinite": np.array([-np.inf, -1.0, 0.0, np.inf]),
+        "empty": np.array([]),
+        "one_point": np.array([0.5]),
+        "one_breakpoint": np.array([-1.0]),
+        "python_float": 0.75,
+        "list": [-2.5, -1.5, 1.5, 2.5],
+        "rank_2": sorted_x[:600].reshape(20, 30),
+    }
+
+
+PIECEWISE_INPUTS = _piecewise_inputs()
+
+
+@pytest.mark.parametrize("points", sorted(PIECEWISE_INPUTS))
+@pytest.mark.parametrize("datum", sorted(PIECEWISE_DATA))
+def test_piecewise_is_bitwise_the_mask_rule(datum, points):
+    data, x = PIECEWISE_DATA[datum], PIECEWISE_INPUTS[points]
+    want = reference_piecewise(data, x)
+    got = data(x)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("points", sorted(PIECEWISE_INPUTS))
+def test_piecewise_calls_each_piece_on_its_points_only(points):
+    # a piece with no points is not called, and each gets its points in
+    # their order, whichever rule serves the input
+    x = PIECEWISE_INPUTS[points]
+
+    def recording(calls):
+        def piece(k):
+            return lambda y: calls.append((k, np.array(y))) or y * (k + 1.0)
+        return PiecewiseInitialData((-1.0, 0.0, 1.0), [piece(k) for k in range(4)])
+
+    got, want = [], []
+    recording(got)(x)
+    reference_piecewise(recording(want), x)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_tv_step_and_constant():

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from nlclaw.expressions import parse_expression
 from nlclaw.fluxes import FluxSpec, burgers_flux, cubic_flux
 from nlclaw.grids import (
+    DatumError,
     GridFunction1D,
     PiecewiseInitialData,
     RiemannData,
@@ -23,6 +24,7 @@ from nlclaw.grids import (
     total_variation,
 )
 from nlclaw import grids, solver
+from nlclaw.acceptance import _pwise_increasing_datum
 from nlclaw.euler import solve_isentropic, to_invariants
 from nlclaw.kernel import build_mollifier, convolve_values
 from nlclaw.solver import (
@@ -193,6 +195,50 @@ def test_clips_resolve_signed_zero_ties_as_np_clip():
     assert np.signbit(_interp_foot(phi, 0.0, 1.0, stencil)).all()
     ev = _datum_evaluator(GridFunction1D(0.0, 1.0, [0.0, 1.0]), lambda y: -0.0 * y)
     assert np.signbit(ev(y)).all()
+
+
+RIEMANN_FEET = np.array([
+    -7.5, -1.0, -0.0, 0.0, -5e-324, 5e-324, 0.3, 0.3125, 2.0, 7.5,
+    np.nan, -np.inf, np.inf,
+])
+
+
+@pytest.mark.parametrize("uL, uR, a, b", [
+    (1.0, 0.2, -0.5, 1.5),
+    (-0.4, 0.9, -1.0, 1.0),
+    (-0.0, 0.0, -1.0, 1.0),
+    (0.0, -0.0, -1.0, 1.0),
+    (1, 0, -1.0, 1.0),  # integer states
+    (2.0, 0.5, 0.25, 1.5),  # domain right of the jump: uL clips to uR
+    (-1.0, 3.0, -2.0, -0.5),  # domain left of the jump: uR clips to uL
+    (-0.0, 0.0, 0.25, 1.5),  # the clip meets signed zeros
+    (0.0, -0.0, -1.5, -0.25),
+    (0.5, -0.0, -1.5, -0.25),
+])
+def test_riemann_evaluator_is_bitwise_the_clipped_datum(uL, uR, a, b):
+    data = RiemannData(uL, uR)
+    u0 = sample(data, a, b, 0.0625)
+    lo, hi = float(np.min(u0.values)), float(np.max(u0.values))
+    y = np.concatenate([RIEMANN_FEET, u0.x, u0.x + 0.01])  # on and off grid
+    got = _datum_evaluator(u0, data)(y)
+    want = np.minimum(hi, np.maximum(lo, data(y)))
+    assert got.dtype == np.float64 and got.shape == y.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_riemann_state_that_is_not_finite_raises_at_its_feet(bad, side):
+    # the domain holds only the finite state, so sampling passes; a foot
+    # on the other side of the jump reads the bad state and raises
+    if side == "left":
+        data, a, b, good, away = RiemannData(bad, 0.5), 0.25, 1.5, 0.3, 0.0
+    else:
+        data, a, b, good, away = RiemannData(0.5, bad), -1.5, -0.25, -0.3, 0.1
+    ev = _datum_evaluator(sample(data, a, b, 0.0625), data)
+    assert ev(np.array([good, 2.0 * good, 10.0 * good])).tolist() == [0.5] * 3
+    with pytest.raises(DatumError, match=f"foot x = {away!r} the datum is"):
+        ev(np.array([good, away, 2.0 * good]))
 
 
 def test_config_validation():
@@ -1083,4 +1129,26 @@ def test_a_kept_stencil_pass_makes_few_calls():
     # of calls from creeping back
     counts = kept_stencil_pass_calls()
     assert len(counts) > 100
-    assert max(counts) <= 49
+    assert max(counts) <= 43
+
+
+def test_a_piecewise_datum_on_sorted_feet_makes_few_calls():
+    # criterion 9's datum at sorted feet: one slice per piece, not one
+    # boolean mask per piece (43 calls before the slices)
+    data = _pwise_increasing_datum()
+    u0 = sample(data, -3.0, 3.0, 0.01)
+    ev = _datum_evaluator(u0, data)
+    feet = u0.x - 0.3 * u0.dx
+    ev(feet)
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        ev(feet)
+    finally:
+        sys.setprofile(None)
+    assert calls[0] <= 24
