@@ -627,8 +627,14 @@ def _datum_jumps(data) -> list:
     """
     jumps = []
     if isinstance(data, RiemannData):
+        uL, uR = float(data.uL), float(data.uR)
+        if not np.isfinite([uL, uR]).all():
+            raise DatumError(
+                f"values must be finite, and the Riemann states are "
+                f"{uL!r} and {uR!r}"
+            )
         if data.uL != data.uR:
-            jumps.append((0.0, float(data.uL), float(data.uR)))
+            jumps.append((0.0, uL, uR))
     elif isinstance(data, PiecewiseInitialData):
         for k, b in enumerate(data.breakpoints):
             bq = np.array([float(b)])
@@ -932,10 +938,13 @@ def solve_conservative_nonlocal(
         # interface values between i and i+1; constant extension at ends
         v_face = 0.5 * (v[:-1] + v[1:])
         up = np.where(v_face >= 0.0, vals[:-1], vals[1:])
-        flux_face = v_face * up
-        flux_left = np.concatenate([[v[0] * vals[0]], flux_face])
-        flux_right = np.concatenate([flux_face, [v[-1] * vals[-1]]])
-        vals = vals - (dt / dx) * (flux_right - flux_left)
+        # the n + 1 face fluxes, the two end faces carrying v * u of
+        # their end cells
+        flux_face = np.empty(vals.size + 1)
+        np.multiply(v_face, up, out=flux_face[1:-1])
+        flux_face[0] = v[0] * vals[0]
+        flux_face[-1] = v[-1] * vals[-1]
+        vals = vals - (dt / dx) * (flux_face[1:] - flux_face[:-1])
         t += dt
         k += 1
         if k % cfg.store_stride == 0 or t >= T - 1e-15:

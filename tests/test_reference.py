@@ -1,8 +1,14 @@
 """Entropy references: closed form, variational, finite volume, tracking."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from nlclaw.acceptance import _neg_tanh
 from nlclaw.fluxes import FluxSpec, burgers_flux, cubic_flux
 from nlclaw.grids import (
     GridFunction1D,
@@ -80,6 +86,191 @@ def test_lax_oleinik_rejects_bad_time():
     u0 = sample(0.0, -1.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         lax_oleinik_solve(u0, 0.0)
+
+
+def reference_lax_oleinik(u0: GridFunction1D, t: float) -> GridFunction1D:
+    """The Lax-Oleinik search one node at a time, as lax_oleinik_solve
+    ran it before it searched one recursion level at a time: a stack of
+    (ilo, ihi, jlo, jhi) intervals, one np.argmin per midpoint."""
+    vals = u0.values
+    n = vals.size
+    x = u0.x
+    U0 = np.concatenate([[0.0], np.cumsum(vals[:-1]) * u0.dx])
+    out = np.empty(n)
+    stack = [(0, n - 1, 0, n - 1)]
+    inv2t = 1.0 / (2.0 * t)
+    while stack:
+        ilo, ihi, jlo, jhi = stack.pop()
+        if ilo > ihi:
+            continue
+        im = (ilo + ihi) // 2
+        seg = U0[jlo : jhi + 1] + (x[im] - x[jlo : jhi + 1]) ** 2 * inv2t
+        jm = jlo + int(np.argmin(seg))  # first minimum: tie to smaller y
+        out[im] = (x[im] - x[jm]) / t
+        stack.append((ilo, im - 1, jlo, jm))
+        stack.append((im + 1, ihi, jm, jhi))
+    return u0.with_values(out)
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def assert_lax_oleinik_is_the_reference(u0, t):
+    """Bitwise the same values, or the same ValueError: an objective that
+    overflows can send a minimiser far enough to make u(t) infinite."""
+    try:
+        want = reference_lax_oleinik(u0, t).values
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            lax_oleinik_solve(u0, t)
+        return
+    got = lax_oleinik_solve(u0, t).values
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+def tanh_row(n, dx, a=0.9, k=1.1, s=0.05):
+    """A sweep row of -a tanh(k (x - s)) on n nodes centred on 0."""
+    half = 0.5 * (n - 1) * dx
+    u0 = sample(lambda x: -a * np.tanh(k * (x - s)), -half, half, dx)
+    assert u0.values.size == n
+    return u0
+
+
+# the node counts and spacings of smooth sweep rows (eps 0.2, 0.1, 0.05)
+SWEEP_ROWS = [
+    (855, 0.01), (921, 0.01), (941, 0.01), (1367, 0.00625),
+    (1455, 0.00625), (1457, 0.00625),
+]
+
+
+@pytest.mark.parametrize("n, dx", SWEEP_ROWS)
+@pytest.mark.parametrize("t", [1e-3, 0.4312947468299836, 0.5856858381164344, 50.0])
+def test_lax_oleinik_on_a_sweep_row_is_the_node_by_node_search(n, dx, t):
+    assert_lax_oleinik_is_the_reference(tanh_row(n, dx), t)
+
+
+@pytest.mark.parametrize("datum", [
+    RiemannData(1.0, 0.0), RiemannData(0.3, -0.8),  # shocks
+    RiemannData(-1.0, 1.0), RiemannData(0.0, 0.5),  # fans
+])
+@pytest.mark.parametrize("t", [1e-4, 0.25, 1.0, 40.0])
+def test_lax_oleinik_on_riemann_data_is_the_node_by_node_search(datum, t):
+    assert_lax_oleinik_is_the_reference(sample(datum, -2.0, 2.0, 0.01), t)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, 0.5, -1.0, 3.0])
+@pytest.mark.parametrize("t", [0.005, 0.01, 0.125, 1.0, 1e4])
+def test_lax_oleinik_on_constant_data_is_the_node_by_node_search(c, t):
+    # c * t a whole or half number of cells: objectives tie between nodes
+    assert_lax_oleinik_is_the_reference(sample(c, -1.0, 1.0, 0.01), t)
+
+
+@pytest.mark.parametrize("f", [
+    lambda y: np.exp(-y * y), lambda y: np.cos(3.0 * y), np.tanh,
+])
+@pytest.mark.parametrize("parity", [1.0, -1.0])
+@pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
+def test_lax_oleinik_on_mirror_symmetric_data_is_the_node_by_node_search(
+    f, parity, t
+):
+    # values at x and -x equal (parity 1) or opposite (parity -1)
+    half = f(0.01 * np.arange(1, 201))
+    mid = f(np.zeros(1)) if parity > 0 else np.zeros(1)
+    values = np.concatenate([parity * half[::-1], mid, half])
+    assert np.array_equal(values, parity * values[::-1])
+    assert_lax_oleinik_is_the_reference(GridFunction1D(-2.0, 0.01, values), t)
+
+
+@pytest.mark.parametrize("label, datum, window, T", [
+    ("riemann_shock", RiemannData(1.0, 0.0), (-2.2, 2.8), 1.0),
+    ("neg_tanh_post_shock", _neg_tanh, (-4.0, 4.0), 2.0),
+])
+def test_lax_oleinik_on_criterion_8_grids_is_the_node_by_node_search(
+    label, datum, window, T
+):
+    pad = 1.0 * T + 0.5
+    u0 = sample(datum, window[0] - pad, window[1] + pad, 1e-3)
+    assert u0.values.size == {"riemann_shock": 8001}.get(label, 13001)
+    assert_lax_oleinik_is_the_reference(u0, T)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 0.0], [1.0, -1.0], [-1.0, 1.0], [0.5, 0.5, 0.5], [2.0, -3.0, 1.0],
+    [-0.0, 0.0, -0.0],
+])
+@pytest.mark.parametrize("t", [1e-300, 0.3, 1.0, 1e300])
+def test_lax_oleinik_on_two_and_three_nodes_is_the_node_by_node_search(
+    values, t
+):
+    assert_lax_oleinik_is_the_reference(GridFunction1D(-0.5, 0.5, values), t)
+
+
+# dx 1e152 with states of 1e157 sends U0 to -inf while (x_i - y)^2 / (2t)
+# overflows, so some objectives are NaN and np.argmin picks the first NaN
+NAN_VALUES = np.full(20, -1e157)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    values=hnp.arrays(
+        np.float64, st.integers(2, 40),
+        elements=st.one_of(
+            st.floats(-2.0, 2.0),
+            st.sampled_from([0.0, -0.0, 1e157, -1e157, 1e308, -1e308]),
+        ),
+    ),
+    dx=st.sampled_from([1e-3, 0.01, 1.0, 1e152]),
+    t=st.sampled_from([1e-300, 1e-3, 0.5, 2.0, 1e300]),
+)
+@example(values=NAN_VALUES, dx=1e152, t=1e-3)
+def test_lax_oleinik_on_random_data_is_the_node_by_node_search(values, dx, t):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_lax_oleinik_is_the_reference(
+            GridFunction1D(-1.0, dx, values), t
+        )
+
+
+def test_a_nan_objective_picks_the_first_nan_as_np_argmin():
+    u0, t = GridFunction1D(-1.0, 1e152, NAN_VALUES), 1e-3
+    with np.errstate(over="ignore", invalid="ignore"):
+        U0 = np.concatenate([[0.0], np.cumsum(u0.values[:-1]) * u0.dx])
+        # the first midpoint, node 9, searches every node
+        first = U0 + (u0.x[9] - u0.x) ** 2 * (1.0 / (2.0 * t))
+        # the first NaN, not the smallest number (-inf at node 4)
+        assert np.argmin(first) == 1 and np.nanargmin(first) == 4
+        got = lax_oleinik_solve(u0, t).values
+        assert_lax_oleinik_is_the_reference(u0, t)
+    assert got[9] == (u0.x[9] - u0.x[1]) / t
+
+
+def lax_oleinik_calls(u0, t):
+    """The Python and C calls (sys.setprofile) of one warm oracle call."""
+    lax_oleinik_solve(u0, t)
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        lax_oleinik_solve(u0, t)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def test_lax_oleinik_makes_few_calls():
+    # one recursion level per loop pass: the count grows like log2 n (11
+    # levels at 1,367 nodes, 14 at 8,541), not like n (one np.argmin per
+    # node made 12,326 and 76,892 calls)
+    small = lax_oleinik_calls(tanh_row(1367, 0.00625), 0.5)
+    large = lax_oleinik_calls(tanh_row(8541, 0.00625 / 4.0), 0.5)
+    assert small <= 122
+    assert large <= 149
+    assert large - small <= 3 * 9  # three more levels of nine calls
 
 
 def test_godunov_constant():

@@ -24,7 +24,8 @@ from nlclaw.grids import (
     total_variation,
 )
 from nlclaw import grids, solver
-from nlclaw.acceptance import _pwise_increasing_datum
+from nlclaw.acceptance import _counterexample_datum, _pwise_increasing_datum
+from nlclaw.diagnostics import padded_grid_bounds
 from nlclaw.euler import solve_isentropic, to_invariants
 from nlclaw.kernel import build_mollifier, convolve_values
 from nlclaw.solver import (
@@ -36,6 +37,7 @@ from nlclaw.solver import (
     _advance_fronts,
     _cubic_weights,
     _datum_evaluator,
+    _datum_jumps,
     _foot_1d,
     _foot_stencil,
     _interp_foot,
@@ -239,6 +241,35 @@ def test_a_riemann_state_that_is_not_finite_raises_at_its_feet(bad, side):
     assert ev(np.array([good, 2.0 * good, 10.0 * good])).tolist() == [0.5] * 3
     with pytest.raises(DatumError, match=f"foot x = {away!r} the datum is"):
         ev(np.array([good, away, 2.0 * good]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_datum_jumps_rejects_a_riemann_state_that_is_not_finite(bad, side):
+    data = RiemannData(bad, 0.5) if side == "left" else RiemannData(0.5, bad)
+    with pytest.raises(DatumError, match="the Riemann states are"):
+        _datum_jumps(data)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_riemann_state_that_is_not_finite_raises_before_any_step(
+    bad, side, monkeypatch
+):
+    # the domain holds only the finite state, so sampling passes
+    if side == "left":
+        data, a, b = RiemannData(bad, 0.5), 0.25, 1.5
+    else:
+        data, a, b = RiemannData(0.5, bad), -1.5, -0.25
+    u0 = sample(data, a, b, 0.0625)
+    assert u0.values.tolist() == [0.5] * u0.n
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("the solve took a step")
+
+    monkeypatch.setattr(solver, "_transport_steps", no_steps)
+    with pytest.raises(DatumError, match="the Riemann states are"):
+        solve_nn(u0, 0.1, 1.0, CFG, data=data)
 
 
 def test_config_validation():
@@ -581,6 +612,70 @@ def test_conservative_may_break_max_principle():
     tr = solve_conservative_nonlocal(u0, 0.1, 0.4, SolverConfig(store_stride=100))
     sup0 = sup_norm(tr.states[0])
     assert max(sup_norm(s) - sup0 for s in tr.states) > 0.1
+
+
+def reference_conservative(u0, epsilon, T, cfg):
+    """The times and levels solve_conservative_nonlocal stores, stepped as
+    it stepped before its face fluxes went into one array: the left and
+    right fluxes of every cell as two concatenations."""
+    m = build_mollifier(epsilon, u0.dx)
+    dx = u0.dx
+    vals = u0.values.copy()
+    times = [0.0]
+    levels = [vals]
+    t = 0.0
+    k = 0
+    while t < T - 1e-15:
+        dt = min(time_step(cfg, dx, vals), T - t)
+        v = convolve_values(m, vals)
+        v_face = 0.5 * (v[:-1] + v[1:])
+        up = np.where(v_face >= 0.0, vals[:-1], vals[1:])
+        flux_face = v_face * up
+        flux_left = np.concatenate([[v[0] * vals[0]], flux_face])
+        flux_right = np.concatenate([flux_face, [v[-1] * vals[-1]]])
+        vals = vals - (dt / dx) * (flux_right - flux_left)
+        t += dt
+        k += 1
+        if k % cfg.store_stride == 0 or t >= T - 1e-15:
+            times.append(t)
+            levels.append(vals)
+    return np.array(times), np.stack(levels)
+
+
+def criterion_11_grid():
+    """Criterion 11's conservative grid: its finest sweep row (eps 0.05)."""
+    data, dx = _counterexample_datum(), 0.05 / 8.0
+    speed = speed_bound("nn", None, sample(data, -3.0, 3.0, dx).values)
+    u0 = sample(data, *padded_grid_bounds((-3.0, 3.0), speed, 0.05, 1.0, dx), dx)
+    assert u0.n == 1617
+    return u0
+
+
+def assert_conservative_is_the_reference(u0, epsilon, T, stride):
+    cfg = SolverConfig(store_stride=stride)
+    tr = solve_conservative_nonlocal(u0, epsilon, T, cfg)
+    times, levels = reference_conservative(u0, epsilon, T, cfg)
+    assert np.array_equal(bits(tr.times), bits(times))
+    assert np.array_equal(bits(tr.values), bits(levels))
+
+
+@pytest.mark.parametrize("T, stride", [(1.0, 10**9), (0.1, 1)])
+def test_criterion_11_conservative_steps_are_the_concatenated_fluxes(T, stride):
+    # criterion 11's solve, and its first tenth level by level
+    assert_conservative_is_the_reference(criterion_11_grid(), 0.05, T, stride)
+
+
+@pytest.mark.parametrize("f, a, b, dx, epsilon, T", [
+    # mass moving out of the grid on the left and in on the right
+    (lambda x: 0.5 + x, -1.0, 1.0, 0.01, 0.1, 0.3),
+    # and in on the left, out on the right
+    (lambda x: -np.tanh(x) - 0.2, -2.0, 2.0, 0.02, 0.2, 0.5),
+])
+@pytest.mark.parametrize("stride", [1, 10**9])
+def test_end_fluxes_are_the_concatenated_fluxes(f, a, b, dx, epsilon, T, stride):
+    u0 = sample(f, a, b, dx)
+    assert u0.values[0] != 0.0 and u0.values[-1] != 0.0
+    assert_conservative_is_the_reference(u0, epsilon, T, stride)
 
 
 def test_trajectory_validation():
