@@ -248,10 +248,16 @@ def interpolate_values(
     # bounds; so scalar bounds go first and array bounds second.
     pos = np.minimum(n - 1.0, np.maximum(0.0, pos))
     i = np.minimum(pos.astype(np.int64), n - 2)
-    theta = pos - i
-    a = values[i]
-    b = values[i + 1]
-    out = a + theta * (b - a)
+    return _lerp(values[i], values[i + 1], pos - i)
+
+
+def _lerp(a, b, theta):
+    """a + theta (b - a), clipped to [min(a, b), max(a, b)], elementwise:
+    interpolate_values' rule on the pairs of values a, b around each point
+    at its fraction theta of the way from a to b."""
+    out = b - a  # then in place: bitwise a + theta (b - a)
+    out *= theta
+    out += a
     return np.minimum(np.maximum(out, np.minimum(a, b)), np.maximum(a, b))
 
 

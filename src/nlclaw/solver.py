@@ -66,6 +66,7 @@ from .grids import (
     GridFunction1D,
     PiecewiseInitialData,
     RiemannData,
+    _lerp,
     interpolate_at,
     interpolate_values,
 )
@@ -268,26 +269,30 @@ def _cubic_weights(s: np.ndarray) -> np.ndarray:
     return w
 
 
-# the nodes of a cubic stencil, from its cell
+# the nodes of a cubic stencil from its cell, and those of a linear one
 _TAPS = np.array([[-1], [0], [1], [2]])
+_PAIR = np.array([[0], [1]])
+
+
+def _axis_stencil(o: float, h: float, n: int, q: np.ndarray) -> tuple:
+    """The interpolation stencil of the feet q (a 1D array) along an axis
+    of n nodes o + k h: the cell i of each foot (its position clipped to
+    [0, n - 2], truncated), the (4, q.size) block of _cubic_weights at
+    pos - i for the nodes i - 1 .. i + 2 (_TAPS), and the indices of the
+    end-cell feet (i < 1 or i > n - 3), which the cubic does not serve
+    (every off-grid foot is one)."""
+    pos = (q - o) / h
+    i = np.minimum(np.maximum(pos, 0.0), n - 2.0).astype(int)
+    return i, _cubic_weights(pos - i), ((i < 1) | (i > n - 3)).nonzero()[0]
 
 
 def _foot_stencil(x0: float, dx: float, n: int, y: np.ndarray) -> tuple:
-    """The interpolation stencil of the feet y on an n-node grid: the (4,
-    y.size) block of the nodes i - 1 .. i + 2 around each foot's cell i
-    (gathered with take(mode="clip"), which clips i - 1 and i + 2 to the
-    grid), the (4, y.size) block of their _cubic_weights at pos - i, and
-    the (index, foot) pairs of the end-cell feet, which the cubic does not
-    serve (every off-grid foot is one)."""
-    pos = (y - x0) / dx
-    # the cell, by truncation, of the position clipped to [0, n - 2]
-    i = np.minimum(np.maximum(pos, 0.0), n - 2.0).astype(int)
-    edge = ((i < 1) | (i > n - 3)).nonzero()[0]
-    return (
-        i + _TAPS,
-        _cubic_weights(pos - i),
-        list(zip(edge.tolist(), y[edge].tolist())),
-    )
+    """_axis_stencil of the feet y on an n-node grid, as _interp_foot takes
+    it: the (4, y.size) block of the nodes i - 1 .. i + 2 (gathered with
+    take(mode="clip"), which clips i - 1 and i + 2 to the grid), their
+    weights, and the (index, foot) pairs of the end-cell feet."""
+    i, w, edge = _axis_stencil(x0, dx, n, y)
+    return i + _TAPS, w, list(zip(edge.tolist(), y[edge].tolist()))
 
 
 def _interp_foot(
@@ -338,6 +343,87 @@ def _interp_foot(
         else:
             out[k] = interpolate_at(phi, x0, dx, yk)
     return out
+
+
+def _interp_grid(
+    vals: np.ndarray, grid: tuple, feet: np.ndarray, axes
+) -> np.ndarray:
+    """vals, a field on a uniform grid or a stack of them (shape (...,
+    *nodes), x last), at the feet (shape (len(grid), *m), x first); grid
+    holds each axis's (origin, spacing, nodes), x first, and axes is None
+    (interpolate_values' rule) or the per-axis stencils (_axis_stencil) of
+    the flattened feet (_interp_foot's).
+
+    The tensor product of the per-axis rule: one take gathers each foot's
+    node block (_PAIR or _TAPS per axis), reduced along x, then along y.
+    Without stencils a stage is grids._lerp at the clipped position.  With
+    them it is _interp_foot's cubic, and at an end-cell foot _lerp on its
+    cell, or on the end node twice at theta 0 off the grid; the result is
+    clipped once to the bounds of the pairs around the foot along every
+    axis (clipping each stage would make x then y differ from y then x),
+    which on one axis is _interp_foot's clip.  Each component (one per
+    axis: a foot field) then adds the identity offset along its own axis
+    off the grid.  The take clips the flat node index, so a tap past an
+    axis end reads some other node; only an end-cell foot has one, and the
+    end-cell rule reads its own cell alone.
+    """
+    d = len(grid)
+    lead, shape = vals.shape[:-d], feet.shape[1:]
+    cells, taps, stages, stride = 0, 0, [], 1
+    for k, ((o, h, n), q) in enumerate(zip(grid, feet.reshape(d, -1))):
+        if axes is None:
+            pos = np.minimum(n - 1.0, np.maximum(0.0, (q - o) / h))
+            i = np.minimum(pos.astype(np.int64), n - 2)
+            stages.append(pos - i)
+            nodes = _PAIR
+        else:
+            # an end-cell foot's pair of taps (1 and 2 are nodes i and
+            # i + 1) and theta, and an off-grid foot's end (0 or 1 in the
+            # pair) and offset, as interpolate_at and _interp_foot take them
+            i, w, e = axes[k]
+            pos = (q[e] - o) / h
+            left, right = pos < 0.0, pos > n - 1
+            theta = np.minimum(n - 1.0, np.maximum(0.0, pos)) - (i[e] + right)
+            outside = left | right
+            off, end = e[outside], right[outside].astype(int)
+            shift = q[off] - np.where(end, o + (n - 1) * h, o)
+            stages.append((w, e, 1 + right, 2 - left, theta, off, end, shift))
+            nodes = _TAPS
+        cells = cells + i * stride
+        taps = (nodes * stride).reshape(-1, *(1,) * k, 1) + taps
+        stride *= n
+    g = vals.reshape(*lead, -1).take(cells + taps, axis=-1, mode="clip")
+    if axes is None:
+        for theta in stages:
+            g = _lerp(g[..., 0, :], g[..., 1, :], theta)
+        return g.reshape(*lead, *shape)
+    # the corners of each foot's cell, reduced stage by stage to the
+    # bounds of the foot's pairs
+    lo = hi = g[(..., *(slice(1, 3),) * d, slice(None))]
+    tmp = np.empty(lead + g.shape[-1:])
+    for w, e, a, b, theta, off, end, _ in stages:
+        ends = _lerp(g[..., a, e], g[..., b, e], theta)
+        # ((w_-1 g_-1 + w_0 g_0) + w_1 g_1) + w_2 g_2, as _interp_foot sums,
+        # one (component, tap, foot) block at a time: it stays in cache
+        out = np.empty(g.shape[:-2] + g.shape[-1:])
+        for r in np.ndindex(g.shape[1:-2]):
+            blk, row = g[(slice(None), *r)], out[(slice(None), *r)]
+            np.multiply(blk[:, 0], w[0], out=row)
+            for c in (1, 2, 3):
+                row += np.multiply(blk[:, c], w[c], out=tmp)
+        out[..., e] = ends
+        g = out
+        bounds = []
+        for f, box in ((np.minimum, lo), (np.maximum, hi)):
+            bound = f(box[..., 0, :], box[..., 1, :])
+            bound[..., off] = box[..., end, off]
+            bounds.append(bound)
+        lo, hi = bounds
+    # np.clip(g, lo, hi, out=g) with its tie rule (see interpolate_values)
+    np.minimum(np.maximum(g, lo, out=g), hi, out=g)
+    for k, (*_, off, _, shift) in enumerate(stages):
+        g[k, off] += shift
+    return g.reshape(*lead, *shape)
 
 
 def _datum_evaluator(
@@ -395,17 +481,16 @@ class _Foot(NamedTuple):
     of every component of v at the points, which traces the feet;
     stencil(feet) is what interpolating at the feet needs of them alone:
     in 1D the _foot_stencil (the (4, n) blocks of cubic nodes and weights
-    and the list of end-cell feet), in 2D the feet themselves, whose
-    passes are all full-grid.  interp_foot(phi, stencil) interpolates
-    every foot-field component at the feet; datum(phi) evaluates u0 o
-    phi.  changed(new, old) is the span outside which two value arrays
-    agree bit for bit, and reach(v, dt) how many nodes a change of v can
-    move along that axis into the feet traced through it; the 2D foot
-    reports the full span.  pin, when
-    set, is the front pin: pin(vals, phi, v, dt, fronts) writes the pinned
-    values into vals and returns them and the advanced front state, and
-    fronts is that state at t = 0 (in 1D the list of the jump preimages,
-    in Python floats).
+    and the list of end-cell feet), in 2D the feet with the _axis_stencil
+    of each axis, which _interp_grid takes.  interp_foot(phi, stencil)
+    interpolates every foot-field component at the feet; datum(phi)
+    evaluates u0 o phi.  changed(new, old) is the span outside which two
+    value arrays agree bit for bit, and reach(v, dt) how many nodes a
+    change of v can move along that axis into the feet traced through it;
+    the 2D foot reports the full span.  pin, when set, is the front pin:
+    pin(vals, phi, v, dt, fronts) writes the pinned values into vals and
+    returns them and the advanced front state, and fronts is that state
+    at t = 0 (in 1D the list of the jump preimages, in Python floats).
     """
 
     nodes: np.ndarray

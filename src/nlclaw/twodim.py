@@ -3,9 +3,12 @@
 The 2D scheme runs solver._transport_steps, the one Picard loop, with a
 vector foot field (Phix, Phiy): it is advected by a Picard-self-consistent
 semi-Lagrangian step and the state is recovered by composing the initial
-datum with it.  Only the interpolants and the datum evaluation are 2D.
-On y-independent data with an inactive y-flux, a 2D solve reproduces the
-1D solution to roundoff rather than to discretisation accuracy.
+datum with it.  The foot field, the trace of the feet and the datum are
+interpolated by solver._interp_grid, the 1D per-axis rules applied along
+x and then along y: on a field constant along y, at feet on node rows,
+each row is bitwise the 1D result.  On y-independent data with an
+inactive y-flux, a 2D solve reproduces the 1D solution to roundoff
+rather than to discretisation accuracy.
 
 The kernel is the tensor product of the 1D kernels of kernel.build_mollifier
 for dx and dy, applied separably by kernel.convolve_values.  Velocity is
@@ -24,8 +27,9 @@ from .kernel import Mollifier, build_mollifier, convolve_values
 from .solver import (
     SolverConfig,
     Trajectory,
-    _cubic_weights,
+    _axis_stencil,
     _Foot,
+    _interp_grid,
     _solve_transport,
     speed_bound,
     time_step,
@@ -123,107 +127,6 @@ def _convolve2(mx: Mollifier, my: Mollifier, vals: np.ndarray) -> np.ndarray:
     return convolve_values(my, convolve_values(mx, vals).T).T
 
 
-def _bilinear(
-    vals: np.ndarray,
-    x0: float,
-    y0: float,
-    dx: float,
-    dy: float,
-    qx: np.ndarray,
-    qy: np.ndarray,
-) -> np.ndarray:
-    """Clipped bilinear interpolation with constant extension outside, of
-    vals or of each array of a stack of them (shape (..., ny, nx)).
-
-    Symmetric-form weights (1-t)*a + t*b hit both endpoints exactly, so
-    evaluation at the nodes reproduces nodal values to the bit; the corner
-    clip mirrors the 1D clipped-linear rule per axis."""
-    ny, nx = vals.shape[-2:]
-    px = np.clip((qx - x0) / dx, 0.0, nx - 1.0)
-    py = np.clip((qy - y0) / dy, 0.0, ny - 1.0)
-    i = np.minimum(px.astype(np.int64), nx - 2)
-    j = np.minimum(py.astype(np.int64), ny - 2)
-    tx = px - i
-    ty = py - j
-    flat = vals.reshape(*vals.shape[:-2], -1)
-    k = j * nx + i
-    c00 = flat.take(k, axis=-1)
-    c01 = flat.take(k + 1, axis=-1)
-    c10 = flat.take(k + nx, axis=-1)
-    c11 = flat.take(k + (nx + 1), axis=-1)
-    low = (1.0 - tx) * c00 + tx * c01
-    high = (1.0 - tx) * c10 + tx * c11
-    out = (1.0 - ty) * low + ty * high
-    lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
-    hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
-    return np.clip(out, lo, hi)
-
-
-def _axis_weights(
-    t: np.ndarray, idx: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stencil weights at offsets (-1, 0, 1, 2) for one axis.
-
-    Cubic Lagrange, overwritten with linear on the two edge cells; the
-    choice is made per axis, so a trivial axis (feet on the nodes) never
-    demotes the other axis's accuracy."""
-    weights = _cubic_weights(t)
-    edge = (idx < 1) | (idx > n - 3)
-    for w, lin in zip(weights, (0.0, 1.0 - t[edge], t[edge], 0.0)):
-        w[edge] = lin
-    return weights
-
-
-def _interp_foot_2d(
-    phi: np.ndarray,
-    x0: float,
-    y0: float,
-    dx: float,
-    dy: float,
-    qx: np.ndarray,
-    qy: np.ndarray,
-) -> np.ndarray:
-    """Interpolate both foot-field components phi (shape (2, ny, nx)) at
-    the feet (qx, qy), into one (2, *qx.shape) array.
-
-    Tensor product of the per-axis stencils from _axis_weights, clipped to
-    the four corner values of the containing cell: the same containment
-    rule that makes the 1D scheme range- and variation-shrinking.  Feet
-    outside the grid get the clamped-point value plus an identity offset
-    along the component's own axis (x for the first, y for the second),
-    exact wherever the boundary zone is causally constant.  The stencil
-    (positions, weights and flat node indices) is built once, and each
-    gather takes the node values of both components at once.
-    """
-    ny, nx = phi.shape[1:]
-    cqx = np.clip(qx, x0, x0 + (nx - 1) * dx)
-    cqy = np.clip(qy, y0, y0 + (ny - 1) * dy)
-    px = (cqx - x0) / dx
-    py = (cqy - y0) / dy
-    i = np.minimum(px.astype(np.int64), nx - 2)
-    j = np.minimum(py.astype(np.int64), ny - 2)
-    wx = _axis_weights(px - i, i, nx)
-    wy = _axis_weights(py - j, j, ny)
-    cols = [np.maximum(i - 1, 0), i, i + 1, np.minimum(i + 2, nx - 1)]
-    rows = [np.maximum(j - 1, 0), j, j + 1, np.minimum(j + 2, ny - 1)]
-    flat = phi.reshape(2, -1)
-    out = np.zeros((2, *px.shape))
-    corners = []
-    for r, (row, w) in enumerate(zip(rows, wy)):
-        base = row * nx
-        taps = [flat.take(base + col, axis=1) for col in cols]
-        out = out + w * (
-            wx[0] * taps[0] + wx[1] * taps[1] + wx[2] * taps[2]
-            + wx[3] * taps[3]
-        )
-        if r in (1, 2):  # rows j and j + 1, columns i and i + 1
-            corners += taps[1:3]
-    c00, c01, c10, c11 = corners
-    lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
-    hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
-    return np.clip(out, lo, hi) + np.stack((qx - cqx, qy - cqy))
-
-
 def solve_velocity_reg_2d(
     u0: GridFunction2D,
     fluxes: tuple[FluxSpec, FluxSpec],
@@ -235,13 +138,15 @@ def solve_velocity_reg_2d(
 
     solver._transport_steps with a two-component foot field: both
     components of the backward characteristic map are advected and u(t) =
-    u0 o Phi.  The datum is the clipped bilinear interpolant of the
-    samples u0, so the maximum principle is exact.
+    u0 o Phi.  The datum is grids.interpolate_values' clipped linear rule
+    on the samples u0 along x and then along y, so each value lies in the
+    range of the four samples around it and the maximum principle is
+    exact.
     """
     f1, f2 = fluxes
     mx = build_mollifier(epsilon, u0.dx)
     my = build_mollifier(epsilon, u0.dy)
-    x0, y0, dx, dy = u0.x0, u0.y0, u0.dx, u0.dy
+    grid = ((u0.x0, u0.dx, u0.nx), (u0.y0, u0.dy, u0.ny))
 
     def velocity_of(u: np.ndarray) -> np.ndarray:
         return np.stack((
@@ -251,16 +156,17 @@ def solve_velocity_reg_2d(
 
     foot = _Foot(
         nodes=np.stack(np.meshgrid(u0.x, u0.y)),
-        interp_linear=lambda v, pts: _bilinear(v, x0, y0, dx, dy, *pts),
-        stencil=lambda feet: feet,
-        interp_foot=lambda phi, feet: _interp_foot_2d(
-            phi, x0, y0, dx, dy, *feet
-        ),
-        datum=lambda phi: _bilinear(u0.values, x0, y0, dx, dy, *phi),
+        interp_linear=lambda v, pts: _interp_grid(v, grid, pts, None),
+        stencil=lambda feet: (feet, [
+            _axis_stencil(*axis, q)
+            for axis, q in zip(grid, feet.reshape(2, -1))
+        ]),
+        interp_foot=lambda phi, st: _interp_grid(phi, grid, *st),
+        datum=lambda phi: _interp_grid(u0.values, grid, phi, None),
         changed=lambda new, old: (0, new.shape[-1]),  # full passes only
         reach=lambda v, dt: 0,
     )
-    dt = time_step(cfg, min(dx, dy), u0.values)
+    dt = time_step(cfg, min(u0.dx, u0.dy), u0.values)
     speed = max(speed_bound("velocity_reg", f, u0.values) for f in fluxes)
     return _solve_transport(
         u0, mx, T, cfg, velocity_of, "velocity_reg_2d", speed, dt=dt, foot=foot

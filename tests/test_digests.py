@@ -208,11 +208,11 @@ DIGESTS = {
     }),
     "plane": (0, {
         "plane.csv":
-            "b4be431b3f413073db48724cf726176f25776c9a6c12247f10037c1363fe0d9b",
+            "ab166df25b9bf54ce4b7c3894838109e3824d42cf72fa4122aacb1f9eb40ae2e",
         "plane_profile.dat":
-            "0f44efcf57249d73b8dde1c83ef43059650f4fdba68b077b39245b2ada4e4588",
+            "b1ae04d5c57f4cec4959f8043d51a18ca2af407d5c0f2e93ae33081cb290db0b",
         "plane_report.json":
-            "38375b63d1a31cd64a827bc81c4cbe89968fb41493b3878f0d60159f9c969b63",
+            "45142089306777969e8700a16c43e88ee83b4e81b5efea7e292c140dee46c979",
     }),
     "pulse": (0, {
         "pulse.csv":

@@ -1,5 +1,7 @@
 """2D solver: reduction to 1D, symmetry, exact invariants."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,20 +10,21 @@ from hypothesis.extra import numpy as hnp
 
 from nlclaw import solver, twodim
 from nlclaw.fluxes import burgers_flux, zero_flux
-from nlclaw.grids import sample
+from nlclaw.grids import interpolate_at, interpolate_values, sample
 from nlclaw.kernel import build_mollifier, convolve_values
 from nlclaw.solver import (
     PicardDivergenceError,
     SolverConfig,
+    _axis_stencil,
     _cubic_weights,
+    _foot_stencil,
+    _interp_foot,
+    _interp_grid,
     solve_nn,
 )
 from nlclaw.twodim import (
     GridFunction2D,
-    _axis_weights,
-    _bilinear,
     _convolve2,
-    _interp_foot_2d,
     sample_2d,
     solve_velocity_reg_2d,
     tv_2d,
@@ -168,64 +171,66 @@ def test_picard_divergence_reported_2d(monkeypatch):
         solve_velocity_reg_2d(g, (fl, fl), 0.2, 0.2, SolverConfig())
 
 
-def interp_foot_2d_per_component(phi, x0, y0, dx, dy, qx, qy, axis):
-    """One foot-field component at the feet, its stencil built for it
-    alone and gathered with 2D fancy indexing: the oracle for the shared
-    stencil of _interp_foot_2d."""
-    ny, nx = phi.shape
-    cqx = np.clip(qx, x0, x0 + (nx - 1) * dx)
-    cqy = np.clip(qy, y0, y0 + (ny - 1) * dy)
-    px = (cqx - x0) / dx
-    py = (cqy - y0) / dy
-    i = np.minimum(px.astype(np.int64), nx - 2)
-    j = np.minimum(py.astype(np.int64), ny - 2)
-    tx = px - i
-    ty = py - j
-    wx = _axis_weights(tx, i, nx)
-    wy = _axis_weights(ty, j, ny)
-    cols = [i - 1, i, i + 1, np.minimum(i + 2, nx - 1)]
-    cols[0] = np.maximum(cols[0], 0)
-    rows = [j - 1, j, j + 1, np.minimum(j + 2, ny - 1)]
-    rows[0] = np.maximum(rows[0], 0)
-    out = np.zeros_like(px)
-    for r in range(4):
-        xr = (
-            wx[0] * phi[rows[r], cols[0]]
-            + wx[1] * phi[rows[r], cols[1]]
-            + wx[2] * phi[rows[r], cols[2]]
-            + wx[3] * phi[rows[r], cols[3]]
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def axis_rule(vals, los, his, o, h, q):
+    """One stage of the foot field's per-axis rule, along the 1D array vals
+    at the point q, in numpy scalars: the value and the bounds of the pair
+    around q of the bounds los and his of vals.  The value is the end value
+    off the grid (its bounds the end node's), grids.interpolate_at in an
+    end cell, and inside the 4-point cubic in _interp_foot's order."""
+    n = vals.size
+    pos = (q - o) / h
+    if pos < 0.0 or pos > n - 1:
+        k = 0 if pos < 0.0 else n - 1
+        return vals[k], los[k], his[k]
+    i = min(int(pos), n - 2)
+    lo, hi = np.minimum(los[i], los[i + 1]), np.maximum(his[i], his[i + 1])
+    if i < 1 or i > n - 3:
+        return interpolate_at(vals, o, h, q), lo, hi
+    w = _cubic_weights(np.array([pos - i]))[:, 0]
+    out = ((w[0] * vals[i - 1] + w[1] * vals[i]) + w[2] * vals[i + 1]) + (
+        w[3] * vals[i + 2]
+    )
+    return out, lo, hi
+
+
+def foot_per_axis(phi, grid, qx, qy, axis):
+    """One foot-field component at the feet, foot by foot: axis_rule along
+    x on every row, then along y on the column of the results, clipped to
+    the bounds it carried, plus the identity offset along the component's
+    own axis off the grid.  The oracle for _interp_grid with stencils."""
+    (x0, dx, _), (y0, dy, _) = grid
+    o, h, n = grid[axis]
+    out = []
+    for x, y in zip(qx, qy):
+        col = np.array([axis_rule(row, row, row, x0, dx, x) for row in phi])
+        v, lo, hi = axis_rule(*col.T, y0, dy, y)
+        v = np.minimum(np.maximum(v, lo), hi)
+        q = (x, y)[axis]
+        pos = (q - o) / h
+        if pos < 0.0:
+            v = v + (q - o)
+        elif pos > n - 1:
+            v = v + (q - (o + (n - 1) * h))
+        out.append(v)
+    return np.array(out)
+
+
+def linear_per_axis(vals, grid, qx, qy):
+    """vals at the feet, foot by foot: grids.interpolate_at along x on
+    every row, then along y on the column of the results.  The oracle for
+    _interp_grid without stencils."""
+    (x0, dx, _), (y0, dy, _) = grid
+    return np.array([
+        interpolate_at(
+            np.array([interpolate_at(row, x0, dx, x) for row in vals]),
+            y0, dy, y,
         )
-        out = out + wy[r] * xr
-    c00 = phi[j, i]
-    c01 = phi[j, i + 1]
-    c10 = phi[j + 1, i]
-    c11 = phi[j + 1, i + 1]
-    lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
-    hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
-    out = np.clip(out, lo, hi)
-    off = qx - cqx if axis == 0 else qy - cqy
-    return out + off
-
-
-def bilinear_fancy_index(vals, x0, y0, dx, dy, qx, qy):
-    """_bilinear with its cell corners gathered by 2D fancy indexing."""
-    ny, nx = vals.shape
-    px = np.clip((qx - x0) / dx, 0.0, nx - 1.0)
-    py = np.clip((qy - y0) / dy, 0.0, ny - 1.0)
-    i = np.minimum(px.astype(np.int64), nx - 2)
-    j = np.minimum(py.astype(np.int64), ny - 2)
-    tx = px - i
-    ty = py - j
-    c00 = vals[j, i]
-    c01 = vals[j, i + 1]
-    c10 = vals[j + 1, i]
-    c11 = vals[j + 1, i + 1]
-    low = (1.0 - tx) * c00 + tx * c01
-    high = (1.0 - tx) * c10 + tx * c11
-    out = (1.0 - ty) * low + ty * high
-    lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
-    hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
-    return np.clip(out, lo, hi)
+        for x, y in zip(qx, qy)
+    ])
 
 
 @st.composite
@@ -259,49 +264,92 @@ def _foot_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_foot_cases())
-def test_interp_foot_2d_is_bitwise_the_per_component_form(case):
-    phis, x0, y0, dx, dy, qx, qy = case
-    got = _interp_foot_2d(np.stack(phis), x0, y0, dx, dy, qx, qy)
-    assert len(got) == 2
-    for axis, (phi, g) in enumerate(zip(phis, got)):
-        want = interp_foot_2d_per_component(phi, x0, y0, dx, dy, qx, qy, axis)
-        assert np.array_equal(want.view(np.uint64), g.view(np.uint64))
-    want = bilinear_fancy_index(phis[0], x0, y0, dx, dy, qx, qy)
-    got = _bilinear(phis[0], x0, y0, dx, dy, qx, qy)
-    assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
-    # on a stack of arrays, each array's result bitwise as alone
-    got = _bilinear(np.stack(phis), x0, y0, dx, dy, qx, qy)
-    for phi, g in zip(phis, got):
-        want = bilinear_fancy_index(phi, x0, y0, dx, dy, qx, qy)
-        assert np.array_equal(want.view(np.uint64), g.view(np.uint64))
-
-
-def axis_weights_where_form(t, idx, n):
-    """_axis_weights as an np.where blend of every cubic weight with its
-    linear edge weight, at every foot: the oracle."""
-    inner = (idx >= 1) & (idx <= n - 3)
-    linear = (0.0, 1.0 - t, t, 0.0)
-    return tuple(
-        np.where(inner, w, lin) for w, lin in zip(_cubic_weights(t), linear)
-    )
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=_foot_cases())
-def test_axis_weights_are_bitwise_the_where_form(case):
-    # feet inside, on and outside the grid, clamped and split into cell
-    # and fraction as _interp_foot_2d does, as a row and as a 2D array
+def test_interp_grid_is_bitwise_the_per_axis_rule(case):
     phis, x0, y0, dx, dy, qx, qy = case
     ny, nx = phis[0].shape
-    for q, o, d, n in ((qx, x0, dx, nx), (qy, y0, dy, ny)):
-        for feet in (q, np.stack((q, q[::-1]))):
-            p = (np.clip(feet, o, o + (n - 1) * d) - o) / d
-            i = np.minimum(p.astype(np.int64), n - 2)
-            got = _axis_weights(p - i, i, n)
-            want = axis_weights_where_form(p - i, i, n)
-            assert len(got) == 4
-            for g, w in zip(got, want):
-                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    grid = ((x0, dx, nx), (y0, dy, ny))
+    feet = np.stack((qx, qy))
+    stencils = [_axis_stencil(*axis, q) for axis, q in zip(grid, feet)]
+    # a stacked phi gives each component bitwise as alone
+    got = _interp_grid(np.stack(phis), grid, feet, stencils)
+    assert len(got) == 2
+    for axis, (phi, g) in enumerate(zip(phis, got)):
+        want = foot_per_axis(phi, grid, qx, qy, axis)
+        assert np.array_equal(bits(want), bits(g))
+    want = linear_per_axis(phis[0], grid, qx, qy)
+    got = _interp_grid(phis[0], grid, feet, None)
+    assert np.array_equal(bits(want), bits(got))
+    # on a stack of arrays, each array's result bitwise as alone
+    got = _interp_grid(np.stack(phis), grid, feet, None)
+    for phi, g in zip(phis, got):
+        want = linear_per_axis(phi, grid, qx, qy)
+        assert np.array_equal(bits(want), bits(g))
+
+
+@st.composite
+def _line_cases(draw):
+    """Two components' values along a line of n nodes, the line's axis
+    (origin, spacing, nodes), an axis across it of dyadic nodes (exact in
+    floats), and for each node across, feet along the line: on nodes,
+    inside cells, in both end cells, off both ends, signed zeros."""
+    n, across = draw(st.integers(2, 9)), draw(st.integers(2, 5))
+    element = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 0.5, -1.0]),
+        st.floats(-2.0, 2.0),
+    )
+    lines = draw(hnp.arrays(np.float64, (2, n), elements=element))
+    o = draw(st.sampled_from([0.0, -0.0, -0.5, -1.3]))
+    h = draw(st.sampled_from([0.05, 0.25, 1.0]))
+    o2 = draw(st.sampled_from([0.0, -0.0, -0.5, -1.25]))
+    h2 = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    end = o + (n - 1) * h
+    fixed = [-0.0, o - 1.5 * h, o, o + 0.25 * h, end - 0.25 * h, end,
+             end + 2.0 * h]
+    m = draw(st.integers(0, 6))
+    feet = [
+        fixed + draw(st.lists(
+            st.floats(o - 3 * h, end + 3 * h), min_size=m, max_size=m
+        ))
+        for _ in range(across)
+    ]
+    return lines, (o, h, n), (o2, h2, across), np.array(feet)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_line_cases(), axis=st.sampled_from([0, 1]))
+def test_each_node_line_in_2d_is_bitwise_the_1d_rule(case, axis):
+    # fields constant across the lines (rows for axis 0, columns for 1)
+    # and feet on node lines: each line of the 2D foot interpolant, trace
+    # and datum is bitwise the 1D rule along it
+    lines, along, across, q = case
+    nodes = across[0] + across[1] * np.arange(across[2])
+    on = np.broadcast_to(nodes[:, np.newaxis], q.shape)
+    if axis == 0:
+        vals = np.repeat(lines[:, np.newaxis, :], across[2], axis=1)
+        grid, feet = (along, across), np.stack((q, on))
+    else:
+        vals = np.repeat(lines[:, :, np.newaxis], across[2], axis=2)
+        grid, feet = (across, along), np.stack((on, q))
+    flat = feet.reshape(2, -1)
+    stencils = [_axis_stencil(*ax, f) for ax, f in zip(grid, flat)]
+    phi = _interp_grid(vals, grid, feet, stencils)
+    trace = _interp_grid(vals, grid, feet, None)
+    datum = _interp_grid(vals[0], grid, feet, None)
+    o, h, n = along
+    for r, qr in enumerate(q):
+        stencil = _foot_stencil(o, h, n, qr)
+        pos = (qr - o) / h
+        for c, line in enumerate(lines):
+            want = _interp_foot(line, o, h, stencil)
+            if c != axis:  # no offset along the other component's axis
+                want = np.where(
+                    pos < 0.0, line[0], np.where(pos > n - 1, line[-1], want)
+                )
+            assert np.array_equal(bits(phi[c, r]), bits(want))
+            want = interpolate_values(line, o, h, qr)
+            assert np.array_equal(bits(trace[c, r]), bits(want))
+        want = interpolate_values(lines[0], o, h, qr)
+        assert np.array_equal(bits(datum[r]), bits(want))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -348,3 +396,40 @@ def test_an_inactive_axis_is_not_mollified_and_keeps_every_bit(monkeypatch):
     )
     # two convolutions per pass, where mollifying both components takes four
     assert 2 * short == len(calls) - short == 4 * want.picard_counts.sum()
+
+
+def picard_pass_calls_2d():
+    """The Python and C-function calls (sys.setprofile's call and c_call
+    events) of each warm Picard pass of criterion 13's 2D solve (21 x 601
+    nodes), to a shorter T: the events from one call of its velocity_of to
+    the next, from the second step on."""
+    u0 = sample_2d(
+        lambda X, Y: -np.tanh(X) + 0.0 * Y, -3.0, 3.0, 0.0, 0.2, 1e-2, 1e-2
+    )
+    fluxes = (burgers_flux(radius=1.5), zero_flux(radius=1.5))
+    counts = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "velocity_of":
+            counts.append(0)
+        if event in ("call", "c_call"):
+            counts[-1] += 1
+
+    sys.setprofile(profile)
+    try:
+        tr = solve_velocity_reg_2d(
+            u0, fluxes, 0.1, 0.05, SolverConfig(store_stride=10**9)
+        )
+    finally:
+        sys.setprofile(None)
+    # the first count is the set-up's, the last one ends with the solve's
+    first = 1 + int(tr.picard_counts[0])
+    return counts[first:-1]
+
+
+def test_a_2d_pass_makes_few_calls():
+    # numpy's per-call cost is a share of a 2D pass too (199 calls when
+    # the foot interpolant made 16 takes): keep its count from creeping back
+    counts = picard_pass_calls_2d()
+    assert len(counts) > 30
+    assert max(counts) <= 173
