@@ -107,16 +107,13 @@ def convolve_values(m: Mollifier, values: np.ndarray) -> np.ndarray:
     the module docstring).
     """
     r = m.radius
-    padded = np.concatenate(
-        [values[..., :1].repeat(r, axis=-1), values,
-         values[..., -1:].repeat(r, axis=-1)],
-        axis=-1, dtype=float,
-    )
-    # Symmetric kernel: correlation and convolution coincide.  Row k of
-    # the result starts where row k of the C-ordered padded rows does
-    # (np.concatenate keeps a transposed input's layout).
-    flat = padded.ravel()
-    out = np.convolve(flat, m.weights, mode="valid")
-    return np.ndarray(
-        values.shape, out.dtype, out, strides=flat.reshape(padded.shape).strides
-    )
+    n = values.shape[-1]
+    padded = np.empty(values.shape[:-1] + (n + 2 * r,))
+    padded[..., :r] = values[..., :1]
+    padded[..., r : r + n] = values
+    padded[..., r + n :] = values[..., -1:]
+    # Symmetric kernel: correlation and convolution coincide.  padded is
+    # C-ordered whatever the layout of values (a transposed input too),
+    # so row k of the result starts where row k of padded does.
+    out = np.convolve(padded.ravel(), m.weights, mode="valid")
+    return np.ndarray(values.shape, out.dtype, out, strides=padded.strides)

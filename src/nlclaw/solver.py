@@ -128,7 +128,7 @@ def time_step(cfg: SolverConfig, dx: float, values) -> float:
     caps it on all-zero data).  values is a state's nodal values, or a
     tuple of equal-shape arrays whose joint sup sets one shared step (the
     Euler invariants); dx is the grid spacing (2D: the smaller one)."""
-    return cfg.cfl * dx / max(float(np.max(np.abs(values))), SUP_FLOOR)
+    return cfg.cfl * dx / max(float(np.abs(values).max()), SUP_FLOOR)
 
 
 class WorkBudgetError(ValueError):

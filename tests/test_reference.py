@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nlclaw.acceptance import _neg_tanh
+from nlclaw.expressions import parse_expression
 from nlclaw.fluxes import FluxSpec, burgers_flux, cubic_flux
 from nlclaw.grids import (
     GridFunction1D,
@@ -18,12 +19,20 @@ from nlclaw.grids import (
     total_variation,
 )
 from nlclaw.reference import (
+    GODUNOV_CFL,
     NonConvexFluxError,
     _sonic_point,
     burgers_riemann_exact,
     front_tracking_solve,
     godunov_solve,
     lax_oleinik_solve,
+)
+from nlclaw.solver import (
+    SPEED_PROBES,
+    SUP_FLOOR,
+    check_node_steps,
+    speed_bound,
+    step_times,
 )
 
 
@@ -315,6 +324,232 @@ def test_godunov_cubic_shock_speed_is_rankine_hugoniot():
     out = godunov_solve(u0, cubic_flux(radius=2.0), 1.0)
     xf = np.interp(-1.0, -out.values, out.x)
     assert xf == pytest.approx(4.0 / 3.0, rel=0.02)
+
+
+def reference_godunov(u0: GridFunction1D, flux: FluxSpec, T: float):
+    """godunov_solve as it ran before each step evaluated f once per node:
+    f at both sides of every face, the sonic clip at every face, one
+    np.where between the two rules, and two concatenated copies of the
+    face fluxes."""
+    if T <= 0.0:
+        raise ValueError("T must be positive")
+    lo, hi = float(np.min(u0.values)), float(np.max(u0.values))
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    speed = speed_bound("velocity_reg", flux, (lo, hi))
+    probe = np.linspace(lo, hi, SPEED_PROBES)
+    fp = np.asarray(flux.fprime(probe), dtype=float)
+    if np.any(np.diff(fp) < -1e-10 * max(1.0, speed)):
+        raise NonConvexFluxError(
+            "godunov_solve requires a convex flux on the data range"
+        )
+    omega = _sonic_point(flux, lo, hi)
+    dx = u0.dx
+    dt = GODUNOV_CFL * dx / max(speed, SUP_FLOOR)
+    check_node_steps(u0.n, T, dt)
+    vals = u0.values.copy()
+
+    def interface_flux(ul, ur):
+        f_ul = flux.f(ul)
+        f_ur = flux.f(ur)
+        shock = np.maximum(f_ul, f_ur)               # ul > ur
+        rare = flux.f(np.clip(omega, ul, ur))        # ul <= ur
+        return np.where(ul > ur, shock, rare)
+
+    for _, _, _, h in step_times(T, dt):
+        F = interface_flux(vals[:-1], vals[1:])
+        F_left = np.concatenate([[float(flux.f(vals[0]))], F])
+        F_right = np.concatenate([F, [float(flux.f(vals[-1]))]])
+        vals = vals - (h / dx) * (F_right - F_left)
+    return u0.with_values(vals)
+
+
+def assert_godunov_is_the_reference(u0, flux, T):
+    """Bitwise the same values, or the same error."""
+    try:
+        want = reference_godunov(u0, flux, T).values
+    except ValueError as e:
+        with pytest.raises(type(e), match=str(e)):
+            godunov_solve(u0, flux, T)
+        return
+    got = godunov_solve(u0, flux, T).values
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+# f = exp(x) - 2x as the runner reads an expression flux: convex, with a
+# sonic point at ln 2, and a transcendental f evaluated once per node
+# rather than once per face side
+EXP_FLUX = FluxSpec(
+    parse_expression("exp(x) - 2*x"), parse_expression("exp(x) - 2"),
+    radius=3.0,
+)
+
+@pytest.mark.parametrize("datum, window, T", [
+    (RiemannData(1.0, 0.0), (-2.2, 2.8), 1.0),
+    (_neg_tanh, (-4.0, 4.0), 2.0),
+], ids=["riemann_shock", "neg_tanh_post_shock"])
+def test_godunov_on_criterion_8_grids_is_the_per_face_rule(datum, window, T):
+    pad = 1.0 * T + 0.5
+    u0 = sample(datum, window[0] - pad, window[1] + pad, 1e-3)
+    assert_godunov_is_the_reference(u0, burgers_flux(radius=1.5), T)
+
+
+@pytest.mark.parametrize("datum", [
+    RiemannData(-1.0, 1.0),  # a fan through the sonic point 0
+    RiemannData(1.0, -1.0),  # a standing shock
+    RiemannData(0.2, 0.9),   # a fan right of the sonic point
+    RiemannData(-0.9, -0.2),  # a fan left of it
+])
+@pytest.mark.parametrize("T", [0.05, 0.5])
+def test_godunov_on_burgers_riemann_data_is_the_per_face_rule(datum, T):
+    u0 = sample(datum, -1.5, 1.5, 0.01)
+    assert_godunov_is_the_reference(u0, burgers_flux(1.0), T)
+
+
+@pytest.mark.parametrize("datum", [
+    RiemannData(0.2, 1.8),
+    lambda x: 1.0 + 0.8 * np.sin(3.0 * x),
+])
+def test_godunov_with_the_cubic_flux_and_fans_is_the_per_face_rule(datum):
+    # u^3/3 is convex on [0, 2], the range of both data
+    u0 = sample(datum, -2.0, 2.0, 0.01)
+    assert_godunov_is_the_reference(u0, cubic_flux(radius=2.0), 0.3)
+
+
+@pytest.mark.parametrize("datum", [
+    RiemannData(-0.5, 1.5), RiemannData(1.5, -0.5),
+    lambda x: np.sin(4.0 * x) + 0.3 * np.cos(11.0 * x),
+])
+def test_godunov_with_an_exp_expression_flux_is_the_per_face_rule(datum):
+    u0 = sample(datum, -1.5, 1.5, 0.01)
+    assert_godunov_is_the_reference(u0, EXP_FLUX, 0.4)
+
+
+# values with 0.0/-0.0 neighbours and equal neighbours; across 0 the
+# Burgers sonic point is omega = 0, and the cubic flux is convex on the
+# range of the second row
+SIGNED_ZEROS = {
+    "burgers": [
+        0.0, -0.0, -0.0, 0.0, 0.0, 0.5, 0.5, -0.3, -0.3, -0.0, -0.0, 0.0,
+        0.7, -0.0, 0.0, 0.0, -0.2, 0.0, -0.0,
+    ],
+    "cubic": [
+        0.0, -0.0, -0.0, 0.0, 0.5, 0.5, 0.3, 0.3, -0.0, 0.0, 0.7, -0.0,
+        0.0, 0.2, 0.0, -0.0,
+    ],
+}
+
+
+# Burgers with f(-0.0) = -0.0: the sonic clip of omega = 0.0 at a fan
+# face from -0.3 to -0.0 ties with the right state, and which zero it
+# keeps shows in the next -0.0 cell
+SIGNED_FLUX = FluxSpec(
+    f=lambda u: np.where(u == 0.0, u, 0.5 * u * u), fprime=lambda u: u,
+)
+
+
+@pytest.mark.parametrize("name, flux", [
+    ("burgers", burgers_flux(1.0)), ("burgers", SIGNED_FLUX),
+    ("cubic", cubic_flux(radius=2.0)),
+], ids=["burgers", "signed", "cubic"])
+@pytest.mark.parametrize("T", [0.01, 0.2])
+def test_godunov_on_signed_zeros_and_equal_neighbours_is_the_per_face_rule(
+    name, flux, T
+):
+    for values in (SIGNED_ZEROS[name], SIGNED_ZEROS[name][::-1]):
+        u0 = GridFunction1D(-0.5, 0.05, np.array(values))
+        assert_godunov_is_the_reference(u0, flux, T)
+
+
+@pytest.mark.parametrize("c", [0.4, 0.0, -0.0, -1.0])
+@pytest.mark.parametrize("flux", [burgers_flux(1.0), EXP_FLUX],
+                         ids=["burgers", "exp"])
+def test_godunov_on_constant_data_is_the_per_face_rule(c, flux):
+    # hi - lo < 1e-12: the range is probed on [c - 0.5, c + 0.5]
+    u0 = sample(c, -1.0, 1.0, 0.01)
+    assert_godunov_is_the_reference(u0, flux, 0.3)
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, -1.0], [-1.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [0.5, 0.5],
+])
+@pytest.mark.parametrize("T", [1e-9, 0.3])
+def test_godunov_on_two_nodes_is_the_per_face_rule(values, T):
+    u0 = GridFunction1D(-0.5, 1.0, np.array(values))
+    assert_godunov_is_the_reference(u0, burgers_flux(1.0), T)
+
+
+def test_godunov_below_one_step_is_the_per_face_rule():
+    u0 = sample(RiemannData(-1.0, 1.0), -1.0, 1.0, 0.01)
+    # dt is 0.9 dx: T below it takes one partial step
+    assert_godunov_is_the_reference(u0, burgers_flux(1.0), 1e-4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=hnp.arrays(
+        np.float64, st.integers(2, 40),
+        elements=st.one_of(
+            st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+        ),
+    ),
+    dx=st.sampled_from([1e-3, 0.01, 0.3]),
+    T=st.sampled_from([1e-6, 0.05, 0.7]),
+    name=st.sampled_from(["burgers", "cubic", "exp"]),
+)
+def test_godunov_on_random_data_is_the_per_face_rule(values, dx, T, name):
+    # the cubic flux is rejected on data below 0: the same error
+    flux = {
+        "burgers": burgers_flux(2.0), "cubic": cubic_flux(radius=2.0),
+        "exp": EXP_FLUX,
+    }[name]
+    assert_godunov_is_the_reference(GridFunction1D(-1.0, dx, values), flux, T)
+
+
+def godunov_work(u0, T):
+    """The steps of one warm godunov_solve of Burgers data, the points it
+    passes to f, and its Python and C calls (sys.setprofile)."""
+    burgers = burgers_flux(radius=1.5)
+    sizes = []
+
+    def f(u):
+        sizes.append(np.size(u))
+        return burgers.f(u)
+
+    counting = FluxSpec(f, burgers.fprime, radius=1.5)
+    sizes.clear()  # the spot-check's points
+    godunov_solve(u0, counting, T)
+    steps = sizes.count(u0.values.size)  # fv = f(vals), once per step
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    godunov_solve(u0, burgers, T)
+    sys.setprofile(profile)
+    try:
+        godunov_solve(u0, burgers, T)
+    finally:
+        sys.setprofile(None)
+    return steps, sum(sizes), calls[0]
+
+
+def test_godunov_step_makes_few_calls():
+    # criterion 8's -tanh grid.  f once per node and at the two ends, the
+    # sonic clip only at fan faces, of which this non-increasing datum
+    # has none: n + 2 points of f and 5 calls per step, where f at both
+    # sides of every face and the clip at every face took 3 (n - 1) + 2
+    # points and 20 calls
+    u0 = sample(_neg_tanh, -6.5, 6.5, 1e-3)
+    n = u0.values.size
+    assert n == 13001
+    steps, points, calls = godunov_work(u0, 2.0)
+    assert steps > 2000
+    assert points == steps * (n + 2)
+    half_steps, _, half_calls = godunov_work(u0, 1.0)
+    assert calls - half_calls <= 5 * (steps - half_steps)
 
 
 SONIC_FLUXES = {

@@ -30,6 +30,7 @@ from nlclaw.euler import solve_isentropic, to_invariants
 from nlclaw.kernel import build_mollifier, convolve_values
 from nlclaw.solver import (
     PICARD_TOL,
+    SUP_FLOOR,
     PicardDivergenceError,
     SolverConfig,
     Trajectory,
@@ -562,6 +563,25 @@ def test_every_solver_steps_by_time_step():
     mu, lam = solve_isentropic(rho0, vel0, 0.2, 0.05, cfg)
     step = time_step(cfg, rho0.dx, (mu0.values, lam0.values))
     assert mu.dt == lam.dt == step
+
+
+@pytest.mark.parametrize("values", [
+    np.linspace(-1.3, 0.7, 41),
+    (np.linspace(-0.2, 0.4, 9), np.linspace(0.9, -0.6, 9)),  # (mu, lam)
+    np.zeros(7),                       # SUP_FLOOR caps the step
+    np.array([0.0, -0.0, -0.0]),
+    np.array([-0.0, -0.0]),
+    np.array([0.3, np.nan, -2.0]),
+    1.35,
+], ids=["array", "euler-pair", "zeros", "signed-zeros", "negative-zeros",
+        "nan", "scalar"])
+def test_time_step_is_the_fromnumeric_expression(values):
+    # the ndarray method skips np.max's Python wrapper, with the same bits
+    cfg = SolverConfig(cfl=0.45)
+    want = cfg.cfl * 0.01 / max(float(np.max(np.abs(values))), SUP_FLOOR)
+    got = time_step(cfg, 0.01, values)
+    assert type(got) is float
+    assert bits(got) == bits(want)
 
 
 def test_l1_time_lipschitz_bound():
