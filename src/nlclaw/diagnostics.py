@@ -97,6 +97,10 @@ class DiagnosticsReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
+    def failed(self) -> list:
+        return [c for c in self.checks if not c.passed]
+
     def __getitem__(self, name: str) -> CheckResult:
         for c in self.checks:
             if c.name == name:

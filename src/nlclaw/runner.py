@@ -12,19 +12,23 @@ no machine identity, no environment variable):
     <name>_table.dat     sweeps only: eps vs errors, plot-ready
 
 Exit status: 0 all mode-required checks pass, 1 input error (nothing
-written), 2 check failure or solver abort.
+written), 2 check failure or solver abort.  Either failure says why on
+stderr; a check failure in one line that names each failed check with
+its value and threshold.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    CheckResult,
     DiagnosticsReport,
     MultipleCrossingsError,
     NoCrossingError,
@@ -63,6 +67,9 @@ __all__ = [
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_CHECK_FAILED = 2
+# the largest |slope| of a sweep's L1 errors over log epsilon that a
+# non-convergence sweep accepts as a plateau
+PLATEAU_SLOPE = 0.1
 
 _RUN_ERRORS = (
     PicardDivergenceError,
@@ -129,20 +136,22 @@ class RunResult:
     """Everything one scenario run produced, ready to serialise.
 
     The report is the meta keys, then the run kind's body in its own key
-    order, then "passed".  snapshot_rows is the run's Snapshot, whose
-    len() is the number of rows its file holds; extra_snapshots holds a
-    sweep's per-epsilon (suffix, meta, columns, Snapshot); plots maps the
-    suffix of a plot-ready .dat file to its (columns, rows), where rows
-    is a Snapshot or a list of tuples.
+    order, then "passed"; failed lists the diagnostics.CheckResults that
+    failed (a sweep's named by their epsilon).  snapshot_rows is the run's
+    Snapshot, whose len() is the number of rows its file holds;
+    extra_snapshots holds a sweep's per-epsilon (suffix, meta, columns,
+    Snapshot); plots maps the suffix of a plot-ready .dat file to its
+    (columns, rows), where rows is a Snapshot or a list of tuples.
     """
 
     def __init__(
         self, meta: dict, body: dict, passed: bool, columns: tuple = (),
         rows: Snapshot | None = None, plots: dict | None = None,
-        extra_snapshots: list | None = None,
+        extra_snapshots: list | None = None, failed: list | None = None,
     ):
         self.meta = meta
         self.passed = bool(passed)
+        self.failed = failed or []
         self.report = {**meta, **body, "passed": self.passed}
         self.snapshot_columns = columns
         self.snapshot_rows = rows
@@ -201,6 +210,7 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
         ("t", "x", "u"),
         Snapshot(traj.times, fin.x, (traj.values,)),
         plots={"profile": (("x", "u"), _profile(fin.x, fin.values))},
+        failed=rep.failed,
     )
 
 
@@ -228,14 +238,15 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
     except NonConvexFluxError as e:  # the Godunov reference needs convexity
         raise ScenarioError([f"flux: {e}"]) from None
 
-    run_reports = []
-    passed = True
-    snapshots = []
+    run_reports, failed, snapshots = [], [], []
     for row in table.rows:
         traj = row.trajectory
         rep = check_invariants(traj)
         run_reports.append({"epsilon": row.epsilon, "checks": rep.as_dict()})
-        passed = passed and rep.passed
+        failed += [
+            replace(c, name=f"eps {row.epsilon!r} {c.name}")
+            for c in rep.failed
+        ]
         snapshots.append((
             f"eps{row.epsilon!r}", _meta(spec, row.epsilon, row.dx, row.dt),
             ("t", "x", "u"),
@@ -245,19 +256,24 @@ def _run_sweep(spec: ScenarioSpec) -> RunResult:
     body = {"table": table.as_dict(), "runs": run_reports}
     if spec.expect == "nonconvergence":
         slope_all = table.fit_rate("l1", n_points=None)
-        plateau = abs(slope_all) <= 0.1
+        plateau = abs(slope_all) <= PLATEAU_SLOPE
         body["nonconvergence"] = {
             "slope_all_rows": slope_all,
             "passed": bool(plateau),
         }
-        passed = passed and plateau
+        if not plateau:
+            failed.append(CheckResult(
+                "nonconvergence |slope_all_rows|", False, abs(slope_all),
+                PLATEAU_SLOPE,
+            ))
     table_rows = [row.as_dict() for row in table.rows]
     return RunResult(
         _meta(spec, [row.epsilon for row in table.rows], spec.dx, None),
-        body, passed,
+        body, not failed,
         plots={"table": (
             tuple(table_rows[0]), [tuple(r.values()) for r in table_rows]
         )},
+        failed=failed,
         extra_snapshots=snapshots,
     )
 
@@ -291,6 +307,7 @@ def _run_euler(spec: ScenarioSpec) -> RunResult:
         ("t", "x", "rho", "v"),
         Snapshot(mu.times, x, (rho, vel)),
         plots={"profile": (("x", "rho"), _profile(x, rho[-1]))},
+        failed=merged.failed,
     )
 
 
@@ -329,6 +346,7 @@ def _run_2d(spec: ScenarioSpec) -> RunResult:
         {"checks": rep.as_dict(), "tv": {"initial": tv0, "final": tvT}},
         rep.passed, ("x", "y", "u"), rows,
         plots={"profile": (("x", "u"), _profile(u0.x, mid))},
+        failed=rep.failed,
     )
 
 
@@ -539,7 +557,13 @@ def run(spec: ScenarioSpec, outdir, verify_only: bool = False) -> int:
     except OSError as e:  # outdir is a file, or cannot take the files
         print(f"outdir: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return EXIT_OK if res.passed else EXIT_CHECK_FAILED
+    if not res.passed:
+        print("checks failed: " + "; ".join(
+            f"{c.name} = {c.value!r} (threshold {c.threshold!r})"
+            for c in res.failed
+        ), file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def read_scenario(path) -> ScenarioSpec | None:

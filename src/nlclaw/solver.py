@@ -100,6 +100,13 @@ NODE_STEP_BUDGET = 1e10
 # nodes x 81 levels, 7.0e5)
 LEVEL_BUDGET = 1e8
 
+# the slope of the cubic on a cell, per unit of the largest node difference:
+# the maximum over s of |w'_-1| + |w'_1| + 2 |w'_2|, reached at s = 0
+CUBIC_SLOPE = 5.0 / 3.0
+# the cubic's weights sum in magnitude to 1 + s (1 - s) on a cell, at most
+CUBIC_SPREAD = 1.25
+EPS = float(np.finfo(float).eps)
+
 MODES = ("nn", "conservative", "velocity_reg", "flux_reg", "velocity_reg_2d")
 FLUX_MODES = ("velocity_reg", "flux_reg")  # the 1D modes that read f'
 SPEED_PROBES = 201  # evenly spaced points of the data range speed_bound reads
@@ -400,25 +407,20 @@ def _interp_grid(
     # the corners of each foot's cell, reduced stage by stage to the
     # bounds of the foot's pairs
     lo = hi = g[(..., *(slice(1, 3),) * d, slice(None))]
-    tmp = np.empty(lead + g.shape[-1:])
     for w, e, a, b, theta, off, end, _ in stages:
         ends = _lerp(g[..., a, e], g[..., b, e], theta)
-        # ((w_-1 g_-1 + w_0 g_0) + w_1 g_1) + w_2 g_2, as _interp_foot sums,
-        # one (component, tap, foot) block at a time: it stays in cache
-        out = np.empty(g.shape[:-2] + g.shape[-1:])
-        for r in np.ndindex(g.shape[1:-2]):
-            blk, row = g[(slice(None), *r)], out[(slice(None), *r)]
-            np.multiply(blk[:, 0], w[0], out=row)
-            for c in (1, 2, 3):
-                row += np.multiply(blk[:, c], w[c], out=tmp)
-        out[..., e] = ends
-        g = out
+        # the bounds first: on the first stage the box is a view of g
         bounds = []
         for f, box in ((np.minimum, lo), (np.maximum, hi)):
             bound = f(box[..., 0, :], box[..., 1, :])
             bound[..., off] = box[..., end, off]
             bounds.append(bound)
         lo, hi = bounds
+        # ((w_-1 g_-1 + w_0 g_0) + w_1 g_1) + w_2 g_2, as _interp_foot sums:
+        # a reduction over a middle axis adds its rows in index order
+        g *= w
+        g = np.add.reduce(g, axis=-2)
+        g[..., e] = ends
     # np.clip(g, lo, hi, out=g) with its tie rule (see interpolate_values)
     np.minimum(np.maximum(g, lo, out=g), hi, out=g)
     for k, (*_, off, _, shift) in enumerate(stages):
@@ -487,7 +489,9 @@ class _Foot(NamedTuple):
     evaluates u0 o phi.  changed(new, old) is the span outside which two
     value arrays agree bit for bit, and reach(v, dt) how many nodes a
     change of v can move along that axis into the feet traced through it;
-    the 2D foot reports the full span.  pin, when set, is the front pin:
+    the 2D foot reports the full span.  grid holds each axis's (origin,
+    spacing, nodes), x first, as _interp_grid takes it; _change_bound reads
+    it.  pin, when set, is the front pin:
     pin(vals, phi, v, dt, fronts) writes the pinned values into vals and
     returns them and the advanced front state, and fronts is that state
     at t = 0 (in 1D the list of the jump preimages, in Python floats).
@@ -500,6 +504,7 @@ class _Foot(NamedTuple):
     datum: Callable
     changed: Callable
     reach: Callable
+    grid: tuple
     pin: Callable | None = None
     fronts: object = None
 
@@ -549,6 +554,140 @@ def _patched(old, lo: int, hi: int, n: int, part):
     return out
 
 
+def _trace(foot: _Foot, field: np.ndarray, h: float, lo: int, hi: int):
+    """The feet of the nodes on [lo, hi) (along the last axis) traced
+    through field over h: x - (h/2) (field(x) + field(x - (h/2) field(x))),
+    the outer field value foot.interp_linear's."""
+    nodes, vs = foot.nodes[..., lo:hi], field[..., lo:hi]
+    mids = nodes - 0.5 * h * vs
+    return nodes - h * 0.5 * (vs + foot.interp_linear(field, mids))
+
+
+def _slopes(f: np.ndarray, grid: tuple) -> list:
+    """For each axis l of grid (x first), the largest difference of
+    neighbouring nodes along l over its spacing, max |f_c(x + h_l e_l) -
+    f_c(x)| / h_l, one entry per component c of f (shape (components,
+    *nodes), x last)."""
+    over = tuple(range(1, f.ndim))
+    out = [None] * len(grid)
+    for l, (_, h, _) in enumerate(grid):
+        step = (slice(None),) * l
+        diff = f[(..., slice(1, None), *step)] - f[(..., slice(-1), *step)]
+        out[l] = np.maximum.reduce(np.abs(diff), axis=over) / h
+    return out
+
+
+def _legs(feet: tuple, grid: tuple, disp: list, slack: float):
+    """For the stencil feet of a 2D foot field (_interp_grid's clipped
+    tensor-product cubic), the move of each foot by at most disp[l] plus
+    slack (the feet's rounding) along each axis l, taken as two legs,
+    along x and then along y: per leg (spread, jump), or None for an axis
+    the feet do not move along; None in place of the pair when a foot
+    may cross more than one cell edge.
+
+    spread bounds the cross axis's sum of |w| over the feet, so the slope
+    along l is at most CUBIC_SLOPE spread times the largest node
+    difference along l: the stencil's own sums when the cross axis has not
+    moved yet, else CUBIC_SPREAD.  jump bounds, in units of the largest
+    node difference along the cross axis, what crossing an l edge adds.
+    The clip box changes at a cell edge, and there the unclipped value is
+    the cross axis's cubic on the shared node line, which overshoots that
+    line's bracketing pair (inside both boxes) by at most s (1 - s) =
+    spread - 1 of that difference; so the value jumps by no more.  On a
+    node line the sum is exactly 1 and nothing jumps."""
+    q, axes = feet
+    legs = [None, None]
+    for l, ((o, h, _), (i, _, _)) in enumerate(zip(grid, axes)):
+        if not disp[l]:
+            continue
+        r = (disp[l] + slack) / h
+        if r >= 0.5:
+            return None
+        k = 1 - l
+        lam = None
+        if k > l or not disp[k]:
+            lam = np.add.reduce(np.abs(axes[k][1]), axis=0)
+        spread = CUBIC_SPREAD if lam is None else float(np.maximum.reduce(lam))
+        jump = spread - 1.0
+        if jump:
+            s = (q.reshape(2, -1)[l] - o) / h - i
+            near = np.minimum(np.abs(s), np.abs(1.0 - s)) <= r
+            if lam is not None:
+                jump = float(np.maximum.reduce(lam[near], initial=1.0)) - 1.0
+            elif not near.any():
+                jump = 0.0
+        legs[l] = (spread, jump)
+    return legs
+
+
+def _change_bound(
+    foot: _Foot, phi: np.ndarray, feet, a: np.ndarray, v: np.ndarray,
+    h: float, span: tuple, cap: float,
+) -> float:
+    """A bound on the sup-norm change of foot.interp_foot(phi, feet) when
+    the feet, traced (_trace) through a over h, are retraced through v;
+    a and v agree bit for bit outside span along the last axis.  Returns
+    inf as soon as the bound is sure to reach cap.
+
+    With delta_c = max |v_c - a_c|, the trace moves each foot along axis
+    c by at most h delta_c (1 + h Lip_c(a_c)/4) + (h^2/4) sum over the
+    other axes l of Lip_l(a_c) delta_l, where Lip_l is the largest node
+    difference along l over its spacing (the linear interpolant's slope
+    bound): the outer velocity moves by at most delta_c at the midpoint it
+    had and by Lip times the midpoint's move (h/2) delta.  The (1 + h
+    Lip/4) factor belongs to this trace form.  The clipped cubic of
+    _interp_foot has slope at most L = max(CUBIC_SLOPE max |diff phi| /
+    dx, 1) (the cubic's own on a cell, the end cells' linear, the
+    unit-slope extension off the grid, all meeting continuously at the
+    nodes), so in 1D phi changes by at most L times the move.  In 2D the
+    clip box changes at a cell edge, and _legs bounds each axis's share.
+    A margin of 64 eps (L (|x| + h |a|) + |phi|) covers the rounding of
+    the trace, the interpolation and this bound.  On a field constant
+    along y, with the feet on node rows and no velocity along y, every
+    cross term is exactly 0, so the 2D bound is the 1D one of the rows.
+    """
+    grid, (lo, hi), d = foot.grid, span, phi.ndim - 1
+    diff = np.abs(v[..., lo:hi] - a[..., lo:hi])
+    if h * np.maximum.reduce(diff, axis=None, initial=0.0) >= cap:
+        return np.inf
+    delta = np.maximum.reduce(diff, axis=tuple(range(1, d + 1)), initial=0.0)
+    lip, slope = _slopes(a, grid), _slopes(phi, grid)
+    disp = [0.0] * d
+    for c in range(d):
+        cross = 0.0
+        for l in range(d):
+            if l != c:
+                cross += lip[l][c] * delta[l]
+        disp[c] = (
+            h * delta[c] * (1.0 + h * lip[c][c] / 4.0) + h * h / 4.0 * cross
+        )
+    scale = (
+        np.maximum.reduce(np.abs(foot.nodes), axis=None)
+        + h * np.maximum.reduce(np.abs(a), axis=None)
+    )
+    legs = [(1.0, 0.0)] if d == 1 else _legs(feet, grid, disp, 64 * EPS * scale)
+    if legs is None:
+        return np.inf
+    steep, bound = 1.0, 0.0
+    for c in range(d):
+        total = 0.0
+        for l in range(d):
+            if legs[l] is None:
+                continue
+            spread, jump = legs[l]
+            lc = CUBIC_SLOPE * spread * slope[l][c]
+            lc = lc if lc > 1.0 else 1.0
+            steep = lc if lc > steep else steep
+            cross = 0.0
+            for k in range(d):
+                if k != l:
+                    cross += slope[k][c] * grid[k][1]
+            total += lc * disp[l] + jump * cross
+        bound = total if total > bound else bound
+    phi_max = np.maximum.reduce(np.abs(phi), axis=None)
+    return float(bound + 64 * EPS * (steep * scale + phi_max))
+
+
 def _transport_steps(
     u0,
     m: Mollifier,
@@ -563,13 +702,35 @@ def _transport_steps(
     end and the Picard passes the step took.  phi(0) is foot.nodes, and
     velocity_of maps a state to its velocity, one component per axis.
 
-    In each pass the velocity comes from the candidate new state u0 o phi,
-    the feet are traced with the midpoint rule, and every component of the
-    step-start foot field is interpolated at the feet.  Convergence is
-    measured on phi (a continuous quantity even across jumps of the
-    state), as the largest sup-norm change over the components.  A step
-    that does not converge raises PicardDivergenceError with its index and
-    start time.
+    In each pass v, the velocity of the candidate new state u0 o phi,
+    traces the feet (_trace) as x - (h/2) (v(x) + v(x - (h/2) v(x))),
+    and every component of the step-start foot field is interpolated at
+    the feet.  This trace is first order in time: to first order in h it
+    moves a foot by h (v - (h/4) v v_x), where the backward characteristic
+    moves by h (v - (h/2) v v_x) - (h^2/2) v_t, and v is frozen at the
+    step's end.  Convergence is measured on phi (a continuous quantity
+    even across jumps of the state), as the largest sup-norm change over
+    the components.  A step that does not converge raises
+    PicardDivergenceError with its index and start time.
+
+    Four rules end a step.  From the second pass on, once v is rebuilt
+    from the last pass's values, _change_bound bounds the change of phi
+    that retracing the last pass's feet through v, instead of the field a
+    they were traced through, would make: L h delta (1 + h Lip(a)/4) plus
+    a rounding margin in 1D, with delta = max |v - a|, Lip(a) = max |diff
+    a| / dx and L = max((5/3) max |diff phi| / dx, 1) the slope bound of
+    the clipped cubic (2D adds what a foot that crosses a cell edge off a
+    node line can jump).  Below PICARD_TOL the contraction rule below
+    would end the step after that pass, with a phi within the bound of
+    the last pass's, so the step ends now, with the last pass's phi,
+    values and fronts, and keeps v, the velocity of those values, as the
+    next step's start velocity (the next pass retraces the feet where v
+    was rebuilt).  The (1 + h Lip/4) factor belongs to this trace form.
+    tests/test_change_bound.py runs the skipped pass wherever the bound is
+    evaluated and holds its change to the bound.  The others end a step
+    after a pass: one that changes phi by less than PICARD_TOL (a
+    contraction), returns the values its velocity was built from (a fixed
+    point, below), or closes a period-2 cycle (below).
 
     A pass recomputes only the span whose inputs changed, and the
     generator's locals carry the previous pass (of this step or the one
@@ -605,8 +766,8 @@ def _transport_steps(
     are traced on the whole grid, and h_feet is then NaN: no step matches
     it, so the next pass retraces them all.  The fixed point is unchanged
     and the iteration reaches it in fewer passes (nn on -tanh(x), dx 0.01,
-    eps 0.1, to T = 0.5: 295, where V(u_n) takes 484), so the state moves
-    only within the PICARD_TOL stopping rule.  With a front pin the first
+    eps 0.1, to T = 0.5: 199, where V(u_n) takes 387), so the state moves
+    only within the PICARD_TOL stopping rules.  With a front pin the first
     pass keeps V(u_n): the extrapolation would cross the front, put nodes
     on the wrong side of the jump and widen every later pass's span, and
     so cost passes (on the benchmark's decreasing Riemann runs, 2.77 per
@@ -639,16 +800,29 @@ def _transport_steps(
     n, r = u0.values.shape[-1], m.radius
     phi, vals, fronts = foot.nodes, u0.values, foot.fronts
     span, v, h_feet, feet, raw, starts = (0, n), None, 0.0, None, None, ()
+    moved = (0, 0)  # where a step that ended early rebuilt v
     for k, t, t_next, h in step_times(T, dt):
         cand_phi, cand_vals, cand_fronts, older_phi = phi, vals, fronts, None
         for j in range(PICARD_MAX_ITERS):
-            # v, where the values it was built from changed
-            lo, hi = _widen(span, r, n)
+            # v, where the values it was built from changed; where the last
+            # step rebuilt it, when that step ended before retracing the feet
+            kept, (lo, hi) = v, _widen(span, r, n)
             if lo < hi:
                 w = max(lo - r, 0)  # the window reaches r nodes past the span
                 part = velocity_of(cand_vals[..., w:min(hi + r, n)])
                 v = _patched(v, lo, hi, n, part[..., lo - w:hi - w])
-            src = cand_vals
+            elif moved[0] < moved[1]:
+                lo, hi, moved = *moved, (0, 0)
+            # retracing the last pass's feet through v would move phi by
+            # less than PICARD_TOL: end the step with that pass's results,
+            # and keep v, the velocity of its values
+            if j and _change_bound(
+                foot, phi, feet, traced, v, h,
+                (lo, hi) if traced is kept else (0, n), PICARD_TOL,
+            ) < PICARD_TOL:
+                span, moved, new_phi = (0, 0), (lo, hi), cand_phi
+                break
+            passes, src = j + 1, cand_vals
             traced = v  # the field the feet are traced through
             if j == 0 and foot.pin is None:
                 traced = _extrapolated(v, starts)
@@ -661,11 +835,7 @@ def _transport_steps(
                 lo, hi = _widen((lo, hi), foot.reach(v, h), n)
             h_feet = h if traced is v else np.nan
             if lo < hi:
-                nodes, vs = foot.nodes[..., lo:hi], traced[..., lo:hi]
-                mids = nodes - 0.5 * h * vs
-                built = foot.stencil(
-                    nodes - h * 0.5 * (vs + foot.interp_linear(traced, mids))
-                )
+                built = foot.stencil(_trace(foot, traced, h, lo, hi))
                 feet = _patched(feet, lo, hi, n, built)
             # phi and the datum, where the feet changed, through the stencil
             # just built; everywhere on a step's first pass, since phi has
@@ -699,7 +869,7 @@ def _transport_steps(
         else:
             raise PicardDivergenceError(k, t, change)
         phi, vals, fronts = new_phi, cand_vals, cand_fronts
-        yield t_next, phi, vals, j + 1
+        yield t_next, phi, vals, passes
 
 
 def _datum_jumps(data) -> list:
@@ -839,6 +1009,7 @@ def _foot_1d(u0: GridFunction1D, data) -> _Foot:
         )[np.newaxis],
         datum=lambda phi: datum(phi[0]),
         changed=_changed_span,
+        grid=((x0, dx, x.size),),
         # a midpoint sits within 0.5 dt |v| of its node; one more node for
         # the stencil's right neighbour and one for the floor's roundoff
         reach=lambda v, dt: int(

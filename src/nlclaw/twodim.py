@@ -146,7 +146,6 @@ def solve_velocity_reg_2d(
     f1, f2 = fluxes
     mx = build_mollifier(epsilon, u0.dx)
     my = build_mollifier(epsilon, u0.dy)
-    grid = ((u0.x0, u0.dx, u0.nx), (u0.y0, u0.dy, u0.ny))
 
     def velocity_of(u: np.ndarray) -> np.ndarray:
         return np.stack((
@@ -154,7 +153,19 @@ def solve_velocity_reg_2d(
             _convolve2(mx, my, f2.fprime(u)),
         ))
 
-    foot = _Foot(
+    dt = time_step(cfg, min(u0.dx, u0.dy), u0.values)
+    speed = max(speed_bound("velocity_reg", f, u0.values) for f in fluxes)
+    return _solve_transport(
+        u0, mx, T, cfg, velocity_of, "velocity_reg_2d", speed, dt=dt,
+        foot=_foot_2d(u0),
+    )
+
+
+def _foot_2d(u0: GridFunction2D) -> _Foot:
+    """2D pieces: every stage is _interp_grid, the 1D per-axis rules
+    along x and then along y, and every pass is a full pass."""
+    grid = ((u0.x0, u0.dx, u0.nx), (u0.y0, u0.dy, u0.ny))
+    return _Foot(
         nodes=np.stack(np.meshgrid(u0.x, u0.y)),
         interp_linear=lambda v, pts: _interp_grid(v, grid, pts, None),
         stencil=lambda feet: (feet, [
@@ -165,9 +176,5 @@ def solve_velocity_reg_2d(
         datum=lambda phi: _interp_grid(u0.values, grid, phi, None),
         changed=lambda new, old: (0, new.shape[-1]),  # full passes only
         reach=lambda v, dt: 0,
-    )
-    dt = time_step(cfg, min(u0.dx, u0.dy), u0.values)
-    speed = max(speed_bound("velocity_reg", f, u0.values) for f in fluxes)
-    return _solve_transport(
-        u0, mx, T, cfg, velocity_of, "velocity_reg_2d", speed, dt=dt, foot=foot
+        grid=grid,
     )

@@ -174,29 +174,29 @@ DIGESTS = {
     }),
     "cubic_sweep": (0, {
         "cubic_sweep_eps0.2.json":
-            "1dc2f9a062bbfec6d24934991ade69c66045cca73800a71f276d46a9967e26c8",
+            "9c8c3ec3613e5b86e2384153f8f327ec27b74fbea6b04b632a4ee0ed52370bac",
         "cubic_sweep_eps0.4.json":
-            "320f36824141b6982a2530c17e6e9e7a49d1908ff0966ec5c2dc3fcfbb5a87a6",
+            "26bbe846fa919a3225c7b40bac02c860f50ec107da0c9386d84963ef4e1915ac",
         "cubic_sweep_report.json":
-            "4183110432fe6546e41024e7eb6b5724781811cac52b4a0de6b3066b5535edad",
+            "b9589dd9e0ba61fb4b68491b58f0b7f29daeea8b3e829097494ce3e2e5b2b28a",
         "cubic_sweep_table.dat":
-            "758eb7111f4fff99f00ed87cb089d4736876bc0f189701568131fe9857d5627d",
+            "ef13672ecf225a0f2c46f4004a427b46c197729c8537a6b9ffd5ccae5f2fa9fa",
     }),
     "freg_expr": (0, {
         "freg_expr.csv":
-            "6c2ec5be212dd38948442bbb43280865e15af8f7a169e45527e788badd422761",
+            "9ee8daa5207652d34d3b741ec6d7dd1351982fd4a865589e3d816abe042943e9",
         "freg_expr_profile.dat":
-            "93d33a613855ec326cd15b91cbbcb6432d2f75466baa7ab075860f00d9691cda",
+            "a3b1a0beb65aec5062f4822f6fa4ed69fbd13a164da4c22d8ca1335de2913183",
         "freg_expr_report.json":
-            "4e859e00fd08e6d7b2901ab5703686ff303eae338bc96deca14eae47364f1e0c",
+            "c78cd0b62681e9803df8027efe205197fc5328f0a322ea5d4d11d56e6366a3e3",
     }),
     "freg_exp": (0, {
         "freg_exp.csv":
-            "b65e7a4f7388bf97366c519f93b131ae3e2a5807c34710a377c65ed8b1cc6d1a",
+            "12e01337291836d78255745d392f1637755a8d882ce30fded1cfda559bdfcc1e",
         "freg_exp_profile.dat":
-            "8149d726e282d4577da231237c1e08199f41963711d2c0f09ef8973a5b8f16ea",
+            "1e60059838b74dd1e1e009befe4ec8e17d9fd7c0a1bf52d9c207189a852e4be3",
         "freg_exp_report.json":
-            "9ef1d60ad74752f3ce2562430798be5bf13bbad57fa310a4cd47559a0f4bafcf",
+            "d7211b10af857b9d6e61a59b9c1749bdb80c2ff24079ee155cea8835c1027bb3",
     }),
     "freg_fast": (0, {
         "freg_fast.csv":
@@ -216,11 +216,11 @@ DIGESTS = {
     }),
     "pulse": (0, {
         "pulse.csv":
-            "db65e37f8a6a684053b3f775e0b8e0fcfee23681542c71697a0a28b7104a8035",
+            "93a1e816382fadb192e0fff5dab84f65ab13e45979a46dc2716d136dc0fe7ffe",
         "pulse_profile.dat":
-            "f5c43c63a8ee3eb538dd48a23d6728cf231257fbd509bcf6c9425158cf758f10",
+            "c0e18922a6e7cc4326943ce1bf75023c7ffff371facfdc5986aea92326e75689",
         "pulse_report.json":
-            "63c5de2842082cb0f13a35d6d2050beeb8e991b68c7ab674a3ed06a206748d05",
+            "3b67c98c6bc7fae03006e3c8227417852e7ff0db703f358b8f8bd169a3aecb06",
     }),
     "rare_sweep": (0, {
         "rare_sweep_eps0.1.csv":
@@ -258,7 +258,7 @@ DIGESTS = {
     }),
     "verify_vreg": (0, {
         "verify_vreg_report.json":
-            "502d6afe624d46c0d9afe400287bcc24f751ad97eb584ce115c7874e00def66f",
+            "1f7ffbc976fe67e5f9dbbbded7c2ab8880273fa21a52c8da5dbfbfc4d8cb5abb",
     }),
     "vreg_cubic": (2, {
         "vreg_cubic.json":

@@ -5,6 +5,7 @@ nothing."""
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -138,6 +139,8 @@ def test_every_document_ends_in_an_exit_status(doc):
         if rc == 1:
             assert err.getvalue().strip(), text
             assert not out.exists() or not any(out.iterdir()), text
+        if rc == 2:  # a failed check or an aborted solve: one line says why
+            assert len(err.getvalue().strip().splitlines()) == 1, text
 
 
 def _run(argv, capsys) -> tuple[int, str]:
@@ -280,3 +283,24 @@ def test_riemann_flags_and_scenario_file_write_the_same_bytes(tmp_path):
     assert names == sorted(p.name for p in text.iterdir())
     for name in names:
         assert (flags / name).read_bytes() == (text / name).read_bytes()
+
+
+def test_a_failed_check_is_named_in_one_line(tmp_path, capsys):
+    # the front has not formed by T, so the fit over [T/2, T] reads a
+    # slower front than the Rankine-Hugoniot speed 1/2
+    scn = tmp_path / "x.scn"
+    scn.write_text(
+        "name = x\ninitial = riemann 1 0\ndomain = -1 1.5\nstride = 1\n"
+        + GRID.replace("dx = 0.01", "dx = 0.02")
+    )
+    rc, err = _run(["run", str(scn), "--outdir", str(tmp_path / "out")],
+                   capsys)
+    report = json.loads((tmp_path / "out" / "x_report.json").read_text())
+    failed = [c for c in report["checks"]["checks"] if not c["passed"]]
+    assert rc == 2 and failed and err.count("\n") == 1, err
+    assert err.startswith("checks failed: ")
+    for c in failed:
+        assert (
+            f"{c['name']} = {c['value']!r} (threshold {c['threshold']!r})"
+            in err
+        )

@@ -761,7 +761,7 @@ def test_backward_characteristic_representation():
 
 def full_pass_solve(
     u0, epsilon, T, cfg, mode, data=None, flux=None, predict=True,
-    fixed_point=True,
+    fixed_point=True, bound=False,
 ):
     """Reference stepping loop: every Picard pass recomputes the velocity,
     the feet, phi and the datum on the whole grid.  Without tracked datum
@@ -770,9 +770,13 @@ def full_pass_solve(
     the velocity at the step start).  A step ends on a pass that changes
     phi by less than PICARD_TOL, closes a period-2 cycle to that, or
     (fixed_point=False: never) returns bitwise the values its velocity
-    was built from, the feet traced through that velocity.  Returns the
-    stored levels, the passes per step, the foot field after each step
-    and whether the fixed-point rule alone ended each step."""
+    was built from, the feet traced through that velocity; with
+    bound=True (the solver's rule), also at the start of a pass from the
+    second on whose velocity bounds the change of retracing the last
+    pass's feet (solver._change_bound on the whole grid) below
+    PICARD_TOL, with the last pass's results.  Returns the stored levels,
+    the passes per step, the foot field after each step and whether the
+    fixed-point rule alone ended each step."""
     m = build_mollifier(epsilon, u0.dx)
     velocity_of = _velocity_fn(m, flux, mode)
     foot = _foot_1d(u0, data)
@@ -783,8 +787,14 @@ def full_pass_solve(
     for k, t, t_next, h in step_times(T, time_step(cfg, u0.dx, u0.values)):
         cand_phi, cand_vals, cand_fronts, older = phi, vals, fronts, None
         for j in range(solver.PICARD_MAX_ITERS):
-            src = cand_vals
             (v,) = velocity_of(cand_vals)
+            if bound and j and solver._change_bound(
+                foot, phi[np.newaxis], foot.stencil(feet[np.newaxis]),
+                w[np.newaxis], v[np.newaxis], h, (0, x.size), np.inf,
+            ) < PICARD_TOL:
+                j -= 1  # the last pass's results, as it left them
+                break
+            src = cand_vals
             w = v  # the field the feet are traced through
             if j == 0 and predict and foot.pin is None:
                 if len(starts) == 2:
@@ -890,7 +900,7 @@ def test_incremental_passes_match_full_passes(
     data = data if functional else None
     cfg = SolverConfig()
     levels, counts, phis, _ = full_pass_solve(
-        u0, 0.1, T, cfg, mode, data, flux
+        u0, 0.1, T, cfg, mode, data, flux, bound=True
     )
     tr, tr_phis, passes, t_last = solve_recording_phi(
         mode, u0, 0.1, T, cfg, data=data, flux=flux
@@ -945,11 +955,13 @@ def test_fixed_point_rule_keeps_the_result(mode, data, flux, T, functional):
 
 
 def test_predictor_pass_counts():
-    # smooth data: 484 passes when every step starts from V(u_n)
+    # smooth data: 387 passes when every step starts from V(u_n) (484
+    # without the rule that ends a step on its bound, 295 with the
+    # prediction alone)
     d = parse_expression("-tanh(x)")
     tr = solve_nn(sample(d, -2.0, 2.0, 0.01), 0.1, 0.5, SolverConfig(), data=d)
     assert tr.picard_counts.size == 97
-    assert tr.picard_counts.sum() == 295
+    assert tr.picard_counts.sum() == 199
     # a tracked jump: no prediction, the same passes as without it
     d = RiemannData(1.0, 0.0)
     tr = solve_nn(sample(d, -2.0, 2.0, 0.01), 0.1, 0.4, SolverConfig(), data=d)

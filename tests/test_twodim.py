@@ -394,15 +394,21 @@ def test_an_inactive_axis_is_not_mollified_and_keeps_every_bit(monkeypatch):
     assert np.array_equal(
         got.values.view(np.uint64), want.values.view(np.uint64)
     )
-    # two convolutions per pass, where mollifying both components takes four
-    assert 2 * short == len(calls) - short == 4 * want.picard_counts.sum()
+    # two convolutions per velocity, where mollifying both components
+    # takes four: one velocity per pass, and one more that ends the last
+    # step on its bound (each step's ending velocity is the next step's)
+    assert (
+        2 * short == len(calls) - short == 4 * (want.picard_counts.sum() + 1)
+    )
 
 
 def picard_pass_calls_2d():
     """The Python and C-function calls (sys.setprofile's call and c_call
     events) of each warm Picard pass of criterion 13's 2D solve (21 x 601
     nodes), to a shorter T: the events from one call of its velocity_of to
-    the next, from the second step on."""
+    the next, from the second step on.  A step that ends on its bound
+    rebuilds the velocity and then evaluates the bound, and the next step's
+    first pass keeps that velocity: its events join the interval."""
     u0 = sample_2d(
         lambda X, Y: -np.tanh(X) + 0.0 * Y, -3.0, 3.0, 0.0, 0.2, 1e-2, 1e-2
     )
@@ -418,7 +424,7 @@ def picard_pass_calls_2d():
     sys.setprofile(profile)
     try:
         tr = solve_velocity_reg_2d(
-            u0, fluxes, 0.1, 0.05, SolverConfig(store_stride=10**9)
+            u0, fluxes, 0.1, 0.1, SolverConfig(store_stride=10**9)
         )
     finally:
         sys.setprofile(None)
