@@ -22,6 +22,7 @@ from nlclaw.solver import (
     SolverConfig,
     _change_bound,
     _foot_1d,
+    _StepStart,
     _trace,
     solve,
 )
@@ -39,8 +40,8 @@ def bits(a):
 
 def change_and_bound(foot, phi, feet, a, v, h, span):
     """The sup-norm change of phi from retracing the feet through v, and
-    the full bound on it; checks that feet are the stencil of the feet
-    traced through a and that v agrees with a outside span."""
+    the full bound on it (cap inf); checks that feet are the stencil of
+    the feet traced through a and that v agrees with a outside span."""
     n = phi.shape[-1]
     lo, hi = span
     assert np.array_equal(bits(v[..., :lo]), bits(a[..., :lo]))
@@ -49,29 +50,41 @@ def change_and_bound(foot, phi, feet, a, v, h, span):
     again = foot.interp_foot(phi, foot.stencil(_trace(foot, a, h, 0, n)))
     assert np.array_equal(bits(was), bits(again))
     now = foot.interp_foot(phi, foot.stencil(_trace(foot, v, h, 0, n)))
-    bound = _change_bound(foot, phi, feet, a, v, h, span, np.inf)
+    x_max = np.maximum.reduce(np.abs(foot.nodes), axis=None)
+    start = _StepStart(phi, x_max)
+    bound = _change_bound(foot, start, feet, a, v, h, span, np.inf)
     return float(np.abs(now - was).max()), bound
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Every (change, bound) of the solves the test makes, in order."""
+    """Every (change, bound) of the solves the test makes, in order, and
+    the bound the solver got (inf where it stopped at its cap)."""
     out = []
 
-    def checked(foot, phi, feet, a, v, h, span, cap):
-        out.append(change_and_bound(foot, phi, feet, a, v, h, span))
-        return _change_bound(foot, phi, feet, a, v, h, span, cap)
+    def checked(foot, start, feet, a, v, h, span, cap):
+        assert cap == PICARD_TOL
+        got = _change_bound(foot, start, feet, a, v, h, span, cap)
+        out.append(change_and_bound(foot, start.phi, feet, a, v, h, span)
+                   + (got,))
+        return got
 
     monkeypatch.setattr(solver, "_change_bound", checked)
     return out
 
 
 def assert_bounded(evaluations, fired):
-    changes, bounds = np.array(evaluations).T
+    changes, bounds, got = np.array(evaluations).T
     assert changes.size > 10
     assert np.all(changes <= bounds)
     # the rule fires (or never can: a tracked jump moves v by O(1))
     assert np.any(bounds < PICARD_TOL) == fired
+    # stopping at the cap rejects only bounds that reach it, and changes
+    # no other
+    stopped = np.isinf(got)
+    assert stopped.any()
+    assert np.all(bounds[stopped] >= PICARD_TOL)
+    assert np.array_equal(bits(got[~stopped]), bits(bounds[~stopped]))
 
 
 CASES_1D = pytest.mark.parametrize(
@@ -130,7 +143,7 @@ def test_the_2d_bound_on_y_independent_data_is_the_1d_bound(evaluations):
     dx = 0.01
     u0 = sample(lambda x: -np.tanh(x), -3.0, 3.0, dx)
     one = solve("nn", u0, 0.1, 0.2, SolverConfig())
-    bounds_1d = [b for _, b in evaluations]
+    bounds_1d = [b for _, b, _ in evaluations]
     evaluations.clear()
     u0_2d = sample_2d(
         lambda X, Y: -np.tanh(X) + 0.0 * Y, -3.0, 3.0, 0.0, 0.2, dx, dx
@@ -139,7 +152,7 @@ def test_the_2d_bound_on_y_independent_data_is_the_1d_bound(evaluations):
         u0_2d, (burgers_flux(radius=1.5), zero_flux(radius=1.5)), 0.1, 0.2,
         SolverConfig(),
     )
-    bounds_2d = [b for _, b in evaluations]
+    bounds_2d = [b for _, b, _ in evaluations]
     assert np.array_equal(one.picard_counts, two.picard_counts)
     assert (one.picard_counts < 3).sum() > 10
     np.testing.assert_allclose(bounds_2d, bounds_1d, rtol=1e-9, atol=1e-15)

@@ -166,11 +166,11 @@ COMMANDS = {
 DIGESTS = {
     "cons": (0, {
         "cons.csv":
-            "bd753fdb33a6ac792808e0e522e44c8c43a233612662fa1ed5ff783aed1e8ce8",
+            "75a72e9ec5d2b554429c31abf12e2ba71750992d52b389ca3181f7400ea8d470",
         "cons_profile.dat":
-            "978722194878b42435d329925ebfede03e927352251951721d8178f4b63a75dc",
+            "e86373a78462a348f8c0613bab768c6d00a33423c26f73df3f73f83407542d5d",
         "cons_report.json":
-            "d53358434775ff0fa3ff7ca894106cf36fb1912a8bdb554dcd8384a040fbdd77",
+            "8b6577a76ff7fe8991a9ccad67c43cc7c5431c5db72d22950d48f0f465b62ef6",
     }),
     "cubic_sweep": (0, {
         "cubic_sweep_eps0.2.json":

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nlclaw import acceptance, diagnostics, runner
+from nlclaw import acceptance, diagnostics, runner, solver
 from nlclaw.cli import main
+from nlclaw.solver import SolverConfig, WorkBudgetError
 from nlclaw.runner import RunResult, Snapshot, write_outputs
-from nlclaw.grids import RiemannData
+from nlclaw.grids import RiemannData, sample
 from nlclaw.scenario import ScenarioSpec, parse_scenario
 
 SHOCK = """
@@ -172,8 +173,9 @@ def test_stride_whose_levels_bunch_at_T_is_rejected_before_the_solve(
 def test_conservative_stride_is_rejected_after_the_solve(
     tmp_path, monkeypatch, capsys
 ):
-    # the conservative solver sizes each step by the current sup|u|, so its
-    # stored times exist only after the solve: stride 1000 keeps 0 and T
+    # the conservative solver sizes each step by the current sup|eta_eps *
+    # u|, so its stored times exist only after the solve: stride 1000 keeps
+    # 0 and T
     scn = _write(tmp_path, "cons.scn", """
 name = cons
 mode = conservative
@@ -201,6 +203,41 @@ stride = 1000
         "the front-speed fit needs 2 spanning half of it, so lower the "
         "stride\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget, key", [
+    ("NODE_STEP_BUDGET", "initial"), ("LEVEL_BUDGET", "stride"),
+])
+def test_conservative_budgets_count_the_steps_taken(
+    tmp_path, monkeypatch, capsys, budget, key
+):
+    # criterion 11's datum on [-3, 3]: the first step checks 320 steps (321
+    # stored levels) and the solve takes 697, so a budget of 500 per node
+    # passes the check and stops the loop on the step that passes it
+    dx = 0.05 / 8.0
+    u0 = sample(acceptance._counterexample_datum(), -3.0, 3.0, dx)
+    cfg = SolverConfig()
+    monkeypatch.setattr(solver, budget, 500.0 * u0.n)
+    with pytest.raises(WorkBudgetError, match=f"^{u0.n} nodes x 501 ") as info:
+        solver.solve_conservative_nonlocal(u0, 0.05, 1.0, cfg)
+    assert info.value.key == key
+    scn = _write(tmp_path, "c11.scn", f"""
+name = c11
+mode = conservative
+initial = piecewise -2,-1,0,1,2 ; 0 ; x + 2 ; 1 ; -1 ; x - 2 ; 0 ; C=1
+epsilon = 0.05
+T = 1
+dx = {dx!r}
+domain = -3 3
+stride = 1
+""")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{key}: {u0.n} nodes x 501 ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
