@@ -32,7 +32,7 @@ from .solver import (
     check_stored_levels,
     solve,
     speed_bound,
-    time_step,
+    transport_step,
 )
 
 __all__ = [
@@ -496,9 +496,11 @@ def convergence_study(
     Rows are solved one after another on the calling thread, in
     decreasing eps order.  Every row's node-steps and stored values are
     checked (WorkBudgetError) before any row is sampled on its padded
-    grid.  That pre-check sizes dt on the window's samples, the solve on
-    the padded grid, whose sup is at least as large: the pre-check's
-    counts are lower bounds, and each solve checks its own exactly.
+    grid.  That pre-check sizes dt by transport_step, the rule a transport
+    solve sizes its own step by, on the window's samples, the solve on the
+    padded grid, whose sup is at least as large: the pre-check's counts
+    are lower bounds, and each solve checks its own exactly (the
+    conservative solver, whose step follows its velocity, as it steps).
     """
     cfg = cfg or SolverConfig(store_stride=10**9)
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
@@ -510,7 +512,7 @@ def convergence_study(
         speed = speed_bound(scenario.mode, scenario.flux, u0.values)
         a, b = padded_grid_bounds(scenario.window, speed, eps, scenario.T, dx)
         nodes = uniform_grid(a, b, dx)[1]
-        dt = time_step(cfg, dx, u0.values)
+        dt = transport_step(cfg, dx, u0.values, scenario.data)
         check_node_steps(nodes, scenario.T, dt)
         check_stored_levels(nodes, scenario.T, dt, cfg.store_stride)
         return eps, dx, a, b

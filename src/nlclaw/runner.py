@@ -51,6 +51,7 @@ from .solver import (
     WorkBudgetError,
     schedule,
     solve,
+    transport_step,
 )
 from .kernel import ResolutionError
 from .twodim import sample_2d, solve_velocity_reg_2d, tv_2d
@@ -186,7 +187,9 @@ def _run_1d_single(spec: ScenarioSpec) -> RunResult:
     # before solving; the conservative solver's adaptive times only after
     adaptive = spec.mode == "conservative"
     if shock and not adaptive:
-        _, times = schedule(u0, spec.T, cfg)
+        times = schedule(
+            u0, spec.T, cfg, transport_step(cfg, u0.dx, u0.values, data)
+        )
         _check_levels(times, 0.5 * spec.T, 2, spec, "front-speed fit")
     traj = solve(spec.mode, u0, spec.epsilon, spec.T, cfg, data=data, flux=flux)
 

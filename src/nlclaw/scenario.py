@@ -15,12 +15,20 @@ blank lines ignored, keys case-sensitive, each key at most once):
     epsilon_list = <e1,e2,...>         epsilon_list (comma or space separated)
     T        = <float > 0>                                   required
     dx       = <float > 0>                                   required
-    cfl      = <float in (0,1]>                              default 0.5
+    cfl      = <float in (0,1]>    time step, see below      default 0.5
     domain   = <a> <b>  with a < b                           required
     domain_y = <a> <b>                 nn2d only, default = domain
     output   = csv | json                                    default csv
     stride   = <int >= 1>              snapshot stride, default 50
     expect   = nonconvergence          optional flag
+
+``cfl`` sets the time step.  A run whose datum has no tracked jump (an
+``expression``, or a ``riemann`` or ``piecewise`` datum without one; nn2d
+too) steps by 2 cfl dx / sup|u0|, Courant 1 at the default, because its
+characteristics are traced by the time-centred midpoint rule.  A run
+with tracked jumps and the euler pair step by cfl dx / sup|u0| (euler:
+the sup of both invariants), and conservative mode by cfl dx / sup|v| of
+the state's velocity v = eta_eps * u, at every step.
 
 A ``<token>`` is ``[A-Za-z0-9_][A-Za-z0-9_.-]*``, at most 200 characters:
 the result files are named after it, so it can name no directory and

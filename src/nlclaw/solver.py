@@ -39,12 +39,16 @@ values its velocity came from ends the step.  A recomputed entry goes
 through the same elementwise operations as on the full grid and the rest
 keep their bits, so the result is bitwise that of full passes.
 
-On data without tracked jumps a step's first pass traces the feet through
-the velocity extrapolated over the last three step starts, not through
-the velocity at the step start: up to the catastrophe time that velocity
-is smooth in time, and the prediction saves the pass or two the
-iteration would spend catching up with it.  Data with tracked jumps keep
-the step-start velocity, since there the extrapolation crosses the front.
+On data without tracked jumps the feet are traced by the time-centred
+midpoint rule, through the mean of the velocities at the two ends of the
+step, and the step is twice as long (transport_step); a step's first pass
+takes the end velocity extrapolated over the last three step starts: up
+to the catastrophe time that velocity is smooth in time, and the
+prediction saves the pass or two the iteration would spend catching up
+with it.  Data with tracked jumps keep a trace through the end velocity
+alone, first order in time, and its step (time_step), and the first pass
+keeps the step-start velocity, since there the extrapolation crosses the
+front.
 
 A conservative finite-volume variant of the nonlocal model is provided for
 comparison.  It conserves mass by construction and deliberately carries no
@@ -87,6 +91,7 @@ __all__ = [
     "speed_bound",
     "step_times",
     "time_step",
+    "transport_step",
 ]
 
 SUP_FLOOR = 1e-12  # dt cap divisor for all-zero data
@@ -130,12 +135,37 @@ def speed_bound(mode: str, flux: FluxSpec | None, values) -> float:
     return float(np.max(np.abs(np.asarray(flux.fprime(probe), dtype=float))))
 
 
+def _courant_step(courant: float, dx: float, values) -> float:
+    """courant dx / sup|values|, SUP_FLOOR capping it on all-zero data."""
+    return courant * dx / max(float(np.abs(values).max()), SUP_FLOOR)
+
+
 def time_step(cfg: SolverConfig, dx: float, values) -> float:
-    """The transport step cfg.cfl dx / sup|values| of every solver (SUP_FLOOR
-    caps it on all-zero data).  values is a state's nodal values, or a
-    tuple of equal-shape arrays whose joint sup sets one shared step (the
-    Euler invariants); dx is the grid spacing (2D: the smaller one)."""
-    return cfg.cfl * dx / max(float(np.abs(values).max()), SUP_FLOOR)
+    """The step cfg.cfl dx / sup|values| (SUP_FLOOR caps it on all-zero
+    data): the conservative solver's, on the velocity it advects with, the
+    Euler pair's, and a transport solve's on data with tracked jumps
+    (transport_step).  values is a state's nodal values, or a tuple of
+    equal-shape arrays whose joint sup sets one shared step (the Euler
+    invariants); dx is the grid spacing (2D: the smaller one)."""
+    return _courant_step(cfg.cfl, dx, values)
+
+
+def transport_step(cfg: SolverConfig, dx: float, values, data) -> float:
+    """The step a transport solve (every mode but conservative) takes when
+    it sizes its own, the one owner of that rule: time_step on data with
+    tracked jumps (_datum_jumps(data) not empty, so the solve has a front
+    pin), whose feet keep a trace that is first order in time, and twice
+    that, 2 cfg.cfl dx / sup|values| (Courant 1 at the default cfl), on
+    data without them (data None included: the sampled and 2D data),
+    whose feet _transport_steps traces time-centred.  dx and values are as
+    time_step takes them.  A datum with a jump limit that is not finite is
+    sized as one with tracked jumps: the solve checks its work budgets at
+    that step before it rejects the datum (DatumError)."""
+    try:
+        pinned = bool(_datum_jumps(data))
+    except DatumError:
+        pinned = True
+    return _courant_step(cfg.cfl if pinned else 2.0 * cfg.cfl, dx, values)
 
 
 class WorkBudgetError(ValueError):
@@ -199,7 +229,16 @@ class PicardDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step-size and storage policy shared by all solvers."""
+    """Step-size and storage policy shared by all solvers.
+
+    cfl scales every solver's time step: a transport solve on data
+    without tracked jumps steps by 2 cfl dx / sup|u0| (transport_step:
+    Courant 1 at the default 0.5, which its time-centred trace affords),
+    one on data with tracked jumps and the Euler pair by cfl dx / sup|u0|
+    (time_step), and the conservative solver by cfl dx / sup|v| of its
+    velocity at every step.  store_stride keeps every store_stride-th
+    step's level, and the last one.
+    """
 
     cfl: float = 0.5
     store_stride: int = 1
@@ -218,9 +257,12 @@ class Trajectory:
     values[k] holds the state at times[k] on the nodes of grid (the
     state at t = 0; a twodim.GridFunction2D for the 2D solver), so values
     has shape (levels, *grid.values.shape).  speed_bound is speed_bound
-    on grid's range (2D: the larger axis's), dt the step time_step chose
-    (the conservative solver: its first step, time_step of eta_eps * u0,
-    before any clamp to T).
+    on grid's range (2D: the larger axis's), dt the step of the solve:
+    transport_step of u0 and its datum (2 cfl dx / sup|u0| without tracked
+    jumps, time_step's cfl dx / sup|u0| with them) unless the caller gave
+    one (the Euler pair: time_step of both invariants), and for the
+    conservative solver its first step, time_step of eta_eps * u0, before
+    any clamp to T.
     Solves on step_times' schedule store their last step, at T exactly.
     """
 
@@ -330,12 +372,16 @@ def _interp_foot(
     The cubic is one gather of the stencil's (4, m) node block, one
     product with its weights and one sum over the four rows, in the order
     ((w_-1 phi_-1 + w_0 phi_0) + w_1 phi_1) + w_2 phi_2.  Only feet within
-    a step's travel of a grid end land in an end cell: at most two per end
-    for nn at cfl 0.5 (a foot moves half a cell), about 1 + dt S / dx in
-    the flux modes.  On so few, numpy's per-call cost outweighs the
-    arithmetic: the stencil lists them, and they are fixed up in Python
-    floats, an end-cell foot by grids.interpolate_at (its cell is the
-    stencil's).
+    a step's travel of a grid end land in an end cell: for nn at the
+    default cfl of 0.5, at most two per end with a front pin (time_step: a
+    foot moves up to half a cell) and three without one (transport_step's
+    Courant 1: a foot moves up to a cell, and the node two cells in joins
+    where the feet move a whole cell to within rounding; 3 per end on
+    -tanh(x) at dx 0.0025, 2 or 3 at dx 0.01), about 1 + dt S / dx in the
+    flux modes (tests/test_solver.py test_few_feet_land_in_an_end_cell).
+    On so few, numpy's per-call cost outweighs the arithmetic: the stencil
+    lists them, and they are fixed up in Python floats, an end-cell foot
+    by grids.interpolate_at (its cell is the stencil's).
     """
     taps, w, edge = stencil
     g = phi.take(taps, mode="clip")
@@ -561,10 +607,13 @@ def _patched(old, lo: int, hi: int, n: int, part):
 
 def _trace(foot: _Foot, field: np.ndarray, h: float, lo: int, hi: int):
     """The feet of the nodes on [lo, hi) (along the last axis) traced
-    through field over h: x - (h/2) (field(x) + field(x - (h/2) field(x))),
-    the outer field value foot.interp_linear's."""
+    through field over h, the outer field value foot.interp_linear's:
+    without a front pin the midpoint rule x - h field(x - (h/2) field(x)),
+    with one x - (h/2) (field(x) + field(x - (h/2) field(x)))."""
     nodes, vs = foot.nodes[..., lo:hi], field[..., lo:hi]
     mids = nodes - 0.5 * h * vs
+    if foot.pin is None:
+        return nodes - h * foot.interp_linear(field, mids)
     return nodes - h * 0.5 * (vs + foot.interp_linear(field, mids))
 
 
@@ -648,12 +697,15 @@ def _change_bound(
     >= 0), before Lip(a) is computed.
 
     With delta_c = max |v_c - a_c|, the trace moves each foot along axis
-    c by at most h delta_c (1 + h Lip_c(a_c)/4) + (h^2/4) sum over the
+    c by at most h delta_c (1 + h Lip_c(a_c)/q) + (h^2/q) sum over the
     other axes l of Lip_l(a_c) delta_l, where Lip_l is the largest node
     difference along l over its spacing (the linear interpolant's slope
-    bound): the outer velocity moves by at most delta_c at the midpoint it
-    had and by Lip times the midpoint's move (h/2) delta.  The (1 + h
-    Lip/4) factor belongs to this trace form.  The clipped cubic of
+    bound): the midpoint moves by at most (h/2) delta, and the outer
+    velocity by at most delta_c at the midpoint it had plus Lip times the
+    midpoint's move.  The midpoint rule without a front pin takes h times
+    the outer velocity, so q = 2; the trace with one takes h/2 times the
+    sum of the node's velocity and the outer one, so q = 4.  The clipped
+    cubic of
     _interp_foot has slope at most L = max(CUBIC_SLOPE max |diff phi| /
     dx, 1) (the cubic's own on a cell, the end cells' linear, the
     unit-slope extension off the grid, all meeting continuously at the
@@ -682,15 +734,14 @@ def _change_bound(
         if least * (lc if lc > 1.0 else 1.0) >= cap:
             return np.inf
     lip = _slopes(a, grid)
+    q = 2.0 if foot.pin is None else 4.0
     disp = [0.0] * d
     for c in range(d):
         cross = 0.0
         for l in range(d):
             if l != c:
                 cross += lip[l][c] * delta[l]
-        disp[c] = (
-            h * delta[c] * (1.0 + h * lip[c][c] / 4.0) + h * h / 4.0 * cross
-        )
+        disp[c] = h * delta[c] * (1.0 + h * lip[c][c] / q) + h * h / q * cross
     scale = start.x_max + h * np.maximum.reduce(np.abs(a), axis=None)
     legs = [(1.0, 0.0)] if d == 1 else _legs(feet, grid, disp, 64 * EPS * scale)
     if legs is None:
@@ -728,30 +779,46 @@ def _transport_steps(
     end and the Picard passes the step took.  phi(0) is foot.nodes, and
     velocity_of maps a state to its velocity, one component per axis.
 
-    In each pass v, the velocity of the candidate new state u0 o phi,
-    traces the feet (_trace) as x - (h/2) (v(x) + v(x - (h/2) v(x))),
-    and every component of the step-start foot field is interpolated at
-    the feet.  This trace is first order in time: to first order in h it
-    moves a foot by h (v - (h/4) v v_x), where the backward characteristic
-    moves by h (v - (h/2) v v_x) - (h^2/2) v_t, and v is frozen at the
-    step's end.  Convergence is measured on phi (a continuous quantity
-    even across jumps of the state), as the largest sup-norm change over
-    the components.  A step that does not converge raises
+    In each pass the feet are traced (_trace) through w, and every
+    component of the step-start foot field is interpolated at them.
+    Without a front pin (no tracked datum jumps) the trace is the
+    two-time-level midpoint rule of semi-Lagrangian models (Staniforth and
+    Cote 1991, Mon. Wea. Rev. 119): x - h w(x - (h/2) w(x)), with w = (V(u_n)
+    + v)/2 the mean of the velocity at the step start and v, the velocity
+    of the candidate new state u0 o phi, so w is the velocity at the
+    midpoint in time.  It is consistent to second order, and its global
+    time error, measured by tests/test_time_order.py (nn, -tanh(x) on
+    [-4, 4], eps 0.1, T 0.5, dx 0.0025, against a solve at Courant 1/32),
+    is 7.1e-7 at transport_step's Courant 1, 1.4e-6 at twice that step and
+    3.4e-7 at half: first order still, with a constant 100 times smaller
+    than that of the trace below, whose error is 9.0e-5 at Courant 0.5.
+    With a front pin w is v itself, and the feet are traced as x - (h/2)
+    (v(x) + v(x - (h/2) v(x))).  That trace is first order in time: to
+    first order in h it moves a foot by h (v - (h/4) v v_x), where the
+    backward characteristic moves by h (v - (h/2) v v_x) - (h^2/2) v_t,
+    and v is frozen at the step's end.  On two-valued Riemann data the
+    midpoint rule leaves every result as it is (a state there depends on
+    the tracked preimage alone), but it retraces the feet near the front
+    after every node flip, so the pinned solves keep this trace and the
+    step time_step sizes.  Convergence is measured on phi (a continuous
+    quantity even across jumps of the state), as the largest sup-norm
+    change over the components.  A step that does not converge raises
     PicardDivergenceError with its index and start time.
 
-    Four rules end a step.  From the second pass on, once v is rebuilt
-    from the last pass's values, _change_bound bounds the change of phi
-    that retracing the last pass's feet through v, instead of the field a
-    they were traced through, would make: L h delta (1 + h Lip(a)/4) plus
-    a rounding margin in 1D, with delta = max |v - a|, Lip(a) = max |diff
-    a| / dx and L = max((5/3) max |diff phi| / dx, 1) the slope bound of
-    the clipped cubic (2D adds what a foot that crosses a cell edge off a
-    node line can jump).  Below PICARD_TOL the contraction rule below
+    Four rules end a step.  From the second pass on, once v and w are
+    rebuilt from the last pass's values, _change_bound bounds the change
+    of phi that retracing the last pass's feet through w, instead of the
+    field a they were traced through, would make: L h delta (1 + h
+    Lip(a)/q) plus a rounding margin in 1D, with delta = max |w - a|,
+    Lip(a) = max |diff a| / dx, L = max((5/3) max |diff phi| / dx, 1) the
+    slope bound of the clipped cubic and q = 2 for the midpoint rule, 4
+    for the pinned trace (2D adds what a foot that crosses a cell edge off
+    a node line can jump).  Below PICARD_TOL the contraction rule below
     would end the step after that pass, with a phi within the bound of
     the last pass's, so the step ends now, with the last pass's phi,
     values and fronts, and keeps v, the velocity of those values, as the
     next step's start velocity (the next pass retraces the feet where v
-    was rebuilt).  The (1 + h Lip/4) factor belongs to this trace form.
+    was rebuilt).
     tests/test_change_bound.py runs the skipped pass wherever the bound is
     evaluated and holds its change to the bound.  The others end a step
     after a pass: one that changes phi by less than PICARD_TOL (a
@@ -761,13 +828,16 @@ def _transport_steps(
     A pass recomputes only the span whose inputs changed, and the
     generator's locals carry the previous pass (of this step or the one
     before) to it: v, the velocity of the values src, recomputed on span;
-    feet, the foot.stencil of the feet traced through v over h_feet; raw,
-    the datum at the foot field before the pin.  These arrays are never
-    written to; an update makes copies.  v is recomputed where the
-    candidate values differ from src, bit for bit (so a 0.0/-0.0 flip
-    counts), widened by the kernel radius; the feet and their stencil
-    where v was recomputed, widened by foot.reach, or everywhere when the
-    step length h differs from h_feet; phi and the datum where the feet
+    w, patched where v was (within a step V(u_n) is fixed, so w changes
+    exactly where v does); feet, the foot.stencil of the feet traced
+    through w over h_feet; raw, the datum at the foot field before the
+    pin.  These arrays are never written to; an update makes copies.  v is
+    recomputed where the candidate values differ from src, bit for bit (so
+    a 0.0/-0.0 flip counts), widened by the kernel radius; the feet and
+    their stencil where w was recomputed, widened by foot.reach, or
+    everywhere when the step length h differs from h_feet or the feet were
+    traced through another field (the prediction, or the last step's w);
+    phi and the datum where the feet
     were recomputed, through the stencil just built there, or everywhere
     on a step's first pass, since the step-start phi has moved, through
     the whole kept stencil as it is (it then only gathers phi).
@@ -784,20 +854,20 @@ def _transport_steps(
     the change is >= PICARD_TOL) stay global; a foot that reports the full
     span (the 2D one) makes every pass full.
 
-    Without a front pin (no tracked datum jumps), the first pass traces the
-    feet through a prediction of the velocity at the end of the step,
+    Without a front pin, the first pass traces the feet through (V(u_n) +
+    P)/2, with P a prediction of the velocity at the end of the step,
     extrapolated from its values at the step starts (starts, the latest
     first): 3 V(u_n) - 3 V(u_{n-1}) + V(u_{n-2}) from the third step on,
-    2 V(u_n) - V(u_{n-1}) on the second, V(u_n) on the first.  Those feet
-    are traced on the whole grid, and h_feet is then NaN: no step matches
-    it, so the next pass retraces them all.  The fixed point is unchanged
-    and the iteration reaches it in fewer passes (nn on -tanh(x), dx 0.01,
-    eps 0.1, to T = 0.5: 199, where V(u_n) takes 387), so the state moves
-    only within the PICARD_TOL stopping rules.  With a front pin the first
-    pass keeps V(u_n): the extrapolation would cross the front, put nodes
-    on the wrong side of the jump and widen every later pass's span, and
-    so cost passes (on the benchmark's decreasing Riemann runs, 2.77 per
-    step where V(u_n) takes 2.26).
+    2 V(u_n) - V(u_{n-1}) on the second, V(u_n) on the first (w itself).
+    Those feet are traced on the whole grid, and h_feet is then NaN: no
+    step matches it, so the next pass retraces them all.  The fixed point
+    is unchanged and the iteration reaches it in fewer passes (nn on
+    -tanh(x), dx 0.01, eps 0.1, to T = 0.5: 132, where V(u_n) takes 195),
+    so the state moves only within the PICARD_TOL stopping rules.  With a
+    front pin the first pass keeps V(u_n): the extrapolation would cross
+    the front, put nodes on the wrong side of the jump and widen every
+    later pass's span, and so cost passes (on the benchmark's decreasing
+    Riemann runs, 2.77 per step where V(u_n) takes 2.26).
 
     With a front pin (1D data with tracked jumps), fronts holds the tracked
     preimages of the datum jumps at the start of the step.  Each pass then
@@ -826,6 +896,8 @@ def _transport_steps(
     n, r = u0.values.shape[-1], m.radius
     phi, vals, fronts = foot.nodes, u0.values, foot.fronts
     span, v, h_feet, feet, raw, starts = (0, n), None, 0.0, None, None, ()
+    centred = foot.pin is None  # the time-centred trace and its w
+    w = None  # the exact field of the trace: v, or (V(u_n) + v)/2 if centred
     moved = (0, 0)  # where a step that ended early rebuilt v
     x_max = np.maximum.reduce(np.abs(foot.nodes), axis=None)
     for k, t, t_next, h in step_times(T, dt):
@@ -834,36 +906,47 @@ def _transport_steps(
         for j in range(PICARD_MAX_ITERS):
             # v, where the values it was built from changed; where the last
             # step rebuilt it, when that step ended before retracing the feet
-            kept, (lo, hi) = v, _widen(span, r, n)
+            kept, (lo, hi) = w, _widen(span, r, n)
             if lo < hi:
-                w = max(lo - r, 0)  # the window reaches r nodes past the span
-                part = velocity_of(cand_vals[..., w:min(hi + r, n)])
-                v = _patched(v, lo, hi, n, part[..., lo - w:hi - w])
+                left = max(lo - r, 0)  # the window: r nodes past the span
+                part = velocity_of(cand_vals[..., left:min(hi + r, n)])
+                v = _patched(v, lo, hi, n, part[..., lo - left:hi - left])
             elif moved[0] < moved[1]:
                 lo, hi, moved = *moved, (0, 0)
-            # retracing the last pass's feet through v would move phi by
+            # w: v itself with a front pin; without one, the mean of v and
+            # the step-start velocity vn, which changes only where v does
+            if not centred:
+                w = v
+            elif j == 0:
+                w = vn = v
+            elif lo < hi:
+                mean = 0.5 * (vn[..., lo:hi] + v[..., lo:hi])
+                w = _patched(w, lo, hi, n, mean)
+            # retracing the last pass's feet through w would move phi by
             # less than PICARD_TOL: end the step with that pass's results,
             # and keep v, the velocity of its values
             if j and start is None:
                 start = _StepStart(phi, x_max)
             if j and _change_bound(
-                foot, start, feet, traced, v, h,
+                foot, start, feet, traced, w, h,
                 (lo, hi) if traced is kept else (0, n), PICARD_TOL,
             ) < PICARD_TOL:
                 span, moved, new_phi = (0, 0), (lo, hi), cand_phi
                 break
             passes, src = j + 1, cand_vals
-            traced = v  # the field the feet are traced through
-            if j == 0 and foot.pin is None:
-                traced = _extrapolated(v, starts)
+            traced = w  # the field the feet are traced through
+            if j == 0 and centred:
+                predicted = _extrapolated(v, starts)
                 starts = (v, *starts[:1])
-            # the feet, where v changed; all of them when h moved or when
+                if predicted is not v:
+                    traced = 0.5 * (v + predicted)
+            # the feet, where w changed; all of them when h moved or when
             # they are traced through the prediction
-            if h != h_feet or traced is not v:
+            if h != h_feet or traced is not w:
                 lo, hi = 0, n
             elif 0 < hi - lo < n:
-                lo, hi = _widen((lo, hi), foot.reach(v, h), n)
-            h_feet = h if traced is v else np.nan
+                lo, hi = _widen((lo, hi), foot.reach(w, h), n)
+            h_feet = h if traced is w else np.nan
             if lo < hi:
                 built = foot.stencil(_trace(foot, traced, h, lo, hi))
                 feet = _patched(feet, lo, hi, n, built)
@@ -1072,19 +1155,17 @@ def step_times(T: float, dt: float):
         yield (k, t, (k + 1) * dt, dt) if k + 1 < n else (k, t, T, T - t)
 
 
-def schedule(u0, T: float, cfg: SolverConfig, dt: float | None = None):
-    """dt (time_step of u0 unless given) and the times a solve of u0 to T
-    on step_times' schedule stores at (0, every cfg.store_stride-th step's
-    end, T), after the budget checks (WorkBudgetError) and before any work."""
+def schedule(u0, T: float, cfg: SolverConfig, dt: float) -> np.ndarray:
+    """The times a solve of u0 to T by steps of dt on step_times' schedule
+    stores at (0, every cfg.store_stride-th step's end, T), after the
+    budget checks (WorkBudgetError) and before any work."""
     if T <= 0.0:
         raise ValueError("T must be positive")
-    if dt is None:
-        dt = time_step(cfg, u0.dx, u0.values)
-    elif dt <= 0.0:
+    if dt <= 0.0:
         raise ValueError("dt must be positive")
     check_node_steps(u0.values.size, T, dt)
     check_stored_levels(u0.values.size, T, dt, cfg.store_stride)
-    return dt, np.array([0.0] + [
+    return np.array([0.0] + [
         t_next for k, _, t_next, _ in step_times(T, dt)
         if (k + 1) % cfg.store_stride == 0 or t_next >= T
     ])
@@ -1108,10 +1189,12 @@ def _solve_transport(
     velocity_of maps a state to its velocity, one component per axis;
     speed is the speed_bound the trajectory records.  foot defaults to the
     1D pieces for u0 and data; the 2D solver passes its own.  dt, when
-    given, replaces time_step of u0 so coupled solves can share a time
-    grid.
+    given, replaces transport_step of u0 and data, so coupled solves can
+    share a time grid.
     """
-    dt, times = schedule(u0, T, cfg, dt)
+    if dt is None:
+        dt = transport_step(cfg, u0.dx, u0.values, data)
+    times = schedule(u0, T, cfg, dt)
     if foot is None:
         foot = _foot_1d(u0, data)
     levels, counts = [u0.values], []
@@ -1164,7 +1247,8 @@ def solve_nn(
     callable of x, e.g. a RiemannData or PiecewiseInitialData); the solver
     then evaluates it exactly at characteristic feet instead of
     interpolating the sampled u0, which keeps jumps sharp.  dt, when
-    given, replaces the CFL step of u0 (coupled solves share one step).
+    given, replaces transport_step of u0 and data (coupled solves share
+    one step).
     """
     m = build_mollifier(epsilon, u0.dx)
     return _solve_transport(
@@ -1240,7 +1324,8 @@ def solve_conservative_nonlocal(
     dx, n = u0.dx, u0.values.size
     vals = u0.values.copy()
     v = convolve_values(m, vals)
-    dt0, _ = schedule(u0, T, cfg, time_step(cfg, dx, v))
+    dt0 = time_step(cfg, dx, v)
+    schedule(u0, T, cfg, dt0)
     times = [0.0]
     levels = [vals]
     t = 0.0

@@ -84,7 +84,7 @@ def test_criterion_14_selftest_determinism(battery):
 # criterion's algorithm and data must keep them
 BATTERY_SHA256 = {
     "selftest_report.json":
-        "b2e0cfd929dad2e11171683813fe163ee1257213b86056f292eb6947d8e1a331",
+        "8fb3cc821b1296cf0b21f2b867455553ed4413f974a0939ebf31d8ddb1b77066",
     "selftest_results.txt":
         "788c861f4fe1c27133f4955c692bba7100f632c9cf813f019c00c25adc308416",
 }

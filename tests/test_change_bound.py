@@ -140,16 +140,17 @@ def test_the_2d_bound_on_y_independent_data_is_the_1d_bound(evaluations):
     # same steps early: on each row the 2D bound is the 1D one, on
     # velocities that agree to roundoff (the 2D solve mollifies along y
     # too)
+    # (to criterion 13's T: at T 0.2 only 9 steps end early)
     dx = 0.01
     u0 = sample(lambda x: -np.tanh(x), -3.0, 3.0, dx)
-    one = solve("nn", u0, 0.1, 0.2, SolverConfig())
+    one = solve("nn", u0, 0.1, 0.3, SolverConfig())
     bounds_1d = [b for _, b, _ in evaluations]
     evaluations.clear()
     u0_2d = sample_2d(
         lambda X, Y: -np.tanh(X) + 0.0 * Y, -3.0, 3.0, 0.0, 0.2, dx, dx
     )
     two = solve_velocity_reg_2d(
-        u0_2d, (burgers_flux(radius=1.5), zero_flux(radius=1.5)), 0.1, 0.2,
+        u0_2d, (burgers_flux(radius=1.5), zero_flux(radius=1.5)), 0.1, 0.3,
         SolverConfig(),
     )
     bounds_2d = [b for _, b, _ in evaluations]
@@ -158,37 +159,49 @@ def test_the_2d_bound_on_y_independent_data_is_the_1d_bound(evaluations):
     np.testing.assert_allclose(bounds_2d, bounds_1d, rtol=1e-9, atol=1e-15)
 
 
-def tight_1d_case(case):
+def tight_1d_case(case, pinned=False):
     """(foot, phi, feet, a, v, h) on 21 nodes of spacing 0.05 where one
-    foot's change nearly meets the bound.  "off-grid": phi has slope 1/2,
-    so L = 1, the slope of the unit extension that the foot of node 1
-    moves on; a falls linearly (h Lip(a) = 1) and v = a + delta, so that
-    foot moves by h delta (1 + h Lip/4) exactly.  "steep-cell": phi steps
-    by 1 across one cell and is flat elsewhere; the constant a puts the
-    foot of node 12 mid-cell, where the clipped cubic's slope is 13/12 of
-    the step over dx."""
+    foot's change nearly meets the bound, for the midpoint trace of a foot
+    without a front pin or (pinned) the trace of one with a pin.
+    "off-grid": phi has slope 1/2, so L = 1, the slope of the unit
+    extension that the foot of node 1 moves on; a falls linearly (h Lip(a)
+    = 1) and v = a + delta, so that foot moves by h delta (1 + h Lip/2)
+    exactly, and by h delta (1 + h Lip/4) under the pinned trace.
+    "steep-cell": phi steps by 1 across one cell and is flat elsewhere;
+    the constant a puts the foot of node 12 mid-cell, where the clipped
+    cubic's slope is 13/12 of the step over dx."""
     x0, dx, n, h, delta = 0.0, 0.05, 21, 0.05, 1e-6
     x = x0 + dx * np.arange(n)
     if case == "off-grid":
         phi, a = 0.5 * x, 2.5 - 20.0 * x
     else:
         phi, a = np.where(np.arange(n) <= 10, 0.0, 1.0), np.full(n, 1.5)
-    foot = _foot_1d(GridFunction1D(x0, dx, np.zeros(n)), None)
+    # the pin itself is never called: a datum jump only selects the trace
+    data = RiemannData(1.0, 0.0) if pinned else None
+    foot = _foot_1d(GridFunction1D(x0, dx, np.zeros(n)), data)
+    assert (foot.pin is not None) == pinned
     a = a[np.newaxis]
     feet = foot.stencil(_trace(foot, a, h, 0, n))
     return foot, phi[np.newaxis], feet, a, a + delta, h
 
 
 @pytest.mark.parametrize(
-    "case, least", [("off-grid", 0.99), ("steep-cell", 0.6)]
+    "case, pinned, least, factor",
+    [("off-grid", False, 0.99, 1.5), ("off-grid", True, 0.99, 1.25),
+     ("steep-cell", False, 0.6, None)],
+    ids=["off-grid-midpoint", "off-grid-pinned", "steep-cell"],
 )
-def test_the_bound_is_nearly_met(case, least):
-    # each constant of the bound is needed: without the (1 + h Lip/4)
-    # factor the off-grid foot exceeds it, and with 1 in place of
+def test_the_bound_is_nearly_met(case, pinned, least, factor):
+    # each constant of the bound is needed: without the (1 + h Lip/2)
+    # factor of the midpoint trace (or the (1 + h Lip/4) of the pinned
+    # one) the off-grid foot exceeds it, and with 1 in place of
     # CUBIC_SLOPE the mid-cell one does
-    foot, phi, feet, a, v, h = tight_1d_case(case)
+    foot, phi, feet, a, v, h = tight_1d_case(case, pinned)
     change, bound = change_and_bound(foot, phi, feet, a, v, h, (0, 21))
     assert least * bound < change <= bound
+    if factor is not None:
+        # L = 1, so phi moves as the foot does: by h delta (1 + h Lip/q)
+        assert change == pytest.approx(h * 1e-6 * factor, rel=1e-6)
 
 
 def test_the_2d_bound_holds_where_a_clip_box_jumps():

@@ -24,7 +24,7 @@ from nlclaw.solver import (
     solve_conservative_nonlocal,
     solve_nn,
     speed_bound,
-    time_step,
+    transport_step,
 )
 
 
@@ -362,9 +362,10 @@ def test_study_unknown_reference(reference):
 
 
 def test_study_budget_precheck_is_a_lower_bound(monkeypatch):
-    # the pre-check sizes dt on the window's samples (sup 0.5), the solve
-    # on the padded grid (-2.7, 2.7) (sup 1.35): the solve takes more
-    # steps than the pre-check counted, and checks its own count
+    # the pre-check sizes dt by transport_step on the window's samples
+    # (sup 0.5), the solve on the padded grid (-2.7, 2.7) (sup 1.35): the
+    # solve takes more steps than the pre-check counted, and checks its
+    # own count
     checked = []
     check = diagnostics.check_node_steps
 
@@ -378,6 +379,6 @@ def test_study_budget_precheck_is_a_lower_bound(monkeypatch):
     ((nodes, pre_dt),) = checked
     traj = row.trajectory
     assert nodes == traj.grid.n
-    assert pre_dt == 0.01
-    assert traj.dt == row.dt == time_step(SolverConfig(), 0.01, 1.35)
-    assert traj.dt == pytest.approx(0.0037, abs=1e-4)
+    assert pre_dt == 0.02
+    assert traj.dt == row.dt == transport_step(SolverConfig(), 0.01, 1.35, None)
+    assert traj.dt == pytest.approx(0.0074, abs=1e-4)

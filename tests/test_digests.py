@@ -174,13 +174,13 @@ DIGESTS = {
     }),
     "cubic_sweep": (0, {
         "cubic_sweep_eps0.2.json":
-            "9c8c3ec3613e5b86e2384153f8f327ec27b74fbea6b04b632a4ee0ed52370bac",
+            "9e0b9b38ea3a64f5382548b3a90af91c9efeb542d1df0cb4783f9aa4638c2abc",
         "cubic_sweep_eps0.4.json":
-            "26bbe846fa919a3225c7b40bac02c860f50ec107da0c9386d84963ef4e1915ac",
+            "911d50d459932ef925649a461bfa226c3ac3b4dc583f712472afb74cddafeb12",
         "cubic_sweep_report.json":
-            "b9589dd9e0ba61fb4b68491b58f0b7f29daeea8b3e829097494ce3e2e5b2b28a",
+            "d5a9d56dbf588988a039b6e495a415b9a4bdeed79f27d1269b84dbe2b4427e18",
         "cubic_sweep_table.dat":
-            "ef13672ecf225a0f2c46f4004a427b46c197729c8537a6b9ffd5ccae5f2fa9fa",
+            "3e204962a812b11e0a4a673dff5726bf3aa28f0dfc87efeebd62e5ec64fc8b17",
     }),
     "freg_expr": (0, {
         "freg_expr.csv":
@@ -192,11 +192,11 @@ DIGESTS = {
     }),
     "freg_exp": (0, {
         "freg_exp.csv":
-            "12e01337291836d78255745d392f1637755a8d882ce30fded1cfda559bdfcc1e",
+            "0d7de44b77ada56277dc7b3d55e71c0d50f72cd05ef6a12db580d63c05719063",
         "freg_exp_profile.dat":
-            "1e60059838b74dd1e1e009befe4ec8e17d9fd7c0a1bf52d9c207189a852e4be3",
+            "8923a7893e482b4bab0010e1f32a8c9d019bbbc9116f41f9b0b4b4eb47caa472",
         "freg_exp_report.json":
-            "d7211b10af857b9d6e61a59b9c1749bdb80c2ff24079ee155cea8835c1027bb3",
+            "e9c473736e12831fe60ec33d83efc20e569b3ab253377afea6e4a6911851b1ff",
     }),
     "freg_fast": (0, {
         "freg_fast.csv":
@@ -208,19 +208,19 @@ DIGESTS = {
     }),
     "plane": (0, {
         "plane.csv":
-            "ab166df25b9bf54ce4b7c3894838109e3824d42cf72fa4122aacb1f9eb40ae2e",
+            "f25b3009b7768d5da455e7727f94f30e7e4f47eb2eec5aa240c8d784dd69cec5",
         "plane_profile.dat":
-            "b1ae04d5c57f4cec4959f8043d51a18ca2af407d5c0f2e93ae33081cb290db0b",
+            "aa4d8b5c07d6b37f0090a94c88b4a8e8d16546ba55ea2811fd0a249c646582e3",
         "plane_report.json":
-            "45142089306777969e8700a16c43e88ee83b4e81b5efea7e292c140dee46c979",
+            "d1144c7a77026b5f78fcece3cae9edb0a174e77b5ff9b562c2d2b67f28aef7c3",
     }),
     "pulse": (0, {
         "pulse.csv":
-            "93a1e816382fadb192e0fff5dab84f65ab13e45979a46dc2716d136dc0fe7ffe",
+            "66fd39229d2627e11ef00d12eff242bcf6ee90526da6aa33faece5726a6d581e",
         "pulse_profile.dat":
-            "c0e18922a6e7cc4326943ce1bf75023c7ffff371facfdc5986aea92326e75689",
+            "56bd2ecc1525a458826231df6da03fa818d29c689a0bc8895f3aa398507f5c52",
         "pulse_report.json":
-            "3b67c98c6bc7fae03006e3c8227417852e7ff0db703f358b8f8bd169a3aecb06",
+            "31077b23d3eccab3396e18b52ae4e5bcabfcf4a4312b6aff0303c732c9dd9759",
     }),
     "rare_sweep": (0, {
         "rare_sweep_eps0.1.csv":
@@ -258,7 +258,7 @@ DIGESTS = {
     }),
     "verify_vreg": (0, {
         "verify_vreg_report.json":
-            "1f7ffbc976fe67e5f9dbbbded7c2ab8880273fa21a52c8da5dbfbfc4d8cb5abb",
+            "ebe1409bf8b652ac87ccd42ad30328a7d8947aa1263a48d0072a79bfc9fcaebc",
     }),
     "vreg_cubic": (2, {
         "vreg_cubic.json":

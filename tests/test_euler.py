@@ -184,16 +184,19 @@ def test_flipped_lam_sign_inflates_residual():
 
 
 def test_decoupling_joint_equals_alone_bitwise():
-    # vel0 = 0 gives equal invariant sups, so the standalone solves pick
-    # the same time step as the coupled one and equality can be bitwise
+    # the standalone solves are given the coupled solve's time step (a
+    # solve that sizes its own steps by twice it), so equality can be
+    # bitwise
     eps = 0.1
     rho0, vel0 = smooth_pulse(eps / 8.0)
     mu, lam = solve_isentropic(rho0, vel0, eps, 0.3, SolverConfig())
     mu0, lam0 = to_invariants(rho0, vel0)
-    mu_alone = solve_nn(mu0, eps, 0.3, SolverConfig())
+    mu_alone = solve_nn(mu0, eps, 0.3, SolverConfig(), dt=mu.dt)
     for joint, alone in zip(mu.states, mu_alone.states):
         assert np.array_equal(joint.values, alone.values)
-    lam_alone = solve_nn(_reversed_grid(lam0), eps, 0.3, SolverConfig())
+    lam_alone = solve_nn(
+        _reversed_grid(lam0), eps, 0.3, SolverConfig(), dt=mu.dt
+    )
     for joint, alone in zip(lam.states, lam_alone.states):
         assert np.array_equal(joint.values, alone.values[::-1])
 

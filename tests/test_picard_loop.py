@@ -14,6 +14,11 @@ There is also one foot-interpolation rule at any rank: _cubic_weights is
 called by the per-axis stencil, solver._axis_stencil, alone, and twodim
 takes no interpolation helper but that and the shared grid interpolant,
 so the 2D rule is the tensor product of the 1D one.
+
+And there is one owner of the step and one caller of the trace: no module
+scales a time_step(...) result (solver.transport_step owns the pin-free
+step of twice it), and solver._trace, which picks the trace form, is
+called by the Picard loop alone.
 """
 
 import ast
@@ -27,6 +32,7 @@ SCHEDULE_CONSUMERS = [
     "reference.godunov_solve", "solver._transport_steps", "solver.schedule",
 ]
 CUBIC_CALLERS = ["solver._axis_stencil"]
+TRACE_CALLERS = ["solver._transport_steps"]
 TWODIM_INTERPOLATION = ["_axis_stencil", "_interp_grid"]
 # the names an interpolation helper goes by
 INTERPOLATION = re.compile(
@@ -144,3 +150,52 @@ def test_one_cubic_rule_and_no_2d_rule_of_its_own():
     )
     assert callers == CUBIC_CALLERS
     assert helpers == TWODIM_INTERPOLATION
+
+
+def step_scan(sources: dict) -> tuple[list, list]:
+    """The functions that scale a time_step(...) result (the call is an
+    operand of an arithmetic operator, or the right side of an augmented
+    assignment) and the functions that call _trace, each as a sorted list
+    of 'module.function'; sources maps module name to source text."""
+    scaled, tracers = set(), set()
+
+    def step(node) -> bool:
+        return isinstance(node, ast.Call) and _name(node.func) == "time_step"
+
+    for mod, text in sources.items():
+        for owner, node in _owners(ast.parse(text)):
+            where = f"{mod}.{owner or ''}"
+            if (
+                isinstance(node, ast.BinOp)
+                and (step(node.left) or step(node.right))
+            ) or (isinstance(node, ast.AugAssign) and step(node.value)):
+                scaled.add(where)
+            elif isinstance(node, ast.Call) and _name(node.func) == "_trace":
+                tracers.add(where)
+    return sorted(scaled), sorted(tracers)
+
+
+def test_scan_flags_a_scaled_step_and_a_second_trace_caller():
+    src = (
+        "from . import solver\n"
+        "def _transport_steps(foot, v):\n"
+        "    return _trace(foot, v, time_step(cfg, 1.0, v), 0, 1)\n"
+        "def double(cfg, v):\n"
+        "    return 2.0 * solver.time_step(cfg, 0.1, v)\n"
+        "def halve(cfg, v, dt):\n"
+        "    dt /= time_step(cfg, 0.1, v)\n"
+        "    return min(time_step(cfg, 0.1, v), dt)\n"
+        "def second(foot, v):\n"
+        "    return (lambda: solver._trace(foot, v, 0.1, 0, 1))()\n"
+        "dt = time_step(cfg, 0.1, v) / 2\n"
+    )
+    assert step_scan({"m": src}) == (
+        ["m.", "m.double", "m.halve"],
+        ["m._transport_steps", "m.second"],
+    )
+
+
+def test_one_step_owner_and_one_trace_caller():
+    scaled, tracers = step_scan({p.stem: p.read_text() for p in SOURCES})
+    assert scaled == []
+    assert tracers == TRACE_CALLERS

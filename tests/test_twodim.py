@@ -405,7 +405,7 @@ def test_an_inactive_axis_is_not_mollified_and_keeps_every_bit(monkeypatch):
 def picard_pass_calls_2d():
     """The Python and C-function calls (sys.setprofile's call and c_call
     events) of each warm Picard pass of criterion 13's 2D solve (21 x 601
-    nodes), to a shorter T: the events from one call of its velocity_of to
+    nodes), to T 0.2: the events from one call of its velocity_of to
     the next, from the second step on.  A step that ends on its bound
     rebuilds the velocity and then evaluates the bound, and the next step's
     first pass keeps that velocity: its events join the interval."""
@@ -424,7 +424,7 @@ def picard_pass_calls_2d():
     sys.setprofile(profile)
     try:
         tr = solve_velocity_reg_2d(
-            u0, fluxes, 0.1, 0.1, SolverConfig(store_stride=10**9)
+            u0, fluxes, 0.1, 0.2, SolverConfig(store_stride=10**9)
         )
     finally:
         sys.setprofile(None)
